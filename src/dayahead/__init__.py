@@ -10,8 +10,8 @@ from .data import (ConsumptionProfile, DataError, Dataset, ForecastSigmas,
                    HourlyRecord, SyntheticConfig, generate_synthetic_dataset,
                    load_dataset, make_forecasts, split_dataset, write_dataset)
 from .market import (BUY, SELL, Bid, DayResult, DecisionContext, EnvConfig,
-                     TradingEnv, clear_bid, hourly_consumption, hourly_solar,
-                     hourly_wind, reference_balance, rolling_hourly_price_stat,
+                     TradingEnv, clear_bid, hourly_consumption,
+                     hourly_production, reference_balance, rolling_price_stats,
                      round_volume)
 from .cmaes import CmaesConfig, cmaes_optimize, default_population
 from .nets import (MLP, Gradients, PolicyParams, backward, forward,

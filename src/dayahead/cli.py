@@ -76,7 +76,6 @@ CMA_CONFIG_KEYS = {
 A2C_CONFIG_KEYS = {
     "timesteps": ("total_days", int),
     "evaluation_frequency": ("eval_frequency", int),
-    "episode_length": ("episode_length", int),
     "n_steps": ("n_steps", int),
     "learning_rate": ("learning_rate", float),
     "gamma": ("gamma", float),
@@ -190,9 +189,14 @@ def _write_result(out_dir, name: str, seeds: list[int], incomes: list[float],
         fh.write("\n")
 
 
-def _score_and_trace(bids_fn, dataset, env_config, test_range, seed, seed_dir):
-    income, results = evaluate_strategy(bids_fn, dataset, env_config, test_range,
-                                        seed, collect_results=True)
+def _print_summary(name: str, incomes: list[float]) -> None:
+    row = reportsmod.BalanceRow(name, incomes)
+    print(f"{name}: {row.mean:.2f} +- {row.std:.2f}")
+
+
+def _score_and_trace(bids_fn, env, test_range, seed, seed_dir):
+    income, results = evaluate_strategy(bids_fn, env, test_range, seed,
+                                        collect_results=True)
     os.makedirs(seed_dir, exist_ok=True)
     export_day_results(results, os.path.join(seed_dir, "trace.csv"))
     export_bid_outcomes(results, os.path.join(seed_dir, "bids.csv"))
@@ -232,6 +236,7 @@ def cmd_optimize(args) -> int:
     seeds = parse_seeds(args.seeds, args.seed)
     kind = args.strategy
     test_range = test_range_of(dataset, cfg)
+    env = TradingEnv(dataset, env_config)
     os.makedirs(args.out, exist_ok=True)
 
     incomes = []
@@ -250,8 +255,8 @@ def cmd_optimize(args) -> int:
             for rec in history.records:
                 fh.write(f"{rec.generation},{rec.best_objective!r},"
                          f"{rec.median_objective!r},{rec.sigma!r}\n")
-        income = _score_and_trace(parametric_strategy(kind, params_vec), dataset,
-                                  env_config, test_range, seed, seed_dir)
+        income = _score_and_trace(parametric_strategy(kind, params_vec), env,
+                                  test_range, seed, seed_dir)
         incomes.append(income)
         artifacts[f"seed{seed}"] = os.path.join(f"seed{seed}", "params.json")
         print(f"seed {seed}: test income {income:.2f}")
@@ -259,8 +264,7 @@ def cmd_optimize(args) -> int:
     name = f"{kind} (CMA-ES)"
     _write_result(args.out, name, seeds, incomes, test_range, artifacts)
     write_manifest(args.out, "optimize", cfg, seeds, dataset, {"strategy": kind})
-    mean, std = float(np.mean(incomes)), float(np.std(incomes, ddof=1)) if len(incomes) > 1 else 0.0
-    print(f"{name}: {mean:.2f} +- {std:.2f}")
+    _print_summary(name, incomes)
     return EXIT_OK
 
 
@@ -272,6 +276,7 @@ def cmd_train_rl(args) -> int:
     a2c_config = a2c_config_from(cfg, include_weather)
     seeds = parse_seeds(args.seeds, args.seed)
     test_range = test_range_of(dataset, cfg)
+    env = TradingEnv(dataset, env_config)
     os.makedirs(args.out, exist_ok=True)
 
     incomes = []
@@ -288,7 +293,7 @@ def cmd_train_rl(args) -> int:
             for step, val, is_best in run.log_rows():
                 fh.write(f"{step},{val!r},{is_best}\n")
         income = _score_and_trace(policy_strategy(run.best_policy, include_weather),
-                                  dataset, env_config, test_range, seed, seed_dir)
+                                  env, test_range, seed, seed_dir)
         incomes.append(income)
         artifacts[f"seed{seed}"] = os.path.join(f"seed{seed}", "policy.npz")
         print(f"seed {seed}: best val {run.best_val_reward:.2f} at step {run.best_step}, "
@@ -298,9 +303,7 @@ def cmd_train_rl(args) -> int:
     _write_result(args.out, name, seeds, incomes, test_range, artifacts)
     write_manifest(args.out, "train-rl", cfg, seeds, dataset,
                    {"include_weather": include_weather})
-    mean = float(np.mean(incomes))
-    std = float(np.std(incomes, ddof=1)) if len(incomes) > 1 else 0.0
-    print(f"{name}: {mean:.2f} +- {std:.2f}")
+    _print_summary(name, incomes)
     return EXIT_OK
 
 
@@ -336,9 +339,10 @@ def cmd_evaluate(args) -> int:
     else:
         raise ValueError("pass one of --policy, --params or --zero-action")
 
+    env = TradingEnv(dataset, env_config)
     incomes = []
     for seed in seeds:
-        income = _score_and_trace(bids_fn, dataset, env_config, test_range, seed,
+        income = _score_and_trace(bids_fn, env, test_range, seed,
                                   os.path.join(args.out, f"seed{seed}"))
         incomes.append(income)
         print(f"seed {seed}: income {income:.2f}")
@@ -361,13 +365,13 @@ def cmd_sweep_battery(args) -> int:
                          print(f"capacity {cap}: seed {seed} income {income:.2f}"))
     with open(os.path.join(args.out, "battery_sweep.csv"), "w") as fh:
         fh.write("capacity,mean_income,std,incomes\n")
-        for row in rows:
+        for capacity, row in rows:
             joined = " ".join(repr(v) for v in row.incomes)
-            fh.write(f"{row.capacity!r},{row.mean!r},{row.std!r},{joined}\n")
+            fh.write(f"{capacity!r},{row.mean!r},{row.std!r},{joined}\n")
     write_manifest(args.out, "sweep-battery", cfg, seeds, dataset,
                    {"capacities": capacities})
-    for row in rows:
-        print(f"capacity {row.capacity}: {row.mean:.2f} +- {row.std:.2f}")
+    for capacity, row in rows:
+        print(f"capacity {capacity}: {row.mean:.2f} +- {row.std:.2f}")
     return EXIT_OK
 
 

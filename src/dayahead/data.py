@@ -62,18 +62,6 @@ class HourlyRecord:
             raise DataError(f"negative wind speed on {self.date} hour {self.hour}")
 
 
-@dataclass(frozen=True)
-class ForecastRecord:
-    """One forecasted hour, issued at 10 am of the day before the target."""
-
-    issue_date: dt.date
-    target_date: dt.date
-    target_hour: int
-    cloudiness: float
-    wind_speed: float
-    temperature: float
-
-
 @dataclass
 class ConsumptionProfile:
     """Average consumption per household for each hour of the day [MWh]."""
@@ -147,7 +135,7 @@ class Dataset:
             [(self.start_date + dt.timedelta(days=i)).month for i in range(shape[0])],
             dtype=int,
         )
-        self._pbar_cache: dict[int, np.ndarray] = {}
+        self._pbar_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def num_days(self) -> int:

@@ -14,7 +14,19 @@ the price/weather tape while simulating only the battery gives an unbiased
 evaluation of any bidding strategy.  The inner loops run on plain floats;
 everything that can be precomputed per dataset (production tables, normalized
 observation blocks, rolling price medians) is cached up front, which keeps a
-simulated day in the tens of microseconds.
+simulated day in the tens of microseconds.  Build one :class:`TradingEnv`
+per dataset and configuration and reuse it: ``reset`` restarts an episode.
+
+Each simulator rule lives in one place:
+
+* production from weather, for actuals, forecasts and the reference
+  balance: :func:`hourly_production`;
+* battery netting and penalty settlement, for the simulated hours and the
+  midnight estimate: ``TradingEnv._net_hours``;
+* the per-hour rolling median price: :func:`rolling_price_stats`;
+* volume rounding to the market step: :func:`round_volume`.
+
+Strategies see the replay tape only through read-only views.
 """
 from __future__ import annotations
 
@@ -24,22 +36,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, HOURS_PER_DAY
+from .data import Dataset, HOURS_PER_DAY, OKTA_MAX
 
 BUY = "buy"
 SELL = "sell"
 
 MARKET_VOLUME_STEP = 0.1  # minimum tradeable volume [MWh]
+_NO_NOISE = [0.0] * HOURS_PER_DAY  # consumption at its mean, for the midnight estimate
 
 
 def round_volume(volume: float) -> float:
     """Round a bid volume to the nearest 0.1 MWh, ties away from zero.
 
     Values below 0.05 (including negatives) collapse to 0.0, i.e. no bid.
+    A volume too large to round becomes infinite instead of raising, so
+    that it surfaces as a non-finite income, which optimizers rank worst.
     """
     if volume < 0.05:
         return 0.0
-    return math.floor(volume * 10.0 + 0.5) / 10.0
+    try:
+        return math.floor(volume * 10.0 + 0.5) / 10.0
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(slots=True)
@@ -124,54 +142,6 @@ class EnvConfig:
         return self.max_solar_generation * self.solar_efficiency + self.max_wind_generation
 
 
-# Flat key-value config file, keys as in the environment parameter table.
-_CONFIG_KEYS = {
-    "action_scheduling_hour": "action_hour",
-    "battery_capacity": "battery_capacity",
-    "battery_efficiency": "battery_efficiency",
-    "max_solar_generation": "max_solar_generation",
-    "solar_panel_efficiency": "solar_efficiency",
-    "max_wind_generation": "max_wind_generation",
-    "max_wind_speed": "max_wind_speed",
-    "households": "households",
-    "consumption_noise_std": "consumption_noise_std",
-    "price_stat_window": "price_stat_window",
-    "penalty_buy_multiplier": "penalty_buy_multiplier",
-    "penalty_sell_multiplier": "penalty_sell_multiplier",
-    "initial_charge": "initial_charge",
-    "price_scale": "price_scale",
-}
-
-
-def write_env_config(config: EnvConfig, path) -> None:
-    with open(path, "w") as fh:
-        for key, attr in _CONFIG_KEYS.items():
-            value = getattr(config, attr)
-            if value is None:
-                continue
-            fh.write(f"{key} = {value!r}\n")
-
-
-def read_env_config(path) -> EnvConfig:
-    import ast
-
-    kwargs = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown environment config key {key!r}")
-            kwargs[_CONFIG_KEYS[key]] = ast.literal_eval(value.strip())
-    for int_attr in ("households", "action_hour", "price_stat_window"):
-        if int_attr in kwargs:
-            kwargs[int_attr] = int(kwargs[int_attr])
-    return EnvConfig(**kwargs)
-
-
 # ---------------------------------------------------------------------------
 # Production and consumption formulas
 # ---------------------------------------------------------------------------
@@ -181,42 +151,19 @@ def hourly_consumption(config: EnvConfig, avg_per_household: float, rho: float) 
     return config.households * avg_per_household * abs(1.0 + rho)
 
 
-def hourly_solar(config: EnvConfig, cloudiness: int) -> float:
-    """Solar production for one hour given cloud cover in Oktas [MWh]."""
-    if not 0 <= cloudiness <= 8:
-        raise ValueError(f"cloudiness {cloudiness} outside 0..8")
-    return config.max_solar_generation * (1.0 - cloudiness / 8.0) * config.solar_efficiency
+def hourly_production(cloudiness, wind_speed, config: EnvConfig) -> np.ndarray:
+    """Solar plus wind production [MWh] per hour, elementwise over any shape.
 
-
-def hourly_wind(config: EnvConfig, wind_speed: float) -> float:
-    """Wind production for one hour; zero above the cutoff speed [MWh]."""
-    if wind_speed > config.max_wind_speed:
-        return 0.0
-    return config.max_wind_generation * wind_speed / config.max_wind_speed
-
-
-def production_table(dataset: Dataset, config: EnvConfig) -> np.ndarray:
-    """(days, 24) production from actual weather, vectorized."""
-    solar = (config.max_solar_generation * config.solar_efficiency
-             * (1.0 - dataset.cloudiness / 8.0))
-    wind = np.where(
-        dataset.wind_speed <= config.max_wind_speed,
-        config.max_wind_generation * dataset.wind_speed / config.max_wind_speed,
-        0.0,
-    )
-    return solar + wind
-
-
-def forecast_production(forecast_block: np.ndarray, config: EnvConfig) -> np.ndarray:
-    """(24,) production implied by a (3, 24) cloudiness/wind/temperature forecast."""
-    cloud = np.clip(forecast_block[0], 0.0, 8.0)
-    wind = forecast_block[1]
-    solar = config.max_solar_generation * config.solar_efficiency * (1.0 - cloud / 8.0)
-    wind_prod = np.where(
-        wind <= config.max_wind_speed,
-        config.max_wind_generation * np.maximum(wind, 0.0) / config.max_wind_speed,
-        0.0,
-    )
+    Solar scales with the clear share of the sky; wind rises linearly with
+    speed up to the cutoff and stops above it.  Cloudiness is clipped to
+    0..8 Oktas and wind speed at zero, which only forecasts can need: the
+    dataset rejects actuals outside those ranges.
+    """
+    cloud = np.clip(cloudiness, 0, OKTA_MAX)
+    wind = np.maximum(wind_speed, 0.0)
+    solar = config.max_solar_generation * config.solar_efficiency * (1.0 - cloud / OKTA_MAX)
+    wind_prod = np.where(wind <= config.max_wind_speed,
+                         config.max_wind_generation * wind / config.max_wind_speed, 0.0)
     return solar + wind_prod
 
 
@@ -224,49 +171,33 @@ def forecast_production(forecast_block: np.ndarray, config: EnvConfig) -> np.nda
 # Rolling per-hour price statistic
 # ---------------------------------------------------------------------------
 
-def rolling_hourly_price_stat(prices: np.ndarray, hour: int, day_index: int,
-                              window: int = 28) -> float:
-    """Median price at ``hour`` over the ``window`` days before ``day_index``.
-
-    During warm-up (fewer than ``window`` prior days) all available history is
-    used; an even count takes the mean of the two middle values.  The day
-    itself is excluded, so day 0 has no history at all.
-    """
-    if day_index <= 0:
-        raise ValueError("no price history before day 0; start after at least one warm-up day")
-    lo = max(0, day_index - window)
-    return float(np.median(prices[lo:day_index, hour]))
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A view of ``array`` that raises on writes; the replay tape is handed
+    to strategies only through such views."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 def rolling_price_stats(dataset: Dataset, day_index: int, window: int = 28) -> np.ndarray:
-    """All 24 per-hour rolling medians at once; cached on the dataset."""
-    cache = dataset._pbar_cache.get(window)
-    if cache is None:
-        cache = np.full((dataset.num_days, HOURS_PER_DAY), np.nan)
-        dataset._pbar_cache[window] = cache
-    row = cache[day_index]
-    if math.isnan(row[0]):
+    """Median price of each hour over the ``window`` days before ``day_index``.
+
+    During warm-up (fewer than ``window`` prior days) all available history is
+    used; an even count takes the mean of the two middle values.  The day
+    itself is excluded, so day 0 has no history at all.  Rows are computed
+    once per dataset and handed out as read-only views of the cache.
+    """
+    cached = dataset._pbar_cache.get(window)
+    if cached is None:
+        table = np.full((dataset.num_days, HOURS_PER_DAY), np.nan)
+        cached = dataset._pbar_cache[window] = (table, _read_only(table))
+    table, view = cached
+    if math.isnan(table[day_index, 0]):
         if day_index <= 0:
             raise ValueError("no price history before day 0; start after at least one warm-up day")
         lo = max(0, day_index - window)
-        row[:] = np.median(dataset.prices[lo:day_index], axis=0)
-    return row
-
-
-# ---------------------------------------------------------------------------
-# Battery projection shared by the simulator and the midnight estimator
-# ---------------------------------------------------------------------------
-
-def project_battery_level(charge: float, capacity: float, efficiency: float,
-                          buys, sells, production, consumption) -> float:
-    """Battery level after netting the given hourly flows, losses on charge only."""
-    for buy, sell, prod, cons in zip(buys, sells, production, consumption):
-        delta = prod + buy - cons - sell
-        if delta >= 0.0:
-            charge = min(capacity, charge + efficiency * delta)
-        else:
-            charge = max(0.0, charge + delta)
-    return charge
+        table[day_index] = np.median(dataset.prices[lo:day_index], axis=0)
+    return view[day_index]
 
 
 # ---------------------------------------------------------------------------
@@ -402,36 +333,30 @@ class TradingEnv:
         else:
             self.rng = np.random.default_rng(rng)
         cfg = self.config
-        self._production = production_table(dataset, cfg)
+        self._production = hourly_production(dataset.cloudiness, dataset.wind_speed, cfg)
         self._production_rows = self._production.tolist()
         self._price_rows = dataset.prices.tolist()
-        base_consumption = cfg.households * dataset.profile.avg_per_household
-        self._base_consumption = base_consumption
-        self._base_consumption_list = base_consumption.tolist()
+        self._prices = _read_only(dataset.prices)
+        self._profile = _read_only(dataset.profile.avg_per_household)
+        self._base_consumption_list = (cfg.households
+                                       * dataset.profile.avg_per_household).tolist()
         self._price_scale = cfg.price_scale or self._default_price_scale()
-        self._prices_norm = dataset.prices / self._price_scale
+        self._prices_norm = _read_only(dataset.prices / self._price_scale)
         profile_max = dataset.profile.avg_per_household.max()
-        self._profile_norm = (dataset.profile.avg_per_household / profile_max
-                              if profile_max > 0 else np.zeros(HOURS_PER_DAY))
+        self._profile_norm = _read_only(dataset.profile.avg_per_household / profile_max
+                                       if profile_max > 0 else np.zeros(HOURS_PER_DAY))
         if dataset.has_forecasts:
             t_lo, t_hi = cfg.temperature_range
-            self._forecast_norm = np.concatenate(
+            self._forecast_norm = _read_only(np.concatenate(
                 [
                     dataset.forecast_cloudiness / 8.0,
                     dataset.forecast_wind_speed / cfg.max_wind_speed,
                     (dataset.forecast_temperature - t_lo) / (t_hi - t_lo),
                 ],
                 axis=1,
-            )
-            fc_solar = (cfg.max_solar_generation * cfg.solar_efficiency
-                        * (1.0 - np.clip(dataset.forecast_cloudiness, 0.0, 8.0) / 8.0))
-            fc_wind = np.where(
-                dataset.forecast_wind_speed <= cfg.max_wind_speed,
-                cfg.max_wind_generation * np.maximum(dataset.forecast_wind_speed, 0.0)
-                / cfg.max_wind_speed,
-                0.0,
-            )
-            self._forecast_production_rows = (fc_solar + fc_wind).tolist()
+            ))
+            self._forecast_production_rows = hourly_production(
+                dataset.forecast_cloudiness, dataset.forecast_wind_speed, cfg).tolist()
         else:
             self._forecast_norm = None
             self._forecast_production_rows = None
@@ -479,8 +404,9 @@ class TradingEnv:
         # Play out the remainder of the decision day with no scheduled bids so
         # the realized midnight level follows the same dynamics the estimator
         # assumes.
-        self._simulate_hours(decision_day, cfg.action_hour, HOURS_PER_DAY,
-                             self._schedule_buys, self._schedule_sells, None)
+        rho = self.rng.normal(0.0, cfg.consumption_noise_std,
+                              HOURS_PER_DAY - cfg.action_hour).tolist()
+        self._simulate_hours(decision_day, cfg.action_hour, HOURS_PER_DAY, rho, None)
         return ctx
 
     def step(self, bids: list[Bid], collect: bool = True, trusted: bool = False
@@ -534,16 +460,18 @@ class TradingEnv:
             result = None
 
         action_hour = self.config.action_hour
-        reward = self._simulate_hours(day, 0, action_hour, buy_vol, sell_vol, result)
-
-        # Decision snapshot for the *next* delivery day, taken mid-delivery.
+        # One draw for the whole day yields the same stream as one per stretch.
+        rho = self.rng.normal(0.0, self.config.consumption_noise_std, HOURS_PER_DAY).tolist()
         self._schedule_buys = buy_vol
         self._schedule_sells = sell_vol
+        reward = self._simulate_hours(day, 0, action_hour, rho[:action_hour], result)
+
+        # Decision snapshot for the *next* delivery day, taken mid-delivery.
         done = not self._forecast_ok[day + 1]
         ctx = None if done else self._build_context(day)
 
-        reward += self._simulate_hours(day, action_hour, HOURS_PER_DAY,
-                                       buy_vol, sell_vol, result)
+        reward += self._simulate_hours(day, action_hour, HOURS_PER_DAY, rho[action_hour:],
+                                       result)
         if result is not None:
             result.reward = reward
         self._next_day = day + 1
@@ -556,39 +484,51 @@ class TradingEnv:
     # -- internals ----------------------------------------------------------
 
     def _simulate_hours(self, day: int, hour_lo: int, hour_hi: int,
-                        buy_vol: list[float], sell_vol: list[float],
-                        result: DayResult | None) -> float:
+                        rho: list[float], result: DayResult | None) -> float:
+        """Advance the battery through hours ``hour_lo..hour_hi`` of ``day``
+        with actual production and the drawn consumption noise ``rho``."""
+        self.charge, cash = self._net_hours(self.charge, day, hour_lo, hour_hi,
+                                            self._production_rows[day], rho, result)
+        self.cash += cash
+        return cash
+
+    def _net_hours(self, charge: float, day: int, hour_lo: int, hour_hi: int,
+                   production: list[float], rho: list[float],
+                   result: DayResult | None) -> tuple[float, float]:
+        """Net one stretch of hours against the battery; the only battery rule.
+
+        Each hour ``h`` nets ``production[h]`` and the scheduled trades of
+        ``day`` against consumption ``base[h] * |1 + rho[h - hour_lo]|``.  A
+        surplus charges the battery with losses on the way in, a deficit
+        drains it; what the battery cannot absorb or supply is settled at the
+        penalty prices.  Returns the final charge and the cash earned.  The
+        simulator passes actual production and drawn noise, the midnight
+        estimate forecast production and zero noise.
+        """
         cfg = self.config
         capacity = cfg.battery_capacity
         eta = cfg.battery_efficiency
         buy_mult = cfg.penalty_buy_multiplier
         sell_mult = cfg.penalty_sell_multiplier
         prices = self._price_rows[day]
-        production = self._production_rows[day]
         base_cons = self._base_consumption_list
-        count = hour_hi - hour_lo
-        if count <= 0:
-            return 0.0
-        rho = self.rng.normal(0.0, cfg.consumption_noise_std, count).tolist()
-        charge = self.charge
+        buy_vol = self._schedule_buys
+        sell_vol = self._schedule_sells
         cash = 0.0
-        for i in range(count):
-            h = hour_lo + i
-            cons = base_cons[h] * abs(1.0 + rho[i])
+        for h, r in zip(range(hour_lo, hour_hi), rho):
+            cons = base_cons[h] * abs(1.0 + r)
             buy = buy_vol[h]
             sell = sell_vol[h]
             price = prices[h]
             delta = production[h] + buy - cons - sell
-            uns_buy = 0.0
-            uns_sell = 0.0
-            charge_in = 0.0
-            discharge = 0.0
             if delta >= 0.0:
+                discharge = uns_buy = 0.0
                 headroom = (capacity - charge) / eta
                 if headroom < 0.0:
                     headroom = 0.0
                 if delta <= headroom:
                     charge_in = delta
+                    uns_sell = 0.0
                 else:
                     charge_in = headroom
                     uns_sell = delta - headroom
@@ -596,9 +536,11 @@ class TradingEnv:
                 if charge > capacity:
                     charge = capacity
             else:
+                charge_in = uns_sell = 0.0
                 deficit = -delta
                 if deficit <= charge:
                     discharge = deficit
+                    uns_buy = 0.0
                 else:
                     discharge = charge
                     uns_buy = deficit - charge
@@ -615,9 +557,7 @@ class TradingEnv:
                 result.unscheduled_sells[h] = uns_sell
                 result.cash_deltas[h] = hour_cash
                 result.battery_trace[h + 1] = charge
-        self.charge = charge
-        self.cash += cash
-        return cash
+        return charge, cash
 
     def _build_context(self, decision_day: int) -> DecisionContext:
         cfg = self.config
@@ -628,14 +568,14 @@ class TradingEnv:
         return DecisionContext(
             day=decision_day,
             date=dataset.date_of(decision_day),
-            prices_today=dataset.prices[decision_day],
+            prices_today=self._prices[decision_day],
             rel_charge=self.charge / cfg.battery_capacity,
             est_midnight=est,
             month_index=dataset.month_of(decision_day) - 1,
             weekday=dataset.weekday_of(decision_day),
             pbar=rolling_price_stats(dataset, decision_day, cfg.price_stat_window),
             vbar=cfg.max_hourly_production,
-            profile=dataset.profile.avg_per_household,
+            profile=self._profile,
             households=cfg.households,
             _dataset=dataset,
             _prices_norm=self._prices_norm[decision_day],
@@ -646,32 +586,16 @@ class TradingEnv:
     def estimate_midnight_level(self, decision_day: int) -> float:
         """Projected relative battery level at the upcoming midnight.
 
-        Simulates the remaining hours of the decision day with the already
-        cleared bid schedule, production implied by the day's weather forecast,
-        and expected consumption (noise at its mean of zero).
+        Runs the battery rule over the remaining hours of the decision day
+        with the already cleared bid schedule, production implied by the
+        day's weather forecast, and consumption noise at its mean of zero.
         """
-        cfg = self.config
         if self._forecast_production_rows is None or not self._forecast_ok[decision_day]:
             raise ValueError(f"no forecast available for day {decision_day}")
-        lo = cfg.action_hour
-        capacity = cfg.battery_capacity
-        eta = cfg.battery_efficiency
-        prod = self._forecast_production_rows[decision_day]
-        cons = self._base_consumption_list
-        buys = self._schedule_buys
-        sells = self._schedule_sells
-        charge = self.charge
-        for h in range(lo, HOURS_PER_DAY):
-            delta = prod[h] + buys[h] - cons[h] - sells[h]
-            if delta >= 0.0:
-                charge = charge + eta * delta
-                if charge > capacity:
-                    charge = capacity
-            else:
-                charge = charge + delta
-                if charge < 0.0:
-                    charge = 0.0
-        return charge / capacity
+        charge, _ = self._net_hours(self.charge, decision_day, self.config.action_hour,
+                                    HOURS_PER_DAY, self._forecast_production_rows[decision_day],
+                                    _NO_NOISE, None)
+        return charge / self.config.battery_capacity
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +609,8 @@ def reference_balance(dataset: Dataset, config: EnvConfig,
     lo, hi = day_range
     if not 0 <= lo <= hi <= dataset.num_days:
         raise ValueError(f"day range ({lo}, {hi}) outside the dataset")
-    production = production_table(dataset, config)[lo:hi].sum(axis=1)
+    production = hourly_production(dataset.cloudiness[lo:hi], dataset.wind_speed[lo:hi],
+                                   config).sum(axis=1)
     daily_consumption = config.households * dataset.profile.avg_per_household.sum()
     mean_prices = dataset.prices[lo:hi].mean(axis=1)
     return float(((production - daily_consumption) * mean_prices).sum())

@@ -8,7 +8,9 @@ Three families are implemented:
 * an opportunistic strategy with per-hour log-scale volume and price offsets
   around the rolling median price and the maximum producible volume;
 * the neural black-box strategy, where a 4x24 action matrix (buy/sell log
-  volumes and log prices per hour) is decoded into bids the same way.
+  volumes and log prices per hour) is decoded into bids; the opportunistic
+  strategy builds the same matrix from its coefficients and shares the
+  decoder.
 
 All of them are pure functions of their inputs; exploration noise for the
 neural policy is passed in explicitly.
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +83,17 @@ class OpportunisticParams:
     def from_vector(cls, vec) -> "OpportunisticParams":
         return cls(tuple(float(v) for v in vec))
 
+    @cached_property
+    def _action_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(4, 24) offsets and (4, 1) level couplings in action-matrix row
+        order: buy volume, buy price, sell volume, sell price."""
+        alpha = self.as_vector()
+        offsets = alpha[ACTION_ROWS:].reshape(ACTION_HOURS, ACTION_ROWS).T
+        # alpha_{4h+5..4h+8} are buy volume, sell volume, buy price, sell
+        # price, and alpha_1..alpha_4 couple the level into the same four.
+        rows = [0, 2, 1, 3]
+        return offsets[rows], alpha[rows, None]
+
     @staticmethod
     def volume_offset_indices() -> np.ndarray:
         """0-based positions of the per-hour log-volume offsets (alpha_{4h+5,6})."""
@@ -111,23 +125,11 @@ def opportunistic_bids(params: OpportunisticParams, est_level: float,
                        vbar: float, pbar: np.ndarray) -> list[Bid]:
     """Per-hour buy/sell pairs priced around the rolling median.
 
-    Volumes scale ``vbar`` and prices scale the hour's median by exponentials
-    of the per-hour offsets plus the battery-level couplings.
+    The per-hour offsets plus the battery-level couplings form a (4, 24)
+    matrix of log-volumes and log-prices, decoded like a black-box action.
     """
-    a = params.alpha
-    pbar = pbar.tolist() if isinstance(pbar, np.ndarray) else pbar
-    bids = []
-    for hour in range(ACTION_HOURS):
-        base = 4 * hour
-        buy_volume = round_volume(vbar * math.exp(a[base + 4] + a[0] * est_level))
-        if buy_volume > 0.0:
-            buy_price = pbar[hour] * math.exp(a[base + 6] + a[2] * est_level)
-            bids.append(Bid(buy_volume, buy_price, BUY, hour))
-        sell_volume = round_volume(vbar * math.exp(a[base + 5] + a[1] * est_level))
-        if sell_volume > 0.0:
-            sell_price = pbar[hour] * math.exp(a[base + 7] + a[3] * est_level)
-            bids.append(Bid(sell_volume, sell_price, SELL, hour))
-    return bids
+    offsets, couplings = params._action_terms
+    return blackbox_bids(offsets + couplings * est_level, vbar, pbar)
 
 
 def blackbox_bids(action: np.ndarray, vbar: float, pbar: np.ndarray) -> list[Bid]:
@@ -135,6 +137,7 @@ def blackbox_bids(action: np.ndarray, vbar: float, pbar: np.ndarray) -> list[Bid
 
     Rows are buy log-volume, buy log-price, sell log-volume, sell log-price;
     a row value of 3 scales the base volume or price by e^3, about 20x.
+    Every strategy with per-hour volumes and prices decodes through here.
     """
     action = np.asarray(action, dtype=float)
     if action.shape != (ACTION_ROWS, ACTION_HOURS):
@@ -169,15 +172,20 @@ def sample_action(policy: PolicyParams, obs: np.ndarray,
         raise ValueError(f"noise length {xi.shape} != action size {policy.action_size}")
     mean = forward(policy.actor, obs)
     raw = mean + xi * np.exp(policy.log_std)
-    log_prob = float(np.sum(-policy.log_std - 0.5 * LOG2PI - 0.5 * xi ** 2))
-    action = np.clip(raw, -ACTION_CLIP, ACTION_CLIP).reshape(ACTION_ROWS, ACTION_HOURS)
-    return action, log_prob
+    log_prob = -float(policy.log_std.sum()) - 0.5 * (xi.size * LOG2PI + float(xi @ xi))
+    return _clip_action(raw), log_prob
 
 
 def mean_action(policy: PolicyParams, obs: np.ndarray) -> np.ndarray:
     """Deterministic (noise-free) action used for validation and deployment."""
-    mean = forward(policy.actor, np.asarray(obs, dtype=float))
-    return np.clip(mean, -ACTION_CLIP, ACTION_CLIP).reshape(ACTION_ROWS, ACTION_HOURS)
+    return _clip_action(forward(policy.actor, np.asarray(obs, dtype=float)))
+
+
+def _clip_action(raw: np.ndarray) -> np.ndarray:
+    """Clip to [-3, 3] and reshape to (4, 24); np.minimum/np.maximum do what
+    np.clip does at half its cost on one action vector."""
+    clipped = np.minimum(np.maximum(raw, -ACTION_CLIP), ACTION_CLIP)
+    return clipped.reshape(ACTION_ROWS, ACTION_HOURS)
 
 
 # ---------------------------------------------------------------------------

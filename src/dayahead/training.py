@@ -11,7 +11,7 @@ the final ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,12 +19,11 @@ from .cmaes import CmaesConfig, CmaesHistory, cmaes_optimize
 from .data import Dataset
 from .market import EnvConfig, TradingEnv, DayResult
 from .nets import (PolicyParams, RmsPropState, backward, clip_gradient_norm,
-                   forward, forward_cached, init_policy, rmsprop_step)
-from .strategies import (ACTION_CLIP, ACTION_SIZE, OPPORTUNISTIC, TIMING,
-                         OpportunisticParams, TimingParams, blackbox_bids,
-                         opportunistic_bids, timing_bids)
-
-LOG2PI = math.log(2.0 * math.pi)
+                   forward_cached, init_policy, rmsprop_step)
+from .reports import BalanceRow
+from .strategies import (LOG2PI, OPPORTUNISTIC, TIMING, OpportunisticParams,
+                         TimingParams, blackbox_bids, mean_action,
+                         opportunistic_bids, sample_action, timing_bids)
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +40,6 @@ def opportunistic_strategy(params: OpportunisticParams):
 
 def policy_strategy(policy: PolicyParams, include_weather: bool = True):
     """Deterministic mean-action wrapper around a trained policy."""
-    from .strategies import mean_action
 
     def bids(ctx):
         action = mean_action(policy, ctx.observation(include_weather))
@@ -77,19 +75,19 @@ def parametric_dimension(kind: str) -> int:
     raise ValueError(f"unknown parametric strategy {kind!r}")
 
 
-def evaluate_strategy(bids_fn, dataset: Dataset, config: EnvConfig,
-                      day_range: tuple[int, int], seed: int,
-                      collect_results: bool = False):
+def evaluate_strategy(bids_fn, env: TradingEnv, day_range: tuple[int, int],
+                      seed: int, collect_results: bool = False):
     """Cumulative profit of ``bids_fn`` over the delivery days in ``day_range``.
 
-    Deterministic per seed: the seed drives consumption noise only, the
-    strategy itself must be a pure function of the context.  With
-    ``collect_results`` the per-day traces are returned as well.  Bids are
-    trusted (not re-validated): strategies built from this package emit
-    compliant volumes by construction.
+    Deterministic per seed: the environment's consumption noise is reseeded
+    from ``seed`` and its episode restarted, so one environment serves any
+    number of evaluations; the strategy itself must be a pure function of
+    the context.  With ``collect_results`` the per-day traces are returned
+    as well.  Bids are trusted (not re-validated): strategies built from
+    this package emit compliant volumes by construction.
     """
     lo, hi = day_range
-    env = TradingEnv(dataset, config, rng=np.random.default_rng(seed))
+    env.rng = np.random.default_rng(seed)
     ctx = env.reset(lo)
     total = 0.0
     results: list[DayResult] = []
@@ -124,7 +122,10 @@ def optimize_parametric(kind: str, dataset: Dataset, env_config: EnvConfig,
                         cma_config: CmaesConfig, seed: int,
                         eval_range: tuple[int, int] | None = None,
                         ) -> tuple[np.ndarray, CmaesHistory]:
-    """CMA-ES over the training split; returns the final mean parameters."""
+    """CMA-ES over the training split; returns the final mean parameters.
+
+    Every objective evaluation replays the same environment.
+    """
     if dataset.split is None:
         raise ValueError("dataset needs split boundaries before optimization")
     if eval_range is None:
@@ -133,10 +134,11 @@ def optimize_parametric(kind: str, dataset: Dataset, env_config: EnvConfig,
     seeds = np.random.SeedSequence(seed).spawn(2)
     init_rng = np.random.default_rng(seeds[0])
     objective_seed = int(seeds[1].generate_state(1)[0])
+    env = TradingEnv(dataset, env_config)
 
     def objective(vector: np.ndarray) -> float:
-        return evaluate_strategy(parametric_strategy(kind, vector), dataset,
-                                 env_config, eval_range, objective_seed)
+        return evaluate_strategy(parametric_strategy(kind, vector), env, eval_range,
+                                 objective_seed)
 
     x0 = initial_parameter_mean(kind, init_rng)
     cfg = CmaesConfig(population=cma_config.population, sigma0=cma_config.sigma0,
@@ -179,8 +181,8 @@ def gae_advantages(rewards: np.ndarray, values: np.ndarray, bootstrap: float,
 @dataclass
 class A2cConfig:
     total_days: int = 200_000        # training budget in simulated days
-    episode_length: int = 90
-    n_steps: int = 90                # days per update (one episode per rollout)
+    n_steps: int = 90                # days per rollout and update; one episode,
+                                     # whose window lies inside the training split
     gamma: float = 0.9
     gae_lambda: float = 0.9
     learning_rate: float = 1e-4
@@ -201,8 +203,8 @@ class A2cConfig:
             raise ValueError("gamma must lie in [0, 1]")
         if not 0 <= self.gae_lambda <= 1:
             raise ValueError("gae_lambda must lie in [0, 1]")
-        if self.n_steps <= 0 or self.episode_length <= 0:
-            raise ValueError("n_steps and episode_length must be positive")
+        if self.n_steps <= 0:
+            raise ValueError("n_steps must be positive")
 
 
 @dataclass
@@ -295,12 +297,10 @@ def _rollout(env: TradingEnv, policy: PolicyParams, start_day: int,
     obs = np.empty((n_steps, policy.input_size))
     noise = np.empty((n_steps, policy.action_size))
     rewards = np.empty(n_steps)
-    sigma = np.exp(policy.log_std)
     for t in range(n_steps):
         s = ctx.observation(include_weather)
         xi = noise_rng.standard_normal(policy.action_size)
-        raw = forward(policy.actor, s) + xi * sigma
-        action = np.clip(raw, -ACTION_CLIP, ACTION_CLIP).reshape(4, 24)
+        action, _ = sample_action(policy, s, xi)
         ctx, reward, _, done = env.step(blackbox_bids(action, ctx.vbar, ctx.pbar),
                                         collect=False, trusted=True)
         obs[t] = s
@@ -311,13 +311,12 @@ def _rollout(env: TradingEnv, policy: PolicyParams, start_day: int,
     return obs, noise, rewards
 
 
-def evaluate_policy(policy: PolicyParams, dataset: Dataset, config: EnvConfig,
+def evaluate_policy(policy: PolicyParams, env: TradingEnv,
                     day_range: tuple[int, int], seed: int,
                     include_weather: bool = True, collect_results: bool = False):
     """Deterministic-mean-policy profit over ``day_range``."""
-    return evaluate_strategy(policy_strategy(policy, include_weather), dataset,
-                             config, day_range, seed,
-                             collect_results=collect_results)
+    return evaluate_strategy(policy_strategy(policy, include_weather), env,
+                             day_range, seed, collect_results=collect_results)
 
 
 def a2c_train(dataset: Dataset, env_config: EnvConfig, config: A2cConfig,
@@ -341,7 +340,8 @@ def a2c_train(dataset: Dataset, env_config: EnvConfig, config: A2cConfig,
     test_eval_seed = int(test_seed.generate_state(1)[0])
 
     input_size = 141 if config.include_weather else 69
-    env = TradingEnv(dataset, env_config, rng=np.random.default_rng(env_seed))
+    env_rng = np.random.default_rng(env_seed)
+    env = TradingEnv(dataset, env_config)
     policy = init_policy(
         input_size, hidden_size=config.hidden_size, seed=np.random.default_rng(init_seed),
         log_std_init=config.log_std_init,
@@ -355,7 +355,7 @@ def a2c_train(dataset: Dataset, env_config: EnvConfig, config: A2cConfig,
     updater = A2cUpdater(policy, config)
 
     first_start = max(2, train_lo)
-    last_start = train_hi - config.episode_length
+    last_start = train_hi - config.n_steps
     if last_start < first_start:
         raise ValueError("training split shorter than one episode")
     val_start = max(2, val_lo)
@@ -370,6 +370,8 @@ def a2c_train(dataset: Dataset, env_config: EnvConfig, config: A2cConfig,
 
     while steps < config.total_days:
         start = int(window_rng.integers(first_start, last_start + 1))
+        # Scoring reseeds the shared environment; rollouts keep their own stream.
+        env.rng = env_rng
         obs, noise, rewards = _rollout(env, policy, start, config.n_steps,
                                        noise_rng, config.include_weather)
         # Fixed-length episodes end at the rollout boundary: no bootstrap.
@@ -377,8 +379,8 @@ def a2c_train(dataset: Dataset, env_config: EnvConfig, config: A2cConfig,
         steps += config.n_steps
 
         if steps >= next_eval or steps >= config.total_days:
-            val_reward = evaluate_policy(policy, dataset, env_config, val_range,
-                                         val_eval_seed, config.include_weather)
+            val_reward = evaluate_policy(policy, env, val_range, val_eval_seed,
+                                         config.include_weather)
             is_best = val_reward > best_val
             if is_best:
                 best_val = val_reward
@@ -394,9 +396,8 @@ def a2c_train(dataset: Dataset, env_config: EnvConfig, config: A2cConfig,
                       best_val_reward=best_val, best_step=best_step, seed=seed)
     test_start = max(2, test_lo)
     test_range = (test_start, min(test_hi, test_start + config.test_days))
-    run.test_income = float(evaluate_policy(best_policy, dataset, env_config,
-                                            test_range, test_eval_seed,
-                                            config.include_weather))
+    run.test_income = float(evaluate_policy(best_policy, env, test_range,
+                                            test_eval_seed, config.include_weather))
     return run
 
 
@@ -404,29 +405,14 @@ def a2c_train(dataset: Dataset, env_config: EnvConfig, config: A2cConfig,
 # Battery capacity sweep
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SweepRow:
-    capacity: float
-    incomes: list[float]
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.incomes))
-
-    @property
-    def std(self) -> float:
-        if len(self.incomes) < 2:
-            return 0.0
-        return float(np.std(self.incomes, ddof=1))
-
-
 def battery_sweep(capacities: list[float], dataset: Dataset,
                   env_config: EnvConfig, a2c_config: A2cConfig,
-                  seeds: list[int], progress=None) -> list[SweepRow]:
+                  seeds: list[int], progress=None) -> list[tuple[float, BalanceRow]]:
     """Train and test the neural strategy independently per battery capacity.
 
-    Rows come back sorted by capacity.  Each (capacity, seed) pair is a fully
-    independent training run with its own derived seed.
+    Returns (capacity, test incomes) pairs sorted by capacity.  Each
+    (capacity, seed) pair is a fully independent training run with its own
+    derived seed.
     """
     from dataclasses import replace
 
@@ -441,5 +427,5 @@ def battery_sweep(capacities: list[float], dataset: Dataset,
             incomes.append(run.test_income)
             if progress is not None:
                 progress(capacity, seed, run.test_income)
-        rows.append(SweepRow(capacity=capacity, incomes=incomes))
+        rows.append((capacity, BalanceRow(f"capacity {capacity!r}", incomes)))
     return rows

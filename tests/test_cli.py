@@ -12,7 +12,6 @@ TINY_CONFIG = {
     "generations": 4,
     "timesteps": 120,
     "n_steps": 30,
-    "episode_length": 30,
     "evaluation_frequency": 60,
     "eval_days": 15,
     "net_arch": 16,

@@ -1,14 +1,16 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dayahead.data import ForecastSigmas, make_forecasts
+from dayahead.cli import ENV_CONFIG_KEYS, env_config_from, load_config
 from dayahead.market import (BUY, SELL, Bid, EnvConfig, TradingEnv, clear_bid,
-                             hourly_consumption, hourly_solar, hourly_wind,
-                             project_battery_level, read_env_config,
-                             reference_balance, rolling_hourly_price_stat,
-                             round_volume, write_env_config)
+                             hourly_consumption, hourly_production,
+                             reference_balance, rolling_price_stats,
+                             round_volume)
 
 from conftest import flat_dataset, with_perfect_forecasts
 
@@ -30,6 +32,11 @@ from conftest import flat_dataset, with_perfect_forecasts
 ])
 def test_round_volume(raw, expected):
     assert round_volume(raw) == pytest.approx(expected, abs=1e-12)
+
+
+def test_round_volume_keeps_overflow_non_finite():
+    assert round_volume(math.inf) == math.inf
+    assert round_volume(1e308) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -84,19 +91,22 @@ def test_consumption_formula():
 
 def test_solar_formula():
     cfg = EnvConfig()
-    assert hourly_solar(cfg, 0) == pytest.approx(0.08, abs=1e-12)
-    assert hourly_solar(cfg, 8) == pytest.approx(0.0, abs=1e-12)
-    assert hourly_solar(cfg, 4) == pytest.approx(0.04, abs=1e-12)
+    solar = hourly_production(np.array([0, 8, 4]), np.zeros(3), cfg)  # no wind
+    np.testing.assert_allclose(solar, [0.08, 0.0, 0.04], rtol=0, atol=1e-12)
+    # cloudiness outside 0..8 never reaches the formula as an actual ...
     with pytest.raises(ValueError):
-        hourly_solar(cfg, 9)
+        flat_dataset(cloudiness=9)
+    # ... and a forecast beyond the scale counts as the nearest valid value
+    clipped = hourly_production(np.array([9.5, -1.0]), np.zeros(2), cfg)
+    np.testing.assert_array_equal(clipped, solar[[1, 0]])
 
 
 def test_wind_formula():
     cfg = EnvConfig()
-    assert hourly_wind(cfg, 11.0) == pytest.approx(0.05, abs=1e-12)
-    assert hourly_wind(cfg, 12.0) == 0.0
-    assert hourly_wind(cfg, 5.5) == pytest.approx(0.025, abs=1e-12)
-    assert hourly_wind(cfg, 0.0) == 0.0
+    overcast = np.full(4, 8)  # no solar
+    wind = hourly_production(overcast, np.array([11.0, 12.0, 5.5, 0.0]), cfg)
+    np.testing.assert_allclose(wind, [0.05, 0.0, 0.025, 0.0], rtol=0, atol=1e-12)
+    assert wind[1] == 0.0 and wind[3] == 0.0
 
 
 def test_max_hourly_production_composition():
@@ -108,33 +118,33 @@ def test_max_hourly_production_composition():
 # ---------------------------------------------------------------------------
 
 def test_rolling_median_constant_series():
-    prices = np.full((30, 24), 300.0)
-    assert rolling_hourly_price_stat(prices, 12, 29, window=28) == 300.0
+    ds = flat_dataset(num_days=30, price=300.0)
+    assert rolling_price_stats(ds, 29, window=28)[12] == 300.0
 
 
 def test_rolling_median_odd_count():
-    prices = np.zeros((4, 24))
-    prices[0:3, 7] = [100.0, 300.0, 200.0]
-    assert rolling_hourly_price_stat(prices, 7, 3, window=28) == 200.0
+    ds = flat_dataset(num_days=4, price=0.0)
+    ds.prices[0:3, 7] = [100.0, 300.0, 200.0]
+    assert rolling_price_stats(ds, 3, window=28)[7] == 200.0
 
 
 def test_rolling_median_even_count_mean_of_middle():
-    prices = np.zeros((3, 24))
-    prices[0:2, 7] = [100.0, 200.0]
-    assert rolling_hourly_price_stat(prices, 7, 2, window=28) == 150.0
+    ds = flat_dataset(num_days=3, price=0.0)
+    ds.prices[0:2, 7] = [100.0, 200.0]
+    assert rolling_price_stats(ds, 2, window=28)[7] == 150.0
 
 
 def test_rolling_median_uses_window_only():
-    prices = np.zeros((40, 24))
-    prices[:, 3] = 1000.0
-    prices[12:40, 3] = 50.0  # the most recent 28 days
-    assert rolling_hourly_price_stat(prices, 3, 40, window=28) == 50.0
+    ds = flat_dataset(num_days=41, price=0.0)
+    ds.prices[:, 3] = 1000.0
+    ds.prices[12:40, 3] = 50.0  # the most recent 28 days; day 40 itself is excluded
+    assert rolling_price_stats(ds, 40, window=28)[3] == 50.0
 
 
 def test_rolling_median_day_zero_errors():
-    prices = np.full((5, 24), 100.0)
+    ds = flat_dataset(num_days=5, price=100.0)
     with pytest.raises(ValueError, match="warm-up"):
-        rolling_hourly_price_stat(prices, 0, 0)
+        rolling_price_stats(ds, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +333,30 @@ def test_replay_purity(year_dataset):
     assert year_dataset.content_hash() == before
 
 
+def test_strategies_cannot_write_the_replay_tape(small_dataset):
+    """pbar and prices_today are read-only views: writes raise and change nothing."""
+    ds = replace(small_dataset, prices=small_dataset.prices.copy())
+    before = ds.content_hash()
+
+    def income(tamper):
+        env = TradingEnv(ds, EnvConfig(), rng=4)
+        rng = np.random.default_rng(5)
+        ctx = env.reset(30)
+        total = 0.0
+        for _ in range(20):
+            if tamper:
+                for view in (ctx.pbar, ctx.prices_today):
+                    with pytest.raises(ValueError, match="read-only"):
+                        view *= 0.0
+            ctx, reward, _, _ = env.step(random_bids(rng))
+            total += reward
+        return total
+
+    clean = income(False)
+    assert income(True) == clean
+    assert ds.content_hash() == before
+
+
 # ---------------------------------------------------------------------------
 # Midnight level estimation
 # ---------------------------------------------------------------------------
@@ -371,11 +405,48 @@ def test_estimate_reflects_scheduled_bids_mid_day(small_dataset):
         result.battery_trace[24], abs=1e-12)
 
 
-def test_project_battery_level_caps_and_floors():
-    level = project_battery_level(1.9, 2.0, 0.85, [1.0], [0.0], [0.0], [0.0])
-    assert level == 2.0
-    level = project_battery_level(0.1, 2.0, 0.85, [0.0], [1.0], [0.0], [0.0])
-    assert level == 0.0
+def test_battery_level_caps_and_floors():
+    ds = flat_dataset(num_days=6)  # no production, no consumption
+    env = make_env(ds, quiet_config(initial_charge=0.95))  # 1.9 of 2.0 MWh
+    env.reset(2)
+    _, _, result, _ = env.step([Bid(1.0, math.inf, BUY, 0)])
+    assert result.battery_trace[1] == 2.0
+    env = make_env(ds, quiet_config(initial_charge=0.05))  # 0.1 MWh
+    env.reset(2)
+    _, _, result, _ = env.step([Bid(1.0, 0.0, SELL, 0)])
+    assert result.battery_trace[1] == 0.0
+
+
+@pytest.fixture(scope="module")
+def perfect_dataset(small_dataset):
+    return with_perfect_forecasts(small_dataset)
+
+
+bid_lists = st.lists(
+    st.builds(Bid,
+              volume=st.integers(0, 20).map(lambda k: k / 10),
+              price=st.one_of(st.floats(0.0, 600.0), st.just(math.inf)),
+              side=st.sampled_from([BUY, SELL]),
+              hour=st.integers(0, 23)),
+    max_size=12)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(days=st.lists(bid_lists, min_size=1, max_size=4),
+       start=st.integers(2, 110),
+       initial_charge=st.floats(0.0, 1.0))
+def test_battery_rule_properties(perfect_dataset, days, start, initial_charge):
+    """Random bid lists keep the hourly identities, and with perfect forecasts
+    and no consumption noise the midnight estimate equals the realized level."""
+    config = EnvConfig(consumption_noise_std=0.0, initial_charge=initial_charge)
+    env = TradingEnv(perfect_dataset, config, rng=0)
+    env.reset(start)
+    for bids in days:
+        ctx, _, result, done = env.step(bids)
+        assert_hourly_identities([result], config)
+        if done:
+            break
+        assert ctx.est_midnight * config.battery_capacity == result.battery_trace[24]
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +540,8 @@ def test_reference_balance_negative_for_net_consumer():
 
 def test_env_config_round_trip(tmp_path):
     config = EnvConfig(battery_capacity=1.5, households=250, price_scale=210.0)
-    path = tmp_path / "env.cfg"
-    write_env_config(config, path)
-    loaded = read_env_config(path)
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps({key: getattr(config, attr)
+                                for key, (attr, _) in ENV_CONFIG_KEYS.items()}))
+    loaded = env_config_from(load_config(str(path)))
     assert loaded == config

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from dayahead import training
 from dayahead.cmaes import CmaesConfig, cmaes_optimize, default_population
-from dayahead.market import EnvConfig
+from dayahead.market import EnvConfig, TradingEnv
 from dayahead.nets import forward, init_policy
 from dayahead.strategies import OpportunisticParams, TimingParams
 from dayahead.training import (A2cConfig, A2cUpdater, a2c_train, battery_sweep,
@@ -12,7 +13,7 @@ from dayahead.training import (A2cConfig, A2cUpdater, a2c_train, battery_sweep,
                                fixed_action_strategy, gae_advantages,
                                initial_parameter_mean, opportunistic_strategy,
                                optimize_parametric, parametric_dimension,
-                               timing_strategy)
+                               parametric_strategy, timing_strategy)
 
 from conftest import flat_dataset, with_perfect_forecasts
 
@@ -183,18 +184,20 @@ def test_initial_parameter_means():
 def test_evaluate_no_bids_on_balanced_fixture():
     profile = np.full(24, 0.0004)
     ds = with_perfect_forecasts(flat_dataset(num_days=8, cloudiness=4, profile=profile))
-    income = evaluate_strategy(lambda ctx: [], ds,
-                               EnvConfig(consumption_noise_std=0.0, initial_charge=0.0),
-                               (2, 8), seed=0)
+    env = TradingEnv(ds, EnvConfig(consumption_noise_std=0.0, initial_charge=0.0))
+    income = evaluate_strategy(lambda ctx: [], env, (2, 8), seed=0)
     assert income == pytest.approx(0.0, abs=1e-9)
 
 
 def test_evaluate_deterministic_per_seed(small_dataset):
     strategy = timing_strategy(TimingParams(1.2, 0.6))
-    a = evaluate_strategy(strategy, small_dataset, EnvConfig(), (30, 60), seed=5)
-    b = evaluate_strategy(strategy, small_dataset, EnvConfig(), (30, 60), seed=5)
-    c = evaluate_strategy(strategy, small_dataset, EnvConfig(), (30, 60), seed=6)
-    assert a == b
+    env = TradingEnv(small_dataset, EnvConfig())
+    a = evaluate_strategy(strategy, env, (30, 60), seed=5)
+    c = evaluate_strategy(strategy, env, (30, 60), seed=6)
+    b = evaluate_strategy(strategy, env, (30, 60), seed=5)  # reused after seed 6
+    fresh = evaluate_strategy(strategy, TradingEnv(small_dataset, EnvConfig()), (30, 60),
+                              seed=5)
+    assert a == b == fresh
     assert a != c
 
 
@@ -208,14 +211,14 @@ def test_evaluate_timing_hand_computed_fixture():
     """
     ds = with_perfect_forecasts(flat_dataset(num_days=5, price=250.0))
     config = EnvConfig(consumption_noise_std=0.0, initial_charge=0.5)
-    income = evaluate_strategy(timing_strategy(TimingParams(1.0, 0.2)), ds, config,
-                               (2, 4), seed=0)
+    income = evaluate_strategy(timing_strategy(TimingParams(1.0, 0.2)),
+                               TradingEnv(ds, config), (2, 4), seed=0)
     assert income == pytest.approx(180.0, abs=1e-9)
 
 
 def test_evaluate_collecting_traces(small_dataset):
     income, results = evaluate_strategy(
-        fixed_action_strategy(np.zeros((4, 24))), small_dataset, EnvConfig(),
+        fixed_action_strategy(np.zeros((4, 24))), TradingEnv(small_dataset, EnvConfig()),
         (30, 40), seed=1, collect_results=True)
     assert len(results) == 10
     assert income == pytest.approx(sum(r.reward for r in results))
@@ -229,6 +232,49 @@ def test_optimize_parametric_improves_timing(small_dataset):
     first_gen = history.records[0]
     assert history.best_objective >= first_gen.best_objective
     assert best.shape == (2,)
+
+
+# Per-seed incomes (seeds 0, 1, 2) over year_dataset's test range, recorded
+# when each strategy family still had its own battery netting, production
+# formula and bid decoding; the shared rules must reproduce them.
+GOLDEN_INCOMES = {
+    "timing": [16447.995502038564, 16455.277705631383, 16463.83508036782],
+    "opportunistic": [5661.6204826223675, 5658.1327346046955, 5664.583872041146],
+    "zero": [-5747.019985052514, -5758.692459367749, -5743.170422358027],
+}
+GOLDEN_A2C_TEST_INCOME = -825.1248385093685  # tiny_a2c_config(total_days=120), seed 0
+
+
+def test_golden_incomes(year_dataset):
+    strategies = {
+        "timing": parametric_strategy("timing", np.array([1.2, 0.6])),
+        "opportunistic": parametric_strategy(
+            "opportunistic", initial_parameter_mean("opportunistic", np.random.default_rng(0))),
+        "zero": fixed_action_strategy(np.zeros((4, 24))),
+    }
+    env = TradingEnv(year_dataset, EnvConfig())
+    for name, strategy in strategies.items():
+        incomes = [evaluate_strategy(strategy, env, year_dataset.split.test, seed)
+                   for seed in (0, 1, 2)]
+        np.testing.assert_allclose(incomes, GOLDEN_INCOMES[name], rtol=1e-9, atol=0,
+                                   err_msg=name)
+
+
+def test_golden_a2c_test_income(small_dataset):
+    run = a2c_train(small_dataset, EnvConfig(), tiny_a2c_config(total_days=120), seed=0)
+    assert run.test_income == pytest.approx(GOLDEN_A2C_TEST_INCOME, rel=1e-9, abs=0)
+
+
+def test_overflowing_opportunistic_candidate_scores_non_finite(small_dataset):
+    """An offset whose exponential overflows yields an income the optimizer
+    ranks worst instead of an exception that aborts it."""
+    vector = np.zeros(100)
+    vector[OpportunisticParams.volume_offset_indices()[0]] = 1000.0
+    env = TradingEnv(small_dataset, EnvConfig())
+    with np.errstate(over="ignore"):
+        income = evaluate_strategy(parametric_strategy("opportunistic", vector), env,
+                                   (30, 60), seed=0)
+    assert not math.isfinite(income)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +355,6 @@ def test_bandit_policy_gradient_direction():
 def tiny_a2c_config(**kwargs):
     kwargs.setdefault("total_days", 360)
     kwargs.setdefault("n_steps", 30)
-    kwargs.setdefault("episode_length", 30)
     kwargs.setdefault("eval_frequency", 90)
     kwargs.setdefault("eval_days", 20)
     kwargs.setdefault("hidden_size", 16)
@@ -335,8 +380,8 @@ def test_a2c_reported_test_income_comes_from_best_checkpoint(small_dataset):
     test_range = (test_lo, min(small_dataset.split.test[1], test_lo + a2c.test_days))
     ss = np.random.SeedSequence(1).spawn(6)
     test_seed = int(ss[5].generate_state(1)[0])
-    replayed = evaluate_policy(run.best_policy, small_dataset, config, test_range,
-                               test_seed, a2c.include_weather)
+    replayed = evaluate_policy(run.best_policy, TradingEnv(small_dataset, config),
+                               test_range, test_seed, a2c.include_weather)
     assert replayed == pytest.approx(run.test_income)
 
 
@@ -348,6 +393,34 @@ def test_a2c_train_deterministic_per_seed(small_dataset):
     assert [p.val_reward for p in a.eval_log] == [p.val_reward for p in b.eval_log]
     for pa, pb in zip(a.best_policy.parameters(), b.best_policy.parameters()):
         np.testing.assert_array_equal(pa, pb)
+
+
+def test_a2c_rollouts_stay_in_training_split(year_dataset, monkeypatch):
+    """Windows longer than the old 90-day default must still end inside the
+    training split; validation and test days are never trained on."""
+    stepped = []
+    real_rollout = training._rollout
+
+    def recording_rollout(env, *args, **kwargs):
+        real_step = env.step
+
+        def step(bids, **kw):
+            stepped.append(env.next_delivery_day)
+            return real_step(bids, **kw)
+
+        env.step = step
+        try:
+            return real_rollout(env, *args, **kwargs)
+        finally:
+            del env.step
+
+    monkeypatch.setattr(training, "_rollout", recording_rollout)
+    cfg = tiny_a2c_config(total_days=2400, n_steps=120, eval_frequency=2400,
+                          eval_days=5, test_days=5)
+    a2c_train(year_dataset, EnvConfig(), cfg, seed=0)
+    lo, hi = year_dataset.split.train
+    assert len(stepped) == 2400
+    assert lo <= min(stepped) and max(stepped) < hi
 
 
 def test_a2c_no_weather_uses_69_inputs(small_dataset):
@@ -364,8 +437,8 @@ def test_a2c_no_weather_uses_69_inputs(small_dataset):
 def test_battery_sweep_shapes(small_dataset):
     rows = battery_sweep([2.0, 1.0], small_dataset, EnvConfig(),
                          tiny_a2c_config(total_days=60), seeds=[0, 1])
-    assert [r.capacity for r in rows] == [1.0, 2.0]  # sorted ascending
-    for row in rows:
+    assert [capacity for capacity, _ in rows] == [1.0, 2.0]  # sorted ascending
+    for _, row in rows:
         assert len(row.incomes) == 2
         assert row.mean == pytest.approx(np.mean(row.incomes))
         assert row.std == pytest.approx(np.std(row.incomes, ddof=1))
@@ -375,7 +448,7 @@ def test_battery_sweep_single_seed_zero_std(small_dataset):
     rows = battery_sweep([1.5], small_dataset, EnvConfig(),
                          tiny_a2c_config(total_days=60), seeds=[4])
     assert len(rows) == 1
-    assert rows[0].std == 0.0
+    assert rows[0][1].std == 0.0
 
 
 def test_battery_sweep_rejects_non_positive_capacity(small_dataset):
