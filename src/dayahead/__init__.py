@@ -10,9 +10,8 @@ from .data import (ConsumptionProfile, DataError, Dataset, ForecastSigmas,
                    HourlyRecord, SyntheticConfig, generate_synthetic_dataset,
                    load_dataset, make_forecasts, split_dataset, write_dataset)
 from .market import (BUY, SELL, Bid, DayResult, DecisionContext, EnvConfig,
-                     TradingEnv, clear_bid, hourly_consumption,
-                     hourly_production, reference_balance, rolling_price_stats,
-                     round_volume)
+                     TradingEnv, clear_bid, hourly_production, reference_balance,
+                     rolling_price_stats, round_volume)
 from .cmaes import CmaesConfig, cmaes_optimize, default_population
 from .nets import (MLP, Gradients, PolicyParams, backward, forward,
                    init_policy, load_policy, orthogonal_init, rmsprop_step,
@@ -21,7 +20,6 @@ from .strategies import (OpportunisticParams, TimingParams, blackbox_bids,
                          mean_action, opportunistic_bids, sample_action,
                          timing_bids)
 from .training import (A2cConfig, TrainingRun, a2c_train, battery_sweep,
-                       evaluate_policy, evaluate_strategy, gae_advantages,
-                       optimize_parametric)
+                       evaluate_strategy, gae_advantages, optimize_parametric)
 
 __version__ = "0.1.0"

@@ -29,12 +29,14 @@ import numpy as np
 from . import data as datamod
 from . import reports as reportsmod
 from .cmaes import CmaesConfig
-from .market import EnvConfig, TradingEnv, export_bid_outcomes, export_day_results, reference_balance
+from .market import (EnvConfig, TradingEnv, delivery_window, export_bid_outcomes,
+                     export_day_results, reference_balance)
 from .nets import load_policy, save_policy
-from .strategies import BLACKBOX, OPPORTUNISTIC, TIMING, OpportunisticParams, TimingParams, save_strategy_params, load_strategy_params
+from .strategies import (BLACKBOX, PARAMETRIC_KINDS, load_strategy_params, params_class,
+                         save_strategy_params)
 from .training import (A2cConfig, a2c_train, battery_sweep, evaluate_strategy,
                        fixed_action_strategy, optimize_parametric,
-                       parametric_strategy, policy_strategy)
+                       policy_strategy)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -142,8 +144,7 @@ def load_data_dir(data_dir, cfg: dict) -> datamod.Dataset:
     dataset = datamod.load_dataset(paths["prices"], paths["weather"],
                                    paths["profile"], forecast_path)
     fractions = cfg.get("split_fractions")
-    dataset = datamod.split_dataset(dataset, tuple(fractions) if fractions else None)
-    return dataset
+    return datamod.split_dataset(dataset, tuple(fractions) if fractions else None)
 
 
 def parse_seeds(text: str | None, master: int) -> list[int]:
@@ -169,10 +170,7 @@ def write_manifest(out_dir, command: str, cfg: dict, seeds: list[int],
 
 
 def test_range_of(dataset: datamod.Dataset, cfg: dict) -> tuple[int, int]:
-    lo, hi = dataset.split.test
-    lo = max(2, lo)
-    days = int(cfg.get("test_days", 365))
-    return lo, min(hi, lo + days)
+    return delivery_window(dataset.split.test, int(cfg.get("test_days", 365)))
 
 
 def _write_result(out_dir, name: str, seeds: list[int], incomes: list[float],
@@ -243,20 +241,17 @@ def cmd_optimize(args) -> int:
     artifacts = {}
     for seed in seeds:
         cma_config = cma_config_from(cfg, seed)
-        params_vec, history = optimize_parametric(kind, dataset, env_config,
-                                                  cma_config, seed)
+        params_vec, history = optimize_parametric(kind, env, cma_config, seed)
         seed_dir = os.path.join(args.out, f"seed{seed}")
         os.makedirs(seed_dir, exist_ok=True)
-        params = (TimingParams.from_vector(params_vec) if kind == TIMING
-                  else OpportunisticParams.from_vector(params_vec))
+        params = params_class(kind).from_vector(params_vec)
         save_strategy_params(os.path.join(seed_dir, "params.json"), kind, params)
         with open(os.path.join(seed_dir, "optimization_log.csv"), "w") as fh:
             fh.write("generation,best_objective,median_objective,sigma\n")
             for rec in history.records:
                 fh.write(f"{rec.generation},{rec.best_objective!r},"
                          f"{rec.median_objective!r},{rec.sigma!r}\n")
-        income = _score_and_trace(parametric_strategy(kind, params_vec), env,
-                                  test_range, seed, seed_dir)
+        income = _score_and_trace(params.bids, env, test_range, seed, seed_dir)
         incomes.append(income)
         artifacts[f"seed{seed}"] = os.path.join(f"seed{seed}", "params.json")
         print(f"seed {seed}: test income {income:.2f}")
@@ -282,7 +277,7 @@ def cmd_train_rl(args) -> int:
     incomes = []
     artifacts = {}
     for seed in seeds:
-        run = a2c_train(dataset, env_config, a2c_config, seed)
+        run = a2c_train(env, a2c_config, seed)
         seed_dir = os.path.join(args.out, f"seed{seed}")
         os.makedirs(seed_dir, exist_ok=True)
         policy_path = os.path.join(seed_dir, "policy.npz")
@@ -320,6 +315,12 @@ def cmd_evaluate(args) -> int:
             raise MissingArtifact(f"policy file {args.policy} not found")
         policy = load_policy(args.policy)
         include_weather = bool(policy.meta.get("include_weather", True))
+        # The policy must see forecasts normalized as in its training.
+        for key, value in (("max_wind_speed", env_config.max_wind_speed),
+                           ("temperature_range", list(env_config.temperature_range))):
+            if key in policy.meta and policy.meta[key] != value:
+                raise ValueError(f"policy was trained with {key} {policy.meta[key]!r}, "
+                                 f"the config gives {value!r}")
         if "price_scale" in policy.meta:
             from dataclasses import replace
             env_config = replace(env_config, price_scale=float(policy.meta["price_scale"]))
@@ -331,7 +332,7 @@ def cmd_evaluate(args) -> int:
         kind, params = load_strategy_params(args.params)
         if kind == BLACKBOX:
             raise ValueError("black-box params reference a policy file; pass it via --policy")
-        bids_fn = parametric_strategy(kind, params.as_vector())
+        bids_fn = params.bids
         name = args.name or kind
     elif args.zero_action:
         bids_fn = fixed_action_strategy(np.zeros((4, 24)))
@@ -386,22 +387,25 @@ def cmd_report(args) -> int:
     if missing:
         raise MissingArtifact("missing run results: " + ", ".join(missing))
 
-    report = reportsmod.BalanceReport()
-    test_range = None
+    results = []
     for run_dir in run_dirs:
         with open(os.path.join(run_dir, "result.json")) as fh:
-            result = json.load(fh)
+            results.append(json.load(fh))
+    ranges = {tuple(result["test_range"]) for result in results}
+    if len(ranges) != 1:
+        raise ValueError(f"runs differ in test_range: {sorted(ranges)}")
+    test_range = ranges.pop()
+
+    report = reportsmod.BalanceReport()
+    for result in results:
         report.add(result["strategy"], result["incomes"])
-        test_range = tuple(result["test_range"])
     report.reference = reference_balance(dataset, env_config, test_range)
     report.write_csv(os.path.join(args.out, "balance_report.csv"))
     report.write_json(os.path.join(args.out, "balance_report.json"))
 
     window = reportsmod.middle_window(test_range, args.window_days)
-    for run_dir in run_dirs:
+    for run_dir, result in zip(run_dirs, results):
         name = os.path.basename(os.path.normpath(run_dir))
-        with open(os.path.join(run_dir, "result.json")) as fh:
-            result = json.load(fh)
         seed_results = []
         for seed in result["seeds"]:
             trace = os.path.join(run_dir, f"seed{seed}", "trace.csv")
@@ -454,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate_data)
 
     p = sub.add_parser("optimize", help="CMA-ES over a parametric strategy")
-    p.add_argument("--strategy", choices=[TIMING, OPPORTUNISTIC], required=True)
+    p.add_argument("--strategy", choices=list(PARAMETRIC_KINDS), required=True)
     common(p)
     p.set_defaults(func=cmd_optimize)
 
@@ -491,10 +495,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MissingArtifact as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING
-    except FileNotFoundError as exc:
+    except FileNotFoundError as exc:  # MissingArtifact included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except (ValueError, datamod.DataError) as exc:

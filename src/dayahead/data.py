@@ -37,6 +37,15 @@ class DataError(ValueError):
     """A dataset file or record violates the schema or a domain invariant."""
 
 
+def _check_finite(values: np.ndarray, what: str, start_date: dt.date) -> None:
+    """Raise a DataError naming the first non-finite hour of a (days, 24) array."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        day, hour = (int(i) for i in np.argwhere(bad)[0])
+        raise DataError(f"{what}: non-finite value on {start_date + dt.timedelta(days=day)} "
+                        f"(day {day}) hour {hour}")
+
+
 @dataclass(frozen=True)
 class HourlyRecord:
     """One hour of actual market and weather data."""
@@ -47,19 +56,6 @@ class HourlyRecord:
     cloudiness: int
     wind_speed: float
     temperature: float
-
-    def validate(self) -> None:
-        if not 0 <= self.hour < HOURS_PER_DAY:
-            raise DataError(f"hour {self.hour} outside 0..23 on {self.date}")
-        if self.price < 0:
-            raise DataError(f"negative price {self.price} on {self.date} hour {self.hour}")
-        if not 0 <= self.cloudiness <= OKTA_MAX:
-            raise DataError(
-                f"cloudiness {self.cloudiness} outside 0..{OKTA_MAX} "
-                f"on {self.date} hour {self.hour}"
-            )
-        if self.wind_speed < 0:
-            raise DataError(f"negative wind speed on {self.date} hour {self.hour}")
 
 
 @dataclass
@@ -118,9 +114,10 @@ class Dataset:
         shape = self.prices.shape
         if len(shape) != 2 or shape[1] != HOURS_PER_DAY:
             raise DataError("price array must have shape (num_days, 24)")
-        for name in ("cloudiness", "wind_speed", "temperature"):
+        for name in ("prices", "cloudiness", "wind_speed", "temperature"):
             if getattr(self, name).shape != shape:
                 raise DataError(f"{name} array shape differs from prices")
+            _check_finite(getattr(self, name), name, self.start_date)
         if np.any(self.prices < 0):
             raise DataError("prices must be nonnegative")
         if np.any((self.cloudiness < 0) | (self.cloudiness > OKTA_MAX)):
@@ -267,6 +264,8 @@ def _read_hourly_csv(path, value_columns: list[str]):
             f"{path}: gap in hourly sequence, missing "
             f"{start_date + dt.timedelta(days=exp_day)} (day {exp_day}) hour {exp_hour}"
         )
+    for col, values in arrays.items():
+        _check_finite(values, f"{path}: {col}", start_date)
     return start_date, arrays
 
 
@@ -325,8 +324,9 @@ def load_dataset(price_path, weather_path, profile_path, forecast_path=None) -> 
 
 
 def _load_forecasts_into(dataset: Dataset, path) -> None:
-    shape = dataset.prices.shape
-    fc = {name: np.full(shape, np.nan) for name in ("cloudiness", "wind_speed", "temperature")}
+    """Read the forecast block; each forecast day must have all 24 hours."""
+    names = ("cloudiness", "wind_speed", "temperature")
+    days, hours, values = [], [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         needed = ["issue_date", "target_date", "target_hour", "cloudiness", "wind_speed", "temperature"]
@@ -341,11 +341,23 @@ def _load_forecasts_into(dataset: Dataset, path) -> None:
             hour = int(row["target_hour"])
             if not 0 <= day < dataset.num_days:
                 raise DataError(f"{path}:{i}: target date {target} outside the dataset")
-            for name in ("cloudiness", "wind_speed", "temperature"):
-                fc[name][day, hour] = float(row[name])
-    dataset.forecast_cloudiness = fc["cloudiness"]
-    dataset.forecast_wind_speed = fc["wind_speed"]
-    dataset.forecast_temperature = fc["temperature"]
+            if not 0 <= hour < HOURS_PER_DAY:
+                raise DataError(f"{path}:{i}: target hour {hour} outside 0..23")
+            days.append(day)
+            hours.append(hour)
+            values.append([float(row[name]) for name in names])
+    table = np.array(values, dtype=float).reshape(-1, len(names))
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        raise DataError(f"{path}:{int(np.argmax(bad)) + 2}: non-finite forecast value")
+    fc = np.full((len(names), *dataset.prices.shape), np.nan)
+    fc[:, days, hours] = table.T
+    seen = ~np.isnan(fc[0])
+    partial = np.flatnonzero(seen.any(axis=1) & ~seen.all(axis=1))
+    if partial.size:
+        raise DataError(f"{path}: forecasts for {dataset.date_of(partial[0])} miss "
+                        f"hour {int(np.argmin(seen[partial[0]]))}")
+    dataset.forecast_cloudiness, dataset.forecast_wind_speed, dataset.forecast_temperature = fc
 
 
 def write_dataset(dataset: Dataset, out_dir) -> list[str]:

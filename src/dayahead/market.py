@@ -24,9 +24,12 @@ Each simulator rule lives in one place:
 * battery netting and penalty settlement, for the simulated hours and the
   midnight estimate: ``TradingEnv._net_hours``;
 * the per-hour rolling median price: :func:`rolling_price_stats`;
-* volume rounding to the market step: :func:`round_volume`.
+* volume rounding to the market step: :func:`round_volume`;
+* the deliverable days of a day range: :func:`delivery_window`;
+* the observation layout and size: :func:`observation_size`.
 
-Strategies see the replay tape only through read-only views.
+Strategies see the replay tape only through read-only views.  An episode's
+only randomness is the consumption noise generator given to ``reset``.
 """
 from __future__ import annotations
 
@@ -42,6 +45,7 @@ BUY = "buy"
 SELL = "sell"
 
 MARKET_VOLUME_STEP = 0.1  # minimum tradeable volume [MWh]
+FIRST_DELIVERY_DAY = 2  # after a decision day, which needs a forecast (from day 1)
 _NO_NOISE = [0.0] * HOURS_PER_DAY  # consumption at its mean, for the midnight estimate
 
 
@@ -74,8 +78,8 @@ class Bid:
             raise ValueError(f"bid side must be {BUY!r} or {SELL!r}")
         if not 0 <= self.hour < HOURS_PER_DAY:
             raise ValueError(f"bid hour {self.hour} outside 0..23")
-        if self.volume < 0:
-            raise ValueError("bid volume must be nonnegative")
+        if not (math.isfinite(self.volume) and self.volume >= 0):
+            raise ValueError(f"bid volume {self.volume} must be finite and nonnegative")
         scaled = self.volume * 10.0
         if abs(scaled - math.floor(scaled + 0.5)) > 1e-6:
             raise ValueError(f"bid volume {self.volume} is not a multiple of 0.1 MWh")
@@ -142,14 +146,22 @@ class EnvConfig:
         return self.max_solar_generation * self.solar_efficiency + self.max_wind_generation
 
 
-# ---------------------------------------------------------------------------
-# Production and consumption formulas
-# ---------------------------------------------------------------------------
+def delivery_window(day_range: tuple[int, int], days: int | None = None) -> tuple[int, int]:
+    """The deliverable days of ``day_range``: none before
+    :data:`FIRST_DELIVERY_DAY`, and at most ``days`` of them if given."""
+    lo, hi = day_range
+    lo = max(FIRST_DELIVERY_DAY, lo)
+    return lo, hi if days is None else min(hi, lo + days)
 
-def hourly_consumption(config: EnvConfig, avg_per_household: float, rho: float) -> float:
-    """Household-block consumption for one hour: n * E_avg * |1 + rho| [MWh]."""
-    return config.households * avg_per_household * abs(1.0 + rho)
 
+def observation_size(include_weather: bool) -> int:
+    """Length of :meth:`DecisionContext.observation`: 141, or 69 without weather."""
+    return 141 if include_weather else 69
+
+
+# ---------------------------------------------------------------------------
+# Production formula
+# ---------------------------------------------------------------------------
 
 def hourly_production(cloudiness, wind_speed, config: EnvConfig) -> np.ndarray:
     """Solar plus wind production [MWh] per hour, elementwise over any shape.
@@ -237,8 +249,7 @@ class DecisionContext:
 
     def observation(self, include_weather: bool = True) -> np.ndarray:
         """Normalized state vector: 141 values, or 69 without the forecast block."""
-        n = 141 if include_weather else 69
-        obs = np.zeros(n)
+        obs = np.zeros(observation_size(include_weather))
         obs[0:24] = self._prices_norm
         obs[24:48] = self._profile_norm
         obs[48] = self.rel_charge
@@ -248,7 +259,7 @@ class DecisionContext:
         if include_weather:
             if self._forecast_norm is None:
                 raise ValueError("weather observation requested but no forecast block present")
-            obs[69:141] = self._forecast_norm
+            obs[69:] = self._forecast_norm
         return obs
 
 
@@ -314,24 +325,19 @@ def export_bid_outcomes(results: list[DayResult], path) -> None:
 class TradingEnv:
     """Replay-driven day-step trading environment.
 
-    ``reset(start_day)`` positions the simulation at the decision point on
-    ``start_day - 1`` (with an empty inherited schedule) and returns the
-    context for bidding on ``start_day``.  Each ``step(bids)`` clears the bids
-    against the next delivery day, simulates its 24 hours, and returns the
-    decision context for the following day, the day's profit, and the full
-    :class:`DayResult`.  ``done`` is signalled when the replay tape runs out
+    ``reset(start_day, rng)`` positions the simulation at the decision point
+    on ``start_day - 1`` (with an empty inherited schedule), takes ``rng`` as
+    the episode's consumption noise, and returns the context for bidding on
+    ``start_day``.  Each ``step(bids)`` clears the bids against the next
+    delivery day, simulates its 24 hours, and returns the decision context
+    for the following day, the day's profit, and the full :class:`DayResult`.  ``done`` is signalled when the replay tape runs out
     of forecast data for the next decision.  ``collect=False`` skips the
     per-day trace, which roughly halves the cost of training rollouts.
     """
 
-    def __init__(self, dataset: Dataset, config: EnvConfig | None = None,
-                 rng: np.random.Generator | int | None = None):
+    def __init__(self, dataset: Dataset, config: EnvConfig | None = None):
         self.dataset = dataset
         self.config = config or EnvConfig()
-        if isinstance(rng, np.random.Generator):
-            self.rng = rng
-        else:
-            self.rng = np.random.default_rng(rng)
         cfg = self.config
         self._production = hourly_production(dataset.cloudiness, dataset.wind_speed, cfg)
         self._production_rows = self._production.tolist()
@@ -381,19 +387,22 @@ class TradingEnv:
 
     # -- episode control ----------------------------------------------------
 
-    def reset(self, start_day: int) -> DecisionContext:
+    def reset(self, start_day: int, rng: np.random.Generator | int) -> DecisionContext:
         """Start an episode whose first delivery day is ``start_day``.
 
         Needs one prior day for the decision context and a forecast for that
-        prior day (forecasts exist from day 1), so ``start_day >= 2``.
+        prior day (forecasts exist from day 1), so ``start_day >= 2``.  The
+        episode draws its consumption noise from ``rng``, a generator (used
+        as is, so its stream continues) or an integer seed.
         """
-        if start_day < 2:
-            raise ValueError("start_day must be at least 2 (one decision day plus forecasts)")
+        if start_day < FIRST_DELIVERY_DAY:
+            raise ValueError(f"start_day must be at least {FIRST_DELIVERY_DAY}")
         if start_day >= self.dataset.num_days:
             raise ValueError("start_day beyond the dataset")
         if not self.dataset.forecast_available(start_day):
             raise ValueError(f"no forecast for day {start_day}; generate forecasts first")
         cfg = self.config
+        self._rng = np.random.default_rng(rng)
         self.charge = cfg.initial_charge * cfg.battery_capacity
         self.cash = 0.0
         self._next_day = start_day
@@ -404,8 +413,8 @@ class TradingEnv:
         # Play out the remainder of the decision day with no scheduled bids so
         # the realized midnight level follows the same dynamics the estimator
         # assumes.
-        rho = self.rng.normal(0.0, cfg.consumption_noise_std,
-                              HOURS_PER_DAY - cfg.action_hour).tolist()
+        rho = self._rng.normal(0.0, cfg.consumption_noise_std,
+                               HOURS_PER_DAY - cfg.action_hour).tolist()
         self._simulate_hours(decision_day, cfg.action_hour, HOURS_PER_DAY, rho, None)
         return ctx
 
@@ -461,7 +470,7 @@ class TradingEnv:
 
         action_hour = self.config.action_hour
         # One draw for the whole day yields the same stream as one per stretch.
-        rho = self.rng.normal(0.0, self.config.consumption_noise_std, HOURS_PER_DAY).tolist()
+        rho = self._rng.normal(0.0, self.config.consumption_noise_std, HOURS_PER_DAY).tolist()
         self._schedule_buys = buy_vol
         self._schedule_sells = sell_vol
         reward = self._simulate_hours(day, 0, action_hour, rho[:action_hour], result)

@@ -72,15 +72,6 @@ class BalanceReport:
                 w.writerow([row.name, repr(row.mean), repr(row.std),
                             " ".join(repr(v) for v in row.incomes)])
 
-    @staticmethod
-    def read_json(path) -> "BalanceReport":
-        with open(path) as fh:
-            payload = json.load(fh)
-        report = BalanceReport(reference=payload.get("reference_balance"))
-        for row in payload["rows"]:
-            report.add(row["strategy"], row["incomes"])
-        return report
-
 
 def middle_window(day_range: tuple[int, int], window_days: int = 5) -> tuple[int, int]:
     """The ``window_days`` slice centred in ``day_range``."""

@@ -21,10 +21,11 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
-from .market import BUY, SELL, Bid, round_volume
+from .market import BUY, SELL, Bid, DecisionContext, round_volume
 from .nets import PolicyParams, forward
 
 ACTION_ROWS = 4           # buy volume, buy price, sell volume, sell price
@@ -35,7 +36,6 @@ ACTION_CLIP = 3.0
 TIMING_BUY_HOURS = (0, 1, 2, 3)
 TIMING_SELL_HOURS = (17, 18, 19, 20)
 
-OPPORTUNISTIC_SIZE = 100
 LOG2PI = math.log(2.0 * math.pi)
 
 
@@ -48,6 +48,8 @@ class TimingParams:
     optimizer samples are safe to evaluate.
     """
 
+    size: ClassVar[int] = 2
+
     alpha1: float
     alpha2: float
 
@@ -58,6 +60,13 @@ class TimingParams:
     def from_vector(cls, vec) -> "TimingParams":
         a1, a2 = np.asarray(vec, dtype=float)
         return cls(float(a1), float(a2))
+
+    @classmethod
+    def initial_mean(cls, rng: np.random.Generator) -> np.ndarray:
+        return rng.normal(0.0, 1.0, cls.size)  # standard-normal CMA-ES starting mean
+
+    def bids(self, ctx: DecisionContext) -> list[Bid]:
+        return timing_bids(self, ctx.est_midnight)
 
 
 @dataclass(frozen=True)
@@ -70,11 +79,13 @@ class OpportunisticParams:
     alpha_{4h+7}, alpha_{4h+8} log-price offsets.
     """
 
+    size: ClassVar[int] = 100
+
     alpha: tuple
 
     def __post_init__(self) -> None:
-        if len(self.alpha) != OPPORTUNISTIC_SIZE:
-            raise ValueError(f"expected {OPPORTUNISTIC_SIZE} coefficients, got {len(self.alpha)}")
+        if len(self.alpha) != self.size:
+            raise ValueError(f"expected {self.size} coefficients, got {len(self.alpha)}")
 
     def as_vector(self) -> np.ndarray:
         return np.asarray(self.alpha, dtype=float)
@@ -82,6 +93,17 @@ class OpportunisticParams:
     @classmethod
     def from_vector(cls, vec) -> "OpportunisticParams":
         return cls(tuple(float(v) for v in vec))
+
+    @classmethod
+    def initial_mean(cls, rng: np.random.Generator) -> np.ndarray:
+        """Standard-normal CMA-ES starting mean, with the volume offsets at
+        N(-2, 1) so that early samples do not flood the market with huge bids."""
+        mean = rng.normal(0.0, 1.0, cls.size)
+        mean[cls.volume_offset_indices()] -= 2.0
+        return mean
+
+    def bids(self, ctx: DecisionContext) -> list[Bid]:
+        return opportunistic_bids(self, ctx.est_midnight, ctx.vbar, ctx.pbar)
 
     @cached_property
     def _action_terms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -97,10 +119,7 @@ class OpportunisticParams:
     @staticmethod
     def volume_offset_indices() -> np.ndarray:
         """0-based positions of the per-hour log-volume offsets (alpha_{4h+5,6})."""
-        idx = []
-        for h in range(ACTION_HOURS):
-            idx.extend([4 * h + 4, 4 * h + 5])
-        return np.array(idx)
+        return (4 * np.arange(ACTION_HOURS)[:, None] + [4, 5]).ravel()
 
 
 def timing_bids(params: TimingParams, est_level: float) -> list[Bid]:
@@ -189,28 +208,37 @@ def _clip_action(raw: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Parameter (de)serialization
+# Strategy kinds and parameter (de)serialization
 # ---------------------------------------------------------------------------
 
 TIMING = "timing"
 OPPORTUNISTIC = "opportunistic"
 BLACKBOX = "blackbox"
 
+# The one table of parametric kinds.  Each params class knows its vector
+# size, its CMA-ES starting mean and how it bids from a decision context.
+PARAMETRIC_KINDS = {TIMING: TimingParams, OPPORTUNISTIC: OpportunisticParams}
+
+
+def params_class(kind: str):
+    """The params class of a parametric strategy kind."""
+    try:
+        return PARAMETRIC_KINDS[kind]
+    except KeyError:
+        raise ValueError(f"unknown parametric strategy kind {kind!r}") from None
+
 
 def save_strategy_params(path, kind: str, params) -> None:
     """JSON document with a ``strategy_kind`` discriminator.
 
-    Timing and opportunistic parameters are stored inline; a black-box entry
-    records the path of the policy weight file instead.
+    Parametric coefficients are stored inline; a black-box entry records
+    the path of the policy weight file instead.
     """
-    if kind == TIMING:
-        payload = {"strategy_kind": kind, "alpha": list(map(float, params.as_vector()))}
-    elif kind == OPPORTUNISTIC:
-        payload = {"strategy_kind": kind, "alpha": list(map(float, params.as_vector()))}
-    elif kind == BLACKBOX:
+    if kind == BLACKBOX:
         payload = {"strategy_kind": kind, "policy_path": str(params)}
     else:
-        raise ValueError(f"unknown strategy kind {kind!r}")
+        params_class(kind)  # rejects unknown kinds
+        payload = {"strategy_kind": kind, "alpha": list(map(float, params.as_vector()))}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
@@ -221,10 +249,6 @@ def load_strategy_params(path):
     with open(path) as fh:
         payload = json.load(fh)
     kind = payload["strategy_kind"]
-    if kind == TIMING:
-        return kind, TimingParams.from_vector(payload["alpha"])
-    if kind == OPPORTUNISTIC:
-        return kind, OpportunisticParams.from_vector(payload["alpha"])
     if kind == BLACKBOX:
         return kind, payload["policy_path"]
-    raise ValueError(f"unknown strategy kind {kind!r}")
+    return kind, params_class(kind).from_vector(payload["alpha"])

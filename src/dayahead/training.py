@@ -17,25 +17,21 @@ import numpy as np
 
 from .cmaes import CmaesConfig, CmaesHistory, cmaes_optimize
 from .data import Dataset
-from .market import EnvConfig, TradingEnv, DayResult
+from .market import (DayResult, EnvConfig, TradingEnv, delivery_window,
+                     observation_size)
 from .nets import (PolicyParams, RmsPropState, backward, clip_gradient_norm,
                    forward_cached, init_policy, rmsprop_step)
 from .reports import BalanceRow
-from .strategies import (LOG2PI, OPPORTUNISTIC, TIMING, OpportunisticParams,
-                         TimingParams, blackbox_bids, mean_action,
-                         opportunistic_bids, sample_action, timing_bids)
+from .strategies import (LOG2PI, blackbox_bids, mean_action, params_class,
+                         sample_action)
 
 
 # ---------------------------------------------------------------------------
 # Strategy adapters: anything mapping a DecisionContext to a bid list
 # ---------------------------------------------------------------------------
 
-def timing_strategy(params: TimingParams):
-    return lambda ctx: timing_bids(params, ctx.est_midnight)
-
-
-def opportunistic_strategy(params: OpportunisticParams):
-    return lambda ctx: opportunistic_bids(params, ctx.est_midnight, ctx.vbar, ctx.pbar)
+def parametric_strategy(kind: str, vector: np.ndarray):
+    return params_class(kind).from_vector(vector).bids
 
 
 def policy_strategy(policy: PolicyParams, include_weather: bool = True):
@@ -59,36 +55,19 @@ def fixed_action_strategy(action: np.ndarray):
     return bids
 
 
-def parametric_strategy(kind: str, vector: np.ndarray):
-    if kind == TIMING:
-        return timing_strategy(TimingParams.from_vector(vector))
-    if kind == OPPORTUNISTIC:
-        return opportunistic_strategy(OpportunisticParams.from_vector(vector))
-    raise ValueError(f"unknown parametric strategy {kind!r}")
-
-
-def parametric_dimension(kind: str) -> int:
-    if kind == TIMING:
-        return 2
-    if kind == OPPORTUNISTIC:
-        return 100
-    raise ValueError(f"unknown parametric strategy {kind!r}")
-
-
 def evaluate_strategy(bids_fn, env: TradingEnv, day_range: tuple[int, int],
                       seed: int, collect_results: bool = False):
     """Cumulative profit of ``bids_fn`` over the delivery days in ``day_range``.
 
-    Deterministic per seed: the environment's consumption noise is reseeded
-    from ``seed`` and its episode restarted, so one environment serves any
-    number of evaluations; the strategy itself must be a pure function of
-    the context.  With ``collect_results`` the per-day traces are returned
+    Deterministic per seed: the episode restarts with consumption noise
+    seeded from ``seed``, so one environment serves any number of
+    evaluations; the strategy itself must be a pure function of the
+    context.  With ``collect_results`` the per-day traces are returned
     as well.  Bids are trusted (not re-validated): strategies built from
     this package emit compliant volumes by construction.
     """
     lo, hi = day_range
-    env.rng = np.random.default_rng(seed)
-    ctx = env.reset(lo)
+    ctx = env.reset(lo, seed)
     total = 0.0
     results: list[DayResult] = []
     for _ in range(lo, hi):
@@ -109,32 +88,25 @@ def evaluate_strategy(bids_fn, env: TradingEnv, day_range: tuple[int, int],
 # ---------------------------------------------------------------------------
 
 def initial_parameter_mean(kind: str, rng: np.random.Generator) -> np.ndarray:
-    """Standard-normal initial mean; opportunistic volume offsets start at
-    N(-2, 1) so that early samples do not flood the market with huge bids."""
-    n = parametric_dimension(kind)
-    mean = rng.normal(0.0, 1.0, n)
-    if kind == OPPORTUNISTIC:
-        mean[OpportunisticParams.volume_offset_indices()] -= 2.0
-    return mean
+    """CMA-ES starting mean of a parametric strategy kind."""
+    return params_class(kind).initial_mean(rng)
 
 
-def optimize_parametric(kind: str, dataset: Dataset, env_config: EnvConfig,
-                        cma_config: CmaesConfig, seed: int,
+def optimize_parametric(kind: str, env: TradingEnv, cma_config: CmaesConfig, seed: int,
                         eval_range: tuple[int, int] | None = None,
                         ) -> tuple[np.ndarray, CmaesHistory]:
     """CMA-ES over the training split; returns the final mean parameters.
 
-    Every objective evaluation replays the same environment.
+    Every objective evaluation replays ``env``.
     """
-    if dataset.split is None:
+    split = env.dataset.split
+    if split is None:
         raise ValueError("dataset needs split boundaries before optimization")
     if eval_range is None:
-        lo, hi = dataset.split.train
-        eval_range = (max(2, lo), hi)
+        eval_range = delivery_window(split.train)
     seeds = np.random.SeedSequence(seed).spawn(2)
     init_rng = np.random.default_rng(seeds[0])
     objective_seed = int(seeds[1].generate_state(1)[0])
-    env = TradingEnv(dataset, env_config)
 
     def objective(vector: np.ndarray) -> float:
         return evaluate_strategy(parametric_strategy(kind, vector), env, eval_range,
@@ -290,10 +262,12 @@ class A2cUpdater:
 
 
 def _rollout(env: TradingEnv, policy: PolicyParams, start_day: int,
-             n_steps: int, noise_rng: np.random.Generator,
-             include_weather: bool):
-    """Roll the stochastic policy for ``n_steps`` days from ``start_day``."""
-    ctx = env.reset(start_day)
+             n_steps: int, env_rng: np.random.Generator,
+             noise_rng: np.random.Generator, include_weather: bool):
+    """Roll the stochastic policy for ``n_steps`` days from ``start_day``,
+    with consumption noise from ``env_rng`` and exploration noise from
+    ``noise_rng``."""
+    ctx = env.reset(start_day, env_rng)
     obs = np.empty((n_steps, policy.input_size))
     noise = np.empty((n_steps, policy.action_size))
     rewards = np.empty(n_steps)
@@ -311,26 +285,16 @@ def _rollout(env: TradingEnv, policy: PolicyParams, start_day: int,
     return obs, noise, rewards
 
 
-def evaluate_policy(policy: PolicyParams, env: TradingEnv,
-                    day_range: tuple[int, int], seed: int,
-                    include_weather: bool = True, collect_results: bool = False):
-    """Deterministic-mean-policy profit over ``day_range``."""
-    return evaluate_strategy(policy_strategy(policy, include_weather), env,
-                             day_range, seed, collect_results=collect_results)
-
-
-def a2c_train(dataset: Dataset, env_config: EnvConfig, config: A2cConfig,
-              seed: int, progress=None) -> TrainingRun:
-    """Full training run: rollouts, updates, periodic validation, final test.
+def a2c_train(env: TradingEnv, config: A2cConfig, seed: int) -> TrainingRun:
+    """Full training run on ``env``: rollouts, updates, periodic validation,
+    final test.
 
     All randomness (init, window sampling, environment noise, exploration
     noise, evaluation noise) derives from ``seed``.
     """
-    if dataset.split is None:
+    split = env.dataset.split
+    if split is None:
         raise ValueError("dataset needs split boundaries before training")
-    train_lo, train_hi = dataset.split.train
-    val_lo, val_hi = dataset.split.validation
-    test_lo, test_hi = dataset.split.test
 
     ss = np.random.SeedSequence(seed)
     init_seed, window_seed, env_seed, noise_seed, val_seed, test_seed = ss.spawn(6)
@@ -339,27 +303,24 @@ def a2c_train(dataset: Dataset, env_config: EnvConfig, config: A2cConfig,
     val_eval_seed = int(val_seed.generate_state(1)[0])
     test_eval_seed = int(test_seed.generate_state(1)[0])
 
-    input_size = 141 if config.include_weather else 69
     env_rng = np.random.default_rng(env_seed)
-    env = TradingEnv(dataset, env_config)
     policy = init_policy(
-        input_size, hidden_size=config.hidden_size, seed=np.random.default_rng(init_seed),
-        log_std_init=config.log_std_init,
+        observation_size(config.include_weather), hidden_size=config.hidden_size,
+        seed=np.random.default_rng(init_seed), log_std_init=config.log_std_init,
         meta={
             "include_weather": config.include_weather,
             "price_scale": env.price_scale,
-            "temperature_range": list(env_config.temperature_range),
-            "max_wind_speed": env_config.max_wind_speed,
+            "temperature_range": list(env.config.temperature_range),
+            "max_wind_speed": env.config.max_wind_speed,
         },
     )
     updater = A2cUpdater(policy, config)
 
-    first_start = max(2, train_lo)
+    first_start, train_hi = delivery_window(split.train)
     last_start = train_hi - config.n_steps
     if last_start < first_start:
         raise ValueError("training split shorter than one episode")
-    val_start = max(2, val_lo)
-    val_range = (val_start, min(val_hi, val_start + config.eval_days))
+    val_range = delivery_window(split.validation, config.eval_days)
 
     eval_log: list[EvalPoint] = []
     best_policy = policy.copy()
@@ -370,17 +331,16 @@ def a2c_train(dataset: Dataset, env_config: EnvConfig, config: A2cConfig,
 
     while steps < config.total_days:
         start = int(window_rng.integers(first_start, last_start + 1))
-        # Scoring reseeds the shared environment; rollouts keep their own stream.
-        env.rng = env_rng
-        obs, noise, rewards = _rollout(env, policy, start, config.n_steps,
+        # Rollouts continue one noise stream; scoring seeds its own.
+        obs, noise, rewards = _rollout(env, policy, start, config.n_steps, env_rng,
                                        noise_rng, config.include_weather)
         # Fixed-length episodes end at the rollout boundary: no bootstrap.
-        info = updater.update(obs, noise, rewards, bootstrap=0.0)
+        updater.update(obs, noise, rewards, bootstrap=0.0)
         steps += config.n_steps
 
         if steps >= next_eval or steps >= config.total_days:
-            val_reward = evaluate_policy(policy, env, val_range, val_eval_seed,
-                                         config.include_weather)
+            val_reward = evaluate_strategy(policy_strategy(policy, config.include_weather),
+                                           env, val_range, val_eval_seed)
             is_best = val_reward > best_val
             if is_best:
                 best_val = val_reward
@@ -389,15 +349,13 @@ def a2c_train(dataset: Dataset, env_config: EnvConfig, config: A2cConfig,
             eval_log.append(EvalPoint(steps, float(val_reward), is_best))
             while next_eval <= steps:
                 next_eval += config.eval_frequency
-            if progress is not None:
-                progress(steps, val_reward, info)
 
     run = TrainingRun(eval_log=eval_log, best_policy=best_policy,
                       best_val_reward=best_val, best_step=best_step, seed=seed)
-    test_start = max(2, test_lo)
-    test_range = (test_start, min(test_hi, test_start + config.test_days))
-    run.test_income = float(evaluate_policy(best_policy, env, test_range,
-                                            test_eval_seed, config.include_weather))
+    test_range = delivery_window(split.test, config.test_days)
+    run.test_income = float(evaluate_strategy(
+        policy_strategy(best_policy, config.include_weather), env, test_range,
+        test_eval_seed))
     return run
 
 
@@ -412,7 +370,7 @@ def battery_sweep(capacities: list[float], dataset: Dataset,
 
     Returns (capacity, test incomes) pairs sorted by capacity.  Each
     (capacity, seed) pair is a fully independent training run with its own
-    derived seed.
+    derived seed; the runs of one capacity share its environment.
     """
     from dataclasses import replace
 
@@ -420,10 +378,10 @@ def battery_sweep(capacities: list[float], dataset: Dataset,
         raise ValueError("capacities must be positive")
     rows = []
     for capacity in sorted(capacities):
+        env = TradingEnv(dataset, replace(env_config, battery_capacity=capacity))
         incomes = []
         for seed in seeds:
-            cfg = replace(env_config, battery_capacity=capacity)
-            run = a2c_train(dataset, cfg, a2c_config, seed)
+            run = a2c_train(env, a2c_config, seed)
             incomes.append(run.test_income)
             if progress is not None:
                 progress(capacity, seed, run.test_income)

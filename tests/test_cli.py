@@ -140,6 +140,45 @@ def test_evaluate_stored_policy(data_dir, config_path, tmp_path):
     assert scored == pytest.approx(trained)
 
 
+@pytest.mark.parametrize("key,value", [("max_wind_speed", 9.0),
+                                       ("temperature_range", [-10.0, 30.0])])
+def test_evaluate_policy_with_other_forecast_normalization_exits_2(
+        data_dir, tmp_path, capsys, key, value):
+    """A config that would renormalize the policy's forecast inputs is refused."""
+    from dayahead.nets import init_policy, save_policy
+
+    path = tmp_path / "policy.npz"
+    save_policy(path, init_policy(141, hidden_size=8, seed=0, meta={key: value}))
+    code = main(["evaluate", "--policy", str(path), "--data", str(data_dir),
+                 "--seeds", "0", "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert key in err and repr(value) in err
+
+
+def test_each_verb_builds_one_environment(data_dir, config_path, tmp_path, monkeypatch):
+    from dayahead import market
+
+    built = []
+    real_init = market.TradingEnv.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(market.TradingEnv, "__init__", counting_init)
+    common = ["--data", str(data_dir), "--config", config_path, "--seeds", "0,1"]
+    verbs = {
+        "optimize": ["optimize", "--strategy", "timing"],
+        "train-rl": ["train-rl"],
+        "evaluate": ["evaluate", "--zero-action"],
+    }
+    for verb, argv in verbs.items():
+        built.clear()
+        assert main([*argv, *common, "--out", str(tmp_path / verb)]) == 0
+        assert len(built) == 1, verb
+
+
 def test_evaluate_missing_policy_exits_3(data_dir, tmp_path):
     code = main(["evaluate", "--policy", str(tmp_path / "nope.npz"),
                  "--data", str(data_dir), "--out", str(tmp_path / "o")])
@@ -184,6 +223,19 @@ def test_report_consolidates_runs(data_dir, config_path, tmp_path):
     assert len(prices) == 5 * 24 + 1
     assert (report_out / "trace_unscheduled_timing.csv").exists()
     assert (report_out / "trace_bid_volumes_zero.csv").exists()
+
+
+def test_report_refuses_runs_with_different_test_ranges(data_dir, config_path, tmp_path):
+    short_config = tmp_path / "short.json"
+    short_config.write_text(json.dumps({**TINY_CONFIG, "test_days": 10}))
+    runs = []
+    for name, cfg in (("long", config_path), ("short", str(short_config))):
+        runs.append(str(tmp_path / name))
+        assert main(["evaluate", "--zero-action", "--data", str(data_dir),
+                     "--config", cfg, "--seeds", "0", "--out", runs[-1]]) == 0
+    code = main(["report", "--runs", *runs, "--data", str(data_dir),
+                 "--config", config_path, "--out", str(tmp_path / "report")])
+    assert code == 2
 
 
 def test_report_missing_run_exits_3(data_dir, tmp_path):

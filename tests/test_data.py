@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from dayahead.data import (DataError, ForecastSigmas, generate_synthetic_dataset
                            load_dataset, make_forecasts, split_dataset,
                            write_dataset)
 
-from conftest import flat_dataset
+from conftest import flat_dataset, with_perfect_forecasts
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +65,70 @@ def test_out_of_range_cloudiness_rejected(tmp_path):
 def test_non_integer_okta_rejected(tmp_path):
     paths = write_fixture_csvs(tmp_path, cloudiness_override=3.5)
     with pytest.raises(DataError, match="integer"):
+        load_dataset(*paths)
+
+
+def edit_line(path, line_no, transform):
+    """Rewrite one line (1-based, header included) of a text file."""
+    lines = path.read_text().splitlines(keepends=True)
+    lines[line_no - 1] = transform(lines[line_no - 1])
+    path.write_text("".join(lines))
+
+
+def set_field(index, value):
+    """A line transform that sets one comma-separated field."""
+    def transform(line):
+        fields = line.rstrip("\n").split(",")
+        fields[index] = value
+        return ",".join(fields) + "\n"
+    return transform
+
+
+@pytest.mark.parametrize("file,column,value", [
+    ("prices.csv", 2, "nan"),
+    ("weather.csv", 3, "inf"),
+    ("weather.csv", 4, "-inf"),
+])
+def test_non_finite_csv_value_names_file_day_and_hour(tmp_path, file, column, value):
+    paths = write_fixture_csvs(tmp_path, num_days=3)
+    edit_line(tmp_path / file, 1 + 24 + 7 + 1, set_field(column, value))  # day 1, hour 7
+    with pytest.raises(DataError, match=rf"{file}.*2020-01-02 \(day 1\) hour 7"):
+        load_dataset(*paths)
+
+
+@pytest.mark.parametrize("name", ["prices", "wind_speed", "temperature"])
+def test_dataset_rejects_non_finite_values(name):
+    ds = flat_dataset(num_days=6)
+    values = getattr(ds, name).copy()
+    values[3, 5] = math.nan if name == "prices" else math.inf
+    with pytest.raises(DataError, match=rf"{name}.*\(day 3\) hour 5"):
+        replace(ds, **{name: values})
+
+
+def write_forecast_fixture(tmp_path):
+    """Flat 4-day dataset whose forecasts.csv holds days 1..3, 24 rows each."""
+    write_dataset(with_perfect_forecasts(flat_dataset(num_days=4)), tmp_path)
+    return [tmp_path / f"{name}.csv" for name in ("prices", "weather", "profile", "forecasts")]
+
+
+def test_forecast_hour_out_of_range_names_file_and_line(tmp_path):
+    paths = write_forecast_fixture(tmp_path)
+    edit_line(paths[3], 30, set_field(2, "-1"))  # would overwrite hour 23
+    with pytest.raises(DataError, match=r"forecasts\.csv:30: target hour -1"):
+        load_dataset(*paths)
+
+
+def test_partial_forecast_day_names_date_and_first_missing_hour(tmp_path):
+    paths = write_forecast_fixture(tmp_path)
+    edit_line(paths[3], 26 + 5, lambda line: "")  # day 2 (2020-01-08), hour 5
+    with pytest.raises(DataError, match=r"forecasts\.csv: forecasts for 2020-01-08 miss hour 5"):
+        load_dataset(*paths)
+
+
+def test_non_finite_forecast_value_names_file_and_line(tmp_path):
+    paths = write_forecast_fixture(tmp_path)
+    edit_line(paths[3], 40, set_field(5, "nan"))
+    with pytest.raises(DataError, match=r"forecasts\.csv:40: non-finite"):
         load_dataset(*paths)
 
 

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from dayahead.cli import ENV_CONFIG_KEYS, env_config_from, load_config
 from dayahead.market import (BUY, SELL, Bid, EnvConfig, TradingEnv, clear_bid,
-                             hourly_consumption, hourly_production,
-                             reference_balance, rolling_price_stats,
-                             round_volume)
+                             hourly_production, reference_balance,
+                             rolling_price_stats, round_volume)
 
 from conftest import flat_dataset, with_perfect_forecasts
 
@@ -81,12 +80,30 @@ def test_clearing_matches_brute_force_grid():
 # Production / consumption formulas
 # ---------------------------------------------------------------------------
 
+class ConstantNoise(np.random.Generator):
+    """Consumption-noise stub: every draw is ``rho``."""
+
+    def __init__(self, rho):
+        super().__init__(np.random.PCG64(0))
+        self.rho = rho
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return np.full(size, self.rho)
+
+
+def day_consumption(households, rho):
+    """Simulated consumption of one delivery day at 0.002 MWh per household-hour."""
+    env = make_env(flat_dataset(profile=np.full(24, 0.002)), quiet_config(households=households))
+    env.reset(2, rng=ConstantNoise(rho))
+    return env.step([])[2].consumption
+
+
 def test_consumption_formula():
-    cfg = EnvConfig(households=100)
-    assert hourly_consumption(cfg, 0.002, 0.0) == pytest.approx(0.2, abs=1e-12)
+    np.testing.assert_allclose(day_consumption(100, 0.0), 0.2, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(day_consumption(100, 0.3), 0.26, rtol=0, atol=1e-12)
     # the absolute value keeps consumption positive for large negative draws
-    assert hourly_consumption(cfg, 0.002, -2.0) == pytest.approx(0.2, abs=1e-12)
-    assert hourly_consumption(EnvConfig(households=0), 0.002, 0.3) == 0.0
+    np.testing.assert_allclose(day_consumption(100, -2.0), 0.2, rtol=0, atol=1e-12)
+    assert not day_consumption(0, 0.3).any()
 
 
 def test_solar_formula():
@@ -158,9 +175,8 @@ def quiet_config(**kwargs):
     return EnvConfig(**kwargs)
 
 
-def make_env(dataset, config, seed=0):
-    ds = with_perfect_forecasts(dataset)
-    return TradingEnv(ds, config, rng=seed)
+def make_env(dataset, config):
+    return TradingEnv(with_perfect_forecasts(dataset), config)
 
 
 def test_step_balanced_flows_no_bids():
@@ -168,7 +184,7 @@ def test_step_balanced_flows_no_bids():
     profile = np.full(24, 0.0004)  # 100 households -> 0.04 MWh/h
     ds = flat_dataset(num_days=6, cloudiness=4, wind=0.0, profile=profile)
     env = make_env(ds, quiet_config())  # solar at c=4 is exactly 0.04
-    env.reset(2)
+    env.reset(2, rng=0)
     ctx, reward, result, done = env.step([])
     assert reward == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(result.battery_trace, 0.0, atol=1e-12)
@@ -178,7 +194,7 @@ def test_step_single_buy_charges_battery_with_losses():
     """0.5 MWh bought at 200: cash -100, battery gains 0.425 at 85% efficiency."""
     ds = flat_dataset(num_days=6, price=200.0)  # no production, no consumption
     env = make_env(ds, quiet_config())
-    env.reset(2)
+    env.reset(2, rng=0)
     bids = [Bid(0.5, math.inf, BUY, 9)]
     ctx, reward, result, done = env.step(bids)
     assert reward == pytest.approx(-100.0, abs=1e-9)
@@ -194,7 +210,7 @@ def test_step_full_battery_overflow_sells_at_half_price():
     ds = flat_dataset(num_days=6, price=300.0, cloudiness=4, profile=profile)
     # cloudiness 4 -> production 0.04 MWh/h; buy 0.16 more in one hour = 0.2 surplus
     env = make_env(ds, quiet_config(initial_charge=1.0))
-    env.reset(2)
+    env.reset(2, rng=0)
     bids = [Bid(0.2, math.inf, BUY, 5)]
     ctx, reward, result, done = env.step(bids)
     # every hour also overflows its 0.04 MWh of production
@@ -209,7 +225,7 @@ def test_step_empty_battery_deficit_buys_at_double_price():
     profile = np.full(24, 0.0005)  # 0.05 MWh consumption per hour, no production
     ds = flat_dataset(num_days=6, price=100.0, profile=profile)
     env = make_env(ds, quiet_config())
-    env.reset(2)
+    env.reset(2, rng=0)
     ctx, reward, result, done = env.step([])
     np.testing.assert_allclose(result.unscheduled_buys, 0.05, atol=1e-12)
     assert reward == pytest.approx(-24 * 0.05 * 200.0, abs=1e-9)
@@ -218,7 +234,7 @@ def test_step_empty_battery_deficit_buys_at_double_price():
 def test_bids_execute_at_market_price_not_bid_price():
     ds = flat_dataset(num_days=6, price=180.0)
     env = make_env(ds, quiet_config())
-    env.reset(2)
+    env.reset(2, rng=0)
     # buy limit far above market still pays market price
     ctx, reward, result, done = env.step([Bid(0.5, 9_999.0, BUY, 0),
                                           Bid(0.4, 10.0, SELL, 1)])
@@ -231,7 +247,7 @@ def test_bids_execute_at_market_price_not_bid_price():
 def test_rejected_bids_do_not_trade():
     ds = flat_dataset(num_days=6, price=180.0)
     env = make_env(ds, quiet_config())
-    env.reset(2)
+    env.reset(2, rng=0)
     ctx, reward, result, done = env.step([Bid(0.5, 100.0, BUY, 0),    # below market
                                           Bid(0.4, 300.0, SELL, 1)])  # above market
     assert reward == pytest.approx(0.0, abs=1e-12)
@@ -241,21 +257,30 @@ def test_rejected_bids_do_not_trade():
 def test_step_rejects_malformed_bids():
     ds = flat_dataset(num_days=6)
     env = make_env(ds, quiet_config())
-    env.reset(2)
+    env.reset(2, rng=0)
     with pytest.raises(ValueError, match="multiple"):
         env.step([Bid(0.15, 100.0, BUY, 0)])
-    env.reset(2)
+    env.reset(2, rng=0)
     with pytest.raises(ValueError, match="hour"):
         env.step([Bid(0.1, 100.0, BUY, 24)])
-    env.reset(2)
+    env.reset(2, rng=0)
     with pytest.raises(ValueError, match="side"):
         env.step([Bid(0.1, 100.0, "hold", 0)])
+
+
+@pytest.mark.parametrize("volume", [math.inf, math.nan])
+def test_step_rejects_non_finite_volume(volume):
+    """Untrusted non-finite volumes fail validation like any malformed bid."""
+    env = make_env(flat_dataset(num_days=6), quiet_config())
+    env.reset(2, rng=0)
+    with pytest.raises(ValueError, match="finite"):
+        env.step([Bid(volume, 100.0, BUY, 0)])
 
 
 def test_done_at_replay_end():
     ds = flat_dataset(num_days=6)
     env = make_env(ds, quiet_config())
-    env.reset(4)
+    env.reset(4, rng=0)
     ctx, _, _, done = env.step([])       # delivery day 4, next ctx for day 5
     assert not done and ctx is not None
     ctx, _, _, done = env.step([])       # delivery day 5, day 6 does not exist
@@ -277,9 +302,9 @@ def random_bids(rng):
 
 
 def run_randomized_days(dataset, config, num_days, seed):
-    env = TradingEnv(dataset, config, rng=seed)
+    env = TradingEnv(dataset, config)
     rng = np.random.default_rng(seed + 1)
-    env.reset(2)
+    env.reset(2, rng=seed)
     results = []
     for _ in range(num_days):
         ctx, reward, result, done = env.step(random_bids(rng))
@@ -339,9 +364,9 @@ def test_strategies_cannot_write_the_replay_tape(small_dataset):
     before = ds.content_hash()
 
     def income(tamper):
-        env = TradingEnv(ds, EnvConfig(), rng=4)
+        env = TradingEnv(ds, EnvConfig())
         rng = np.random.default_rng(5)
-        ctx = env.reset(30)
+        ctx = env.reset(30, rng=4)
         total = 0.0
         for _ in range(20):
             if tamper:
@@ -364,7 +389,7 @@ def test_strategies_cannot_write_the_replay_tape(small_dataset):
 def test_estimate_no_flows_keeps_level():
     ds = flat_dataset(num_days=6)  # no production, no consumption
     env = make_env(ds, quiet_config(initial_charge=0.4))
-    ctx = env.reset(2)
+    ctx = env.reset(2, rng=0)
     assert ctx.est_midnight == pytest.approx(0.4, abs=1e-12)
 
 
@@ -372,7 +397,7 @@ def test_estimate_single_sell_empties_battery():
     """Selling exactly the stored energy at 11 pm projects an empty battery."""
     ds = flat_dataset(num_days=6, price=250.0)
     env = make_env(ds, quiet_config(initial_charge=0.4))  # 0.8 MWh stored
-    env.reset(2)
+    env.reset(2, rng=0)
     ctx, _, result, _ = env.step([Bid(0.8, 0.0, SELL, 23)])
     assert ctx.est_midnight == pytest.approx(0.0, abs=1e-12)
     assert result.battery_trace[24] == pytest.approx(0.0, abs=1e-12)
@@ -382,9 +407,9 @@ def test_estimate_matches_realized_level_without_noise(small_dataset):
     """With sigma-free forecasts and no consumption noise the estimate is exact."""
     ds = with_perfect_forecasts(small_dataset)
     config = EnvConfig(consumption_noise_std=0.0)
-    env = TradingEnv(ds, config, rng=0)
+    env = TradingEnv(ds, config)
     rng = np.random.default_rng(3)
-    ctx = env.reset(40)
+    ctx = env.reset(40, rng=0)
     for _ in range(30):
         est = ctx.est_midnight
         ctx, _, result, done = env.step(random_bids(rng))
@@ -398,8 +423,8 @@ def test_estimate_reflects_scheduled_bids_mid_day(small_dataset):
     """After stepping, the context's estimate accounts for the day's own bids."""
     ds = with_perfect_forecasts(small_dataset)
     config = EnvConfig(consumption_noise_std=0.0)
-    env = TradingEnv(ds, config, rng=0)
-    env.reset(40)
+    env = TradingEnv(ds, config)
+    env.reset(40, rng=0)
     ctx, _, result, _ = env.step([Bid(1.0, math.inf, BUY, 15)])
     assert ctx.est_midnight * config.battery_capacity == pytest.approx(
         result.battery_trace[24], abs=1e-12)
@@ -408,11 +433,11 @@ def test_estimate_reflects_scheduled_bids_mid_day(small_dataset):
 def test_battery_level_caps_and_floors():
     ds = flat_dataset(num_days=6)  # no production, no consumption
     env = make_env(ds, quiet_config(initial_charge=0.95))  # 1.9 of 2.0 MWh
-    env.reset(2)
+    env.reset(2, rng=0)
     _, _, result, _ = env.step([Bid(1.0, math.inf, BUY, 0)])
     assert result.battery_trace[1] == 2.0
     env = make_env(ds, quiet_config(initial_charge=0.05))  # 0.1 MWh
-    env.reset(2)
+    env.reset(2, rng=0)
     _, _, result, _ = env.step([Bid(1.0, 0.0, SELL, 0)])
     assert result.battery_trace[1] == 0.0
 
@@ -439,8 +464,8 @@ def test_battery_rule_properties(perfect_dataset, days, start, initial_charge):
     """Random bid lists keep the hourly identities, and with perfect forecasts
     and no consumption noise the midnight estimate equals the realized level."""
     config = EnvConfig(consumption_noise_std=0.0, initial_charge=initial_charge)
-    env = TradingEnv(perfect_dataset, config, rng=0)
-    env.reset(start)
+    env = TradingEnv(perfect_dataset, config)
+    env.reset(start, rng=0)
     for bids in days:
         ctx, _, result, done = env.step(bids)
         assert_hourly_identities([result], config)
@@ -454,16 +479,16 @@ def test_battery_rule_properties(perfect_dataset, days, start, initial_charge):
 # ---------------------------------------------------------------------------
 
 def test_observation_lengths(small_dataset):
-    env = TradingEnv(small_dataset, EnvConfig(), rng=0)
-    ctx = env.reset(30)
+    env = TradingEnv(small_dataset, EnvConfig())
+    ctx = env.reset(30, rng=0)
     assert ctx.observation(include_weather=True).shape == (141,)
     assert ctx.observation(include_weather=False).shape == (69,)
 
 
 def test_observation_layout(small_dataset):
     config = EnvConfig(price_scale=200.0)
-    env = TradingEnv(small_dataset, config, rng=0)
-    ctx = env.reset(30)
+    env = TradingEnv(small_dataset, config)
+    ctx = env.reset(30, rng=0)
     obs = ctx.observation(True)
     np.testing.assert_allclose(obs[0:24], small_dataset.prices[29] / 200.0)
     profile = small_dataset.profile.avg_per_household
@@ -486,11 +511,11 @@ def test_observation_one_hot_positions():
 
     ds = flat_dataset(num_days=60, start=dt.date(2021, 3, 1))  # a Monday
     env = make_env(ds, quiet_config())
-    ctx = env.reset(2)  # decision day 1 = Tuesday March 2nd
+    ctx = env.reset(2, rng=0)  # decision day 1 = Tuesday March 2nd
     obs = ctx.observation(False)
     assert obs[50 + 2] == 1.0          # March
     assert obs[62 + 1] == 1.0          # Tuesday
-    ctx2 = env.reset(8)  # decision day 7 = Monday March 8th
+    ctx2 = env.reset(8, rng=0)  # decision day 7 = Monday March 8th
     obs2 = ctx2.observation(False)
     assert obs2[62 + 0] == 1.0
 
@@ -499,8 +524,8 @@ def test_weather_observation_requires_forecasts():
     ds = flat_dataset(num_days=60)
     with_fc = with_perfect_forecasts(ds)
     # drop one forecast block and ask for it
-    env = TradingEnv(with_fc, quiet_config(), rng=0)
-    ctx = env.reset(2)
+    env = TradingEnv(with_fc, quiet_config())
+    ctx = env.reset(2, rng=0)
     ctx._forecast_norm = None
     with pytest.raises(ValueError, match="forecast"):
         ctx.observation(include_weather=True)

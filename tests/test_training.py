@@ -5,15 +5,14 @@ import pytest
 
 from dayahead import training
 from dayahead.cmaes import CmaesConfig, cmaes_optimize, default_population
-from dayahead.market import EnvConfig, TradingEnv
+from dayahead.market import EnvConfig, TradingEnv, delivery_window
 from dayahead.nets import forward, init_policy
-from dayahead.strategies import OpportunisticParams, TimingParams
+from dayahead.strategies import OpportunisticParams, TimingParams, params_class
 from dayahead.training import (A2cConfig, A2cUpdater, a2c_train, battery_sweep,
-                               evaluate_policy, evaluate_strategy,
-                               fixed_action_strategy, gae_advantages,
-                               initial_parameter_mean, opportunistic_strategy,
-                               optimize_parametric, parametric_dimension,
-                               parametric_strategy, timing_strategy)
+                               evaluate_strategy, fixed_action_strategy,
+                               gae_advantages, initial_parameter_mean,
+                               optimize_parametric, parametric_strategy,
+                               policy_strategy)
 
 from conftest import flat_dataset, with_perfect_forecasts
 
@@ -173,8 +172,8 @@ def test_initial_parameter_means():
     rest = np.setdiff1d(np.arange(100), idx)
     assert abs(draws[:, idx].mean() + 2.0) < 0.1   # shifted to N(-2, 1)
     assert abs(draws[:, rest].mean()) < 0.1        # default N(0, 1)
-    assert parametric_dimension("timing") == 2
-    assert parametric_dimension("opportunistic") == 100
+    assert params_class("timing").size == 2
+    assert params_class("opportunistic").size == 100
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +189,7 @@ def test_evaluate_no_bids_on_balanced_fixture():
 
 
 def test_evaluate_deterministic_per_seed(small_dataset):
-    strategy = timing_strategy(TimingParams(1.2, 0.6))
+    strategy = TimingParams(1.2, 0.6).bids
     env = TradingEnv(small_dataset, EnvConfig())
     a = evaluate_strategy(strategy, env, (30, 60), seed=5)
     c = evaluate_strategy(strategy, env, (30, 60), seed=6)
@@ -211,7 +210,7 @@ def test_evaluate_timing_hand_computed_fixture():
     """
     ds = with_perfect_forecasts(flat_dataset(num_days=5, price=250.0))
     config = EnvConfig(consumption_noise_std=0.0, initial_charge=0.5)
-    income = evaluate_strategy(timing_strategy(TimingParams(1.0, 0.2)),
+    income = evaluate_strategy(TimingParams(1.0, 0.2).bids,
                                TradingEnv(ds, config), (2, 4), seed=0)
     assert income == pytest.approx(180.0, abs=1e-9)
 
@@ -228,7 +227,8 @@ def test_optimize_parametric_improves_timing(small_dataset):
     """A short CMA-ES run must beat the raw initial mean on its own objective."""
     env_config = EnvConfig()
     cma = CmaesConfig(generations=15, seed=0)
-    best, history = optimize_parametric("timing", small_dataset, env_config, cma, seed=0)
+    best, history = optimize_parametric("timing", TradingEnv(small_dataset, env_config), cma,
+                                        seed=0)
     first_gen = history.records[0]
     assert history.best_objective >= first_gen.best_objective
     assert best.shape == (2,)
@@ -261,7 +261,8 @@ def test_golden_incomes(year_dataset):
 
 
 def test_golden_a2c_test_income(small_dataset):
-    run = a2c_train(small_dataset, EnvConfig(), tiny_a2c_config(total_days=120), seed=0)
+    run = a2c_train(TradingEnv(small_dataset, EnvConfig()), tiny_a2c_config(total_days=120),
+                    seed=0)
     assert run.test_income == pytest.approx(GOLDEN_A2C_TEST_INCOME, rel=1e-9, abs=0)
 
 
@@ -363,7 +364,7 @@ def tiny_a2c_config(**kwargs):
 
 
 def test_a2c_train_runs_and_checkpoints(small_dataset):
-    run = a2c_train(small_dataset, EnvConfig(), tiny_a2c_config(), seed=0)
+    run = a2c_train(TradingEnv(small_dataset, EnvConfig()), tiny_a2c_config(), seed=0)
     assert run.eval_log, "expected at least one validation evaluation"
     best_from_log = max(p.val_reward for p in run.eval_log)
     assert run.best_val_reward == best_from_log
@@ -375,24 +376,40 @@ def test_a2c_train_runs_and_checkpoints(small_dataset):
 def test_a2c_reported_test_income_comes_from_best_checkpoint(small_dataset):
     config = EnvConfig()
     a2c = tiny_a2c_config()
-    run = a2c_train(small_dataset, config, a2c, seed=1)
-    test_lo = max(2, small_dataset.split.test[0])
-    test_range = (test_lo, min(small_dataset.split.test[1], test_lo + a2c.test_days))
+    run = a2c_train(TradingEnv(small_dataset, config), a2c, seed=1)
+    test_range = delivery_window(small_dataset.split.test, a2c.test_days)
     ss = np.random.SeedSequence(1).spawn(6)
     test_seed = int(ss[5].generate_state(1)[0])
-    replayed = evaluate_policy(run.best_policy, TradingEnv(small_dataset, config),
-                               test_range, test_seed, a2c.include_weather)
+    replayed = evaluate_strategy(policy_strategy(run.best_policy, a2c.include_weather),
+                                 TradingEnv(small_dataset, config), test_range, test_seed)
     assert replayed == pytest.approx(run.test_income)
 
 
 def test_a2c_train_deterministic_per_seed(small_dataset):
     cfg = tiny_a2c_config(total_days=120)
-    a = a2c_train(small_dataset, EnvConfig(), cfg, seed=3)
-    b = a2c_train(small_dataset, EnvConfig(), cfg, seed=3)
+    a = a2c_train(TradingEnv(small_dataset, EnvConfig()), cfg, seed=3)
+    b = a2c_train(TradingEnv(small_dataset, EnvConfig()), cfg, seed=3)
     assert a.test_income == b.test_income
     assert [p.val_reward for p in a.eval_log] == [p.val_reward for p in b.eval_log]
     for pa, pb in zip(a.best_policy.parameters(), b.best_policy.parameters()):
         np.testing.assert_array_equal(pa, pb)
+
+
+def test_reused_environment_matches_fresh(small_dataset):
+    """An environment carries no randomness between episodes: training and
+    optimization on one shared instance equal runs on fresh ones, per seed."""
+    shared = TradingEnv(small_dataset, EnvConfig())
+    a2c = tiny_a2c_config(total_days=120)
+    cma = CmaesConfig(generations=2)
+    for seed in (0, 1):
+        run = a2c_train(shared, a2c, seed)
+        fresh_run = a2c_train(TradingEnv(small_dataset, EnvConfig()), a2c, seed)
+        assert run.test_income == fresh_run.test_income
+        assert run.log_rows() == fresh_run.log_rows()
+        mean, _ = optimize_parametric("opportunistic", shared, cma, seed)
+        fresh_mean, _ = optimize_parametric("opportunistic",
+                                            TradingEnv(small_dataset, EnvConfig()), cma, seed)
+        np.testing.assert_array_equal(mean, fresh_mean)
 
 
 def test_a2c_rollouts_stay_in_training_split(year_dataset, monkeypatch):
@@ -417,14 +434,14 @@ def test_a2c_rollouts_stay_in_training_split(year_dataset, monkeypatch):
     monkeypatch.setattr(training, "_rollout", recording_rollout)
     cfg = tiny_a2c_config(total_days=2400, n_steps=120, eval_frequency=2400,
                           eval_days=5, test_days=5)
-    a2c_train(year_dataset, EnvConfig(), cfg, seed=0)
+    a2c_train(TradingEnv(year_dataset, EnvConfig()), cfg, seed=0)
     lo, hi = year_dataset.split.train
     assert len(stepped) == 2400
     assert lo <= min(stepped) and max(stepped) < hi
 
 
 def test_a2c_no_weather_uses_69_inputs(small_dataset):
-    run = a2c_train(small_dataset, EnvConfig(),
+    run = a2c_train(TradingEnv(small_dataset, EnvConfig()),
                     tiny_a2c_config(total_days=60, include_weather=False), seed=0)
     assert run.best_policy.input_size == 69
     assert run.best_policy.meta["include_weather"] is False
