@@ -7,8 +7,8 @@ neural bidding policy.
 """
 
 from .data import (ConsumptionProfile, DataError, Dataset, ForecastSigmas,
-                   HourlyRecord, SyntheticConfig, generate_synthetic_dataset,
-                   load_dataset, make_forecasts, split_dataset, write_dataset)
+                   SyntheticConfig, generate_synthetic_dataset, load_dataset,
+                   make_forecasts, split_dataset, write_dataset)
 from .market import (BUY, SELL, Bid, DayResult, DecisionContext, EnvConfig,
                      TradingEnv, clear_bid, hourly_production, reference_balance,
                      rolling_price_stats, round_volume)
@@ -17,8 +17,8 @@ from .nets import (MLP, Gradients, PolicyParams, backward, forward,
                    init_policy, load_policy, orthogonal_init, rmsprop_step,
                    save_policy)
 from .strategies import (OpportunisticParams, TimingParams, blackbox_bids,
-                         mean_action, opportunistic_bids, sample_action,
-                         timing_bids)
+                         log_density, mean_action, opportunistic_bids,
+                         sample_action, timing_bids)
 from .training import (A2cConfig, TrainingRun, a2c_train, battery_sweep,
                        evaluate_strategy, gae_advantages, optimize_parametric)
 

@@ -6,8 +6,8 @@ temperature), an optional block of next-day weather forecasts, and a 24-hour
 average consumption profile per household.  Everything downstream treats a
 ``Dataset`` as an immutable replay tape.
 
-Real price/weather data can be loaded from CSV (see the schemas next to the
-``load_dataset`` / ``write_dataset`` pair).  When no real data is at hand,
+Real price/weather data can be loaded from CSV (see the header tuples next to
+the ``load_dataset`` / ``write_dataset`` pair).  When no real data is at hand,
 ``generate_synthetic_dataset`` produces a seeded artificial market with the
 qualitative structure trading strategies care about: a double-peaked daily
 price shape (cheap nights, expensive mornings and evenings), weekend and
@@ -19,7 +19,10 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass, replace
+from itertools import chain, islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -31,6 +34,8 @@ HOURS_PER_DAY = 24
 FORECAST_WALK_STEPS = 37
 FORECAST_TARGET_LO = 14
 FORECAST_TARGET_HI = 37
+
+FORECAST_FIELDS = ("forecast_cloudiness", "forecast_wind_speed", "forecast_temperature")
 
 
 class DataError(ValueError):
@@ -44,18 +49,6 @@ def _check_finite(values: np.ndarray, what: str, start_date: dt.date) -> None:
         day, hour = (int(i) for i in np.argwhere(bad)[0])
         raise DataError(f"{what}: non-finite value on {start_date + dt.timedelta(days=day)} "
                         f"(day {day}) hour {hour}")
-
-
-@dataclass(frozen=True)
-class HourlyRecord:
-    """One hour of actual market and weather data."""
-
-    date: dt.date
-    hour: int
-    price: float
-    cloudiness: int
-    wind_speed: float
-    temperature: float
 
 
 @dataclass
@@ -90,7 +83,8 @@ class Dataset:
 
     All per-hour arrays have shape ``(num_days, 24)``.  Forecast arrays hold
     NaN for days that have no forecast (at least day 0, whose forecast would
-    have been issued before the data starts).
+    have been issued before the data starts); a day with a forecast has all
+    24 hours of all three arrays.
     """
 
     start_date: dt.date
@@ -124,15 +118,29 @@ class Dataset:
             raise DataError(f"cloudiness must lie in 0..{OKTA_MAX}")
         if np.any(self.wind_speed < 0):
             raise DataError("wind speed must be nonnegative")
-        self._weekdays = np.array(
-            [(self.start_date + dt.timedelta(days=i)).weekday() for i in range(shape[0])],
-            dtype=int,
-        )
-        self._months = np.array(
-            [(self.start_date + dt.timedelta(days=i)).month for i in range(shape[0])],
-            dtype=int,
-        )
+        self._check_forecasts()
+        dates = [self.start_date + dt.timedelta(days=i) for i in range(shape[0])]
+        self._weekdays = np.array([date.weekday() for date in dates], dtype=int)
+        self._months = np.array([date.month for date in dates], dtype=int)
         self._pbar_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _check_forecasts(self) -> None:
+        """All three forecast arrays or none, each (num_days, 24); in each day
+        all 72 values are finite or all are NaN."""
+        given = [name for name in FORECAST_FIELDS if getattr(self, name) is not None]
+        if given and len(given) < len(FORECAST_FIELDS):
+            raise DataError("forecast arrays must be given all three or none")
+        for name in given:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+            if getattr(self, name).shape != self.prices.shape:
+                raise DataError(f"{name} array must have shape (num_days, 24)")
+        if given:
+            block = np.stack([getattr(self, name) for name in given], axis=-1)
+            bad = ~np.isfinite(block) & ~np.isnan(block).all(axis=(1, 2))[:, None, None]
+            if bad.any():
+                day, hour, k = (int(i) for i in np.argwhere(bad)[0])
+                raise DataError(f"forecasts for {self.date_of(day)} miss hour {hour} "
+                                f"({given[k]} on day {day} is {block[day, hour, k]})")
 
     @property
     def num_days(self) -> int:
@@ -140,9 +148,6 @@ class Dataset:
 
     def date_of(self, day: int) -> dt.date:
         return self.start_date + dt.timedelta(days=int(day))
-
-    def day_of(self, date: dt.date) -> int:
-        return (date - self.start_date).days
 
     def weekday_of(self, day: int) -> int:
         return int(self._weekdays[day])
@@ -159,31 +164,6 @@ class Dataset:
             return False
         return not math.isnan(self.forecast_cloudiness[day, 0])
 
-    def forecast_block(self, day: int) -> np.ndarray:
-        """(3, 24) array of cloudiness/wind/temperature forecasts for ``day``."""
-        if not self.forecast_available(day):
-            raise DataError(f"no forecast available for day {day}")
-        return np.stack(
-            [
-                self.forecast_cloudiness[day],
-                self.forecast_wind_speed[day],
-                self.forecast_temperature[day],
-            ]
-        )
-
-    def iter_records(self):
-        for day in range(self.num_days):
-            date = self.date_of(day)
-            for hour in range(HOURS_PER_DAY):
-                yield HourlyRecord(
-                    date=date,
-                    hour=hour,
-                    price=float(self.prices[day, hour]),
-                    cloudiness=int(self.cloudiness[day, hour]),
-                    wind_speed=float(self.wind_speed[day, hour]),
-                    temperature=float(self.temperature[day, hour]),
-                )
-
     def content_hash(self) -> str:
         """Stable hash of the replayed content, for run manifests."""
         import hashlib
@@ -194,79 +174,167 @@ class Dataset:
                     self.temperature, self.profile.avg_per_household):
             h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
         if self.has_forecasts:
-            for arr in (self.forecast_cloudiness, self.forecast_wind_speed,
-                        self.forecast_temperature):
-                h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+            for name in FORECAST_FIELDS:
+                h.update(np.ascontiguousarray(getattr(self, name), dtype=float).tobytes())
         return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
-# CSV I/O
-#
-# prices.csv    date,hour,price
-# weather.csv   date,hour,cloudiness,wind_speed,temperature
-# profile.csv   hour,avg_consumption_mwh
-# forecasts.csv issue_date,target_date,target_hour,cloudiness,wind_speed,temperature
+# CSV I/O: every table goes through write_columns and read_columns, and each
+# file has one header tuple that its writer and its reader share.
 # ---------------------------------------------------------------------------
 
-def _parse_date(text: str, path, line: int) -> dt.date:
+PRICES_HEADER = ("date", "hour", "price")
+WEATHER_HEADER = ("date", "hour", "cloudiness", "wind_speed", "temperature")
+PROFILE_HEADER = ("hour", "avg_consumption_mwh")
+FORECASTS_HEADER = ("issue_date", "target_date", "target_hour",
+                    "cloudiness", "wind_speed", "temperature")
+
+
+def write_columns(path, header: tuple[str, ...], columns) -> None:
+    """Write equal-length ``columns`` (iterables of Python scalars) under
+    ``header``; ``csv`` writes floats by ``repr``, so they read back bit for
+    bit.  Iterators are consumed row by row, so a column need not be built."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns, strict=True))
+
+
+def day_hour_columns(days: list) -> list[Iterator]:
+    """A column with each of ``days`` 24 times, and the matching hours."""
+    return [chain.from_iterable(repeat(day, HOURS_PER_DAY) for day in days),
+            chain.from_iterable(repeat(range(HOURS_PER_DAY), len(days)))]
+
+
+def hour_by_hour(rows) -> Iterator:
+    """The values of (24,) day rows, hour by hour, as Python scalars."""
+    return chain.from_iterable(map(np.ndarray.tolist, rows))
+
+
+def read_columns(path, header: tuple[str, ...]) -> list[list[str]]:
+    """Stream a CSV into one list of field texts per ``header`` column.
+
+    Columns are found by name; item ``i`` comes from line ``i + 2`` when the
+    file has no blank lines, which are skipped.  Equal texts within a block
+    of rows share one object, so repeated dates, hours and zeros cost a
+    pointer each: the lists take less memory than parsed rows would.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        names = next(reader, [])
+        missing = [name for name in header if name not in names]
+        if missing:
+            raise DataError(f"{path}: missing columns {missing}; "
+                            f"expected columns {','.join(header)}")
+        indices = [names.index(name) for name in header]
+        columns: list[list[str]] = [[] for _ in header]
+        while block := list(islice(reader, 1024)):
+            rows = [row for row in block if row]
+            short = [i for i, row in enumerate(rows) if len(row) <= max(indices)]
+            if short:
+                raise DataError(f"{path}:{len(columns[0]) + short[0] + 2}: too few fields")
+            for column, index in zip(columns, indices):
+                shared: dict[str, str] = {}
+                column.extend([shared.setdefault(text, text) for text in map(itemgetter(index), rows)])
+    return columns
+
+
+def _parse(kind, texts: list[str], message) -> np.ndarray:
+    """``kind`` (``int`` or ``float``) of every text, as an array of that
+    type; the first text it rejects raises a DataError with ``message(i)``,
+    ``i`` its row index."""
     try:
-        return dt.date.fromisoformat(text)
-    except ValueError as exc:
-        raise DataError(f"{path}:{line}: bad date {text!r}") from exc
+        return np.fromiter(map(kind, texts), kind, len(texts))
+    except (ValueError, OverflowError):
+        for i, text in enumerate(texts):
+            try:
+                np.array(kind(text), dtype=kind)
+            except (ValueError, OverflowError) as exc:
+                raise DataError(message(i)) from exc
 
 
-def _read_hourly_csv(path, value_columns: list[str]):
-    """Read a date/hour keyed CSV into (start_date, {col: (days, 24) array}).
+def _parse_dates(path, texts: list[str]) -> np.ndarray:
+    """Day ordinals of ISO dates, parsing each distinct text once."""
+    ordinals = {}
+    for text in dict.fromkeys(texts):
+        try:
+            ordinals[text] = dt.date.fromisoformat(text).toordinal()
+        except ValueError as exc:
+            raise DataError(f"{path}:{texts.index(text) + 2}: bad date {text!r}") from exc
+    return np.fromiter(map(ordinals.__getitem__, texts), np.int64, len(texts))
+
+
+def _parse_hours(path, texts: list[str], what: str = "hour") -> np.ndarray:
+    hours = _parse(int, texts, lambda i: f"{path}:{i + 2}: bad {what} {texts[i]!r}")
+    outside = (hours < 0) | (hours >= HOURS_PER_DAY)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise DataError(f"{path}:{i + 2}: {what} {hours[i]} outside 0..23")
+    return hours
+
+
+def _read_hourly_csv(path, header: tuple[str, ...]):
+    """Read a date/hour keyed CSV into (start_date, [(days, 24) array per value column]).
 
     Rows must be sorted by (date, hour) and form a gap-free hourly grid; the
     first missing slot is reported by date, day index, and hour.
     """
-    rows: list[tuple[dt.date, int, list[str]]] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in ["date", "hour", *value_columns] if c not in (reader.fieldnames or [])]
-        if missing:
-            raise DataError(f"{path}: missing columns {missing}")
-        for i, row in enumerate(reader, start=2):
-            date = _parse_date(row["date"], path, i)
-            try:
-                hour = int(row["hour"])
-            except ValueError as exc:
-                raise DataError(f"{path}:{i}: bad hour {row['hour']!r}") from exc
-            rows.append((date, hour, [row[c] for c in value_columns]))
-    if not rows:
+    date_texts, hour_texts, *value_texts = read_columns(path, header)
+    if not date_texts:
         raise DataError(f"{path}: no data rows")
-
-    start_date = rows[0][0]
-    num_days = (rows[-1][0] - start_date).days + 1
-    arrays = {c: np.full((num_days, HOURS_PER_DAY), np.nan) for c in value_columns}
-    expected = 0
-    for date, hour, values in rows:
-        day = (date - start_date).days
-        slot = day * HOURS_PER_DAY + hour
-        if slot != expected:
-            exp_day, exp_hour = divmod(expected, HOURS_PER_DAY)
-            exp_date = start_date + dt.timedelta(days=exp_day)
-            raise DataError(
-                f"{path}: gap in hourly sequence, missing {exp_date} "
-                f"(day {exp_day}) hour {exp_hour}"
-            )
-        for col, value in zip(value_columns, values):
-            try:
-                arrays[col][day, hour] = float(value)
-            except ValueError as exc:
-                raise DataError(f"{path}: bad value {value!r} for {col} on {date} hour {hour}") from exc
-        expected += 1
-    if expected != num_days * HOURS_PER_DAY:
-        exp_day, exp_hour = divmod(expected, HOURS_PER_DAY)
-        raise DataError(
-            f"{path}: gap in hourly sequence, missing "
-            f"{start_date + dt.timedelta(days=exp_day)} (day {exp_day}) hour {exp_hour}"
-        )
-    for col, values in arrays.items():
-        _check_finite(values, f"{path}: {col}", start_date)
+    days = _parse_dates(path, date_texts)
+    hours = _parse_hours(path, hour_texts)
+    start_date = dt.date.fromordinal(int(days[0]))
+    days -= days[0]
+    slots = days * HOURS_PER_DAY + hours
+    wrong = np.flatnonzero(slots != np.arange(slots.size))
+    if wrong.size or slots.size != (days[-1] + 1) * HOURS_PER_DAY:
+        exp_day, exp_hour = divmod(int(wrong[0]) if wrong.size else slots.size, HOURS_PER_DAY)
+        raise DataError(f"{path}: gap in hourly sequence, missing "
+                        f"{start_date + dt.timedelta(days=exp_day)} (day {exp_day}) hour {exp_hour}")
+    arrays = [_parse(float, texts, lambda i, name=name, texts=texts:
+                     f"{path}: bad value {texts[i]!r} for {name} on "
+                     f"{start_date + dt.timedelta(days=int(days[i]))} hour {hours[i]}"
+                     ).reshape(-1, HOURS_PER_DAY)
+              for name, texts in zip(header[2:], value_texts)]
+    for name, values in zip(header[2:], arrays):
+        _check_finite(values, f"{path}: {name}", start_date)
     return start_date, arrays
+
+
+def _read_profile_csv(path) -> np.ndarray:
+    hour_texts, value_texts = read_columns(path, PROFILE_HEADER)
+    profile = np.full(HOURS_PER_DAY, np.nan)
+    profile[_parse_hours(path, hour_texts)] = _parse(
+        float, value_texts, lambda i: f"{path}:{i + 2}: bad value {value_texts[i]!r}")
+    if np.any(np.isnan(profile)):
+        raise DataError(f"{path}: profile must define all 24 hours")
+    return profile
+
+
+def _read_forecasts_csv(path, dataset: Dataset) -> np.ndarray:
+    """(3, num_days, 24) forecasts in ``FORECAST_FIELDS`` order, NaN where none."""
+    issue_texts, target_texts, hour_texts, *value_texts = read_columns(path, FORECASTS_HEADER)
+    issued, targets = _parse_dates(path, issue_texts), _parse_dates(path, target_texts)
+    hours = _parse_hours(path, hour_texts, "target hour")
+    table = np.array([_parse(float, texts, lambda i, name=name, texts=texts:
+                             f"{path}:{i + 2}: bad {name} value {texts[i]!r}")
+                      for name, texts in zip(FORECASTS_HEADER[3:], value_texts)])
+    days = targets - dataset.start_date.toordinal()
+    late = targets - issued != 1
+    if late.any():
+        raise DataError(f"{path}:{np.argmax(late) + 2}: forecasts must be issued one day ahead")
+    outside = (days < 0) | (days >= dataset.num_days)
+    if outside.any():
+        target = dt.date.fromordinal(int(targets[np.argmax(outside)]))
+        raise DataError(f"{path}:{np.argmax(outside) + 2}: target date {target} outside the dataset")
+    non_finite = ~np.isfinite(table).all(axis=0)
+    if non_finite.any():
+        raise DataError(f"{path}:{np.argmax(non_finite) + 2}: non-finite forecast value")
+    forecasts = np.full((len(FORECAST_FIELDS), *dataset.prices.shape), np.nan)
+    forecasts[:, days, hours] = table
+    return forecasts
 
 
 def load_dataset(price_path, weather_path, profile_path, forecast_path=None) -> Dataset:
@@ -275,89 +343,31 @@ def load_dataset(price_path, weather_path, profile_path, forecast_path=None) -> 
     Forecasts are optional; without ``forecast_path`` the returned dataset has
     no forecast block and one can be generated later with ``make_forecasts``.
     """
-    price_start, price_arrays = _read_hourly_csv(price_path, ["price"])
-    weather_start, weather_arrays = _read_hourly_csv(
-        weather_path, ["cloudiness", "wind_speed", "temperature"]
-    )
-    if price_start != weather_start or price_arrays["price"].shape != weather_arrays["cloudiness"].shape:
+    price_start, (prices,) = _read_hourly_csv(price_path, PRICES_HEADER)
+    weather_start, (cloud, wind_speed, temperature) = _read_hourly_csv(weather_path,
+                                                                       WEATHER_HEADER)
+    if price_start != weather_start or prices.shape != cloud.shape:
         raise DataError("price and weather files cover different day ranges")
-
-    cloud = weather_arrays["cloudiness"]
-    if np.any(cloud != np.round(cloud)):
-        bad = np.argwhere(cloud != np.round(cloud))[0]
-        raise DataError(
-            f"{weather_path}: cloudiness must be an integer Okta value "
-            f"(day {bad[0]}, hour {bad[1]})"
-        )
+    fractional = np.argwhere(cloud != np.round(cloud))
+    if fractional.size:
+        raise DataError(f"{weather_path}: cloudiness must be an integer Okta value "
+                        f"(day {fractional[0, 0]}, hour {fractional[0, 1]})")
     cloud = cloud.astype(int)
-    if np.any((cloud < 0) | (cloud > OKTA_MAX)):
-        bad = np.argwhere((cloud < 0) | (cloud > OKTA_MAX))[0]
-        raise DataError(
-            f"{weather_path}: cloudiness {cloud[bad[0], bad[1]]} outside 0..{OKTA_MAX} "
-            f"(day {bad[0]}, hour {bad[1]})"
-        )
-
-    profile = np.full(HOURS_PER_DAY, np.nan)
-    with open(profile_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if not reader.fieldnames or "hour" not in reader.fieldnames or "avg_consumption_mwh" not in reader.fieldnames:
-            raise DataError(f"{profile_path}: expected columns hour,avg_consumption_mwh")
-        for i, row in enumerate(reader, start=2):
-            hour = int(row["hour"])
-            if not 0 <= hour < HOURS_PER_DAY:
-                raise DataError(f"{profile_path}:{i}: hour {hour} outside 0..23")
-            profile[hour] = float(row["avg_consumption_mwh"])
-    if np.any(np.isnan(profile)):
-        raise DataError(f"{profile_path}: profile must define all 24 hours")
-
-    dataset = Dataset(
-        start_date=price_start,
-        prices=price_arrays["price"],
-        cloudiness=cloud,
-        wind_speed=weather_arrays["wind_speed"],
-        temperature=weather_arrays["temperature"],
-        profile=ConsumptionProfile(profile),
-    )
-    if forecast_path is not None:
-        _load_forecasts_into(dataset, forecast_path)
-    return dataset
-
-
-def _load_forecasts_into(dataset: Dataset, path) -> None:
-    """Read the forecast block; each forecast day must have all 24 hours."""
-    names = ("cloudiness", "wind_speed", "temperature")
-    days, hours, values = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = ["issue_date", "target_date", "target_hour", "cloudiness", "wind_speed", "temperature"]
-        if any(c not in (reader.fieldnames or []) for c in needed):
-            raise DataError(f"{path}: expected columns {','.join(needed)}")
-        for i, row in enumerate(reader, start=2):
-            issue = _parse_date(row["issue_date"], path, i)
-            target = _parse_date(row["target_date"], path, i)
-            if (target - issue).days != 1:
-                raise DataError(f"{path}:{i}: forecasts must be issued one day ahead")
-            day = dataset.day_of(target)
-            hour = int(row["target_hour"])
-            if not 0 <= day < dataset.num_days:
-                raise DataError(f"{path}:{i}: target date {target} outside the dataset")
-            if not 0 <= hour < HOURS_PER_DAY:
-                raise DataError(f"{path}:{i}: target hour {hour} outside 0..23")
-            days.append(day)
-            hours.append(hour)
-            values.append([float(row[name]) for name in names])
-    table = np.array(values, dtype=float).reshape(-1, len(names))
-    bad = ~np.isfinite(table).all(axis=1)
-    if bad.any():
-        raise DataError(f"{path}:{int(np.argmax(bad)) + 2}: non-finite forecast value")
-    fc = np.full((len(names), *dataset.prices.shape), np.nan)
-    fc[:, days, hours] = table.T
-    seen = ~np.isnan(fc[0])
-    partial = np.flatnonzero(seen.any(axis=1) & ~seen.all(axis=1))
-    if partial.size:
-        raise DataError(f"{path}: forecasts for {dataset.date_of(partial[0])} miss "
-                        f"hour {int(np.argmin(seen[partial[0]]))}")
-    dataset.forecast_cloudiness, dataset.forecast_wind_speed, dataset.forecast_temperature = fc
+    outside = np.argwhere((cloud < 0) | (cloud > OKTA_MAX))
+    if outside.size:
+        day, hour = outside[0]
+        raise DataError(f"{weather_path}: cloudiness {cloud[day, hour]} outside 0..{OKTA_MAX} "
+                        f"(day {day}, hour {hour})")
+    dataset = Dataset(start_date=price_start, prices=prices, cloudiness=cloud,
+                      wind_speed=wind_speed, temperature=temperature,
+                      profile=ConsumptionProfile(_read_profile_csv(profile_path)))
+    if forecast_path is None:
+        return dataset
+    forecasts = _read_forecasts_csv(forecast_path, dataset)
+    try:  # the forecast rules live in Dataset; name the file they came from
+        return replace(dataset, **dict(zip(FORECAST_FIELDS, forecasts)))
+    except DataError as exc:
+        raise DataError(f"{forecast_path}: {exc}") from exc
 
 
 def write_dataset(dataset: Dataset, out_dir) -> list[str]:
@@ -365,61 +375,26 @@ def write_dataset(dataset: Dataset, out_dir) -> list[str]:
     import os
 
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-
-    path = os.path.join(out_dir, "prices.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["date", "hour", "price"])
-        for day in range(dataset.num_days):
-            date = dataset.date_of(day).isoformat()
-            for hour in range(HOURS_PER_DAY):
-                w.writerow([date, hour, repr(float(dataset.prices[day, hour]))])
-    paths.append(path)
-
-    path = os.path.join(out_dir, "weather.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["date", "hour", "cloudiness", "wind_speed", "temperature"])
-        for day in range(dataset.num_days):
-            date = dataset.date_of(day).isoformat()
-            for hour in range(HOURS_PER_DAY):
-                w.writerow([
-                    date, hour,
-                    int(dataset.cloudiness[day, hour]),
-                    repr(float(dataset.wind_speed[day, hour])),
-                    repr(float(dataset.temperature[day, hour])),
-                ])
-    paths.append(path)
-
-    path = os.path.join(out_dir, "profile.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["hour", "avg_consumption_mwh"])
-        for hour in range(HOURS_PER_DAY):
-            w.writerow([hour, repr(float(dataset.profile.avg_per_household[hour]))])
-    paths.append(path)
-
+    dates = [dataset.date_of(day).isoformat() for day in range(dataset.num_days)]
+    tables = [
+        ("prices.csv", PRICES_HEADER, [*day_hour_columns(dates), hour_by_hour(dataset.prices)]),
+        ("weather.csv", WEATHER_HEADER,
+         [*day_hour_columns(dates), hour_by_hour(dataset.cloudiness.astype(int)),
+          hour_by_hour(dataset.wind_speed), hour_by_hour(dataset.temperature)]),
+        ("profile.csv", PROFILE_HEADER,
+         [range(HOURS_PER_DAY), dataset.profile.avg_per_household.tolist()]),
+    ]
     if dataset.has_forecasts:
-        path = os.path.join(out_dir, "forecasts.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["issue_date", "target_date", "target_hour",
-                        "cloudiness", "wind_speed", "temperature"])
-            for day in range(dataset.num_days):
-                if not dataset.forecast_available(day):
-                    continue
-                issue = dataset.date_of(day - 1).isoformat()
-                target = dataset.date_of(day).isoformat()
-                for hour in range(HOURS_PER_DAY):
-                    w.writerow([
-                        issue, target, hour,
-                        repr(float(dataset.forecast_cloudiness[day, hour])),
-                        repr(float(dataset.forecast_wind_speed[day, hour])),
-                        repr(float(dataset.forecast_temperature[day, hour])),
-                    ])
-        paths.append(path)
-    return paths
+        days = [day for day in range(dataset.num_days) if dataset.forecast_available(day)]
+        tables.append(("forecasts.csv", FORECASTS_HEADER, [
+            day_hour_columns([dataset.date_of(day - 1).isoformat() for day in days])[0],
+            *day_hour_columns([dates[day] for day in days]),
+            *(hour_by_hour(map(getattr(dataset, name).__getitem__, days))
+              for name in FORECAST_FIELDS),
+        ]))
+    for name, header, columns in tables:
+        write_columns(os.path.join(out_dir, name), header, columns)
+    return [os.path.join(out_dir, name) for name, _, _ in tables]
 
 
 # ---------------------------------------------------------------------------
@@ -617,13 +592,6 @@ class ForecastSigmas:
     wind_speed: float = 1.0   # m/s
     temperature: float = 2.0  # degrees C
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "cloudiness": self.cloudiness,
-            "wind_speed": self.wind_speed,
-            "temperature": self.temperature,
-        }
-
 
 def make_forecasts(dataset: Dataset, sigmas: ForecastSigmas | None = None,
                    seed: int = 0, clip: bool = True,
@@ -640,23 +608,19 @@ def make_forecasts(dataset: Dataset, sigmas: ForecastSigmas | None = None,
     deviation walk itself.
     """
     sigmas = sigmas or ForecastSigmas()
-    for name, sigma in sigmas.as_dict().items():
+    for name, sigma in asdict(sigmas).items():
         if sigma < 0:
             raise DataError(f"negative forecast sigma for {name}")
     rng = np.random.default_rng(seed)
     num_days = dataset.num_days
     shape = (num_days, HOURS_PER_DAY)
-    forecast = {name: np.full(shape, np.nan) for name in sigmas.as_dict()}
-    deviations = {name: np.full(shape, np.nan) for name in sigmas.as_dict()} if keep_deviations else None
+    forecast = {name: np.full(shape, np.nan) for name in asdict(sigmas)}
+    deviations = {name: np.full(shape, np.nan) for name in asdict(sigmas)} if keep_deviations else None
 
-    actual = {
-        "cloudiness": dataset.cloudiness.astype(float),
-        "wind_speed": dataset.wind_speed,
-        "temperature": dataset.temperature,
-    }
+    actual = {name: getattr(dataset, name).astype(float) for name in asdict(sigmas)}
     lo, hi = FORECAST_TARGET_LO, FORECAST_TARGET_HI
     for day in range(1, num_days):
-        for name, sigma in sigmas.as_dict().items():
+        for name, sigma in asdict(sigmas).items():
             eps = rng.normal(0.0, sigma / math.sqrt(24.0), FORECAST_WALK_STEPS)
             walk = np.cumsum(eps)
             dev = walk[lo - 1: hi]  # deviations at steps 14..37 -> target hours 0..23
@@ -670,14 +634,8 @@ def make_forecasts(dataset: Dataset, sigmas: ForecastSigmas | None = None,
             if deviations is not None:
                 deviations[name][day] = dev
 
-    out = replace(
-        dataset,
-        forecast_cloudiness=forecast["cloudiness"],
-        forecast_wind_speed=forecast["wind_speed"],
-        forecast_temperature=forecast["temperature"],
-        forecast_deviations=deviations,
-    )
-    return out
+    return replace(dataset, **{f"forecast_{name}": values for name, values in forecast.items()},
+                   forecast_deviations=deviations)
 
 
 # ---------------------------------------------------------------------------

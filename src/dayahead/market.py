@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, HOURS_PER_DAY, OKTA_MAX
+from .data import (Dataset, HOURS_PER_DAY, OKTA_MAX, day_hour_columns, hour_by_hour,
+                   write_columns)
 
 BUY = "buy"
 SELL = "sell"
@@ -235,17 +236,9 @@ class DecisionContext:
     vbar: float                       # max producible volume per hour
     profile: np.ndarray               # (24,) per-household consumption profile
     households: int
-    _dataset: Dataset
     _prices_norm: np.ndarray          # (24,) prices_today / price_scale
     _profile_norm: np.ndarray         # (24,) profile / max(profile)
     _forecast_norm: np.ndarray | None # (72,) normalized forecast block
-
-    @property
-    def forecast_next(self) -> np.ndarray | None:
-        """(3, 24) next-day cloudiness/wind/temperature forecast, None if absent."""
-        if self._forecast_norm is None:
-            return None
-        return self._dataset.forecast_block(self.day + 1)
 
     def observation(self, include_weather: bool = True) -> np.ndarray:
         """Normalized state vector: 141 values, or 69 without the forecast block."""
@@ -283,39 +276,37 @@ class DayResult:
     reward: float                 # sum of cash deltas
 
 
-DAY_RESULT_COLUMNS = ["day", "hour", "price", "buy_exec", "sell_exec",
-                      "uns_buy", "uns_sell", "battery_level", "cash_delta"]
+DAY_RESULT_HEADER = ("day", "hour", "price", "buy_exec", "sell_exec",
+                     "uns_buy", "uns_sell", "battery_level", "cash_delta")
+BID_OUTCOME_HEADER = ("day", "hour", "side", "volume", "price", "accepted")
+
+
+def hourly_columns(results: list[DayResult], *names: str) -> list:
+    """Day, hour and the named arrays of ``results`` as columns for
+    :func:`~dayahead.data.write_columns`, one item per hour; of each array
+    the last 24 values, so the end-of-hour levels of ``battery_trace``."""
+    return [*day_hour_columns([res.day for res in results]),
+            *(hour_by_hour([getattr(res, name)[-HOURS_PER_DAY:] for res in results])
+              for name in names)]
 
 
 def export_day_results(results: list[DayResult], path) -> None:
     """Write per-hour traces; battery_level is the level at the end of the hour."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(DAY_RESULT_COLUMNS)
-        for res in results:
-            for h in range(HOURS_PER_DAY):
-                w.writerow([
-                    res.day, h, repr(float(res.prices[h])),
-                    repr(float(res.buy_volumes[h])), repr(float(res.sell_volumes[h])),
-                    repr(float(res.unscheduled_buys[h])), repr(float(res.unscheduled_sells[h])),
-                    repr(float(res.battery_trace[h + 1])), repr(float(res.cash_deltas[h])),
-                ])
+    write_columns(path, DAY_RESULT_HEADER, hourly_columns(
+        results, "prices", "buy_volumes", "sell_volumes", "unscheduled_buys",
+        "unscheduled_sells", "battery_trace", "cash_deltas"))
 
 
 def export_bid_outcomes(results: list[DayResult], path) -> None:
     """Write one row per bid: day,hour,side,volume,price,accepted."""
-    import csv
+    def column(value):
+        return (value(res, outcome) for res in results for outcome in res.bid_outcomes)
 
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["day", "hour", "side", "volume", "price", "accepted"])
-        for res in results:
-            for outcome in res.bid_outcomes:
-                bid = outcome.bid
-                w.writerow([res.day, bid.hour, bid.side, repr(float(bid.volume)),
-                            repr(float(bid.price)), int(outcome.accepted)])
+    write_columns(path, BID_OUTCOME_HEADER, [
+        column(lambda res, o: res.day), column(lambda res, o: o.bid.hour),
+        column(lambda res, o: o.bid.side), column(lambda res, o: float(o.bid.volume)),
+        column(lambda res, o: float(o.bid.price)), column(lambda res, o: int(o.accepted)),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +360,6 @@ class TradingEnv:
         self._forecast_ok = [dataset.forecast_available(d) for d in range(dataset.num_days)]
         self._forecast_ok.append(False)  # sentinel for day num_days
         self.charge = cfg.initial_charge * cfg.battery_capacity
-        self.cash = 0.0
         self._next_day: int | None = None
         self._schedule_buys = [0.0] * HOURS_PER_DAY
         self._schedule_sells = [0.0] * HOURS_PER_DAY
@@ -404,7 +394,6 @@ class TradingEnv:
         cfg = self.config
         self._rng = np.random.default_rng(rng)
         self.charge = cfg.initial_charge * cfg.battery_capacity
-        self.cash = 0.0
         self._next_day = start_day
         self._schedule_buys = [0.0] * HOURS_PER_DAY
         self._schedule_sells = [0.0] * HOURS_PER_DAY
@@ -498,7 +487,6 @@ class TradingEnv:
         with actual production and the drawn consumption noise ``rho``."""
         self.charge, cash = self._net_hours(self.charge, day, hour_lo, hour_hi,
                                             self._production_rows[day], rho, result)
-        self.cash += cash
         return cash
 
     def _net_hours(self, charge: float, day: int, hour_lo: int, hour_hi: int,
@@ -586,7 +574,6 @@ class TradingEnv:
             vbar=cfg.max_hourly_production,
             profile=self._profile,
             households=cfg.households,
-            _dataset=dataset,
             _prices_norm=self._prices_norm[decision_day],
             _profile_norm=self._profile_norm,
             _forecast_norm=self._forecast_norm[next_day] if has_next else None,

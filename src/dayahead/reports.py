@@ -9,14 +9,14 @@ diagnostic figures.
 """
 from __future__ import annotations
 
-import csv
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .market import DayResult, HOURS_PER_DAY
+from .data import read_columns, write_columns
+from .market import (BID_OUTCOME_HEADER, BUY, DAY_RESULT_HEADER, HOURS_PER_DAY, SELL, Bid,
+                     BidOutcome, DayResult, hourly_columns)
 
 
 @dataclass
@@ -63,14 +63,13 @@ class BalanceReport:
             fh.write("\n")
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["strategy", "mean_income", "std", "incomes"])
-            if self.reference is not None:
-                w.writerow(["reference", repr(self.reference), repr(0.0), ""])
-            for row in self.rows:
-                w.writerow([row.name, repr(row.mean), repr(row.std),
-                            " ".join(repr(v) for v in row.incomes)])
+        columns = [[row.name for row in self.rows], [row.mean for row in self.rows],
+                   [row.std for row in self.rows],
+                   [" ".join(map(repr, row.incomes)) for row in self.rows]]
+        if self.reference is not None:
+            for column, value in zip(columns, ("reference", self.reference, 0.0, "")):
+                column.insert(0, value)
+        write_columns(path, ("strategy", "mean_income", "std", "incomes"), columns)
 
 
 def middle_window(day_range: tuple[int, int], window_days: int = 5) -> tuple[int, int]:
@@ -95,80 +94,43 @@ def write_battery_trace(results_by_seed: list[list[DayResult]],
                         window: tuple[int, int], path) -> None:
     """Per-hour battery level: mean with min/max streaks across seeds."""
     per_seed = [_window_results(results, window) for results in results_by_seed]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["day", "hour", "mean", "min", "max"])
-        for i in range(window[1] - window[0]):
-            day = per_seed[0][i].day
-            levels = np.stack([seed_results[i].battery_trace[1:] for seed_results in per_seed])
-            for h in range(HOURS_PER_DAY):
-                col = levels[:, h]
-                w.writerow([day, h, repr(float(col.mean())),
-                            repr(float(col.min())), repr(float(col.max()))])
+    # (days, 24, seeds), seeds innermost and contiguous, so that each mean
+    # sums its seeds in the same order as a mean over one hour's levels
+    levels = np.stack([[r.battery_trace[1:] for r in picked] for picked in per_seed], axis=-1)
+    write_columns(path, ("day", "hour", "mean", "min", "max"), [
+        *hourly_columns(per_seed[0]), levels.mean(axis=-1).ravel().tolist(),
+        levels.min(axis=-1).ravel().tolist(), levels.max(axis=-1).ravel().tolist()])
 
 
-def _bids_by_hour(result: DayResult, side: str):
-    by_hour = {}
-    for outcome in result.bid_outcomes:
-        if outcome.bid.side == side and outcome.bid.hour not in by_hour:
-            by_hour[outcome.bid.hour] = outcome
-    return by_hour
+def _write_bid_trace(results: list[DayResult], window: tuple[int, int], path,
+                     attribute: str) -> None:
+    """Per hour, the market price and the ``attribute`` of the first buy and
+    the first sell bid with their acceptance; empty where there is none."""
+    picked = _window_results(results, window)
+    columns = {f"{side}_{name}": [""] * (len(picked) * HOURS_PER_DAY)
+               for side in (BUY, SELL) for name in (attribute, "accepted")}
+    for i, result in enumerate(picked):
+        for outcome in reversed(result.bid_outcomes):  # the first bid of an hour wins
+            slot = i * HOURS_PER_DAY + outcome.bid.hour
+            columns[f"{outcome.bid.side}_{attribute}"][slot] = float(getattr(outcome.bid, attribute))
+            columns[f"{outcome.bid.side}_accepted"][slot] = int(outcome.accepted)
+    write_columns(path, ("day", "hour", "market_price", *columns),
+                  [*hourly_columns(picked, "prices"), *columns.values()])
 
 
 def write_bid_price_trace(results: list[DayResult], window: tuple[int, int], path) -> None:
     """Bid prices of one run; positive values only, so a log scale plots cleanly."""
-    picked = _window_results(results, window)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["day", "hour", "market_price", "buy_price", "buy_accepted",
-                    "sell_price", "sell_accepted"])
-        for result in picked:
-            buys = _bids_by_hour(result, "buy")
-            sells = _bids_by_hour(result, "sell")
-            for h in range(HOURS_PER_DAY):
-                buy = buys.get(h)
-                sell = sells.get(h)
-                w.writerow([
-                    result.day, h, repr(float(result.prices[h])),
-                    repr(float(buy.bid.price)) if buy else "",
-                    int(buy.accepted) if buy else "",
-                    repr(float(sell.bid.price)) if sell else "",
-                    int(sell.accepted) if sell else "",
-                ])
+    _write_bid_trace(results, window, path, "price")
 
 
 def write_bid_volume_trace(results: list[DayResult], window: tuple[int, int], path) -> None:
     """Bid volumes of one run with the unscaled market price alongside."""
-    picked = _window_results(results, window)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["day", "hour", "market_price", "buy_volume", "buy_accepted",
-                    "sell_volume", "sell_accepted"])
-        for result in picked:
-            buys = _bids_by_hour(result, "buy")
-            sells = _bids_by_hour(result, "sell")
-            for h in range(HOURS_PER_DAY):
-                buy = buys.get(h)
-                sell = sells.get(h)
-                w.writerow([
-                    result.day, h, repr(float(result.prices[h])),
-                    repr(float(buy.bid.volume)) if buy else "",
-                    int(buy.accepted) if buy else "",
-                    repr(float(sell.bid.volume)) if sell else "",
-                    int(sell.accepted) if sell else "",
-                ])
+    _write_bid_trace(results, window, path, "volume")
 
 
 def write_unscheduled_trace(results: list[DayResult], window: tuple[int, int], path) -> None:
-    picked = _window_results(results, window)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["day", "hour", "uns_buy", "uns_sell"])
-        for result in picked:
-            for h in range(HOURS_PER_DAY):
-                w.writerow([result.day, h,
-                            repr(float(result.unscheduled_buys[h])),
-                            repr(float(result.unscheduled_sells[h]))])
+    write_columns(path, ("day", "hour", "uns_buy", "uns_sell"), hourly_columns(
+        _window_results(results, window), "unscheduled_buys", "unscheduled_sells"))
 
 
 def read_day_results(trace_path, bids_path=None) -> list[DayResult]:
@@ -179,39 +141,31 @@ def read_day_results(trace_path, bids_path=None) -> list[DayResult]:
     """
     import os
 
-    from .market import Bid, BidOutcome
-
-    days: dict[int, DayResult] = {}
-    with open(trace_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            day = int(row["day"])
-            if day not in days:
-                days[day] = DayResult(
-                    day=day, prices=np.zeros(24), bid_outcomes=[],
-                    buy_volumes=np.zeros(24), sell_volumes=np.zeros(24),
-                    production=np.zeros(24), consumption=np.zeros(24),
-                    charge_input=np.zeros(24), discharge=np.zeros(24),
-                    unscheduled_buys=np.zeros(24), unscheduled_sells=np.zeros(24),
-                    battery_trace=np.full(25, np.nan), cash_deltas=np.zeros(24),
-                    reward=0.0,
-                )
-            res = days[day]
-            h = int(row["hour"])
-            res.prices[h] = float(row["price"])
-            res.buy_volumes[h] = float(row["buy_exec"])
-            res.sell_volumes[h] = float(row["sell_exec"])
-            res.unscheduled_buys[h] = float(row["uns_buy"])
-            res.unscheduled_sells[h] = float(row["uns_sell"])
-            res.battery_trace[h + 1] = float(row["battery_level"])
-            res.cash_deltas[h] = float(row["cash_delta"])
+    day_texts, hour_texts, *value_texts = read_columns(trace_path, DAY_RESULT_HEADER)
+    days, inverse = np.unique(np.fromiter(map(int, day_texts), int, len(day_texts)),
+                              return_inverse=True)
+    hours = np.fromiter(map(int, hour_texts), int, len(hour_texts))
+    tables = np.zeros((len(value_texts), days.size, HOURS_PER_DAY))
+    for table, texts in zip(tables, value_texts):
+        table[inverse, hours] = np.fromiter(map(float, texts), float, len(texts))
+    del day_texts, hour_texts, value_texts  # before the bids file is read
+    prices, buys, sells, uns_buys, uns_sells, levels, cash = tables
+    battery = np.full((days.size, HOURS_PER_DAY + 1), np.nan)
+    battery[:, 1:] = levels
+    zeros = np.zeros(HOURS_PER_DAY)
+    results = {day: DayResult(
+        day=day, prices=prices[k], bid_outcomes=[], buy_volumes=buys[k], sell_volumes=sells[k],
+        production=zeros.copy(), consumption=zeros.copy(), charge_input=zeros.copy(),
+        discharge=zeros.copy(), unscheduled_buys=uns_buys[k], unscheduled_sells=uns_sells[k],
+        battery_trace=battery[k], cash_deltas=cash[k], reward=float(cash[k].sum()),
+    ) for k, day in enumerate(days.tolist())}
     if bids_path and os.path.exists(bids_path):
-        with open(bids_path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                day = int(row["day"])
-                if day in days:
-                    bid = Bid(float(row["volume"]), float(row["price"]),
-                              row["side"], int(row["hour"]))
-                    days[day].bid_outcomes.append(BidOutcome(bid, bool(int(row["accepted"]))))
-    for res in days.values():
-        res.reward = float(res.cash_deltas.sum())
-    return [days[k] for k in sorted(days)]
+        day_texts, hour_texts, sides, volumes, prices, accepted = read_columns(
+            bids_path, BID_OUTCOME_HEADER)
+        for day, hour, side, volume, price, ok in zip(
+                list(map(int, day_texts)), list(map(int, hour_texts)), sides,
+                list(map(float, volumes)), list(map(float, prices)), list(map(int, accepted))):
+            if day in results:
+                results[day].bid_outcomes.append(BidOutcome(Bid(volume, price, side, hour),
+                                                             bool(ok)))
+    return list(results.values())

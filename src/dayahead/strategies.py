@@ -175,13 +175,12 @@ def blackbox_bids(action: np.ndarray, vbar: float, pbar: np.ndarray) -> list[Bid
     return bids
 
 
-def sample_action(policy: PolicyParams, obs: np.ndarray,
-                  xi: np.ndarray) -> tuple[np.ndarray, float]:
+def sample_action(policy: PolicyParams, obs: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Draw an action from the Gaussian policy given pre-drawn unit noise.
 
-    Returns the clipped (4, 24) action matrix and the log-density of the
-    pre-clip sample under the diagonal Gaussian; the clip to [-3, 3] is
-    treated as part of the environment side of the interface.
+    Returns the clipped (4, 24) action matrix; the clip to [-3, 3] is treated
+    as part of the environment side of the interface, and
+    :func:`log_density` gives the density of the pre-clip sample.
     """
     obs = np.asarray(obs, dtype=float)
     if obs.shape != (policy.input_size,):
@@ -189,10 +188,13 @@ def sample_action(policy: PolicyParams, obs: np.ndarray,
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (policy.action_size,):
         raise ValueError(f"noise length {xi.shape} != action size {policy.action_size}")
-    mean = forward(policy.actor, obs)
-    raw = mean + xi * np.exp(policy.log_std)
-    log_prob = -float(policy.log_std.sum()) - 0.5 * (xi.size * LOG2PI + float(xi @ xi))
-    return _clip_action(raw), log_prob
+    return _clip_action(forward(policy.actor, obs) + xi * np.exp(policy.log_std))
+
+
+def log_density(log_std: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """log N(mean + sigma * xi; mean, sigma^2) of the diagonal Gaussian
+    policy, summed over the last axis of ``xi`` (..., 96) noise draws."""
+    return np.sum(-log_std - 0.5 * LOG2PI - 0.5 * xi ** 2, axis=-1)
 
 
 def mean_action(policy: PolicyParams, obs: np.ndarray) -> np.ndarray:

@@ -22,8 +22,8 @@ from .market import (DayResult, EnvConfig, TradingEnv, delivery_window,
 from .nets import (PolicyParams, RmsPropState, backward, clip_gradient_norm,
                    forward_cached, init_policy, rmsprop_step)
 from .reports import BalanceRow
-from .strategies import (LOG2PI, blackbox_bids, mean_action, params_class,
-                         sample_action)
+from .strategies import (LOG2PI, blackbox_bids, log_density, mean_action,
+                         params_class, sample_action)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +229,7 @@ class A2cUpdater:
                                              cfg.gamma, cfg.gae_lambda)
 
         sigma = np.exp(policy.log_std)
-        log_probs = np.sum(-policy.log_std - 0.5 * LOG2PI - 0.5 * noise ** 2, axis=1)
-        policy_loss = float(-(log_probs * advantages).mean())
+        policy_loss = float(-(log_density(policy.log_std, noise) * advantages).mean())
         value_errors = values - returns
         value_loss = float((value_errors ** 2).mean())
         entropy = float(np.sum(policy.log_std + 0.5 * (LOG2PI + 1.0)))
@@ -274,7 +273,7 @@ def _rollout(env: TradingEnv, policy: PolicyParams, start_day: int,
     for t in range(n_steps):
         s = ctx.observation(include_weather)
         xi = noise_rng.standard_normal(policy.action_size)
-        action, _ = sample_action(policy, s, xi)
+        action = sample_action(policy, s, xi)
         ctx, reward, _, done = env.step(blackbox_bids(action, ctx.vbar, ctx.pbar),
                                         collect=False, trusted=True)
         obs[t] = s

@@ -191,6 +191,19 @@ def test_missing_data_dir_exits_3(tmp_path):
     assert code == 3
 
 
+def test_evaluate_on_hour_24_row_exits_2(tmp_path, capsys):
+    data = tmp_path / "d"
+    assert main(["generate-data", "--seed", "3", "--days", "60", "--out", str(data)]) == 0
+    lines = (data / "prices.csv").read_text().splitlines(keepends=True)
+    price = lines[25].split(",")[2]  # day 1, hour 0 becomes day 0, hour 24
+    lines[25] = f"{lines[1].split(',')[0]},24,{price}"
+    (data / "prices.csv").write_text("".join(lines))
+    code = main(["evaluate", "--zero-action", "--data", str(data), "--seeds", "0",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "prices.csv:26: hour 24 outside 0..23" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------

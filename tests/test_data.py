@@ -45,7 +45,7 @@ def test_load_well_formed_three_days(tmp_path):
     ds = load_dataset(*paths)
     assert ds.num_days == 3
     assert ds.prices.shape == (3, 24)
-    assert sum(1 for _ in ds.iter_records()) == 72
+    assert ds.prices.size == 72
     assert ds.prices[1, 5] == 205.0
     assert ds.profile.avg_per_household[12] == 0.0002
 
@@ -132,6 +132,130 @@ def test_non_finite_forecast_value_names_file_and_line(tmp_path):
         load_dataset(*paths)
 
 
+@pytest.mark.parametrize("file,line,column,value,message", [
+    ("prices.csv", 5, 0, "2020-13-01", r"prices\.csv:5: bad date '2020-13-01'"),
+    ("weather.csv", 10, 1, "x", r"weather\.csv:10: bad hour 'x'"),
+    ("prices.csv", 1 + 24 + 7 + 1, 2, "abc",
+     r"prices\.csv: bad value 'abc' for price on 2020-01-02 hour 7"),
+    ("weather.csv", 1, 3, "wind",
+     r"weather\.csv: missing columns \['wind_speed'\]"),
+    ("profile.csv", 1, 1, "avg", r"profile\.csv: .*expected columns hour,avg_consumption_mwh"),
+])
+def test_loader_message_names_file_and_line(tmp_path, file, line, column, value, message):
+    paths = write_fixture_csvs(tmp_path, num_days=3)
+    edit_line(tmp_path / file, line, set_field(column, value))
+    with pytest.raises(DataError, match=message):
+        load_dataset(*paths)
+
+
+def test_header_only_file_rejected(tmp_path):
+    paths = write_fixture_csvs(tmp_path, num_days=3)
+    paths[0].write_text("date,hour,price\n")
+    with pytest.raises(DataError, match=r"prices\.csv: no data rows"):
+        load_dataset(*paths)
+
+
+def test_price_and_weather_files_must_cover_the_same_days(tmp_path):
+    paths = write_fixture_csvs(tmp_path, num_days=3)
+    lines = paths[1].read_text().splitlines(keepends=True)
+    paths[1].write_text("".join(lines[:-24]))  # weather ends a day early
+    with pytest.raises(DataError, match="price and weather files cover different day ranges"):
+        load_dataset(*paths)
+
+
+@pytest.mark.parametrize("issue,target,message", [
+    ("2020-01-05", "2020-01-07", r"forecasts\.csv:2: forecasts must be issued one day ahead"),
+    ("2020-01-09", "2020-01-10", r"forecasts\.csv:2: target date 2020-01-10 outside the dataset"),
+])
+def test_forecast_dates_checked_per_line(tmp_path, issue, target, message):
+    paths = write_forecast_fixture(tmp_path)
+    edit_line(paths[3], 2, set_field(0, issue))
+    edit_line(paths[3], 2, set_field(1, target))
+    with pytest.raises(DataError, match=message):
+        load_dataset(*paths)
+
+
+def test_forecast_header_checked(tmp_path):
+    paths = write_forecast_fixture(tmp_path)
+    edit_line(paths[3], 1, set_field(2, "hour"))
+    with pytest.raises(DataError, match=r"forecasts\.csv: .*expected columns "
+                                        r"issue_date,target_date,target_hour,"
+                                        r"cloudiness,wind_speed,temperature"):
+        load_dataset(*paths)
+
+
+def test_hour_24_in_place_of_next_midnight_names_file_and_line(tmp_path):
+    paths = write_fixture_csvs(tmp_path, num_days=3)
+    edit_line(paths[0], 26, lambda line: "2020-01-01,24,200\n")  # day 1, hour 0
+    with pytest.raises(DataError, match=r"prices\.csv:26: hour 24 outside 0\.\.23"):
+        load_dataset(*paths)
+
+
+@pytest.mark.parametrize("column,value,message", [
+    (0, "x", r"profile\.csv:4: bad hour 'x'"),
+    (1, "abc", r"profile\.csv:4: bad value 'abc'"),
+])
+def test_bad_profile_row_names_file_and_line(tmp_path, column, value, message):
+    paths = write_fixture_csvs(tmp_path, num_days=3)
+    edit_line(paths[2], 4, set_field(column, value))
+    with pytest.raises(DataError, match=message):
+        load_dataset(*paths)
+
+
+@pytest.mark.parametrize("column,value,message", [
+    (2, "x", r"forecasts\.csv:7: bad target hour 'x'"),
+    (4, "abc", r"forecasts\.csv:7: bad wind_speed value 'abc'"),
+])
+def test_bad_forecast_row_names_file_and_line(tmp_path, column, value, message):
+    paths = write_forecast_fixture(tmp_path)
+    edit_line(paths[3], 7, set_field(column, value))
+    with pytest.raises(DataError, match=message):
+        load_dataset(*paths)
+
+
+def test_dataset_rejects_partial_forecast_day():
+    ds = with_perfect_forecasts(flat_dataset(num_days=60))
+    wind = ds.forecast_wind_speed.copy()
+    wind[40, 3] = math.nan
+    with pytest.raises(DataError, match=r"forecasts for 2020-02-15 miss hour 3 "
+                                        r"\(forecast_wind_speed on day 40"):
+        replace(ds, forecast_wind_speed=wind)
+
+
+def test_dataset_rejects_infinite_forecast_value():
+    ds = with_perfect_forecasts(flat_dataset(num_days=60))
+    temperature = ds.forecast_temperature.copy()
+    temperature[7, 20] = math.inf
+    with pytest.raises(DataError, match=r"2020-01-13 miss hour 20 "
+                                        r"\(forecast_temperature on day 7 is inf"):
+        replace(ds, forecast_temperature=temperature)
+
+
+def test_dataset_rejects_misshapen_forecast_array():
+    ds = with_perfect_forecasts(flat_dataset(num_days=60))
+    with pytest.raises(DataError, match=r"forecast_cloudiness array must have shape"):
+        replace(ds, forecast_cloudiness=ds.forecast_cloudiness[:, :10])
+
+
+def test_column_codec_finds_columns_by_name(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("extra,b,a\nx,1,0.5\n\ny,2,inf\n")
+    assert damod.read_columns(path, ("a", "b")) == [["0.5", "inf"], ["1", "2"]]
+    path.write_text("a,b\n1,2\n3\n")
+    with pytest.raises(DataError, match=r"t\.csv:3: too few fields"):
+        damod.read_columns(path, ("a", "b"))
+    with pytest.raises(ValueError):
+        damod.write_columns(path, ("a", "b"), [[1, 2], [3]])
+
+
+def test_column_codec_round_trips_floats_bit_for_bit(tmp_path):
+    values = [0.1, -0.0, 1e-300, math.inf, 2.0 / 3.0, 5e-324]
+    damod.write_columns(tmp_path / "t.csv", ("k", "v"), [list(range(6)), values])
+    keys, texts = damod.read_columns(tmp_path / "t.csv", ("k", "v"))
+    assert keys == [str(k) for k in range(6)]
+    assert [float(t).hex() for t in texts] == [v.hex() for v in values]
+
+
 def test_csv_round_trip_preserves_content(tmp_path, small_dataset):
     out = tmp_path / "out"
     paths = write_dataset(small_dataset, out)
@@ -144,8 +268,9 @@ def test_csv_round_trip_preserves_content(tmp_path, small_dataset):
     # day 0 has no forecast in either
     assert not loaded.forecast_available(0)
     for day in (1, 57, small_dataset.num_days - 1):
-        np.testing.assert_array_equal(loaded.forecast_block(day),
-                                      small_dataset.forecast_block(day))
+        for name in damod.FORECAST_FIELDS:
+            np.testing.assert_array_equal(getattr(loaded, name)[day],
+                                          getattr(small_dataset, name)[day])
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +322,9 @@ def test_generator_rejects_short_spans():
 def test_zero_sigma_forecast_equals_actual(small_dataset):
     ds = make_forecasts(small_dataset, ForecastSigmas(0.0, 0.0, 0.0), seed=4)
     for day in (1, 50, ds.num_days - 1):
-        block = ds.forecast_block(day)
-        np.testing.assert_array_equal(block[0], ds.cloudiness[day].astype(float))
-        np.testing.assert_array_equal(block[1], ds.wind_speed[day])
-        np.testing.assert_array_equal(block[2], ds.temperature[day])
+        np.testing.assert_array_equal(ds.forecast_cloudiness[day], ds.cloudiness[day].astype(float))
+        np.testing.assert_array_equal(ds.forecast_wind_speed[day], ds.wind_speed[day])
+        np.testing.assert_array_equal(ds.forecast_temperature[day], ds.temperature[day])
 
 
 def test_cloudiness_clipped_and_projected():

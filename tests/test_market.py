@@ -499,10 +499,10 @@ def test_observation_layout(small_dataset):
     assert month_block.sum() == 1.0 and weekday_block.sum() == 1.0
     assert month_block[ctx.month_index] == 1.0
     assert weekday_block[ctx.weekday] == 1.0
-    block = small_dataset.forecast_block(30)
-    np.testing.assert_allclose(obs[69:93], block[0] / 8.0)
-    np.testing.assert_allclose(obs[93:117], block[1] / config.max_wind_speed)
-    np.testing.assert_allclose(obs[117:141], (block[2] + 20.0) / 60.0)
+    np.testing.assert_allclose(obs[69:93], small_dataset.forecast_cloudiness[30] / 8.0)
+    np.testing.assert_allclose(obs[93:117],
+                               small_dataset.forecast_wind_speed[30] / config.max_wind_speed)
+    np.testing.assert_allclose(obs[117:141], (small_dataset.forecast_temperature[30] + 20.0) / 60.0)
 
 
 def test_observation_one_hot_positions():

@@ -1,0 +1,35 @@
+import math
+
+import numpy as np
+
+from dayahead.market import EnvConfig, TradingEnv, export_bid_outcomes, export_day_results
+from dayahead.reports import read_day_results
+from dayahead.strategies import TimingParams
+from dayahead.training import evaluate_strategy, fixed_action_strategy
+
+
+def test_exported_day_results_read_back_exactly(tmp_path, small_dataset):
+    """Timing days (buy price +inf) and black-box days survive the CSV round trip."""
+    env = TradingEnv(small_dataset, EnvConfig())
+    _, timing = evaluate_strategy(TimingParams(1.2, 0.8).bids, env, (90, 96), 0,
+                                  collect_results=True)
+    action = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 24))
+    _, blackbox = evaluate_strategy(fixed_action_strategy(action), env, (96, 102), 1,
+                                    collect_results=True)
+    results = timing + blackbox
+    assert any(o.bid.price == math.inf for r in timing for o in r.bid_outcomes)
+
+    export_day_results(results, tmp_path / "trace.csv")
+    export_bid_outcomes(results, tmp_path / "bids.csv")
+    loaded = read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv")
+
+    assert [r.day for r in loaded] == [r.day for r in results]
+    for got, want in zip(loaded, results):
+        for name in ("prices", "buy_volumes", "sell_volumes", "unscheduled_buys",
+                     "unscheduled_sells", "cash_deltas"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        np.testing.assert_array_equal(got.battery_trace[1:], want.battery_trace[1:])
+        assert [(o.bid.volume, o.bid.price, o.bid.side, o.bid.hour, o.accepted)
+                for o in got.bid_outcomes] == \
+               [(o.bid.volume, o.bid.price, o.bid.side, o.bid.hour, o.accepted)
+                for o in want.bid_outcomes]

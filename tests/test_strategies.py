@@ -7,7 +7,7 @@ from dayahead.market import BUY, SELL
 from dayahead.nets import init_policy
 from dayahead.strategies import (OpportunisticParams, TimingParams,
                                  blackbox_bids, load_strategy_params,
-                                 mean_action, opportunistic_bids,
+                                 log_density, mean_action, opportunistic_bids,
                                  sample_action, save_strategy_params,
                                  timing_bids)
 
@@ -163,7 +163,7 @@ def test_blackbox_rejects_bad_shape():
 def test_zero_noise_returns_mean_action():
     policy = init_policy(10, hidden_size=8, action_size=96, seed=3)
     obs = np.random.default_rng(0).normal(0, 1, 10)
-    action, _ = sample_action(policy, obs, np.zeros(96))
+    action = sample_action(policy, obs, np.zeros(96))
     np.testing.assert_allclose(action, mean_action(policy, obs))
 
 
@@ -174,8 +174,7 @@ def test_initial_log_std_gives_exploration_scale():
 
 def test_log_probability_at_mean():
     policy = init_policy(10, hidden_size=8, seed=3)
-    obs = np.zeros(10)
-    _, log_prob = sample_action(policy, obs, np.zeros(96))
+    log_prob = log_density(policy.log_std, np.zeros(96))
     expected = float(np.sum(-policy.log_std - 0.5 * math.log(2 * math.pi)))
     assert log_prob == pytest.approx(expected, abs=1e-12)
 
@@ -186,7 +185,7 @@ def test_log_probability_of_noise_draw():
     rng = np.random.default_rng(7)
     policy.log_std[:] = rng.uniform(-1.5, 0.5, 96)
     xi = rng.normal(0, 1, 96)
-    _, log_prob = sample_action(policy, np.zeros(6), xi)
+    log_prob = log_density(policy.log_std, xi)
     sigma = np.exp(policy.log_std)
     expected = np.sum(-np.log(sigma * math.sqrt(2 * math.pi)) - 0.5 * xi ** 2)
     assert log_prob == pytest.approx(float(expected), abs=1e-10)
@@ -194,9 +193,9 @@ def test_log_probability_of_noise_draw():
 
 def test_sampled_action_is_clipped():
     policy = init_policy(6, hidden_size=8, seed=1)
-    action, _ = sample_action(policy, np.zeros(6), np.full(96, 40.0))
+    action = sample_action(policy, np.zeros(6), np.full(96, 40.0))
     assert np.all(action <= 3.0)
-    action, _ = sample_action(policy, np.zeros(6), np.full(96, -40.0))
+    action = sample_action(policy, np.zeros(6), np.full(96, -40.0))
     assert np.all(action >= -3.0)
 
 
