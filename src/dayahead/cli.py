@@ -412,7 +412,7 @@ def cmd_report(args) -> int:
             bids = os.path.join(run_dir, f"seed{seed}", "bids.csv")
             if not os.path.exists(trace):
                 raise MissingArtifact(f"missing trace {trace}")
-            seed_results.append(reportsmod.read_day_results(trace, bids))
+            seed_results.append(reportsmod.read_day_results(trace, bids, window))
         reportsmod.write_battery_trace(seed_results, window,
                                        os.path.join(args.out, f"trace_battery_{name}.csv"))
         best_idx = int(np.argmax(result["incomes"]))

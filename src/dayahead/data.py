@@ -61,6 +61,9 @@ class ConsumptionProfile:
         self.avg_per_household = np.asarray(self.avg_per_household, dtype=float)
         if self.avg_per_household.shape != (HOURS_PER_DAY,):
             raise DataError("consumption profile must have exactly 24 hourly values")
+        bad = np.flatnonzero(~np.isfinite(self.avg_per_household))
+        if bad.size:
+            raise DataError(f"consumption profile: non-finite value at hour {bad[0]}")
         if np.any(self.avg_per_household < 0):
             raise DataError("consumption profile values must be nonnegative")
 
@@ -119,9 +122,6 @@ class Dataset:
         if np.any(self.wind_speed < 0):
             raise DataError("wind speed must be nonnegative")
         self._check_forecasts()
-        dates = [self.start_date + dt.timedelta(days=i) for i in range(shape[0])]
-        self._weekdays = np.array([date.weekday() for date in dates], dtype=int)
-        self._months = np.array([date.month for date in dates], dtype=int)
         self._pbar_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _check_forecasts(self) -> None:
@@ -148,12 +148,6 @@ class Dataset:
 
     def date_of(self, day: int) -> dt.date:
         return self.start_date + dt.timedelta(days=int(day))
-
-    def weekday_of(self, day: int) -> int:
-        return int(self._weekdays[day])
-
-    def month_of(self, day: int) -> int:
-        return int(self._months[day])
 
     @property
     def has_forecasts(self) -> bool:
@@ -305,9 +299,14 @@ def _read_hourly_csv(path, header: tuple[str, ...]):
 
 def _read_profile_csv(path) -> np.ndarray:
     hour_texts, value_texts = read_columns(path, PROFILE_HEADER)
+    hours = _parse_hours(path, hour_texts)
+    values = _parse(float, value_texts, lambda i: f"{path}:{i + 2}: bad value {value_texts[i]!r}")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(f"{path}:{i + 2}: non-finite value {value_texts[i]!r} for hour {hours[i]}")
     profile = np.full(HOURS_PER_DAY, np.nan)
-    profile[_parse_hours(path, hour_texts)] = _parse(
-        float, value_texts, lambda i: f"{path}:{i + 2}: bad value {value_texts[i]!r}")
+    profile[hours] = values
     if np.any(np.isnan(profile)):
         raise DataError(f"{path}: profile must define all 24 hours")
     return profile

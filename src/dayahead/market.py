@@ -12,10 +12,11 @@ sells at half of it.
 Because the prosumer is assumed too small to move market prices, replaying
 the price/weather tape while simulating only the battery gives an unbiased
 evaluation of any bidding strategy.  The inner loops run on plain floats;
-everything that can be precomputed per dataset (production tables, normalized
-observation blocks, rolling price medians) is cached up front, which keeps a
-simulated day in the tens of microseconds.  Build one :class:`TradingEnv`
-per dataset and configuration and reuse it: ``reset`` restarts an episode.
+production tables, normalized observation blocks, the decision calendar and
+rolling price medians are cached per dataset, and the consumption tape per
+episode, which keeps a simulated day in the tens of microseconds.  Build one
+:class:`TradingEnv` per dataset and configuration and reuse it: ``reset``
+restarts an episode.
 
 Each simulator rule lives in one place:
 
@@ -23,6 +24,8 @@ Each simulator rule lives in one place:
   balance: :func:`hourly_production`;
 * battery netting and penalty settlement, for the simulated hours and the
   midnight estimate: ``TradingEnv._net_hours``;
+* consumption ``households * profile * |1 + rho|``, with the noise drawn
+  once per episode: the consumption tape built by ``TradingEnv.reset``;
 * the per-hour rolling median price: :func:`rolling_price_stats`;
 * volume rounding to the market step: :func:`round_volume`;
 * the deliverable days of a day range: :func:`delivery_window`;
@@ -47,7 +50,6 @@ SELL = "sell"
 
 MARKET_VOLUME_STEP = 0.1  # minimum tradeable volume [MWh]
 FIRST_DELIVERY_DAY = 2  # after a decision day, which needs a forecast (from day 1)
-_NO_NOISE = [0.0] * HOURS_PER_DAY  # consumption at its mean, for the midnight estimate
 
 
 def round_volume(volume: float) -> float:
@@ -316,14 +318,15 @@ def export_bid_outcomes(results: list[DayResult], path) -> None:
 class TradingEnv:
     """Replay-driven day-step trading environment.
 
-    ``reset(start_day, rng)`` positions the simulation at the decision point
-    on ``start_day - 1`` (with an empty inherited schedule), takes ``rng`` as
-    the episode's consumption noise, and returns the context for bidding on
-    ``start_day``.  Each ``step(bids)`` clears the bids against the next
-    delivery day, simulates its 24 hours, and returns the decision context
-    for the following day, the day's profit, and the full :class:`DayResult`.  ``done`` is signalled when the replay tape runs out
-    of forecast data for the next decision.  ``collect=False`` skips the
-    per-day trace, which roughly halves the cost of training rollouts.
+    ``reset(start_day, rng, days)`` positions the simulation at the decision
+    point on ``start_day - 1`` (with an empty inherited schedule), draws the
+    consumption noise of ``days`` delivery days from ``rng``, and returns the
+    context for bidding on ``start_day``.  Each ``step(bids)`` clears the
+    bids against the next delivery day, simulates its 24 hours, and returns
+    the next decision context, the day's profit, the full :class:`DayResult`
+    and ``done``, signalled when the replay tape runs out of forecast data
+    for the next decision; stepping beyond ``days`` raises.  ``collect=False``
+    skips the per-day trace, which roughly halves the cost of rollouts.
     """
 
     def __init__(self, dataset: Dataset, config: EnvConfig | None = None):
@@ -333,18 +336,24 @@ class TradingEnv:
         self._production = hourly_production(dataset.cloudiness, dataset.wind_speed, cfg)
         self._production_rows = self._production.tolist()
         self._price_rows = dataset.prices.tolist()
-        self._prices = _read_only(dataset.prices)
         self._profile = _read_only(dataset.profile.avg_per_household)
-        self._base_consumption_list = (cfg.households
-                                       * dataset.profile.avg_per_household).tolist()
+        self._zero_noise_consumption = (cfg.households
+                                        * dataset.profile.avg_per_household).tolist()
         self._price_scale = cfg.price_scale or self._default_price_scale()
-        self._prices_norm = _read_only(dataset.prices / self._price_scale)
         profile_max = dataset.profile.avg_per_household.max()
         self._profile_norm = _read_only(dataset.profile.avg_per_household / profile_max
                                        if profile_max > 0 else np.zeros(HOURS_PER_DAY))
+        # The decision calendar and the read-only rows each context hands out.
+        self._calendar = [(date, date.month - 1, date.weekday())
+                          for date in map(dataset.date_of, range(dataset.num_days))]
+        self._price_views = list(_read_only(dataset.prices))
+        self._prices_norm_views = list(_read_only(dataset.prices / self._price_scale))
+        self._forecast_ok = [dataset.forecast_available(d) for d in range(dataset.num_days)]
+        self._forecast_ok.append(False)  # sentinel for day num_days
+        self._forecast_views = [None] * len(self._forecast_ok)  # None: no forecast that day
         if dataset.has_forecasts:
             t_lo, t_hi = cfg.temperature_range
-            self._forecast_norm = _read_only(np.concatenate(
+            forecast_norm = _read_only(np.concatenate(
                 [
                     dataset.forecast_cloudiness / 8.0,
                     dataset.forecast_wind_speed / cfg.max_wind_speed,
@@ -352,13 +361,12 @@ class TradingEnv:
                 ],
                 axis=1,
             ))
+            self._forecast_views[:-1] = [row if ok else None for row, ok
+                                         in zip(forecast_norm, self._forecast_ok)]
             self._forecast_production_rows = hourly_production(
                 dataset.forecast_cloudiness, dataset.forecast_wind_speed, cfg).tolist()
         else:
-            self._forecast_norm = None
             self._forecast_production_rows = None
-        self._forecast_ok = [dataset.forecast_available(d) for d in range(dataset.num_days)]
-        self._forecast_ok.append(False)  # sentinel for day num_days
         self.charge = cfg.initial_charge * cfg.battery_capacity
         self._next_day: int | None = None
         self._schedule_buys = [0.0] * HOURS_PER_DAY
@@ -377,34 +385,43 @@ class TradingEnv:
 
     # -- episode control ----------------------------------------------------
 
-    def reset(self, start_day: int, rng: np.random.Generator | int) -> DecisionContext:
-        """Start an episode whose first delivery day is ``start_day``.
+    def reset(self, start_day: int, rng: np.random.Generator | int,
+              days: int) -> DecisionContext:
+        """Start an episode of ``days`` delivery days from ``start_day``.
 
         Needs one prior day for the decision context and a forecast for that
-        prior day (forecasts exist from day 1), so ``start_day >= 2``.  The
-        episode draws its consumption noise from ``rng``, a generator (used
-        as is, so its stream continues) or an integer seed.
+        prior day (forecasts exist from day 1), so ``start_day >= 2``; the
+        episode must end within the dataset.  Its consumption noise is drawn
+        here in one call from ``rng``, a generator (used as is, so its stream
+        continues as if drawn day by day) or an integer seed.
         """
         if start_day < FIRST_DELIVERY_DAY:
             raise ValueError(f"start_day must be at least {FIRST_DELIVERY_DAY}")
-        if start_day >= self.dataset.num_days:
-            raise ValueError("start_day beyond the dataset")
+        if not 0 <= days <= self.dataset.num_days - start_day:
+            raise ValueError(f"an episode of {days} days from day {start_day} "
+                             f"does not fit the dataset's {self.dataset.num_days} days")
         if not self.dataset.forecast_available(start_day):
             raise ValueError(f"no forecast for day {start_day}; generate forecasts first")
         cfg = self.config
-        self._rng = np.random.default_rng(rng)
+        decision_day = start_day - 1
+        # Row 0 of the tape is the decision day, of which only the hours
+        # from the action hour on are simulated; row k is the k-th delivery day.
+        rho = np.zeros((days + 1, HOURS_PER_DAY))
+        rho.flat[cfg.action_hour:] = np.random.default_rng(rng).normal(
+            0.0, cfg.consumption_noise_std, rho.size - cfg.action_hour)
+        self._consumption_rows = np.multiply(self._zero_noise_consumption, abs(1.0 + rho)).tolist()
+        self._tape_day, self._end_day = decision_day, start_day + days
         self.charge = cfg.initial_charge * cfg.battery_capacity
         self._next_day = start_day
         self._schedule_buys = [0.0] * HOURS_PER_DAY
         self._schedule_sells = [0.0] * HOURS_PER_DAY
-        decision_day = start_day - 1
         ctx = self._build_context(decision_day)
         # Play out the remainder of the decision day with no scheduled bids so
         # the realized midnight level follows the same dynamics the estimator
         # assumes.
-        rho = self._rng.normal(0.0, cfg.consumption_noise_std,
-                               HOURS_PER_DAY - cfg.action_hour).tolist()
-        self._simulate_hours(decision_day, cfg.action_hour, HOURS_PER_DAY, rho, None)
+        self.charge, _ = self._net_hours(self.charge, decision_day, cfg.action_hour,
+                                         HOURS_PER_DAY, self._production_rows[decision_day],
+                                         self._consumption_rows[0], None)
         return ctx
 
     def step(self, bids: list[Bid], collect: bool = True, trusted: bool = False
@@ -412,8 +429,9 @@ class TradingEnv:
         if self._next_day is None:
             raise RuntimeError("call reset() before step()")
         day = self._next_day
-        if day >= self.dataset.num_days:
-            raise RuntimeError("replay tape exhausted; reset() the environment")
+        if day >= self._end_day:
+            raise RuntimeError(f"the episode ended with day {self._end_day - 1}; "
+                               "reset() the environment")
         prices = self._price_rows[day]
 
         outcomes: list[BidOutcome] = []
@@ -458,18 +476,20 @@ class TradingEnv:
             result = None
 
         action_hour = self.config.action_hour
-        # One draw for the whole day yields the same stream as one per stretch.
-        rho = self._rng.normal(0.0, self.config.consumption_noise_std, HOURS_PER_DAY).tolist()
+        production = self._production_rows[day]
+        consumption = self._consumption_rows[day - self._tape_day]
         self._schedule_buys = buy_vol
         self._schedule_sells = sell_vol
-        reward = self._simulate_hours(day, 0, action_hour, rho[:action_hour], result)
+        self.charge, reward = self._net_hours(self.charge, day, 0, action_hour, production,
+                                              consumption, result)
 
         # Decision snapshot for the *next* delivery day, taken mid-delivery.
         done = not self._forecast_ok[day + 1]
         ctx = None if done else self._build_context(day)
 
-        reward += self._simulate_hours(day, action_hour, HOURS_PER_DAY, rho[action_hour:],
-                                       result)
+        self.charge, cash = self._net_hours(self.charge, day, action_hour, HOURS_PER_DAY,
+                                            production, consumption, result)
+        reward += cash
         if result is not None:
             result.reward = reward
         self._next_day = day + 1
@@ -481,26 +501,18 @@ class TradingEnv:
 
     # -- internals ----------------------------------------------------------
 
-    def _simulate_hours(self, day: int, hour_lo: int, hour_hi: int,
-                        rho: list[float], result: DayResult | None) -> float:
-        """Advance the battery through hours ``hour_lo..hour_hi`` of ``day``
-        with actual production and the drawn consumption noise ``rho``."""
-        self.charge, cash = self._net_hours(self.charge, day, hour_lo, hour_hi,
-                                            self._production_rows[day], rho, result)
-        return cash
-
     def _net_hours(self, charge: float, day: int, hour_lo: int, hour_hi: int,
-                   production: list[float], rho: list[float],
+                   production: list[float], consumption: list[float],
                    result: DayResult | None) -> tuple[float, float]:
         """Net one stretch of hours against the battery; the only battery rule.
 
         Each hour ``h`` nets ``production[h]`` and the scheduled trades of
-        ``day`` against consumption ``base[h] * |1 + rho[h - hour_lo]|``.  A
-        surplus charges the battery with losses on the way in, a deficit
-        drains it; what the battery cannot absorb or supply is settled at the
-        penalty prices.  Returns the final charge and the cash earned.  The
-        simulator passes actual production and drawn noise, the midnight
-        estimate forecast production and zero noise.
+        ``day`` against ``consumption[h]``.  A surplus charges the battery
+        with losses on the way in, a deficit drains it; what the battery
+        cannot absorb or supply is settled at the penalty prices.  Returns
+        the final charge and the cash earned.  The simulator passes actual
+        production and a row of the consumption tape, the midnight estimate
+        forecast production and the zero-noise consumption row.
         """
         cfg = self.config
         capacity = cfg.battery_capacity
@@ -508,12 +520,11 @@ class TradingEnv:
         buy_mult = cfg.penalty_buy_multiplier
         sell_mult = cfg.penalty_sell_multiplier
         prices = self._price_rows[day]
-        base_cons = self._base_consumption_list
         buy_vol = self._schedule_buys
         sell_vol = self._schedule_sells
         cash = 0.0
-        for h, r in zip(range(hour_lo, hour_hi), rho):
-            cons = base_cons[h] * abs(1.0 + r)
+        for h in range(hour_lo, hour_hi):
+            cons = consumption[h]
             buy = buy_vol[h]
             sell = sell_vol[h]
             price = prices[h]
@@ -558,25 +569,22 @@ class TradingEnv:
 
     def _build_context(self, decision_day: int) -> DecisionContext:
         cfg = self.config
-        dataset = self.dataset
-        est = self.estimate_midnight_level(decision_day)
-        next_day = decision_day + 1
-        has_next = self._forecast_ok[next_day]
+        date, month_index, weekday = self._calendar[decision_day]
         return DecisionContext(
             day=decision_day,
-            date=dataset.date_of(decision_day),
-            prices_today=self._prices[decision_day],
+            date=date,
+            prices_today=self._price_views[decision_day],
             rel_charge=self.charge / cfg.battery_capacity,
-            est_midnight=est,
-            month_index=dataset.month_of(decision_day) - 1,
-            weekday=dataset.weekday_of(decision_day),
-            pbar=rolling_price_stats(dataset, decision_day, cfg.price_stat_window),
+            est_midnight=self.estimate_midnight_level(decision_day),
+            month_index=month_index,
+            weekday=weekday,
+            pbar=rolling_price_stats(self.dataset, decision_day, cfg.price_stat_window),
             vbar=cfg.max_hourly_production,
             profile=self._profile,
             households=cfg.households,
-            _prices_norm=self._prices_norm[decision_day],
+            _prices_norm=self._prices_norm_views[decision_day],
             _profile_norm=self._profile_norm,
-            _forecast_norm=self._forecast_norm[next_day] if has_next else None,
+            _forecast_norm=self._forecast_views[decision_day + 1],
         )
 
     def estimate_midnight_level(self, decision_day: int) -> float:
@@ -584,13 +592,13 @@ class TradingEnv:
 
         Runs the battery rule over the remaining hours of the decision day
         with the already cleared bid schedule, production implied by the
-        day's weather forecast, and consumption noise at its mean of zero.
+        day's weather forecast, and consumption at its mean (zero noise).
         """
         if self._forecast_production_rows is None or not self._forecast_ok[decision_day]:
             raise ValueError(f"no forecast available for day {decision_day}")
         charge, _ = self._net_hours(self.charge, decision_day, self.config.action_hour,
                                     HOURS_PER_DAY, self._forecast_production_rows[decision_day],
-                                    _NO_NOISE, None)
+                                    self._zero_noise_consumption, None)
         return charge / self.config.battery_capacity
 
 

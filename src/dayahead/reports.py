@@ -133,21 +133,24 @@ def write_unscheduled_trace(results: list[DayResult], window: tuple[int, int], p
         _window_results(results, window), "unscheduled_buys", "unscheduled_sells"))
 
 
-def read_day_results(trace_path, bids_path=None) -> list[DayResult]:
-    """Rebuild day results from exported trace/bids CSVs, for report assembly.
+def read_day_results(trace_path, bids_path, window: tuple[int, int]) -> list[DayResult]:
+    """Rebuild the day results of ``window`` from exported trace/bids CSVs,
+    for report assembly; ``bids_path`` may be None or missing.
 
-    Only the columns the trace writers use are recovered; production and
-    consumption stay zero.
+    Only the rows of the window's days are converted.  Only the columns the
+    trace writers use are recovered; production and consumption stay zero.
+    A day of the window that the files lack is left out, for the trace
+    writers to report.
     """
     import os
 
     day_texts, hour_texts, *value_texts = read_columns(trace_path, DAY_RESULT_HEADER)
-    days, inverse = np.unique(np.fromiter(map(int, day_texts), int, len(day_texts)),
-                              return_inverse=True)
-    hours = np.fromiter(map(int, hour_texts), int, len(hour_texts))
+    rows, row_days = _window_rows(day_texts, window)
+    days, inverse = np.unique(row_days, return_inverse=True)
+    hours = np.array([int(hour_texts[i]) for i in rows], dtype=int)
     tables = np.zeros((len(value_texts), days.size, HOURS_PER_DAY))
     for table, texts in zip(tables, value_texts):
-        table[inverse, hours] = np.fromiter(map(float, texts), float, len(texts))
+        table[inverse, hours] = [float(texts[i]) for i in rows]
     del day_texts, hour_texts, value_texts  # before the bids file is read
     prices, buys, sells, uns_buys, uns_sells, levels, cash = tables
     battery = np.full((days.size, HOURS_PER_DAY + 1), np.nan)
@@ -162,10 +165,17 @@ def read_day_results(trace_path, bids_path=None) -> list[DayResult]:
     if bids_path and os.path.exists(bids_path):
         day_texts, hour_texts, sides, volumes, prices, accepted = read_columns(
             bids_path, BID_OUTCOME_HEADER)
-        for day, hour, side, volume, price, ok in zip(
-                list(map(int, day_texts)), list(map(int, hour_texts)), sides,
-                list(map(float, volumes)), list(map(float, prices)), list(map(int, accepted))):
+        for i, day in zip(*_window_rows(day_texts, window)):
             if day in results:
-                results[day].bid_outcomes.append(BidOutcome(Bid(volume, price, side, hour),
-                                                             bool(ok)))
+                results[day].bid_outcomes.append(BidOutcome(
+                    Bid(float(volumes[i]), float(prices[i]), sides[i], int(hour_texts[i])),
+                    bool(int(accepted[i]))))
     return list(results.values())
+
+
+def _window_rows(day_texts: list[str], window: tuple[int, int]) -> tuple[list[int], np.ndarray]:
+    """Indices and days of the rows whose day lies in ``window``."""
+    lo, hi = window
+    days = np.fromiter(map(int, day_texts), int, len(day_texts))
+    rows = np.flatnonzero((days >= lo) & (days < hi))
+    return rows.tolist(), days[rows]

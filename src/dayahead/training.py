@@ -59,15 +59,16 @@ def evaluate_strategy(bids_fn, env: TradingEnv, day_range: tuple[int, int],
                       seed: int, collect_results: bool = False):
     """Cumulative profit of ``bids_fn`` over the delivery days in ``day_range``.
 
-    Deterministic per seed: the episode restarts with consumption noise
-    seeded from ``seed``, so one environment serves any number of
-    evaluations; the strategy itself must be a pure function of the
-    context.  With ``collect_results`` the per-day traces are returned
-    as well.  Bids are trusted (not re-validated): strategies built from
-    this package emit compliant volumes by construction.
+    Deterministic per seed: an episode of ``hi - lo`` days restarts with
+    consumption noise seeded from ``seed``, so one environment serves any
+    number of evaluations; the strategy itself must be a pure function of
+    the context.  It ends early where the forecasts do.  With
+    ``collect_results`` the per-day traces are returned as well.  Bids are
+    trusted (not re-validated): strategies built from this package emit
+    compliant volumes by construction.
     """
     lo, hi = day_range
-    ctx = env.reset(lo, seed)
+    ctx = env.reset(lo, seed, hi - lo)
     total = 0.0
     results: list[DayResult] = []
     for _ in range(lo, hi):
@@ -266,7 +267,7 @@ def _rollout(env: TradingEnv, policy: PolicyParams, start_day: int,
     """Roll the stochastic policy for ``n_steps`` days from ``start_day``,
     with consumption noise from ``env_rng`` and exploration noise from
     ``noise_rng``."""
-    ctx = env.reset(start_day, env_rng)
+    ctx = env.reset(start_day, env_rng, n_steps)
     obs = np.empty((n_steps, policy.input_size))
     noise = np.empty((n_steps, policy.action_size))
     rewards = np.empty(n_steps)

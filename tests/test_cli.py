@@ -204,6 +204,18 @@ def test_evaluate_on_hour_24_row_exits_2(tmp_path, capsys):
     assert "prices.csv:26: hour 24 outside 0..23" in capsys.readouterr().err
 
 
+def test_evaluate_with_infinite_profile_hour_exits_2(tmp_path, capsys):
+    data = tmp_path / "d"
+    assert main(["generate-data", "--seed", "3", "--days", "60", "--out", str(data)]) == 0
+    lines = (data / "profile.csv").read_text().splitlines(keepends=True)
+    lines[3] = "2,inf\n"
+    (data / "profile.csv").write_text("".join(lines))
+    code = main(["evaluate", "--zero-action", "--data", str(data), "--seeds", "0",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "profile.csv:4: non-finite value 'inf' for hour 2" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------

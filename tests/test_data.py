@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from dayahead import data as damod
-from dayahead.data import (DataError, ForecastSigmas, generate_synthetic_dataset,
+from dayahead.data import (ConsumptionProfile, DataError, ForecastSigmas,
+                           generate_synthetic_dataset,
                            load_dataset, make_forecasts, split_dataset,
                            write_dataset)
 
@@ -194,12 +195,22 @@ def test_hour_24_in_place_of_next_midnight_names_file_and_line(tmp_path):
 @pytest.mark.parametrize("column,value,message", [
     (0, "x", r"profile\.csv:4: bad hour 'x'"),
     (1, "abc", r"profile\.csv:4: bad value 'abc'"),
+    (1, "inf", r"profile\.csv:4: non-finite value 'inf' for hour 2"),
+    (1, "nan", r"profile\.csv:4: non-finite value 'nan' for hour 2"),
 ])
 def test_bad_profile_row_names_file_and_line(tmp_path, column, value, message):
     paths = write_fixture_csvs(tmp_path, num_days=3)
     edit_line(paths[2], 4, set_field(column, value))
     with pytest.raises(DataError, match=message):
         load_dataset(*paths)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_consumption_profile_rejects_non_finite_hour(value):
+    values = np.full(24, 0.0002)
+    values[5] = value
+    with pytest.raises(DataError, match="non-finite value at hour 5"):
+        ConsumptionProfile(values)
 
 
 @pytest.mark.parametrize("column,value,message", [

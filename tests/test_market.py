@@ -10,6 +10,8 @@ from dayahead.cli import ENV_CONFIG_KEYS, env_config_from, load_config
 from dayahead.market import (BUY, SELL, Bid, EnvConfig, TradingEnv, clear_bid,
                              hourly_production, reference_balance,
                              rolling_price_stats, round_volume)
+from dayahead.strategies import TimingParams
+from dayahead.training import evaluate_strategy
 
 from conftest import flat_dataset, with_perfect_forecasts
 
@@ -94,7 +96,7 @@ class ConstantNoise(np.random.Generator):
 def day_consumption(households, rho):
     """Simulated consumption of one delivery day at 0.002 MWh per household-hour."""
     env = make_env(flat_dataset(profile=np.full(24, 0.002)), quiet_config(households=households))
-    env.reset(2, rng=ConstantNoise(rho))
+    env.reset(2, rng=ConstantNoise(rho), days=1)
     return env.step([])[2].consumption
 
 
@@ -184,7 +186,7 @@ def test_step_balanced_flows_no_bids():
     profile = np.full(24, 0.0004)  # 100 households -> 0.04 MWh/h
     ds = flat_dataset(num_days=6, cloudiness=4, wind=0.0, profile=profile)
     env = make_env(ds, quiet_config())  # solar at c=4 is exactly 0.04
-    env.reset(2, rng=0)
+    env.reset(2, rng=0, days=1)
     ctx, reward, result, done = env.step([])
     assert reward == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(result.battery_trace, 0.0, atol=1e-12)
@@ -194,7 +196,7 @@ def test_step_single_buy_charges_battery_with_losses():
     """0.5 MWh bought at 200: cash -100, battery gains 0.425 at 85% efficiency."""
     ds = flat_dataset(num_days=6, price=200.0)  # no production, no consumption
     env = make_env(ds, quiet_config())
-    env.reset(2, rng=0)
+    env.reset(2, rng=0, days=1)
     bids = [Bid(0.5, math.inf, BUY, 9)]
     ctx, reward, result, done = env.step(bids)
     assert reward == pytest.approx(-100.0, abs=1e-9)
@@ -210,7 +212,7 @@ def test_step_full_battery_overflow_sells_at_half_price():
     ds = flat_dataset(num_days=6, price=300.0, cloudiness=4, profile=profile)
     # cloudiness 4 -> production 0.04 MWh/h; buy 0.16 more in one hour = 0.2 surplus
     env = make_env(ds, quiet_config(initial_charge=1.0))
-    env.reset(2, rng=0)
+    env.reset(2, rng=0, days=1)
     bids = [Bid(0.2, math.inf, BUY, 5)]
     ctx, reward, result, done = env.step(bids)
     # every hour also overflows its 0.04 MWh of production
@@ -225,7 +227,7 @@ def test_step_empty_battery_deficit_buys_at_double_price():
     profile = np.full(24, 0.0005)  # 0.05 MWh consumption per hour, no production
     ds = flat_dataset(num_days=6, price=100.0, profile=profile)
     env = make_env(ds, quiet_config())
-    env.reset(2, rng=0)
+    env.reset(2, rng=0, days=1)
     ctx, reward, result, done = env.step([])
     np.testing.assert_allclose(result.unscheduled_buys, 0.05, atol=1e-12)
     assert reward == pytest.approx(-24 * 0.05 * 200.0, abs=1e-9)
@@ -234,7 +236,7 @@ def test_step_empty_battery_deficit_buys_at_double_price():
 def test_bids_execute_at_market_price_not_bid_price():
     ds = flat_dataset(num_days=6, price=180.0)
     env = make_env(ds, quiet_config())
-    env.reset(2, rng=0)
+    env.reset(2, rng=0, days=1)
     # buy limit far above market still pays market price
     ctx, reward, result, done = env.step([Bid(0.5, 9_999.0, BUY, 0),
                                           Bid(0.4, 10.0, SELL, 1)])
@@ -247,7 +249,7 @@ def test_bids_execute_at_market_price_not_bid_price():
 def test_rejected_bids_do_not_trade():
     ds = flat_dataset(num_days=6, price=180.0)
     env = make_env(ds, quiet_config())
-    env.reset(2, rng=0)
+    env.reset(2, rng=0, days=1)
     ctx, reward, result, done = env.step([Bid(0.5, 100.0, BUY, 0),    # below market
                                           Bid(0.4, 300.0, SELL, 1)])  # above market
     assert reward == pytest.approx(0.0, abs=1e-12)
@@ -257,13 +259,13 @@ def test_rejected_bids_do_not_trade():
 def test_step_rejects_malformed_bids():
     ds = flat_dataset(num_days=6)
     env = make_env(ds, quiet_config())
-    env.reset(2, rng=0)
+    env.reset(2, rng=0, days=1)
     with pytest.raises(ValueError, match="multiple"):
         env.step([Bid(0.15, 100.0, BUY, 0)])
-    env.reset(2, rng=0)
+    env.reset(2, rng=0, days=1)
     with pytest.raises(ValueError, match="hour"):
         env.step([Bid(0.1, 100.0, BUY, 24)])
-    env.reset(2, rng=0)
+    env.reset(2, rng=0, days=1)
     with pytest.raises(ValueError, match="side"):
         env.step([Bid(0.1, 100.0, "hold", 0)])
 
@@ -272,7 +274,7 @@ def test_step_rejects_malformed_bids():
 def test_step_rejects_non_finite_volume(volume):
     """Untrusted non-finite volumes fail validation like any malformed bid."""
     env = make_env(flat_dataset(num_days=6), quiet_config())
-    env.reset(2, rng=0)
+    env.reset(2, rng=0, days=1)
     with pytest.raises(ValueError, match="finite"):
         env.step([Bid(volume, 100.0, BUY, 0)])
 
@@ -280,7 +282,7 @@ def test_step_rejects_non_finite_volume(volume):
 def test_done_at_replay_end():
     ds = flat_dataset(num_days=6)
     env = make_env(ds, quiet_config())
-    env.reset(4, rng=0)
+    env.reset(4, rng=0, days=2)
     ctx, _, _, done = env.step([])       # delivery day 4, next ctx for day 5
     assert not done and ctx is not None
     ctx, _, _, done = env.step([])       # delivery day 5, day 6 does not exist
@@ -304,7 +306,7 @@ def random_bids(rng):
 def run_randomized_days(dataset, config, num_days, seed):
     env = TradingEnv(dataset, config)
     rng = np.random.default_rng(seed + 1)
-    env.reset(2, rng=seed)
+    env.reset(2, rng=seed, days=num_days)
     results = []
     for _ in range(num_days):
         ctx, reward, result, done = env.step(random_bids(rng))
@@ -352,6 +354,51 @@ def test_determinism_of_day_results(year_dataset):
         np.testing.assert_array_equal(ra.consumption, rb.consumption)
 
 
+def reference_consumption(ref, config, profile, days):
+    """Consumption of ``days`` delivery days by the per-stretch rule: draw the
+    rest of the decision day, then 24 values per day, and scale the mean
+    ``households * profile`` by ``|1 + rho|`` hour by hour."""
+    base = (config.households * profile).tolist()
+    std = config.consumption_noise_std
+    ref.normal(0.0, std, 24 - config.action_hour)
+    return [[base[h] * abs(1.0 + r) for h, r in enumerate(ref.normal(0.0, std, 24).tolist())]
+            for _ in range(days)]
+
+
+def test_consumption_tape_matches_per_day_draws(small_dataset):
+    config = EnvConfig()
+    env = TradingEnv(small_dataset, config)
+    _, results = evaluate_strategy(TimingParams(1.2, 0.8).bids, env, (30, 60), 5,
+                                   collect_results=True)
+    want = reference_consumption(np.random.default_rng(5), config,
+                                 small_dataset.profile.avg_per_household, 30)
+    assert [res.consumption.tolist() for res in results] == want
+
+
+def test_episode_leaves_generator_where_per_day_draws_did(small_dataset):
+    """A2C's rollouts continue one generator across episodes."""
+    config = EnvConfig()
+    env = TradingEnv(small_dataset, config)
+    stream, ref = np.random.default_rng(7), np.random.default_rng(7)
+    profile = small_dataset.profile.avg_per_household
+    for start, days in ((30, 10), (50, 4)):
+        env.reset(start, stream, days)
+        got = [env.step([])[2].consumption.tolist() for _ in range(days)]
+        assert got == reference_consumption(ref, config, profile, days)
+    assert stream.normal() == ref.normal()
+
+
+def test_step_past_episode_raises(small_dataset):
+    env = TradingEnv(small_dataset, EnvConfig())
+    env.reset(30, 0, 2)
+    env.step([])
+    env.step([])
+    with pytest.raises(RuntimeError, match="episode ended with day 31"):
+        env.step([])
+    with pytest.raises(ValueError, match="does not fit"):
+        env.reset(110, 0, small_dataset.num_days - 109)
+
+
 def test_replay_purity(year_dataset):
     before = year_dataset.content_hash()
     run_randomized_days(year_dataset, EnvConfig(), 60, seed=9)
@@ -366,7 +413,7 @@ def test_strategies_cannot_write_the_replay_tape(small_dataset):
     def income(tamper):
         env = TradingEnv(ds, EnvConfig())
         rng = np.random.default_rng(5)
-        ctx = env.reset(30, rng=4)
+        ctx = env.reset(30, rng=4, days=20)
         total = 0.0
         for _ in range(20):
             if tamper:
@@ -389,7 +436,7 @@ def test_strategies_cannot_write_the_replay_tape(small_dataset):
 def test_estimate_no_flows_keeps_level():
     ds = flat_dataset(num_days=6)  # no production, no consumption
     env = make_env(ds, quiet_config(initial_charge=0.4))
-    ctx = env.reset(2, rng=0)
+    ctx = env.reset(2, rng=0, days=1)
     assert ctx.est_midnight == pytest.approx(0.4, abs=1e-12)
 
 
@@ -397,7 +444,7 @@ def test_estimate_single_sell_empties_battery():
     """Selling exactly the stored energy at 11 pm projects an empty battery."""
     ds = flat_dataset(num_days=6, price=250.0)
     env = make_env(ds, quiet_config(initial_charge=0.4))  # 0.8 MWh stored
-    env.reset(2, rng=0)
+    env.reset(2, rng=0, days=1)
     ctx, _, result, _ = env.step([Bid(0.8, 0.0, SELL, 23)])
     assert ctx.est_midnight == pytest.approx(0.0, abs=1e-12)
     assert result.battery_trace[24] == pytest.approx(0.0, abs=1e-12)
@@ -409,7 +456,7 @@ def test_estimate_matches_realized_level_without_noise(small_dataset):
     config = EnvConfig(consumption_noise_std=0.0)
     env = TradingEnv(ds, config)
     rng = np.random.default_rng(3)
-    ctx = env.reset(40, rng=0)
+    ctx = env.reset(40, rng=0, days=30)
     for _ in range(30):
         est = ctx.est_midnight
         ctx, _, result, done = env.step(random_bids(rng))
@@ -424,7 +471,7 @@ def test_estimate_reflects_scheduled_bids_mid_day(small_dataset):
     ds = with_perfect_forecasts(small_dataset)
     config = EnvConfig(consumption_noise_std=0.0)
     env = TradingEnv(ds, config)
-    env.reset(40, rng=0)
+    env.reset(40, rng=0, days=1)
     ctx, _, result, _ = env.step([Bid(1.0, math.inf, BUY, 15)])
     assert ctx.est_midnight * config.battery_capacity == pytest.approx(
         result.battery_trace[24], abs=1e-12)
@@ -433,11 +480,11 @@ def test_estimate_reflects_scheduled_bids_mid_day(small_dataset):
 def test_battery_level_caps_and_floors():
     ds = flat_dataset(num_days=6)  # no production, no consumption
     env = make_env(ds, quiet_config(initial_charge=0.95))  # 1.9 of 2.0 MWh
-    env.reset(2, rng=0)
+    env.reset(2, rng=0, days=1)
     _, _, result, _ = env.step([Bid(1.0, math.inf, BUY, 0)])
     assert result.battery_trace[1] == 2.0
     env = make_env(ds, quiet_config(initial_charge=0.05))  # 0.1 MWh
-    env.reset(2, rng=0)
+    env.reset(2, rng=0, days=1)
     _, _, result, _ = env.step([Bid(1.0, 0.0, SELL, 0)])
     assert result.battery_trace[1] == 0.0
 
@@ -465,7 +512,7 @@ def test_battery_rule_properties(perfect_dataset, days, start, initial_charge):
     and no consumption noise the midnight estimate equals the realized level."""
     config = EnvConfig(consumption_noise_std=0.0, initial_charge=initial_charge)
     env = TradingEnv(perfect_dataset, config)
-    env.reset(start, rng=0)
+    env.reset(start, rng=0, days=len(days))
     for bids in days:
         ctx, _, result, done = env.step(bids)
         assert_hourly_identities([result], config)
@@ -480,7 +527,7 @@ def test_battery_rule_properties(perfect_dataset, days, start, initial_charge):
 
 def test_observation_lengths(small_dataset):
     env = TradingEnv(small_dataset, EnvConfig())
-    ctx = env.reset(30, rng=0)
+    ctx = env.reset(30, rng=0, days=1)
     assert ctx.observation(include_weather=True).shape == (141,)
     assert ctx.observation(include_weather=False).shape == (69,)
 
@@ -488,7 +535,7 @@ def test_observation_lengths(small_dataset):
 def test_observation_layout(small_dataset):
     config = EnvConfig(price_scale=200.0)
     env = TradingEnv(small_dataset, config)
-    ctx = env.reset(30, rng=0)
+    ctx = env.reset(30, rng=0, days=1)
     obs = ctx.observation(True)
     np.testing.assert_allclose(obs[0:24], small_dataset.prices[29] / 200.0)
     profile = small_dataset.profile.avg_per_household
@@ -511,11 +558,11 @@ def test_observation_one_hot_positions():
 
     ds = flat_dataset(num_days=60, start=dt.date(2021, 3, 1))  # a Monday
     env = make_env(ds, quiet_config())
-    ctx = env.reset(2, rng=0)  # decision day 1 = Tuesday March 2nd
+    ctx = env.reset(2, rng=0, days=1)  # decision day 1 = Tuesday March 2nd
     obs = ctx.observation(False)
     assert obs[50 + 2] == 1.0          # March
     assert obs[62 + 1] == 1.0          # Tuesday
-    ctx2 = env.reset(8, rng=0)  # decision day 7 = Monday March 8th
+    ctx2 = env.reset(8, rng=0, days=1)  # decision day 7 = Monday March 8th
     obs2 = ctx2.observation(False)
     assert obs2[62 + 0] == 1.0
 
@@ -525,7 +572,7 @@ def test_weather_observation_requires_forecasts():
     with_fc = with_perfect_forecasts(ds)
     # drop one forecast block and ask for it
     env = TradingEnv(with_fc, quiet_config())
-    ctx = env.reset(2, rng=0)
+    ctx = env.reset(2, rng=0, days=1)
     ctx._forecast_norm = None
     with pytest.raises(ValueError, match="forecast"):
         ctx.observation(include_weather=True)

@@ -1,9 +1,10 @@
 import math
 
 import numpy as np
+import pytest
 
 from dayahead.market import EnvConfig, TradingEnv, export_bid_outcomes, export_day_results
-from dayahead.reports import read_day_results
+from dayahead.reports import read_day_results, write_battery_trace
 from dayahead.strategies import TimingParams
 from dayahead.training import evaluate_strategy, fixed_action_strategy
 
@@ -21,8 +22,21 @@ def test_exported_day_results_read_back_exactly(tmp_path, small_dataset):
 
     export_day_results(results, tmp_path / "trace.csv")
     export_bid_outcomes(results, tmp_path / "bids.csv")
-    loaded = read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv")
+    loaded = read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (90, 102))
+    assert_same_days(loaded, results)
+    # a window converts only its own days
+    inner = read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (93, 99))
+    assert_same_days(inner, results[3:9])
+    # a window the files do not cover yields what they have, and the trace
+    # writers name the missing days
+    partial = read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (99, 104))
+    assert_same_days(partial, results[9:])
+    with pytest.raises(ValueError, match=r"trace window misses days \[102, 103\]"):
+        write_battery_trace([partial], (99, 104), tmp_path / "battery.csv")
+    assert read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (110, 115)) == []
 
+
+def assert_same_days(loaded, results):
     assert [r.day for r in loaded] == [r.day for r in results]
     for got, want in zip(loaded, results):
         for name in ("prices", "buy_volumes", "sell_volumes", "unscheduled_buys",
