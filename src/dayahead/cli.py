@@ -436,6 +436,13 @@ def cmd_report(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1 (got {value})")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dayahead",
                                      description="Day-ahead market trading laboratory")
@@ -484,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="consolidate runs into tables and traces")
     p.add_argument("--runs", nargs="+", required=True, help="run directories")
-    p.add_argument("--window-days", type=int, default=5)
+    p.add_argument("--window-days", type=positive_int, default=5,
+                   help="days in the trace window (at least 1)")
     common(p)
     p.set_defaults(func=cmd_report)
     return parser

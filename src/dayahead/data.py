@@ -7,8 +7,12 @@ average consumption profile per household.  Everything downstream treats a
 ``Dataset`` as an immutable replay tape.
 
 Real price/weather data can be loaded from CSV (see the header tuples next to
-the ``load_dataset`` / ``write_dataset`` pair).  When no real data is at hand,
-``generate_synthetic_dataset`` produces a seeded artificial market with the
+the ``load_dataset`` / ``write_dataset`` pair).  Every CSV table the package
+reads, run traces included, goes through ``read_columns``: one ``np.loadtxt``
+pass per file, optionally restricted to a window of days, and a csv row scan
+that runs only to name the file and line of a bad field.
+
+When no real data is at hand, ``generate_synthetic_dataset`` produces a seeded artificial market with the
 qualitative structure trading strategies care about: a double-peaked daily
 price shape (cheap nights, expensive mornings and evenings), weekend and
 seasonal modulation, and prices coupled to the weather that also drives the
@@ -19,10 +23,11 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+import warnings
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
-from itertools import chain, islice, repeat
-from operator import itemgetter
+from itertools import chain, repeat
+from typing import NoReturn
 
 import numpy as np
 
@@ -174,8 +179,12 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
-# CSV I/O: every table goes through write_columns and read_columns, and each
-# file has one header tuple that its writer and its reader share.
+# CSV I/O: every table goes through write_rows (or write_columns) and
+# read_columns, and each file has one header tuple that its writer and its
+# reader share.  read_columns parses a table in one np.loadtxt pass, numpy's C
+# tokenizer and float parser; only when that pass or a check of its texts
+# fails does _raise_bad_row scan the rows with csv, to name the file and line
+# of the first bad field.  The scan never returns data.
 # ---------------------------------------------------------------------------
 
 PRICES_HEADER = ("date", "hour", "price")
@@ -184,15 +193,35 @@ PROFILE_HEADER = ("hour", "avg_consumption_mwh")
 FORECASTS_HEADER = ("issue_date", "target_date", "target_hour",
                     "cloudiness", "wind_speed", "temperature")
 
+DATE = "date"  # a read_columns kind: ISO date texts, returned as int64 day ordinals
 
-def write_columns(path, header: tuple[str, ...], columns) -> None:
-    """Write equal-length ``columns`` (iterables of Python scalars) under
-    ``header``; ``csv`` writes floats by ``repr``, so they read back bit for
-    bit.  Iterators are consumed row by row, so a column need not be built."""
+_LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"'}
+
+
+def _dtype(kind) -> str:
+    """The loadtxt field type of a read_columns kind.  Texts are bytes one
+    wider than the longest valid text (10 characters for a date), so a longer
+    text shows as invalid instead of passing truncated."""
+    if kind is DATE:
+        return "S11"
+    if isinstance(kind, tuple):
+        return f"S{max(map(len, kind)) + 1}"
+    return {int: "i8", float: "f8"}[kind]
+
+
+def write_rows(path, header: tuple[str, ...], rows) -> None:
+    """Write ``rows`` (iterables of Python scalars) under ``header``; ``csv``
+    writes floats by ``repr``, so they read back bit for bit.  An iterator is
+    consumed row by row, so the table need not be built."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(zip(*columns, strict=True))
+        writer.writerows(rows)
+
+
+def write_columns(path, header: tuple[str, ...], columns) -> None:
+    """Write equal-length ``columns`` (iterables of Python scalars) as rows."""
+    write_rows(path, header, zip(*columns, strict=True))
 
 
 def day_hour_columns(days: list) -> list[Iterator]:
@@ -206,66 +235,116 @@ def hour_by_hour(rows) -> Iterator:
     return chain.from_iterable(map(np.ndarray.tolist, rows))
 
 
-def read_columns(path, header: tuple[str, ...]) -> list[list[str]]:
-    """Stream a CSV into one list of field texts per ``header`` column.
+def read_columns(path, header: tuple[str, ...], kinds: tuple, days: tuple[int, int] | None = None,
+                 messages: dict[str, str] | None = None) -> list[np.ndarray]:
+    """Parse a CSV into one array per ``header`` column, each by its kind.
 
-    Columns are found by name; item ``i`` comes from line ``i + 2`` when the
-    file has no blank lines, which are skipped.  Equal texts within a block
-    of rows share one object, so repeated dates, hours and zeros cost a
-    pointer each: the lists take less memory than parsed rows would.
+    Columns are found by name from the header line.  A kind is ``int``
+    (int64), ``float`` (float64, bit for bit as ``float()`` reads the text),
+    ``DATE`` (day ordinals; each distinct text goes through
+    ``date.fromisoformat`` once) or a tuple of the texts a column may hold
+    (bytes, one wider than the longest).  Blank lines are skipped, so item
+    ``i`` comes from line ``i + 2`` when the file has none.  With
+    ``days=(lo, hi)`` only the lines whose ``day`` field lies in
+    ``lo..hi-1`` are parsed; their items keep the file's order.
+
+    A bad field raises a DataError naming the file and line: the template
+    ``messages[column]``, formatted with ``path``, ``line``, ``text`` and the
+    row's fields by column name, or else ``bad <column> <text>``.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        names = next(reader, [])
+    with open(path) as fh:
+        names = next(csv.reader([fh.readline()]))
         missing = [name for name in header if name not in names]
         if missing:
             raise DataError(f"{path}: missing columns {missing}; "
                             f"expected columns {','.join(header)}")
         indices = [names.index(name) for name in header]
-        columns: list[list[str]] = [[] for _ in header]
-        while block := list(islice(reader, 1024)):
-            rows = [row for row in block if row]
-            short = [i for i, row in enumerate(rows) if len(row) <= max(indices)]
-            if short:
-                raise DataError(f"{path}:{len(columns[0]) + short[0] + 2}: too few fields")
-            for column, index in zip(columns, indices):
-                shared: dict[str, str] = {}
-                column.extend([shared.setdefault(text, text) for text in map(itemgetter(index), rows)])
+        dtype = [(name, _dtype(kind)) for name, kind in zip(header, kinds)]
+        try:
+            with warnings.catch_warnings():  # a file of blank lines is an empty table
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                lines = fh if days is None else _window_lines(fh, indices[header.index("day")], days)
+                table = np.loadtxt(lines, dtype, **_LOADTXT, usecols=indices, ndmin=1)
+        except ValueError as exc:
+            _raise_bad_row(path, header, indices, kinds, days, messages, exc)
+    columns = []
+    for name, kind in zip(header, kinds):
+        column = np.ascontiguousarray(table[name])
+        if kind is DATE:
+            column = _day_ordinals(column)
+        elif isinstance(kind, tuple) and not np.isin(column, np.array(kind, column.dtype)).all():
+            column = None
+        if column is None:
+            _raise_bad_row(path, header, indices, kinds, days, messages,
+                           DataError(f"bad text in column {name}"))
+        columns.append(column)
     return columns
 
 
-def _parse(kind, texts: list[str], message) -> np.ndarray:
-    """``kind`` (``int`` or ``float``) of every text, as an array of that
-    type; the first text it rejects raises a DataError with ``message(i)``,
-    ``i`` its row index."""
+def _window_lines(fh, day_index: int, days: tuple[int, int]) -> list[str]:
+    """The non-blank lines left in ``fh`` whose day field lies in ``days``;
+    the day fields are parsed like the table is."""
+    lines = [line for line in fh.read().split("\n") if line]
+    day = np.loadtxt(lines, np.int64, **_LOADTXT, usecols=day_index, ndmin=1)
+    return [lines[i] for i in np.flatnonzero((day >= days[0]) & (day < days[1])).tolist()]
+
+
+def _day_ordinals(texts: np.ndarray) -> np.ndarray | None:
+    """Day ordinals of ISO date texts, or None if one is not a date.  Each
+    run of equal texts is looked up once, and each distinct text parsed once."""
+    # the first index of each run; none for an empty column
+    starts = np.flatnonzero(np.concatenate(([True], texts[1:] != texts[:-1])))[:texts.size]
+    runs = texts[starts].tolist()
+    ordinals: dict[bytes, int] = {}
     try:
-        return np.fromiter(map(kind, texts), kind, len(texts))
-    except (ValueError, OverflowError):
-        for i, text in enumerate(texts):
-            try:
-                np.array(kind(text), dtype=kind)
-            except (ValueError, OverflowError) as exc:
-                raise DataError(message(i)) from exc
+        for text in dict.fromkeys(runs):
+            ordinals[text] = dt.date.fromisoformat(text.decode("latin-1")).toordinal()
+    except ValueError:
+        return None
+    return np.repeat(np.fromiter(map(ordinals.__getitem__, runs), np.int64, len(runs)),
+                     np.diff(np.append(starts, texts.size)))
 
 
-def _parse_dates(path, texts: list[str]) -> np.ndarray:
-    """Day ordinals of ISO dates, parsing each distinct text once."""
-    ordinals = {}
-    for text in dict.fromkeys(texts):
-        try:
-            ordinals[text] = dt.date.fromisoformat(text).toordinal()
-        except ValueError as exc:
-            raise DataError(f"{path}:{texts.index(text) + 2}: bad date {text!r}") from exc
-    return np.fromiter(map(ordinals.__getitem__, texts), np.int64, len(texts))
+def _raise_bad_row(path, header, indices, kinds, days, messages, error: Exception) -> NoReturn:
+    """Scan ``path`` row by row with csv and the Python parser of each kind,
+    and raise a DataError for its first bad field; ``error`` tells why the
+    column read failed, and is raised with the file named if no field is bad.
+    With ``days``, a row's day is checked first, and a row outside them is
+    not checked further."""
+    checks = {int: lambda text: np.int64(int(text)), float: float, DATE: dt.date.fromisoformat}
+    order = sorted(zip(header, kinds), key=lambda column: column[0] != "day")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) <= max(indices):
+                raise DataError(f"{path}:{reader.line_num}: too few fields")
+            fields = {name: row[index] for name, index in zip(header, indices)}
+            for name, kind in order:
+                text = fields[name]
+                try:
+                    if isinstance(kind, tuple):
+                        if text not in kind:
+                            raise ValueError(text)
+                    else:
+                        value = checks[kind](text)
+                except (ValueError, OverflowError):
+                    label = "date" if kind is DATE else name
+                    template = (messages or {}).get(name, f"{{path}}:{{line}}: bad {label} {{text!r}}")
+                    raise DataError(template.format(path=path, line=reader.line_num, text=text,
+                                                    **fields)) from None
+                if name == "day" and days is not None and not days[0] <= value < days[1]:
+                    break
+    raise DataError(f"{path}: {error}") from error
 
 
-def _parse_hours(path, texts: list[str], what: str = "hour") -> np.ndarray:
-    hours = _parse(int, texts, lambda i: f"{path}:{i + 2}: bad {what} {texts[i]!r}")
+def _check_hours(path, hours: np.ndarray, what: str = "hour") -> None:
     outside = (hours < 0) | (hours >= HOURS_PER_DAY)
     if outside.any():
         i = int(np.argmax(outside))
         raise DataError(f"{path}:{i + 2}: {what} {hours[i]} outside 0..23")
-    return hours
 
 
 def _read_hourly_csv(path, header: tuple[str, ...]):
@@ -274,11 +353,13 @@ def _read_hourly_csv(path, header: tuple[str, ...]):
     Rows must be sorted by (date, hour) and form a gap-free hourly grid; the
     first missing slot is reported by date, day index, and hour.
     """
-    date_texts, hour_texts, *value_texts = read_columns(path, header)
-    if not date_texts:
+    days, hours, *values = read_columns(
+        path, header, (DATE, int) + (float,) * (len(header) - 2),
+        messages={name: "{path}: bad value {text!r} for " + name + " on {date} hour {hour}"
+                  for name in header[2:]})
+    if not days.size:
         raise DataError(f"{path}: no data rows")
-    days = _parse_dates(path, date_texts)
-    hours = _parse_hours(path, hour_texts)
+    _check_hours(path, hours)
     start_date = dt.date.fromordinal(int(days[0]))
     days -= days[0]
     slots = days * HOURS_PER_DAY + hours
@@ -287,24 +368,20 @@ def _read_hourly_csv(path, header: tuple[str, ...]):
         exp_day, exp_hour = divmod(int(wrong[0]) if wrong.size else slots.size, HOURS_PER_DAY)
         raise DataError(f"{path}: gap in hourly sequence, missing "
                         f"{start_date + dt.timedelta(days=exp_day)} (day {exp_day}) hour {exp_hour}")
-    arrays = [_parse(float, texts, lambda i, name=name, texts=texts:
-                     f"{path}: bad value {texts[i]!r} for {name} on "
-                     f"{start_date + dt.timedelta(days=int(days[i]))} hour {hours[i]}"
-                     ).reshape(-1, HOURS_PER_DAY)
-              for name, texts in zip(header[2:], value_texts)]
-    for name, values in zip(header[2:], arrays):
-        _check_finite(values, f"{path}: {name}", start_date)
+    arrays = [column.reshape(-1, HOURS_PER_DAY) for column in values]
+    for name, column in zip(header[2:], arrays):
+        _check_finite(column, f"{path}: {name}", start_date)
     return start_date, arrays
 
 
 def _read_profile_csv(path) -> np.ndarray:
-    hour_texts, value_texts = read_columns(path, PROFILE_HEADER)
-    hours = _parse_hours(path, hour_texts)
-    values = _parse(float, value_texts, lambda i: f"{path}:{i + 2}: bad value {value_texts[i]!r}")
+    hours, values = read_columns(path, PROFILE_HEADER, (int, float), messages={
+        "avg_consumption_mwh": "{path}:{line}: bad value {text!r}"})
+    _check_hours(path, hours)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = int(bad[0])
-        raise DataError(f"{path}:{i + 2}: non-finite value {value_texts[i]!r} for hour {hours[i]}")
+        raise DataError(f"{path}:{i + 2}: non-finite value '{values[i]}' for hour {hours[i]}")
     profile = np.full(HOURS_PER_DAY, np.nan)
     profile[hours] = values
     if np.any(np.isnan(profile)):
@@ -314,12 +391,13 @@ def _read_profile_csv(path) -> np.ndarray:
 
 def _read_forecasts_csv(path, dataset: Dataset) -> np.ndarray:
     """(3, num_days, 24) forecasts in ``FORECAST_FIELDS`` order, NaN where none."""
-    issue_texts, target_texts, hour_texts, *value_texts = read_columns(path, FORECASTS_HEADER)
-    issued, targets = _parse_dates(path, issue_texts), _parse_dates(path, target_texts)
-    hours = _parse_hours(path, hour_texts, "target hour")
-    table = np.array([_parse(float, texts, lambda i, name=name, texts=texts:
-                             f"{path}:{i + 2}: bad {name} value {texts[i]!r}")
-                      for name, texts in zip(FORECASTS_HEADER[3:], value_texts)])
+    issued, targets, hours, *values = read_columns(
+        path, FORECASTS_HEADER, (DATE, DATE, int, float, float, float), messages={
+            "target_hour": "{path}:{line}: bad target hour {text!r}",
+            **{name: "{path}:{line}: bad " + name + " value {text!r}"
+               for name in FORECASTS_HEADER[3:]}})
+    _check_hours(path, hours, "target hour")
+    table = np.array(values)
     days = targets - dataset.start_date.toordinal()
     late = targets - issued != 1
     if late.any():

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (Dataset, HOURS_PER_DAY, OKTA_MAX, day_hour_columns, hour_by_hour,
-                   write_columns)
+                   write_columns, write_rows)
 
 BUY = "buy"
 SELL = "sell"
@@ -301,14 +301,9 @@ def export_day_results(results: list[DayResult], path) -> None:
 
 def export_bid_outcomes(results: list[DayResult], path) -> None:
     """Write one row per bid: day,hour,side,volume,price,accepted."""
-    def column(value):
-        return (value(res, outcome) for res in results for outcome in res.bid_outcomes)
-
-    write_columns(path, BID_OUTCOME_HEADER, [
-        column(lambda res, o: res.day), column(lambda res, o: o.bid.hour),
-        column(lambda res, o: o.bid.side), column(lambda res, o: float(o.bid.volume)),
-        column(lambda res, o: float(o.bid.price)), column(lambda res, o: int(o.accepted)),
-    ])
+    write_rows(path, BID_OUTCOME_HEADER, (
+        (res.day, o.bid.hour, o.bid.side, float(o.bid.volume), float(o.bid.price), int(o.accepted))
+        for res in results for o in res.bid_outcomes))
 
 
 # ---------------------------------------------------------------------------

@@ -137,21 +137,20 @@ def read_day_results(trace_path, bids_path, window: tuple[int, int]) -> list[Day
     """Rebuild the day results of ``window`` from exported trace/bids CSVs,
     for report assembly; ``bids_path`` may be None or missing.
 
-    Only the rows of the window's days are converted.  Only the columns the
-    trace writers use are recovered; production and consumption stay zero.
-    A day of the window that the files lack is left out, for the trace
-    writers to report.
+    Only the lines of the window's days are parsed (see
+    :func:`~dayahead.data.read_columns`), in whatever order the files hold
+    them.  Only the columns the trace writers use are recovered; production
+    and consumption stay zero.  A day of the window that the files lack is
+    left out, for the trace writers to report.
     """
     import os
 
-    day_texts, hour_texts, *value_texts = read_columns(trace_path, DAY_RESULT_HEADER)
-    rows, row_days = _window_rows(day_texts, window)
+    row_days, hours, *values = read_columns(
+        trace_path, DAY_RESULT_HEADER, (int, int) + (float,) * (len(DAY_RESULT_HEADER) - 2),
+        days=window)
     days, inverse = np.unique(row_days, return_inverse=True)
-    hours = np.array([int(hour_texts[i]) for i in rows], dtype=int)
-    tables = np.zeros((len(value_texts), days.size, HOURS_PER_DAY))
-    for table, texts in zip(tables, value_texts):
-        table[inverse, hours] = [float(texts[i]) for i in rows]
-    del day_texts, hour_texts, value_texts  # before the bids file is read
+    tables = np.zeros((len(values), days.size, HOURS_PER_DAY))
+    tables[:, inverse, hours] = values
     prices, buys, sells, uns_buys, uns_sells, levels, cash = tables
     battery = np.full((days.size, HOURS_PER_DAY + 1), np.nan)
     battery[:, 1:] = levels
@@ -163,19 +162,10 @@ def read_day_results(trace_path, bids_path, window: tuple[int, int]) -> list[Day
         battery_trace=battery[k], cash_deltas=cash[k], reward=float(cash[k].sum()),
     ) for k, day in enumerate(days.tolist())}
     if bids_path and os.path.exists(bids_path):
-        day_texts, hour_texts, sides, volumes, prices, accepted = read_columns(
-            bids_path, BID_OUTCOME_HEADER)
-        for i, day in zip(*_window_rows(day_texts, window)):
+        bids = read_columns(bids_path, BID_OUTCOME_HEADER,
+                            (int, int, (BUY, SELL), float, float, int), days=window)
+        for day, hour, side, volume, price, accepted in zip(*map(np.ndarray.tolist, bids)):
             if day in results:
-                results[day].bid_outcomes.append(BidOutcome(
-                    Bid(float(volumes[i]), float(prices[i]), sides[i], int(hour_texts[i])),
-                    bool(int(accepted[i]))))
+                results[day].bid_outcomes.append(BidOutcome(Bid(volume, price, side.decode(), hour),
+                                                            bool(accepted)))
     return list(results.values())
-
-
-def _window_rows(day_texts: list[str], window: tuple[int, int]) -> tuple[list[int], np.ndarray]:
-    """Indices and days of the rows whose day lies in ``window``."""
-    lo, hi = window
-    days = np.fromiter(map(int, day_texts), int, len(day_texts))
-    rows = np.flatnonzero((days >= lo) & (days < hi))
-    return rows.tolist(), days[rows]

@@ -269,6 +269,54 @@ def test_report_missing_run_exits_3(data_dir, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("days", ["0", "-2"])
+def test_report_rejects_window_below_one_day(data_dir, tmp_path, capsys, days):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--runs", str(tmp_path / "run"), "--window-days", days,
+              "--data", str(data_dir), "--out", str(tmp_path / "report")])
+    assert exc.value.code == 2
+    assert "argument --window-days: must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
+def zero_action_run(data_dir, config_path, out):
+    """An evaluated zero-action run over seeds 0 and 1, its result and the
+    default five-day report window."""
+    assert main(["evaluate", "--zero-action", "--data", str(data_dir),
+                 "--config", config_path, "--seeds", "0,1", "--out", str(out)]) == 0
+    result = json.loads((out / "result.json").read_text())
+    test_lo, test_hi = result["test_range"]
+    start = test_lo + (test_hi - test_lo - 5) // 2
+    return result, (start, start + 5)
+
+
+def test_report_names_line_of_non_integer_trace_day(data_dir, config_path, tmp_path, capsys):
+    zero_action_run(data_dir, config_path, tmp_path / "zero")
+    trace = tmp_path / "zero" / "seed1" / "trace.csv"
+    lines = trace.read_text().splitlines(keepends=True)
+    lines[4] = "x" + lines[4][lines[4].index(","):]
+    trace.write_text("".join(lines))
+    code = main(["report", "--runs", str(tmp_path / "zero"), "--data", str(data_dir),
+                 "--config", config_path, "--out", str(tmp_path / "report")])
+    assert code == 2
+    assert "trace.csv:5: bad day 'x'" in capsys.readouterr().err
+
+
+def test_report_names_line_of_unknown_bid_side(data_dir, config_path, tmp_path, capsys):
+    result, (lo, hi) = zero_action_run(data_dir, config_path, tmp_path / "zero")
+    best = result["seeds"][int(np.argmax(result["incomes"]))]
+    bids = tmp_path / "zero" / f"seed{best}" / "bids.csv"
+    lines = bids.read_text().splitlines(keepends=True)
+    line_no = next(i for i, line in enumerate(lines[1:], 2)
+                   if lo <= int(line.split(",")[0]) < hi and ",sell," in line)
+    lines[line_no - 1] = lines[line_no - 1].replace(",sell,", ",SELL,")
+    bids.write_text("".join(lines))
+    code = main(["report", "--runs", str(tmp_path / "zero"), "--data", str(data_dir),
+                 "--config", config_path, "--out", str(tmp_path / "report")])
+    assert code == 2
+    assert f"bids.csv:{line_no}: bad side 'SELL'" in capsys.readouterr().err
+
+
 def test_full_pipeline_reproducible(data_dir, config_path, tmp_path):
     """Identical seeds and configs must give byte-identical artifacts."""
     outs = []

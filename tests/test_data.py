@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -251,20 +252,96 @@ def test_dataset_rejects_misshapen_forecast_array():
 def test_column_codec_finds_columns_by_name(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("extra,b,a\nx,1,0.5\n\ny,2,inf\n")
-    assert damod.read_columns(path, ("a", "b")) == [["0.5", "inf"], ["1", "2"]]
+    a, b = damod.read_columns(path, ("a", "b"), (float, int))
+    assert a.tolist() == [0.5, math.inf] and b.tolist() == [1, 2]
+    assert (a.dtype, b.dtype) == (np.float64, np.int64)
     path.write_text("a,b\n1,2\n3\n")
     with pytest.raises(DataError, match=r"t\.csv:3: too few fields"):
-        damod.read_columns(path, ("a", "b"))
+        damod.read_columns(path, ("a", "b"), (int, int))
     with pytest.raises(ValueError):
         damod.write_columns(path, ("a", "b"), [[1, 2], [3]])
 
 
 def test_column_codec_round_trips_floats_bit_for_bit(tmp_path):
-    values = [0.1, -0.0, 1e-300, math.inf, 2.0 / 3.0, 5e-324]
-    damod.write_columns(tmp_path / "t.csv", ("k", "v"), [list(range(6)), values])
-    keys, texts = damod.read_columns(tmp_path / "t.csv", ("k", "v"))
-    assert keys == [str(k) for k in range(6)]
-    assert [float(t).hex() for t in texts] == [v.hex() for v in values]
+    texts = ["0.1", "-0.0", "5e-324", "1e-300", repr(2.0 / 3.0), "inf", "-inf", "nan"]
+    damod.write_columns(tmp_path / "t.csv", ("k", "v"), [range(len(texts)), map(float, texts)])
+    keys, values = damod.read_columns(tmp_path / "t.csv", ("k", "v"), (int, float))
+    assert keys.tolist() == list(range(len(texts)))
+    assert values.view(np.int64).tolist() == \
+        np.array([float(text) for text in texts]).view(np.int64).tolist()
+
+
+def test_column_codec_reads_dates_and_choices(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("date,side\n2020-01-01,buy\n2020-01-01,sell\n20200103,buy\n2020-01-01,buy\n")
+    dates, sides = damod.read_columns(path, ("date", "side"), (damod.DATE, ("buy", "sell")))
+    assert dates.tolist() == [dt.date(2020, 1, day).toordinal() for day in (1, 1, 3, 1)]
+    assert sides.tolist() == [b"buy", b"sell", b"buy", b"buy"]
+    path.write_text("date,side\n2020-01-01,buy\n2020-01-01,sellx\n")
+    with pytest.raises(DataError, match=r"t\.csv:3: bad side 'sellx'"):
+        damod.read_columns(path, ("date", "side"), (damod.DATE, ("buy", "sell")))
+
+
+@pytest.mark.parametrize("text", ["2020-01-01T00", "2020-01-01T", "2020-01-011"])
+def test_date_longer_than_ten_characters_is_a_bad_date(tmp_path, text):
+    paths = write_fixture_csvs(tmp_path, num_days=3)
+    edit_line(paths[0], 5, set_field(0, text))
+    with pytest.raises(DataError, match=rf"prices\.csv:5: bad date '{text}'"):
+        load_dataset(*paths)
+
+
+def test_header_only_file_is_an_empty_table_without_warning(tmp_path):
+    path = tmp_path / "t.csv"
+    for body in ("", "\n\n"):
+        path.write_text("day,date\n" + body)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for days in (None, (0, 5)):
+                day, date = damod.read_columns(path, ("day", "date"), (int, damod.DATE), days)
+                assert day.size == date.size == 0
+        assert caught == []
+
+
+def write_day_table(path, days):
+    """A day/hour/value table with rows for ``days`` in that order."""
+    damod.write_columns(path, ("day", "hour", "value"),
+                        [*damod.day_hour_columns(days),
+                         (day + hour / 100 for day in days for hour in range(24))])
+
+
+def test_window_read_keeps_the_rows_a_full_read_has(tmp_path):
+    path = tmp_path / "t.csv"
+    days = [7, 3, 9, 4, 8, 3, 5]  # unsorted, day 3 twice
+    write_day_table(path, days)
+    full = damod.read_columns(path, ("day", "hour", "value"), (int, int, float))
+    inside = (full[0] >= 4) & (full[0] < 8)
+    window = damod.read_columns(path, ("day", "hour", "value"), (int, int, float), days=(4, 8))
+    for got, want in zip(window, full):
+        assert got.tolist() == want[inside].tolist()
+    assert sorted(set(window[0].tolist())) == [4, 5, 7]
+
+
+def test_window_read_names_a_bad_day_or_a_bad_row_inside_it(tmp_path):
+    path = tmp_path / "t.csv"
+    write_day_table(path, [1, 2, 3])
+    edit_line(path, 2 + 24 + 5, set_field(2, "abc"))  # day 2, hour 5
+    header, kinds = ("day", "hour", "value"), (int, int, float)
+    assert damod.read_columns(path, header, kinds, days=(3, 4))[0].tolist() == [3] * 24
+    with pytest.raises(DataError, match=r"t\.csv:31: bad value 'abc'"):
+        damod.read_columns(path, header, kinds, days=(2, 3))
+    edit_line(path, 60, set_field(0, "x"))  # day 3, outside the window
+    with pytest.raises(DataError, match=r"t\.csv:60: bad day 'x'"):
+        damod.read_columns(path, header, kinds, days=(1, 2))
+
+
+@pytest.mark.parametrize("kind,text", [(int, "1_0"), (float, "1_0.5"), (int, "\u0661\u0662")])
+def test_column_codec_rejects_what_numpy_cannot_parse(tmp_path, kind, text):
+    """Python's int() and float() accept these; the reader names the file and
+    gives numpy's message."""
+    path = tmp_path / "t.csv"
+    path.write_text(f"a\n1\n{text}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"t\.csv: could not convert string '{text}'"):
+        damod.read_columns(path, ("a",), (kind,))
 
 
 def test_csv_round_trip_preserves_content(tmp_path, small_dataset):
