@@ -13,9 +13,8 @@ from .market import (BUY, SELL, Bid, DayResult, DecisionContext, EnvConfig,
                      TradingEnv, clear_bid, hourly_production, reference_balance,
                      rolling_price_stats, round_volume)
 from .cmaes import CmaesConfig, cmaes_optimize, default_population
-from .nets import (MLP, Gradients, PolicyParams, backward, forward,
-                   init_policy, load_policy, orthogonal_init, rmsprop_step,
-                   save_policy)
+from .nets import (MLP, PolicyParams, backward, forward, init_policy,
+                   load_policy, orthogonal_init, rmsprop_step, save_policy)
 from .strategies import (OpportunisticParams, TimingParams, blackbox_bids,
                          log_density, mean_action, opportunistic_bids,
                          sample_action, timing_bids)

@@ -244,7 +244,8 @@ def read_columns(path, header: tuple[str, ...], kinds: tuple, days: tuple[int, i
     ``DATE`` (day ordinals; each distinct text goes through
     ``date.fromisoformat`` once) or a tuple of the texts a column may hold
     (bytes, one wider than the longest).  Blank lines are skipped, so item
-    ``i`` comes from line ``i + 2`` when the file has none.  With
+    ``i`` comes from line ``i + 2`` only when the file has none
+    (``_line_of`` finds its line otherwise).  With
     ``days=(lo, hi)`` only the lines whose ``day`` field lies in
     ``lo..hi-1`` are parsed; their items keep the file's order.
 
@@ -340,11 +341,19 @@ def _raise_bad_row(path, header, indices, kinds, days, messages, error: Exceptio
     raise DataError(f"{path}: {error}") from error
 
 
+def _line_of(path, item: int) -> int:
+    """The line of ``path`` that item ``item`` of its table was read from,
+    skipping blank lines as read_columns does; only for error messages."""
+    with open(path) as fh:
+        next(fh)
+        return [n for n, line in enumerate(fh, 2) if line != "\n"][item]
+
+
 def _check_hours(path, hours: np.ndarray, what: str = "hour") -> None:
     outside = (hours < 0) | (hours >= HOURS_PER_DAY)
     if outside.any():
         i = int(np.argmax(outside))
-        raise DataError(f"{path}:{i + 2}: {what} {hours[i]} outside 0..23")
+        raise DataError(f"{path}:{_line_of(path, i)}: {what} {hours[i]} outside 0..23")
 
 
 def _read_hourly_csv(path, header: tuple[str, ...]):
@@ -381,7 +390,8 @@ def _read_profile_csv(path) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = int(bad[0])
-        raise DataError(f"{path}:{i + 2}: non-finite value '{values[i]}' for hour {hours[i]}")
+        raise DataError(f"{path}:{_line_of(path, i)}: non-finite value '{values[i]}' "
+                        f"for hour {hours[i]}")
     profile = np.full(HOURS_PER_DAY, np.nan)
     profile[hours] = values
     if np.any(np.isnan(profile)):
@@ -401,14 +411,17 @@ def _read_forecasts_csv(path, dataset: Dataset) -> np.ndarray:
     days = targets - dataset.start_date.toordinal()
     late = targets - issued != 1
     if late.any():
-        raise DataError(f"{path}:{np.argmax(late) + 2}: forecasts must be issued one day ahead")
+        raise DataError(f"{path}:{_line_of(path, np.argmax(late))}: "
+                        "forecasts must be issued one day ahead")
     outside = (days < 0) | (days >= dataset.num_days)
     if outside.any():
         target = dt.date.fromordinal(int(targets[np.argmax(outside)]))
-        raise DataError(f"{path}:{np.argmax(outside) + 2}: target date {target} outside the dataset")
+        raise DataError(f"{path}:{_line_of(path, np.argmax(outside))}: "
+                        f"target date {target} outside the dataset")
     non_finite = ~np.isfinite(table).all(axis=0)
     if non_finite.any():
-        raise DataError(f"{path}:{np.argmax(non_finite) + 2}: non-finite forecast value")
+        raise DataError(f"{path}:{_line_of(path, np.argmax(non_finite))}: "
+                        "non-finite forecast value")
     forecasts = np.full((len(FORECAST_FIELDS), *dataset.prices.shape), np.nan)
     forecasts[:, days, hours] = table
     return forecasts

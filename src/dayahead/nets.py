@@ -4,71 +4,52 @@ Just enough machinery for the trading policy: affine layers with tanh hidden
 activations and a linear output, reverse-mode gradients checked against
 finite differences in the test suite, orthogonal initialization, and a plain
 RMSprop optimizer.  Everything is numpy; a policy is a pair of such networks
-(actor and critic) plus a learned state-independent log-std vector.
+(actor and critic) plus a learned state-independent log-std vector, all views
+into one float64 parameter vector that the optimizer updates as a whole.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
-TANH = "tanh"
-IDENTITY = "identity"  # used by tests with closed-form gradients
+
+def _shapes(sizes: list[int]) -> list[tuple[int, ...]]:
+    """Weight shapes, then bias shapes, of a network with layer widths ``sizes``."""
+    layers = list(zip(sizes[:-1], sizes[1:]))
+    return [(n_out, n_in) for n_in, n_out in layers] + [(n_out,) for _, n_out in layers]
 
 
-@dataclass
+def _size(sizes: list[int]) -> int:
+    return sum(map(math.prod, _shapes(sizes)))
+
+
+def _views(vector: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views of ``vector`` with the given shapes, which must fill it."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+    if vector.shape != (ends[-1],):
+        raise ValueError(f"parameter vector of shape {vector.shape}, expected ({ends[-1]},)")
+    return [vector[end - math.prod(shape):end].reshape(shape)
+            for shape, end in zip(shapes, ends)]
+
+
 class MLP:
-    """Fully connected network; weights[i] has shape (out_i, in_i)."""
+    """Fully connected network: tanh hidden layers and a linear output.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    activation: str = TANH
+    ``sizes`` are the layer widths, input first.  ``weights[i]`` has shape
+    (sizes[i + 1], sizes[i]) and ``biases[i]`` length sizes[i + 1]; all the
+    weights, then all the biases, are views into the float64 ``vector``
+    (zeros unless given), so writing one writes the other.
+    """
 
-    def __post_init__(self) -> None:
-        if self.activation not in (TANH, IDENTITY):
-            raise ValueError(f"unsupported activation {self.activation!r}")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape[0] != b.shape[0]:
-                raise ValueError(f"layer {i}: bias length {b.shape[0]} != rows {w.shape[0]}")
-            if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
-                raise ValueError(f"layer {i}: input size mismatch")
-
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-
-    @property
-    def input_size(self) -> int:
-        return self.weights[0].shape[1]
-
-    @property
-    def output_size(self) -> int:
-        return self.weights[-1].shape[0]
-
-    def copy(self) -> "MLP":
-        return MLP([w.copy() for w in self.weights],
-                   [b.copy() for b in self.biases], self.activation)
-
-
-def create_mlp(sizes: list[int], activation: str = TANH) -> MLP:
-    """Zero-initialized network with the given layer sizes (input first)."""
-    if len(sizes) < 2:
-        raise ValueError("need at least input and output sizes")
-    weights = [np.zeros((sizes[i + 1], sizes[i])) for i in range(len(sizes) - 1)]
-    biases = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
-    return MLP(weights, biases, activation)
-
-
-@dataclass
-class Gradients:
-    """Per-parameter partials, shape-matched to the owning network."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def arrays(self) -> list[np.ndarray]:
-        return [*self.weights, *self.biases]
+    def __init__(self, sizes: list[int], vector: np.ndarray | None = None):
+        if len(sizes) < 2:
+            raise ValueError("need at least input and output sizes")
+        self.sizes = [int(n) for n in sizes]
+        self.vector = np.zeros(_size(self.sizes)) if vector is None else vector
+        views = _views(self.vector, _shapes(self.sizes))
+        self.weights, self.biases = views[:len(views) // 2], views[len(views) // 2:]
 
 
 def forward(net: MLP, x: np.ndarray) -> np.ndarray:
@@ -82,21 +63,23 @@ def forward_cached(net: MLP, x: np.ndarray, need_cache: bool = True):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     a = x[None, :] if single else x
-    if a.shape[1] != net.input_size:
-        raise ValueError(f"input size {a.shape[1]} != network input {net.input_size}")
+    if a.shape[1] != net.sizes[0]:
+        raise ValueError(f"input size {a.shape[1]} != network input {net.sizes[0]}")
     cache = [a] if need_cache else None
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         a = a @ w.T + b
-        if i < last and net.activation == TANH:
+        if i < last:
             a = np.tanh(a)
         if need_cache:
             cache.append(a)
     return (a[0] if single else a), cache
 
 
-def backward(net: MLP, cache: list[np.ndarray], output_gradient: np.ndarray) -> Gradients:
-    """Exact gradients of a scalar loss given d loss / d output.
+def backward(net: MLP, cache: list[np.ndarray], output_gradient: np.ndarray,
+             grad: MLP) -> MLP:
+    """Exact gradients of a scalar loss given d loss / d output, written into
+    ``grad``, a net of the same sizes, which is returned.
 
     ``cache`` comes from ``forward_cached``; batched output gradients are
     summed over the batch, matching the gradient of a summed loss.
@@ -106,18 +89,12 @@ def backward(net: MLP, cache: list[np.ndarray], output_gradient: np.ndarray) -> 
         g = g[None, :]
     if g.shape != cache[-1].shape:
         raise ValueError(f"output gradient shape {g.shape} != output shape {cache[-1].shape}")
-    n_layers = len(net.weights)
-    d_weights: list[np.ndarray] = [None] * n_layers
-    d_biases: list[np.ndarray] = [None] * n_layers
-    for i in range(n_layers - 1, -1, -1):
-        a_prev = cache[i]
-        d_weights[i] = g.T @ a_prev
-        d_biases[i] = g.sum(axis=0)
+    for i in range(len(net.weights) - 1, -1, -1):
+        np.matmul(g.T, cache[i], out=grad.weights[i])
+        g.sum(axis=0, out=grad.biases[i])
         if i > 0:
-            g = g @ net.weights[i]
-            if net.activation == TANH:
-                g = g * (1.0 - cache[i] ** 2)
-    return Gradients(d_weights, d_biases)
+            g = (g @ net.weights[i]) * (1.0 - cache[i] ** 2)
+    return grad
 
 
 def orthogonal_init(net: MLP, rng: np.random.Generator | int,
@@ -147,43 +124,31 @@ def orthogonal_init(net: MLP, rng: np.random.Generator | int,
 # RMSprop
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RmsPropState:
-    square_avg: list[np.ndarray]
+def rmsprop_step(params: np.ndarray, grad: np.ndarray, square_avg: np.ndarray,
+                 lr: float = 1e-4, decay: float = 0.99, eps: float = 1e-5) -> None:
+    """One RMSprop update of the parameter vector ``params``, in place.
 
-
-def rmsprop_step(params: list[np.ndarray], grads: list[np.ndarray],
-                 state: RmsPropState | None, lr: float = 1e-4,
-                 decay: float = 0.99, eps: float = 1e-5) -> RmsPropState:
-    """One RMSprop update, in place on ``params``; returns the carried state.
-
-    Accumulates an exponential moving average of squared gradients and steps
-    by lr * g / (sqrt(avg) + eps).  Non-finite gradients abort: they signal a
+    ``square_avg`` is the caller's moving average of squared gradients (zeros
+    at first), updated in place too; the step is lr * g / (sqrt(avg) + eps).
+    A non-finite gradient aborts before anything is written: it signals a
     diverging training run rather than something to silently clip.
     """
-    if state is None:
-        state = RmsPropState([np.zeros_like(p) for p in params])
-    if len(params) != len(grads) or len(params) != len(state.square_avg):
-        raise ValueError("params, grads and state must align")
-    for p, g, avg in zip(params, grads, state.square_avg):
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite gradient in RMSprop update")
-        avg *= decay
-        avg += (1.0 - decay) * g * g
-        p -= lr * g / (np.sqrt(avg) + eps)
-    return state
+    if not np.all(np.isfinite(grad)):
+        raise FloatingPointError("non-finite gradient in RMSprop update")
+    square_avg *= decay
+    square_avg += (1.0 - decay) * grad * grad
+    params -= lr * grad / (np.sqrt(square_avg) + eps)
 
 
-def clip_gradient_norm(grads: list[np.ndarray], max_norm: float) -> float:
-    """Scale gradients in place so their global L2 norm is at most ``max_norm``."""
-    total = 0.0
-    for g in grads:
-        total += float(np.sum(g * g))
-    norm = np.sqrt(total)
+def clip_gradient_norm(grad: PolicyParams, max_norm: float) -> float:
+    """Scale the gradient vector in place so its global L2 norm is at most
+    ``max_norm``; returns the norm before clipping.  Squares are summed array
+    by array in ``parameters()`` order: one sum over the whole vector would
+    group the additions differently and change the last bits.
+    """
+    norm = np.sqrt(sum(float(np.sum(g * g)) for g in grad.parameters()))
     if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
-        for g in grads:
-            g *= scale
+        grad.vector *= max_norm / norm
     return float(norm)
 
 
@@ -194,42 +159,44 @@ def clip_gradient_norm(grads: list[np.ndarray], max_norm: float) -> float:
 POLICY_FORMAT_VERSION = 1
 
 
-@dataclass
 class PolicyParams:
     """Trainable parameters of the Gaussian bidding policy.
 
-    The actor maps an observation to the 96 action means; exploration noise
-    is scaled by a learned, state-independent log-std vector.  The critic has
-    the same architecture with a scalar output.  ``meta`` carries whatever the
-    policy needs to be deployable standalone, in particular the observation
-    normalization constants.
+    The actor, with layer widths ``sizes``, maps an observation to the 96
+    action means; exploration noise is scaled by a learned, state-independent
+    ``log_std``.  The critic has the same hidden layers and a scalar output.
+    All three are views into one float64 ``vector`` (zeros unless given), in
+    ``parameters()`` order.  ``meta`` carries whatever the policy needs to be
+    deployable standalone, in particular the observation normalization.
     """
 
-    actor: MLP
-    critic: MLP
-    log_std: np.ndarray
-    meta: dict = field(default_factory=dict)
+    def __init__(self, sizes: list[int], vector: np.ndarray | None = None,
+                 meta: dict | None = None):
+        self.sizes = [int(n) for n in sizes]
+        critic_sizes = [*self.sizes[:-1], 1]
+        parts = [_size(self.sizes), _size(critic_sizes), self.sizes[-1]]
+        self.vector = np.zeros(sum(parts)) if vector is None else vector
+        actor, critic, self.log_std = _views(self.vector, [(n,) for n in parts])
+        self.actor = MLP(self.sizes, actor)
+        self.critic = MLP(critic_sizes, critic)
+        self.meta = {} if meta is None else meta
 
     @property
     def input_size(self) -> int:
-        return self.actor.input_size
+        return self.sizes[0]
 
     @property
     def action_size(self) -> int:
-        return self.actor.output_size
+        return self.sizes[-1]
 
     def parameters(self) -> list[np.ndarray]:
-        """All trainable arrays, in a stable order (actor, critic, log-std)."""
-        out: list[np.ndarray] = []
-        for net in (self.actor, self.critic):
-            out.extend(net.weights)
-            out.extend(net.biases)
-        out.append(self.log_std)
-        return out
+        """All trainable arrays in ``vector`` order: actor weights, actor
+        biases, critic weights, critic biases, log-std."""
+        return [*self.actor.weights, *self.actor.biases,
+                *self.critic.weights, *self.critic.biases, self.log_std]
 
     def copy(self) -> "PolicyParams":
-        return PolicyParams(self.actor.copy(), self.critic.copy(),
-                            self.log_std.copy(), dict(self.meta))
+        return PolicyParams(self.sizes, self.vector.copy(), dict(self.meta))
 
 
 def init_policy(input_size: int, hidden_size: int = 200, action_size: int = 96,
@@ -242,42 +209,55 @@ def init_policy(input_size: int, hidden_size: int = 200, action_size: int = 96,
     bids near the median price and the rounding threshold.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    actor = create_mlp([input_size, hidden_size, action_size])
-    critic = create_mlp([input_size, hidden_size, 1])
-    orthogonal_init(actor, rng, [hidden_gain, policy_gain])
-    orthogonal_init(critic, rng, [hidden_gain, value_gain])
-    log_std = np.full(action_size, float(log_std_init))
-    return PolicyParams(actor, critic, log_std, meta or {})
+    policy = PolicyParams([input_size, hidden_size, action_size], meta=meta)
+    orthogonal_init(policy.actor, rng, [hidden_gain, policy_gain])
+    orthogonal_init(policy.critic, rng, [hidden_gain, value_gain])
+    policy.log_std[:] = float(log_std_init)
+    return policy
+
+
+def _stored_arrays(policy: PolicyParams) -> list[tuple[str, np.ndarray]]:
+    """The trainable arrays under their ``.npz`` keys, in the file's order:
+    layer by layer, weights before biases, then log-std."""
+    named = []
+    for prefix, net in (("actor", policy.actor), ("critic", policy.critic)):
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            named += [(f"{prefix}_w{i}", w), (f"{prefix}_b{i}", b)]
+    return named + [("log_std", policy.log_std)]
 
 
 def save_policy(path, policy: PolicyParams) -> None:
     """Serialize a policy to ``.npz`` (exact float64 round trip)."""
-    arrays = {}
-    for prefix, net in (("actor", policy.actor), ("critic", policy.critic)):
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            arrays[f"{prefix}_w{i}"] = w
-            arrays[f"{prefix}_b{i}"] = b
-    arrays["log_std"] = policy.log_std
-    header = {
-        "format_version": POLICY_FORMAT_VERSION,
-        "actor_layers": len(policy.actor.weights),
-        "critic_layers": len(policy.critic.weights),
-        "meta": policy.meta,
-    }
+    arrays = dict(_stored_arrays(policy))
+    header = {"format_version": POLICY_FORMAT_VERSION, "actor_layers": len(policy.actor.weights),
+              "critic_layers": len(policy.critic.weights), "meta": policy.meta}
     arrays["header"] = np.frombuffer(json.dumps(header, sort_keys=True).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
 
 
 def load_policy(path) -> PolicyParams:
+    """Read a policy written by ``save_policy``.  A missing array, or one
+    whose shape differs from its place in the policy, raises a ValueError
+    naming the file and the key."""
     with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        if header["format_version"] != POLICY_FORMAT_VERSION:
-            raise ValueError(f"unsupported policy format {header['format_version']}")
-        nets = {}
-        for prefix in ("actor", "critic"):
-            n = header[f"{prefix}_layers"]
-            weights = [data[f"{prefix}_w{i}"].copy() for i in range(n)]
-            biases = [data[f"{prefix}_b{i}"].copy() for i in range(n)]
-            nets[prefix] = MLP(weights, biases)
-        return PolicyParams(nets["actor"], nets["critic"],
-                            data["log_std"].copy(), header.get("meta", {}))
+        arrays = {key: data[key] for key in data.files}
+
+    def stored(key: str) -> np.ndarray:
+        if key not in arrays:
+            raise ValueError(f"{path}: no array {key}")
+        return arrays[key]
+
+    header = json.loads(bytes(stored("header")).decode())
+    if header.get("format_version") != POLICY_FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported policy format {header.get('format_version')}")
+    weights = [stored(f"actor_w{i}") for i in range(header.get("actor_layers", 0))]
+    if not weights or any(w.ndim != 2 for w in weights):
+        raise ValueError(f"{path}: actor weights must be matrices")
+    policy = PolicyParams([weights[0].shape[1], *(w.shape[0] for w in weights)],
+                          meta=header.get("meta", {}))
+    for key, view in _stored_arrays(policy):
+        array = stored(key)
+        if array.shape != view.shape:
+            raise ValueError(f"{path}: {key} has shape {array.shape}, expected {view.shape}")
+        view[...] = array
+    return policy

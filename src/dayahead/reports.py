@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import read_columns, write_columns
+from .data import DataError, read_columns, write_columns
 from .market import (BID_OUTCOME_HEADER, BUY, DAY_RESULT_HEADER, HOURS_PER_DAY, SELL, Bid,
                      BidOutcome, DayResult, hourly_columns)
 
@@ -133,6 +133,14 @@ def write_unscheduled_trace(results: list[DayResult], window: tuple[int, int], p
         _window_results(results, window), "unscheduled_buys", "unscheduled_sells"))
 
 
+def _check_hours(path, days: np.ndarray, hours: np.ndarray) -> None:
+    """Raise a DataError naming the first row whose hour is outside 0..23."""
+    outside = np.flatnonzero((hours < 0) | (hours >= HOURS_PER_DAY))
+    if outside.size:
+        i = outside[0]
+        raise DataError(f"{path}: day {days[i]} has hour {hours[i]} outside 0..23")
+
+
 def read_day_results(trace_path, bids_path, window: tuple[int, int]) -> list[DayResult]:
     """Rebuild the day results of ``window`` from exported trace/bids CSVs,
     for report assembly; ``bids_path`` may be None or missing.
@@ -148,6 +156,7 @@ def read_day_results(trace_path, bids_path, window: tuple[int, int]) -> list[Day
     row_days, hours, *values = read_columns(
         trace_path, DAY_RESULT_HEADER, (int, int) + (float,) * (len(DAY_RESULT_HEADER) - 2),
         days=window)
+    _check_hours(trace_path, row_days, hours)
     days, inverse = np.unique(row_days, return_inverse=True)
     tables = np.zeros((len(values), days.size, HOURS_PER_DAY))
     tables[:, inverse, hours] = values
@@ -164,6 +173,7 @@ def read_day_results(trace_path, bids_path, window: tuple[int, int]) -> list[Day
     if bids_path and os.path.exists(bids_path):
         bids = read_columns(bids_path, BID_OUTCOME_HEADER,
                             (int, int, (BUY, SELL), float, float, int), days=window)
+        _check_hours(bids_path, *bids[:2])
         for day, hour, side, volume, price, accepted in zip(*map(np.ndarray.tolist, bids)):
             if day in results:
                 results[day].bid_outcomes.append(BidOutcome(Bid(volume, price, side.decode(), hour),

@@ -19,8 +19,8 @@ from .cmaes import CmaesConfig, CmaesHistory, cmaes_optimize
 from .data import Dataset
 from .market import (DayResult, EnvConfig, TradingEnv, delivery_window,
                      observation_size)
-from .nets import (PolicyParams, RmsPropState, backward, clip_gradient_norm,
-                   forward_cached, init_policy, rmsprop_step)
+from .nets import (PolicyParams, backward, clip_gradient_norm, forward_cached,
+                   init_policy, rmsprop_step)
 from .reports import BalanceRow
 from .strategies import (LOG2PI, blackbox_bids, log_density, mean_action,
                          params_class, sample_action)
@@ -178,6 +178,8 @@ class A2cConfig:
             raise ValueError("gae_lambda must lie in [0, 1]")
         if self.n_steps <= 0:
             raise ValueError("n_steps must be positive")
+        if self.eval_frequency < 1:
+            raise ValueError("eval_frequency must be at least 1")
 
 
 @dataclass
@@ -207,15 +209,15 @@ class A2cUpdater:
 
     The critic regresses on GAE returns computed with the pre-update value
     snapshot; the actor ascends log-probability weighted advantages.  Losses
-    are averaged over the rollout, SB-style, and the combined gradient is
-    norm-clipped before the optimizer step.
+    are averaged over the rollout, SB-style; their gradient, one policy-shaped
+    vector kept across updates, is norm-clipped before the optimizer step.
     """
 
     def __init__(self, policy: PolicyParams, config: A2cConfig):
         self.policy = policy
         self.config = config
-        self._params = policy.parameters()
-        self._rms: RmsPropState | None = None
+        self._grad = PolicyParams(policy.sizes)
+        self._square_avg = np.zeros_like(policy.vector)
 
     def update(self, observations: np.ndarray, noise: np.ndarray,
                rewards: np.ndarray, bootstrap: float) -> dict:
@@ -237,21 +239,19 @@ class A2cUpdater:
 
         # d policy_loss / d mean = -A * xi / sigma, averaged over steps
         actor_out_grad = (-advantages[:, None] * noise / sigma[None, :]) / t_steps
-        grad_log_std = -(advantages[:, None] * (noise ** 2 - 1.0)).sum(axis=0) / t_steps
+        grad = self._grad
+        grad.log_std[:] = -(advantages[:, None] * (noise ** 2 - 1.0)).sum(axis=0) / t_steps
         if cfg.ent_coef != 0.0:
-            grad_log_std -= cfg.ent_coef  # d entropy / d log_std = 1 per dimension
+            grad.log_std -= cfg.ent_coef  # d entropy / d log_std = 1 per dimension
         critic_out_grad = (cfg.vf_coef * 2.0 * value_errors[:, None]) / t_steps
 
-        actor_grads = backward(policy.actor, actor_cache, actor_out_grad)
-        critic_grads = backward(policy.critic, critic_cache, critic_out_grad)
-        grads = [*actor_grads.weights, *actor_grads.biases,
-                 *critic_grads.weights, *critic_grads.biases, grad_log_std]
-        grad_norm = clip_gradient_norm(grads, cfg.max_grad_norm)
+        backward(policy.actor, actor_cache, actor_out_grad, grad.actor)
+        backward(policy.critic, critic_cache, critic_out_grad, grad.critic)
+        grad_norm = clip_gradient_norm(grad, cfg.max_grad_norm)
         if not math.isfinite(grad_norm):
             raise FloatingPointError("non-finite gradient; training diverged")
-        self._rms = rmsprop_step(self._params, grads, self._rms,
-                                 lr=cfg.learning_rate, decay=cfg.rms_decay,
-                                 eps=cfg.rms_eps)
+        rmsprop_step(policy.vector, grad.vector, self._square_avg, lr=cfg.learning_rate,
+                     decay=cfg.rms_decay, eps=cfg.rms_eps)
         return {
             "policy_loss": policy_loss,
             "value_loss": value_loss,

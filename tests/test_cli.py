@@ -156,6 +156,34 @@ def test_evaluate_policy_with_other_forecast_normalization_exits_2(
     assert key in err and repr(value) in err
 
 
+def test_evaluate_policy_missing_an_array_exits_2(data_dir, tmp_path, capsys):
+    """A policy file without one of its arrays is invalid input, named by key."""
+    from dayahead.nets import init_policy, save_policy
+
+    path = tmp_path / "policy.npz"
+    save_policy(path, init_policy(141, hidden_size=8, seed=0))
+    with np.load(path) as stored:
+        arrays = {key: stored[key] for key in stored.files if key != "critic_b1"}
+    np.savez(path, **arrays)
+    code = main(["evaluate", "--policy", str(path), "--data", str(data_dir),
+                 "--seeds", "0", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "critic_b1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("frequency", [0, -5])
+def test_train_rl_with_evaluation_frequency_below_one_exits_2(data_dir, tmp_path, frequency):
+    """Refused before training, which would otherwise never advance its next
+    evaluation step; nothing is written."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "evaluation_frequency": frequency}))
+    out = tmp_path / "rl"
+    code = main(["train-rl", "--data", str(data_dir), "--config", str(config),
+                 "--seeds", "0", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
 def test_each_verb_builds_one_environment(data_dir, config_path, tmp_path, monkeypatch):
     from dayahead import market
 

@@ -225,6 +225,20 @@ def test_bad_forecast_row_names_file_and_line(tmp_path, column, value, message):
         load_dataset(*paths)
 
 
+@pytest.mark.parametrize("file,line,column,value,message", [
+    (2, 5, 1, "inf", r"profile\.csv:5: non-finite value 'inf' for hour 2"),
+    (0, 27, 1, "24", r"prices\.csv:27: hour 24 outside 0\.\.23"),
+    (3, 41, 5, "nan", r"forecasts\.csv:41: non-finite forecast value"),
+])
+def test_checks_after_parsing_count_blank_lines(tmp_path, file, line, column, value, message):
+    """A blank line 2 moves every item down one line, and the message with it."""
+    paths = write_forecast_fixture(tmp_path)
+    edit_line(paths[file], 1, lambda header: header + "\n")
+    edit_line(paths[file], line, set_field(column, value))
+    with pytest.raises(DataError, match=message):
+        load_dataset(*paths)
+
+
 def test_dataset_rejects_partial_forecast_day():
     ds = with_perfect_forecasts(flat_dataset(num_days=60))
     wind = ds.forecast_wind_speed.copy()

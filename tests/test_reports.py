@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dayahead.data import DataError
 from dayahead.market import EnvConfig, TradingEnv, export_bid_outcomes, export_day_results
 from dayahead.reports import read_day_results, write_battery_trace
 from dayahead.strategies import TimingParams
@@ -47,3 +48,23 @@ def assert_same_days(loaded, results):
                 for o in got.bid_outcomes] == \
                [(o.bid.volume, o.bid.price, o.bid.side, o.bid.hour, o.accepted)
                 for o in want.bid_outcomes]
+
+
+@pytest.mark.parametrize("file", ["trace.csv", "bids.csv"])
+@pytest.mark.parametrize("hour", [24, -1])
+def test_hour_outside_the_day_names_file_day_and_hour(tmp_path, small_dataset, file, hour):
+    """An hour of 24 would index past the day and -1 would land in hour 23."""
+    env = TradingEnv(small_dataset, EnvConfig())
+    _, results = evaluate_strategy(TimingParams(1.2, 0.8).bids, env, (90, 93), 0,
+                                   collect_results=True)
+    export_day_results(results, tmp_path / "trace.csv")
+    export_bid_outcomes(results, tmp_path / "bids.csv")
+    path = tmp_path / file
+    lines = path.read_text().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if line.startswith("91,"))
+    fields = lines[row].split(",")
+    fields[1] = str(hour)
+    lines[row] = ",".join(fields)
+    path.write_text("".join(lines))
+    with pytest.raises(DataError, match=rf"{file}: day 91 has hour {hour} outside 0\.\.23"):
+        read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (90, 93))

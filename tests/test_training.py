@@ -282,6 +282,13 @@ def test_overflowing_opportunistic_candidate_scores_non_finite(small_dataset):
 # A2C updater
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("frequency", [0, -5])
+def test_a2c_config_rejects_evaluation_frequency_below_one(frequency):
+    """The training loop advances its next evaluation step by this amount."""
+    with pytest.raises(ValueError, match="eval_frequency"):
+        A2cConfig(eval_frequency=frequency)
+
+
 def make_updater(action_size=4, seed=0, **cfg_kwargs):
     cfg_kwargs.setdefault("learning_rate", 1e-3)
     cfg = A2cConfig(**cfg_kwargs)
