@@ -127,7 +127,7 @@ class Dataset:
         if np.any(self.wind_speed < 0):
             raise DataError("wind speed must be nonnegative")
         self._check_forecasts()
-        self._pbar_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._pbar_cache: dict[int, list] = {}
 
     def _check_forecasts(self) -> None:
         """All three forecast arrays or none, each (num_days, 24); in each day

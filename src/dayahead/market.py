@@ -9,6 +9,9 @@ battery.  Residual energy the battery cannot absorb or supply is settled
 immediately at penalty prices: forced buys at twice the market price, forced
 sells at half of it.
 
+A day's bids are one schedule: four rows of 24 floats (buy volume, buy limit
+price, sell volume, sell limit price); a volume of 0 means no bid.
+
 Because the prosumer is assumed too small to move market prices, replaying
 the price/weather tape while simulating only the battery gives an unbiased
 evaluation of any bidding strategy.  The inner loops run on plain floats;
@@ -22,12 +25,14 @@ Each simulator rule lives in one place:
 
 * production from weather, for actuals, forecasts and the reference
   balance: :func:`hourly_production`;
-* battery netting and penalty settlement, for the simulated hours and the
-  midnight estimate: ``TradingEnv._net_hours``;
+* clearing, battery netting and penalty settlement, hour by hour:
+  ``TradingEnv._net_hours``, and its charge-only twin
+  ``TradingEnv._charge_after`` where no cash is booked, pinned to it by test;
 * consumption ``households * profile * |1 + rho|``, with the noise drawn
   once per episode: the consumption tape built by ``TradingEnv.reset``;
 * the per-hour rolling median price: :func:`rolling_price_stats`;
-* volume rounding to the market step: :func:`round_volume`;
+* volume rounding to the market step: :func:`round_volumes`;
+* the bid records of a schedule, in ``bids.csv`` order: :func:`schedule_bids`;
 * the deliverable days of a day range: :func:`delivery_window`;
 * the observation layout and size: :func:`observation_size`.
 
@@ -36,9 +41,9 @@ only randomness is the consumption noise generator given to ``reset``.
 """
 from __future__ import annotations
 
-import datetime as dt
 import math
 from dataclasses import dataclass
+from math import floor
 
 import numpy as np
 
@@ -48,23 +53,23 @@ from .data import (Dataset, HOURS_PER_DAY, OKTA_MAX, day_hour_columns, hour_by_h
 BUY = "buy"
 SELL = "sell"
 
-MARKET_VOLUME_STEP = 0.1  # minimum tradeable volume [MWh]
 FIRST_DELIVERY_DAY = 2  # after a decision day, which needs a forecast (from day 1)
 
 
-def round_volume(volume: float) -> float:
-    """Round a bid volume to the nearest 0.1 MWh, ties away from zero.
+def round_volumes(values, scale: float = 1.0) -> list[float]:
+    """Each ``scale * value`` rounded to the nearest 0.1 MWh, ties away from zero.
 
     Values below 0.05 (including negatives) collapse to 0.0, i.e. no bid.
     A volume too large to round becomes infinite instead of raising, so
-    that it surfaces as a non-finite income, which optimizers rank worst.
+    that it surfaces as a non-finite income, which optimizers rank worst;
+    NaN raises.  One comprehension: a call per volume costs more than that.
     """
-    if volume < 0.05:
-        return 0.0
     try:
-        return math.floor(volume * 10.0 + 0.5) / 10.0
-    except OverflowError:
-        return math.inf
+        return [0.0 if v < 0.05 else floor(v * 10.0 + 0.5) / 10.0
+                for x in values for v in (scale * x,)]
+    except OverflowError:  # rare: round again, value by value
+        return [math.inf if scale * x * 10.0 + 0.5 == math.inf else round_volumes((x,), scale)[0]
+                for x in values]
 
 
 @dataclass(slots=True)
@@ -76,37 +81,44 @@ class Bid:
     side: str
     hour: int
 
-    def validate(self) -> None:
-        if self.side not in (BUY, SELL):
-            raise ValueError(f"bid side must be {BUY!r} or {SELL!r}")
-        if not 0 <= self.hour < HOURS_PER_DAY:
-            raise ValueError(f"bid hour {self.hour} outside 0..23")
-        if not (math.isfinite(self.volume) and self.volume >= 0):
-            raise ValueError(f"bid volume {self.volume} must be finite and nonnegative")
-        scaled = self.volume * 10.0
-        if abs(scaled - math.floor(scaled + 0.5)) > 1e-6:
-            raise ValueError(f"bid volume {self.volume} is not a multiple of 0.1 MWh")
-        if not self.price >= 0:  # rejects NaN; +inf allowed as always-accept sentinel
-            raise ValueError("bid price must be nonnegative")
-
-
-def clear_bid(bid: Bid, clearing_price: float) -> bool:
-    """Market acceptance rule for a single bid.
-
-    A buy bid executes when its price is not below the clearing price, a sell
-    bid when its price is not above it.  Zero-volume bids never execute.
-    """
-    if bid.volume == 0.0:
-        return False
-    if bid.side == BUY:
-        return bid.price >= clearing_price
-    return bid.price <= clearing_price
-
 
 @dataclass(slots=True)
 class BidOutcome:
     bid: Bid
     accepted: bool
+
+
+NO_BIDS = ((0.0,) * HOURS_PER_DAY,) * 4  # the empty schedule
+
+
+def schedule_bids(schedule) -> list[Bid]:
+    """The bids of a schedule, hour by hour with the buy before the sell,
+    which is the row order of ``bids.csv``; a volume of 0 is no bid."""
+    buy_volumes, buy_prices, sell_volumes, sell_prices = schedule
+    bids = []
+    for hour in range(HOURS_PER_DAY):
+        if buy_volumes[hour]:
+            bids.append(Bid(buy_volumes[hour], buy_prices[hour], BUY, hour))
+        if sell_volumes[hour]:
+            bids.append(Bid(sell_volumes[hour], sell_prices[hour], SELL, hour))
+    return bids
+
+
+def _check_schedule(schedule) -> None:
+    """Raise a ValueError unless ``schedule`` has 4 rows of 24 hours, volumes
+    on the 0.1 MWh grid and nonnegative prices (+inf always buys)."""
+    if len(schedule) != 4 or any(len(row) != HOURS_PER_DAY for row in schedule):
+        raise ValueError("a bid schedule has 4 rows of 24 hours: volume, price, volume, price")
+    for side, volumes, prices in ((BUY, *schedule[:2]), (SELL, *schedule[2:])):
+        for hour, (volume, price) in enumerate(zip(volumes, prices)):
+            if not (math.isfinite(volume) and volume >= 0):
+                raise ValueError(f"{side} volume {volume} in hour {hour} "
+                                 "must be finite and nonnegative")
+            if abs(volume * 10.0 - floor(volume * 10.0 + 0.5)) > 1e-6:
+                raise ValueError(f"{side} volume {volume} in hour {hour} "
+                                 "is not a multiple of 0.1 MWh")
+            if not price >= 0:  # rejects NaN
+                raise ValueError(f"{side} price {price} in hour {hour} must be nonnegative")
 
 
 @dataclass
@@ -142,6 +154,19 @@ class EnvConfig:
             raise ValueError("household count must be nonnegative")
         if not 0 <= self.initial_charge <= 1:
             raise ValueError("initial charge must be a fraction of capacity")
+        if not self.consumption_noise_std >= 0:
+            raise ValueError("consumption_noise_std must be nonnegative")
+        if not 0 <= self.action_hour < HOURS_PER_DAY:
+            raise ValueError(f"action_hour must lie in 0..23, got {self.action_hour}")
+        if self.price_stat_window < 1:
+            raise ValueError("price_stat_window must be at least 1 day")
+        # With k_s <= 1 <= k_b a settlement never pays better than the market.
+        if not 0 <= self.penalty_sell_multiplier <= 1:
+            raise ValueError("penalty_sell_multiplier must lie in [0, 1]")
+        if not 1 <= self.penalty_buy_multiplier < math.inf:
+            raise ValueError("penalty_buy_multiplier must be finite and at least 1")
+        if self.price_scale is not None and not self.price_scale > 0:
+            raise ValueError("price_scale must be positive")
 
     @property
     def max_hourly_production(self) -> float:
@@ -186,75 +211,66 @@ def hourly_production(cloudiness, wind_speed, config: EnvConfig) -> np.ndarray:
 # Rolling per-hour price statistic
 # ---------------------------------------------------------------------------
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """A view of ``array`` that raises on writes; the replay tape is handed
-    to strategies only through such views."""
-    view = array.view()
-    view.flags.writeable = False
-    return view
-
-
 def rolling_price_stats(dataset: Dataset, day_index: int, window: int = 28) -> np.ndarray:
     """Median price of each hour over the ``window`` days before ``day_index``.
 
     During warm-up (fewer than ``window`` prior days) all available history is
     used; an even count takes the mean of the two middle values.  The day
     itself is excluded, so day 0 has no history at all.  Rows are computed
-    once per dataset and handed out as read-only views of the cache.
+    once per dataset and window, cached, and handed out read-only.
     """
-    cached = dataset._pbar_cache.get(window)
-    if cached is None:
-        table = np.full((dataset.num_days, HOURS_PER_DAY), np.nan)
-        cached = dataset._pbar_cache[window] = (table, _read_only(table))
-    table, view = cached
-    if math.isnan(table[day_index, 0]):
+    rows = dataset._pbar_cache.get(window)
+    if rows is None:
+        rows = dataset._pbar_cache[window] = [None] * dataset.num_days
+    row = rows[day_index]
+    if row is None:
         if day_index <= 0:
             raise ValueError("no price history before day 0; start after at least one warm-up day")
         lo = max(0, day_index - window)
-        table[day_index] = np.median(dataset.prices[lo:day_index], axis=0)
-    return view[day_index]
+        row = rows[day_index] = np.median(dataset.prices[lo:day_index], axis=0)
+        row.flags.writeable = False  # strategies see the replay tape only read-only
+    return row
 
 
 # ---------------------------------------------------------------------------
 # Decision context (observation) and day results
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class DecisionContext:
     """Everything a strategy may look at when bidding for the next day.
 
     Snapshotted at the scheduling time of ``day``; the bids produced from it
-    are for delivery day ``day + 1``.
+    are for delivery day ``day + 1``.  It holds only what changes per day:
+    :attr:`vbar` and :meth:`observation` read the environment's tables.
     """
 
+    env: TradingEnv
     day: int
-    date: dt.date
-    prices_today: np.ndarray          # (24,) prices of the decision day
     rel_charge: float                 # battery level at the decision snapshot / capacity
     est_midnight: float               # projected relative level at midnight
-    month_index: int                  # 0..11
-    weekday: int                      # 0 = Monday
-    pbar: np.ndarray                  # (24,) rolling per-hour median price
-    vbar: float                       # max producible volume per hour
-    profile: np.ndarray               # (24,) per-household consumption profile
-    households: int
-    _prices_norm: np.ndarray          # (24,) prices_today / price_scale
-    _profile_norm: np.ndarray         # (24,) profile / max(profile)
-    _forecast_norm: np.ndarray | None # (72,) normalized forecast block
+    pbar: np.ndarray                  # (24,) rolling per-hour median price, read-only
+
+    @property
+    def vbar(self) -> float:
+        """Largest producible volume per hour."""
+        return self.env._vbar
 
     def observation(self, include_weather: bool = True) -> np.ndarray:
         """Normalized state vector: 141 values, or 69 without the forecast block."""
+        env = self.env
         obs = np.zeros(observation_size(include_weather))
-        obs[0:24] = self._prices_norm
-        obs[24:48] = self._profile_norm
+        obs[0:24] = env._prices_norm[self.day]
+        obs[24:48] = env._profile_norm
         obs[48] = self.rel_charge
         obs[49] = self.est_midnight
-        obs[50 + self.month_index] = 1.0
-        obs[62 + self.weekday] = 1.0
+        month_index, weekday = env._calendar[self.day]
+        obs[50 + month_index] = 1.0
+        obs[62 + weekday] = 1.0
         if include_weather:
-            if self._forecast_norm is None:
+            if not env._forecast_ok[self.day + 1]:
                 raise ValueError("weather observation requested but no forecast block present")
-            obs[69:] = self._forecast_norm
+            obs[69:] = env._forecast_norm[self.day + 1]
         return obs
 
 
@@ -316,12 +332,13 @@ class TradingEnv:
     ``reset(start_day, rng, days)`` positions the simulation at the decision
     point on ``start_day - 1`` (with an empty inherited schedule), draws the
     consumption noise of ``days`` delivery days from ``rng``, and returns the
-    context for bidding on ``start_day``.  Each ``step(bids)`` clears the
-    bids against the next delivery day, simulates its 24 hours, and returns
-    the next decision context, the day's profit, the full :class:`DayResult`
-    and ``done``, signalled when the replay tape runs out of forecast data
-    for the next decision; stepping beyond ``days`` raises.  ``collect=False``
-    skips the per-day trace, which roughly halves the cost of rollouts.
+    context for bidding on ``start_day``.  Each ``step(schedule)`` clears a
+    bid schedule against the next delivery day, simulates its 24 hours, and
+    returns the next decision context, the day's profit, the full
+    :class:`DayResult` and ``done``, signalled when the replay tape runs out
+    of forecast data for the next decision; stepping beyond ``days`` raises.
+    ``collect=False`` skips the per-day trace and its bid records, which
+    roughly halves the cost of rollouts; ``trusted=True`` skips the check.
     """
 
     def __init__(self, dataset: Dataset, config: EnvConfig | None = None):
@@ -331,48 +348,35 @@ class TradingEnv:
         self._production = hourly_production(dataset.cloudiness, dataset.wind_speed, cfg)
         self._production_rows = self._production.tolist()
         self._price_rows = dataset.prices.tolist()
-        self._profile = _read_only(dataset.profile.avg_per_household)
         self._zero_noise_consumption = (cfg.households
                                         * dataset.profile.avg_per_household).tolist()
-        self._price_scale = cfg.price_scale or self._default_price_scale()
+        self._vbar = cfg.max_hourly_production
+        self._price_scale = cfg.price_scale
+        if cfg.price_scale is None:  # the mean price of the training split
+            lo, hi = dataset.split.train if dataset.split is not None else (0, dataset.num_days)
+            self._price_scale = float(dataset.prices[lo:hi].mean())
+        # The tables DecisionContext.observation reads.
         profile_max = dataset.profile.avg_per_household.max()
-        self._profile_norm = _read_only(dataset.profile.avg_per_household / profile_max
-                                       if profile_max > 0 else np.zeros(HOURS_PER_DAY))
-        # The decision calendar and the read-only rows each context hands out.
-        self._calendar = [(date, date.month - 1, date.weekday())
+        self._profile_norm = (dataset.profile.avg_per_household / profile_max
+                              if profile_max > 0 else np.zeros(HOURS_PER_DAY))
+        self._calendar = [(date.month - 1, date.weekday())
                           for date in map(dataset.date_of, range(dataset.num_days))]
-        self._price_views = list(_read_only(dataset.prices))
-        self._prices_norm_views = list(_read_only(dataset.prices / self._price_scale))
+        self._prices_norm = dataset.prices / self._price_scale
         self._forecast_ok = [dataset.forecast_available(d) for d in range(dataset.num_days)]
         self._forecast_ok.append(False)  # sentinel for day num_days
-        self._forecast_views = [None] * len(self._forecast_ok)  # None: no forecast that day
         if dataset.has_forecasts:
             t_lo, t_hi = cfg.temperature_range
-            forecast_norm = _read_only(np.concatenate(
-                [
-                    dataset.forecast_cloudiness / 8.0,
-                    dataset.forecast_wind_speed / cfg.max_wind_speed,
-                    (dataset.forecast_temperature - t_lo) / (t_hi - t_lo),
-                ],
-                axis=1,
-            ))
-            self._forecast_views[:-1] = [row if ok else None for row, ok
-                                         in zip(forecast_norm, self._forecast_ok)]
+            self._forecast_norm = np.concatenate(
+                [dataset.forecast_cloudiness / 8.0,
+                 dataset.forecast_wind_speed / cfg.max_wind_speed,
+                 (dataset.forecast_temperature - t_lo) / (t_hi - t_lo)], axis=1)
             self._forecast_production_rows = hourly_production(
                 dataset.forecast_cloudiness, dataset.forecast_wind_speed, cfg).tolist()
-        else:
-            self._forecast_production_rows = None
         self.charge = cfg.initial_charge * cfg.battery_capacity
         self._next_day: int | None = None
-        self._schedule_buys = [0.0] * HOURS_PER_DAY
-        self._schedule_sells = [0.0] * HOURS_PER_DAY
-
-    def _default_price_scale(self) -> float:
-        split = self.dataset.split
-        if split is not None:
-            lo, hi = split.train
-            return float(self.dataset.prices[lo:hi].mean())
-        return float(self.dataset.prices.mean())
+        self._tape_key = None  # (seed, start_day, days) of a tape drawn from an integer seed
+        self._schedule = NO_BIDS  # the schedule being delivered ...
+        self._schedule_prices = self._price_rows[0]  # ... and its day's clearing prices
 
     @property
     def price_scale(self) -> float:
@@ -388,7 +392,9 @@ class TradingEnv:
         prior day (forecasts exist from day 1), so ``start_day >= 2``; the
         episode must end within the dataset.  Its consumption noise is drawn
         here in one call from ``rng``, a generator (used as is, so its stream
-        continues as if drawn day by day) or an integer seed.
+        continues as if drawn day by day) or an integer seed.  The tape of an
+        integer seed is kept: a reset with the same seed, start and length
+        reuses it, as every candidate of one optimization run does.
         """
         if start_day < FIRST_DELIVERY_DAY:
             raise ValueError(f"start_day must be at least {FIRST_DELIVERY_DAY}")
@@ -399,27 +405,28 @@ class TradingEnv:
             raise ValueError(f"no forecast for day {start_day}; generate forecasts first")
         cfg = self.config
         decision_day = start_day - 1
-        # Row 0 of the tape is the decision day, of which only the hours
-        # from the action hour on are simulated; row k is the k-th delivery day.
-        rho = np.zeros((days + 1, HOURS_PER_DAY))
-        rho.flat[cfg.action_hour:] = np.random.default_rng(rng).normal(
-            0.0, cfg.consumption_noise_std, rho.size - cfg.action_hour)
-        self._consumption_rows = np.multiply(self._zero_noise_consumption, abs(1.0 + rho)).tolist()
+        key = (rng, start_day, days) if isinstance(rng, int) else None
+        if key is None or key != self._tape_key:
+            # Row 0: the decision day, simulated from the action hour; row k: delivery day k.
+            rho = np.zeros((days + 1, HOURS_PER_DAY))
+            rho.flat[cfg.action_hour:] = np.random.default_rng(rng).normal(
+                0.0, cfg.consumption_noise_std, rho.size - cfg.action_hour)
+            self._consumption_rows = np.multiply(self._zero_noise_consumption,
+                                                 abs(1.0 + rho)).tolist()
+            self._tape_key = key
         self._tape_day, self._end_day = decision_day, start_day + days
         self.charge = cfg.initial_charge * cfg.battery_capacity
         self._next_day = start_day
-        self._schedule_buys = [0.0] * HOURS_PER_DAY
-        self._schedule_sells = [0.0] * HOURS_PER_DAY
+        self._schedule = NO_BIDS
+        self._schedule_prices = self._price_rows[decision_day]
         ctx = self._build_context(decision_day)
-        # Play out the remainder of the decision day with no scheduled bids so
-        # the realized midnight level follows the same dynamics the estimator
-        # assumes.
-        self.charge, _ = self._net_hours(self.charge, decision_day, cfg.action_hour,
-                                         HOURS_PER_DAY, self._production_rows[decision_day],
-                                         self._consumption_rows[0], None)
+        # Play out the rest of the decision day with no scheduled bids, so the
+        # realized midnight level follows the dynamics the estimator assumes.
+        self.charge = self._charge_after(self._production_rows[decision_day],
+                                         self._consumption_rows[0])
         return ctx
 
-    def step(self, bids: list[Bid], collect: bool = True, trusted: bool = False
+    def step(self, schedule, collect: bool = True, trusted: bool = False
              ) -> tuple[DecisionContext | None, float, DayResult | None, bool]:
         if self._next_day is None:
             raise RuntimeError("call reset() before step()")
@@ -427,108 +434,89 @@ class TradingEnv:
         if day >= self._end_day:
             raise RuntimeError(f"the episode ended with day {self._end_day - 1}; "
                                "reset() the environment")
-        prices = self._price_rows[day]
-
-        outcomes: list[BidOutcome] = []
-        buy_vol = [0.0] * HOURS_PER_DAY
-        sell_vol = [0.0] * HOURS_PER_DAY
-        for bid in bids:
-            if not trusted:
-                bid.validate()
-            if bid.volume == 0.0:
-                continue
-            price = prices[bid.hour]
-            if bid.side == BUY:
-                accepted = bid.price >= price
-                if accepted:
-                    buy_vol[bid.hour] += bid.volume
-            else:
-                accepted = bid.price <= price
-                if accepted:
-                    sell_vol[bid.hour] += bid.volume
-            if collect:
-                outcomes.append(BidOutcome(bid, accepted))
-
-        if collect:
-            result = DayResult(
-                day=day,
-                prices=self.dataset.prices[day].copy(),
-                bid_outcomes=outcomes,
-                buy_volumes=np.array(buy_vol),
-                sell_volumes=np.array(sell_vol),
-                production=self._production[day].copy(),
-                consumption=np.zeros(HOURS_PER_DAY),
-                charge_input=np.zeros(HOURS_PER_DAY),
-                discharge=np.zeros(HOURS_PER_DAY),
-                unscheduled_buys=np.zeros(HOURS_PER_DAY),
-                unscheduled_sells=np.zeros(HOURS_PER_DAY),
-                battery_trace=np.zeros(HOURS_PER_DAY + 1),
-                cash_deltas=np.zeros(HOURS_PER_DAY),
-                reward=0.0,
-            )
-            result.battery_trace[0] = self.charge
-        else:
-            result = None
+        if not trusted:
+            _check_schedule(schedule)
+        self._schedule = schedule
+        self._schedule_prices = self._price_rows[day]
+        trace = [] if collect else None
+        start_charge = self.charge
 
         action_hour = self.config.action_hour
         production = self._production_rows[day]
         consumption = self._consumption_rows[day - self._tape_day]
-        self._schedule_buys = buy_vol
-        self._schedule_sells = sell_vol
-        self.charge, reward = self._net_hours(self.charge, day, 0, action_hour, production,
-                                              consumption, result)
+        self.charge, reward = self._net_hours(self.charge, 0, action_hour, production,
+                                              consumption, trace)
 
         # Decision snapshot for the *next* delivery day, taken mid-delivery.
         done = not self._forecast_ok[day + 1]
         ctx = None if done else self._build_context(day)
 
-        self.charge, cash = self._net_hours(self.charge, day, action_hour, HOURS_PER_DAY,
-                                            production, consumption, result)
+        self.charge, cash = self._net_hours(self.charge, action_hour, HOURS_PER_DAY,
+                                            production, consumption, trace)
         reward += cash
-        if result is not None:
-            result.reward = reward
+        result = None
+        if collect:
+            # One row per flow, each contiguous.
+            buys, sells, cons, charge_in, discharge, uns_buys, uns_sells, levels, cash_deltas = \
+                np.fromiter(trace, float, len(trace)).reshape(HOURS_PER_DAY, -1).T.copy()
+            executed = {BUY: buys.tolist(), SELL: sells.tolist()}
+            result = DayResult(
+                day=day,
+                prices=self.dataset.prices[day].copy(),
+                bid_outcomes=[BidOutcome(bid, executed[bid.side][bid.hour] != 0.0)
+                              for bid in schedule_bids(schedule)],
+                buy_volumes=buys,
+                sell_volumes=sells,
+                production=self._production[day].copy(),
+                consumption=cons,
+                charge_input=charge_in,
+                discharge=discharge,
+                unscheduled_buys=uns_buys,
+                unscheduled_sells=uns_sells,
+                battery_trace=np.concatenate(([start_charge], levels)),
+                cash_deltas=cash_deltas,
+                reward=reward,
+            )
         self._next_day = day + 1
         return ctx, reward, result, done
 
-    @property
-    def next_delivery_day(self) -> int | None:
-        return self._next_day
-
     # -- internals ----------------------------------------------------------
 
-    def _net_hours(self, charge: float, day: int, hour_lo: int, hour_hi: int,
+    def _net_hours(self, charge: float, hour_lo: int, hour_hi: int,
                    production: list[float], consumption: list[float],
-                   result: DayResult | None) -> tuple[float, float]:
-        """Net one stretch of hours against the battery; the only battery rule.
+                   trace: list | None) -> tuple[float, float]:
+        """Net one stretch of hours against the battery: the battery rule.
 
-        Each hour ``h`` nets ``production[h]`` and the scheduled trades of
-        ``day`` against ``consumption[h]``.  A surplus charges the battery
-        with losses on the way in, a deficit drains it; what the battery
-        cannot absorb or supply is settled at the penalty prices.  Returns
-        the final charge and the cash earned.  The simulator passes actual
-        production and a row of the consumption tape, the midnight estimate
-        forecast production and the zero-noise consumption row.
+        Each hour ``h`` clears the schedule's bids -- a buy executes at the
+        market price when its limit is not below it, a sell when its limit
+        is not above it -- and nets ``production[h]`` and the executed trades
+        against ``consumption[h]``.  A surplus charges the battery with losses
+        on the way in, a deficit drains it; what the battery cannot absorb or
+        supply is settled at the penalty prices.  Returns the final charge
+        and the cash earned; with a ``trace`` list, each hour appends its
+        trades, flows, end level and cash in the order ``step`` unpacks.
         """
         cfg = self.config
         capacity = cfg.battery_capacity
         eta = cfg.battery_efficiency
         buy_mult = cfg.penalty_buy_multiplier
         sell_mult = cfg.penalty_sell_multiplier
-        prices = self._price_rows[day]
-        buy_vol = self._schedule_buys
-        sell_vol = self._schedule_sells
+        prices = self._schedule_prices
+        buy_vol, buy_limit, sell_vol, sell_limit = self._schedule
         cash = 0.0
         for h in range(hour_lo, hour_hi):
-            cons = consumption[h]
-            buy = buy_vol[h]
-            sell = sell_vol[h]
             price = prices[h]
+            buy = buy_vol[h]
+            if not (buy and buy_limit[h] >= price):
+                buy = 0.0
+            sell = sell_vol[h]
+            if not (sell and sell_limit[h] <= price):
+                sell = 0.0
+            cons = consumption[h]
             delta = production[h] + buy - cons - sell
             if delta >= 0.0:
                 discharge = uns_buy = 0.0
-                headroom = (capacity - charge) / eta
-                if headroom < 0.0:
-                    headroom = 0.0
+                headroom = (capacity - charge) / eta  # charge never exceeds capacity
                 if delta <= headroom:
                     charge_in = delta
                     uns_sell = 0.0
@@ -552,35 +540,46 @@ class TradingEnv:
                 + uns_sell * sell_mult * price \
                 - uns_buy * buy_mult * price
             cash += hour_cash
-            if result is not None:
-                result.consumption[h] = cons
-                result.charge_input[h] = charge_in
-                result.discharge[h] = discharge
-                result.unscheduled_buys[h] = uns_buy
-                result.unscheduled_sells[h] = uns_sell
-                result.cash_deltas[h] = hour_cash
-                result.battery_trace[h + 1] = charge
+            if trace is not None:
+                trace += (buy, sell, cons, charge_in, discharge, uns_buy, uns_sell, charge, hour_cash)
         return charge, cash
+
+    def _charge_after(self, production: list[float], consumption: list[float]) -> float:
+        """The charge at midnight after netting the hours from the action hour
+        on, from the current charge: :meth:`_net_hours` step for step,
+        clearing included, without its cash and trace."""
+        cfg = self.config
+        capacity = cfg.battery_capacity
+        eta = cfg.battery_efficiency
+        prices = self._schedule_prices
+        buy_vol, buy_limit, sell_vol, sell_limit = self._schedule
+        charge = self.charge
+        for h in range(cfg.action_hour, HOURS_PER_DAY):
+            price = prices[h]
+            buy = buy_vol[h]
+            if not (buy and buy_limit[h] >= price):
+                buy = 0.0
+            sell = sell_vol[h]
+            if not (sell and sell_limit[h] <= price):
+                sell = 0.0
+            delta = production[h] + buy - consumption[h] - sell
+            if delta >= 0.0:
+                headroom = (capacity - charge) / eta
+                charge = charge + eta * (delta if delta <= headroom else headroom)
+                if charge > capacity:
+                    charge = capacity
+            elif -delta <= charge:
+                charge -= -delta
+            else:
+                charge = 0.0
+        return charge
 
     def _build_context(self, decision_day: int) -> DecisionContext:
         cfg = self.config
-        date, month_index, weekday = self._calendar[decision_day]
         return DecisionContext(
-            day=decision_day,
-            date=date,
-            prices_today=self._price_views[decision_day],
-            rel_charge=self.charge / cfg.battery_capacity,
-            est_midnight=self.estimate_midnight_level(decision_day),
-            month_index=month_index,
-            weekday=weekday,
-            pbar=rolling_price_stats(self.dataset, decision_day, cfg.price_stat_window),
-            vbar=cfg.max_hourly_production,
-            profile=self._profile,
-            households=cfg.households,
-            _prices_norm=self._prices_norm_views[decision_day],
-            _profile_norm=self._profile_norm,
-            _forecast_norm=self._forecast_views[decision_day + 1],
-        )
+            self, decision_day, self.charge / cfg.battery_capacity,
+            self.estimate_midnight_level(decision_day),
+            rolling_price_stats(self.dataset, decision_day, cfg.price_stat_window))
 
     def estimate_midnight_level(self, decision_day: int) -> float:
         """Projected relative battery level at the upcoming midnight.
@@ -589,12 +588,10 @@ class TradingEnv:
         with the already cleared bid schedule, production implied by the
         day's weather forecast, and consumption at its mean (zero noise).
         """
-        if self._forecast_production_rows is None or not self._forecast_ok[decision_day]:
+        if not self._forecast_ok[decision_day]:
             raise ValueError(f"no forecast available for day {decision_day}")
-        charge, _ = self._net_hours(self.charge, decision_day, self.config.action_hour,
-                                    HOURS_PER_DAY, self._forecast_production_rows[decision_day],
-                                    self._zero_noise_consumption, None)
-        return charge / self.config.battery_capacity
+        return self._charge_after(self._forecast_production_rows[decision_day],
+                                  self._zero_noise_consumption) / self.config.battery_capacity
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Bidding strategies: parameter vectors in, 48-slot bid sets out.
+"""Bidding strategies: parameter vectors in, per-hour bid schedules out.
 
 Three families are implemented:
 
@@ -12,8 +12,9 @@ Three families are implemented:
   strategy builds the same matrix from its coefficients and shares the
   decoder.
 
-All of them are pure functions of their inputs; exploration noise for the
-neural policy is passed in explicitly.
+Each returns a day's bids as a schedule laid out like the action matrix
+(see :mod:`dayahead.market`).  All of them are pure functions of their
+inputs; exploration noise for the neural policy is passed in explicitly.
 """
 from __future__ import annotations
 
@@ -25,16 +26,18 @@ from typing import ClassVar
 
 import numpy as np
 
-from .market import BUY, SELL, Bid, DecisionContext, round_volume
+from .market import DecisionContext, round_volumes
 from .nets import PolicyParams, forward
 
 ACTION_ROWS = 4           # buy volume, buy price, sell volume, sell price
 ACTION_HOURS = 24
-ACTION_SIZE = ACTION_ROWS * ACTION_HOURS
 ACTION_CLIP = 3.0
 
 TIMING_BUY_HOURS = (0, 1, 2, 3)
 TIMING_SELL_HOURS = (17, 18, 19, 20)
+# Sentinel limit prices: +inf always buys, 0 always sells.
+TIMING_BUY_PRICES = (math.inf,) * ACTION_HOURS
+TIMING_SELL_PRICES = (0.0,) * ACTION_HOURS
 
 LOG2PI = math.log(2.0 * math.pi)
 
@@ -65,7 +68,7 @@ class TimingParams:
     def initial_mean(cls, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(0.0, 1.0, cls.size)  # standard-normal CMA-ES starting mean
 
-    def bids(self, ctx: DecisionContext) -> list[Bid]:
+    def bids(self, ctx: DecisionContext) -> list:
         return timing_bids(self, ctx.est_midnight)
 
 
@@ -102,7 +105,7 @@ class OpportunisticParams:
         mean[cls.volume_offset_indices()] -= 2.0
         return mean
 
-    def bids(self, ctx: DecisionContext) -> list[Bid]:
+    def bids(self, ctx: DecisionContext) -> list:
         return opportunistic_bids(self, ctx.est_midnight, ctx.vbar, ctx.pbar)
 
     @cached_property
@@ -122,26 +125,26 @@ class OpportunisticParams:
         return (4 * np.arange(ACTION_HOURS)[:, None] + [4, 5]).ravel()
 
 
-def timing_bids(params: TimingParams, est_level: float) -> list[Bid]:
+def timing_bids(params: TimingParams, est_level: float) -> list:
     """Night buys at +inf, evening sells at 0; volumes shifted by battery level.
 
     The fuller the storage is projected to be at midnight, the less is bought
     and the more is sold.  Sentinel prices guarantee acceptance.
     """
-    bids = []
-    buy_volume = round_volume(max(0.0, (params.alpha1 - params.alpha2 * est_level)) / 4.0)
-    sell_volume = round_volume(max(0.0, (params.alpha1 + params.alpha2 * est_level)) / 4.0)
-    if buy_volume > 0.0:
-        for hour in TIMING_BUY_HOURS:
-            bids.append(Bid(buy_volume, math.inf, BUY, hour))
-    if sell_volume > 0.0:
-        for hour in TIMING_SELL_HOURS:
-            bids.append(Bid(sell_volume, 0.0, SELL, hour))
-    return bids
+    buy_volume, sell_volume = round_volumes(
+        [max(0.0, (params.alpha1 - params.alpha2 * est_level)) / 4.0,
+         max(0.0, (params.alpha1 + params.alpha2 * est_level)) / 4.0])
+    buys = [0.0] * ACTION_HOURS
+    sells = [0.0] * ACTION_HOURS
+    for hour in TIMING_BUY_HOURS:
+        buys[hour] = buy_volume
+    for hour in TIMING_SELL_HOURS:
+        sells[hour] = sell_volume
+    return [buys, TIMING_BUY_PRICES, sells, TIMING_SELL_PRICES]
 
 
 def opportunistic_bids(params: OpportunisticParams, est_level: float,
-                       vbar: float, pbar: np.ndarray) -> list[Bid]:
+                       vbar: float, pbar: np.ndarray) -> list:
     """Per-hour buy/sell pairs priced around the rolling median.
 
     The per-hour offsets plus the battery-level couplings form a (4, 24)
@@ -151,28 +154,22 @@ def opportunistic_bids(params: OpportunisticParams, est_level: float,
     return blackbox_bids(offsets + couplings * est_level, vbar, pbar)
 
 
-def blackbox_bids(action: np.ndarray, vbar: float, pbar: np.ndarray) -> list[Bid]:
-    """Decode a (4, 24) action matrix into up to 48 bids.
+def blackbox_bids(action: np.ndarray, vbar: float, pbar: np.ndarray) -> list:
+    """Decode a (4, 24) action matrix into a schedule of up to 48 bids.
 
     Rows are buy log-volume, buy log-price, sell log-volume, sell log-price;
-    a row value of 3 scales the base volume or price by e^3, about 20x.
-    Every strategy with per-hour volumes and prices decodes through here.
+    a row value of 3 scales the base volume ``vbar`` or price ``pbar`` by
+    e^3, about 20x.  Every strategy with per-hour volumes and prices decodes
+    through here.
     """
     action = np.asarray(action, dtype=float)
     if action.shape != (ACTION_ROWS, ACTION_HOURS):
         raise ValueError(f"action must have shape (4, 24), got {action.shape}")
-    scaled = np.exp(action).tolist()
-    pbar = pbar.tolist() if isinstance(pbar, np.ndarray) else pbar
-    buy_vol_row, buy_price_row, sell_vol_row, sell_price_row = scaled
-    bids = []
-    for hour in range(ACTION_HOURS):
-        volume = round_volume(vbar * buy_vol_row[hour])
-        if volume > 0.0:
-            bids.append(Bid(volume, pbar[hour] * buy_price_row[hour], BUY, hour))
-        volume = round_volume(vbar * sell_vol_row[hour])
-        if volume > 0.0:
-            bids.append(Bid(volume, pbar[hour] * sell_price_row[hour], SELL, hour))
-    return bids
+    scaled = np.exp(action)
+    scaled[1::2] *= pbar
+    buy_volumes, buy_prices, sell_volumes, sell_prices = scaled.tolist()
+    return [round_volumes(buy_volumes, vbar), buy_prices,
+            round_volumes(sell_volumes, vbar), sell_prices]
 
 
 def sample_action(policy: PolicyParams, obs: np.ndarray, xi: np.ndarray) -> np.ndarray:

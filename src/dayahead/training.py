@@ -27,7 +27,7 @@ from .strategies import (LOG2PI, blackbox_bids, log_density, mean_action,
 
 
 # ---------------------------------------------------------------------------
-# Strategy adapters: anything mapping a DecisionContext to a bid list
+# Strategy adapters: anything mapping a DecisionContext to a bid schedule
 # ---------------------------------------------------------------------------
 
 def parametric_strategy(kind: str, vector: np.ndarray):
@@ -59,21 +59,21 @@ def evaluate_strategy(bids_fn, env: TradingEnv, day_range: tuple[int, int],
                       seed: int, collect_results: bool = False):
     """Cumulative profit of ``bids_fn`` over the delivery days in ``day_range``.
 
+    ``bids_fn`` maps a decision context to the next day's bid schedule.
     Deterministic per seed: an episode of ``hi - lo`` days restarts with
-    consumption noise seeded from ``seed``, so one environment serves any
-    number of evaluations; the strategy itself must be a pure function of
-    the context.  It ends early where the forecasts do.  With
-    ``collect_results`` the per-day traces are returned as well.  Bids are
-    trusted (not re-validated): strategies built from this package emit
-    compliant volumes by construction.
+    consumption noise seeded from ``seed`` (one tape, reused while the seed
+    repeats), so one environment serves any number of evaluations; the
+    strategy itself must be a pure function of the context.  It ends early
+    where the forecasts do.  With ``collect_results`` the per-day traces and
+    bid records are returned as well.  Schedules are trusted (not checked):
+    strategies built from this package emit compliant volumes by construction.
     """
     lo, hi = day_range
     ctx = env.reset(lo, seed, hi - lo)
     total = 0.0
     results: list[DayResult] = []
     for _ in range(lo, hi):
-        ctx, reward, result, done = env.step(bids_fn(ctx), collect=collect_results,
-                                             trusted=True)
+        ctx, reward, result, done = env.step(bids_fn(ctx), collect_results, True)
         total += reward
         if collect_results:
             results.append(result)

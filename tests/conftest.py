@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dayahead import data as damod
+from dayahead.market import BUY
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +45,15 @@ def flat_dataset(num_days=6, price=250.0, cloudiness=8, wind=0.0, temperature=10
 def with_perfect_forecasts(dataset):
     """Forecasts equal to actuals (sigma = 0)."""
     return damod.make_forecasts(dataset, damod.ForecastSigmas(0.0, 0.0, 0.0), seed=0)
+
+
+def bid_schedule(*bids):
+    """A day's bid schedule holding ``bids`` (``market.Bid`` records), at
+    most one per side and hour; every other slot is no bid."""
+    rows = [[0.0] * 24 for _ in range(4)]
+    for bid in bids:
+        row = 0 if bid.side == BUY else 2
+        assert rows[row][bid.hour] == 0.0, "at most one bid per side and hour"
+        rows[row][bid.hour] = bid.volume
+        rows[row + 1][bid.hour] = bid.price
+    return rows

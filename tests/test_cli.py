@@ -184,6 +184,30 @@ def test_train_rl_with_evaluation_frequency_below_one_exits_2(data_dir, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value,field", [
+    ("penalty_sell_multiplier", 3, "penalty_sell_multiplier"),
+    ("penalty_buy_multiplier", 0.5, "penalty_buy_multiplier"),
+    ("price_stat_window", 0, "price_stat_window"),
+    ("action_scheduling_hour", 24, "action_hour"),
+    ("action_scheduling_hour", -1, "action_hour"),
+    ("price_scale", 0, "price_scale"),
+    ("price_scale", -5, "price_scale"),
+    ("consumption_noise_std", -0.1, "consumption_noise_std"),
+])
+def test_environment_value_the_kernel_cannot_honour_exits_2(data_dir, tmp_path, capsys,
+                                                            key, value, field):
+    """Each was accepted before (exit 0), or failed only inside numpy; now
+    the error names the field and nothing is written."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**TINY_CONFIG, key: value}))
+    out = tmp_path / "eval"
+    code = main(["evaluate", "--zero-action", "--data", str(data_dir), "--config", str(config),
+                 "--seeds", "0", "--out", str(out)])
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_each_verb_builds_one_environment(data_dir, config_path, tmp_path, monkeypatch):
     from dayahead import market
 

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dayahead.cli import ENV_CONFIG_KEYS, env_config_from, load_config
-from dayahead.market import (BUY, SELL, Bid, EnvConfig, TradingEnv, clear_bid,
+from dayahead.market import (BUY, SELL, Bid, DecisionContext, EnvConfig, TradingEnv,
                              hourly_production, reference_balance,
-                             rolling_price_stats, round_volume)
+                             rolling_price_stats, round_volumes)
 from dayahead.strategies import TimingParams
 from dayahead.training import evaluate_strategy
 
-from conftest import flat_dataset, with_perfect_forecasts
+from conftest import bid_schedule, flat_dataset, with_perfect_forecasts
 
 
 # ---------------------------------------------------------------------------
@@ -32,49 +32,75 @@ from conftest import flat_dataset, with_perfect_forecasts
     (-0.3, 0.0),       # negative volumes mean no bid
 ])
 def test_round_volume(raw, expected):
-    assert round_volume(raw) == pytest.approx(expected, abs=1e-12)
+    assert round_volumes([raw]) == [pytest.approx(expected, abs=1e-12)]
 
 
 def test_round_volume_keeps_overflow_non_finite():
-    assert round_volume(math.inf) == math.inf
-    assert round_volume(1e308) == math.inf
+    assert round_volumes([math.inf, 1e308]) == [math.inf, math.inf]
+    assert round_volumes([1.0, 2.0], scale=1e308) == [math.inf, math.inf]
 
 
 # ---------------------------------------------------------------------------
 # Clearing
 # ---------------------------------------------------------------------------
 
+def executed(bid, market_price):
+    """Whether ``bid`` executes in the clearing of ``TradingEnv.step`` on a
+    flat-price day; its executed volume and its bid record must agree."""
+    # a fixed price scale: the default, the mean price, would be 0 at price 0
+    env = make_env(flat_dataset(num_days=4, price=market_price), quiet_config(price_scale=1.0))
+    env.reset(2, rng=0, days=1)
+    _, _, result, _ = env.step(bid_schedule(bid))
+    volumes = result.buy_volumes if bid.side == BUY else result.sell_volumes
+    done = bool(volumes[bid.hour])
+    assert [o.accepted for o in result.bid_outcomes] == ([done] if bid.volume else [])
+    return done
+
+
 def test_buy_at_market_price_is_accepted():
-    assert clear_bid(Bid(0.5, 100.0, BUY, 6), 100.0)
+    assert executed(Bid(0.5, 100.0, BUY, 6), 100.0)
 
 
 def test_sell_below_market_price_is_accepted():
-    assert clear_bid(Bid(0.5, 100.0, SELL, 6), 101.0)
+    assert executed(Bid(0.5, 100.0, SELL, 6), 101.0)
 
 
 def test_sentinel_prices_always_execute():
-    assert clear_bid(Bid(0.1, math.inf, BUY, 0), 10_000.0)
-    assert clear_bid(Bid(0.1, 0.0, SELL, 0), 0.0)
-    assert clear_bid(Bid(0.1, 0.0, SELL, 0), 987.0)
+    assert executed(Bid(0.1, math.inf, BUY, 0), 10_000.0)
+    assert executed(Bid(0.1, 0.0, SELL, 0), 0.0)
+    assert executed(Bid(0.1, 0.0, SELL, 0), 987.0)
 
 
 def test_zero_volume_never_executes():
-    assert not clear_bid(Bid(0.0, math.inf, BUY, 0), 100.0)
-    assert not clear_bid(Bid(0.0, 0.0, SELL, 0), 100.0)
+    assert not executed(Bid(0.0, math.inf, BUY, 0), 100.0)
+    assert not executed(Bid(0.0, 0.0, SELL, 0), 100.0)
 
 
 def test_clearing_matches_brute_force_grid():
-    """Exhaustive 100x100x2 oracle: direct restatement of the acceptance rule."""
+    """Exhaustive 100x100x2 oracle, a direct restatement of the acceptance
+    rule, against the clearing in ``step``: 100 market prices laid out over
+    the hours of five delivery days, each met by a buy and a sell at each of
+    100 bid prices."""
     prices = np.linspace(0.0, 495.0, 100)
+    ds = flat_dataset(num_days=8)
+    ds.prices[2:7].flat[:100] = prices
+    env = make_env(ds, quiet_config())
     mismatches = 0
-    for bid_price in prices:
-        for market_price in prices:
-            buy = clear_bid(Bid(0.1, bid_price, BUY, 0), market_price)
-            sell = clear_bid(Bid(0.1, bid_price, SELL, 0), market_price)
-            if buy != (not bid_price < market_price):
-                mismatches += 1
-            if sell != (not bid_price > market_price):
-                mismatches += 1
+    for bid_price in prices.tolist():
+        env.reset(2, rng=0, days=5)
+        for day in range(2, 7):
+            schedule = [[0.1] * 24, [bid_price] * 24, [0.1] * 24, [bid_price] * 24]
+            _, _, result, _ = env.step(schedule)
+            accepted = [o.accepted for o in result.bid_outcomes]
+            assert accepted[0::2] == (result.buy_volumes != 0).tolist()
+            assert accepted[1::2] == (result.sell_volumes != 0).tolist()
+            for hour, market_price in enumerate(ds.prices[day].tolist()):
+                if (day - 2) * 24 + hour >= 100:
+                    break
+                if accepted[2 * hour] != (not bid_price < market_price):
+                    mismatches += 1
+                if accepted[2 * hour + 1] != (not bid_price > market_price):
+                    mismatches += 1
     assert mismatches == 0
 
 
@@ -97,7 +123,7 @@ def day_consumption(households, rho):
     """Simulated consumption of one delivery day at 0.002 MWh per household-hour."""
     env = make_env(flat_dataset(profile=np.full(24, 0.002)), quiet_config(households=households))
     env.reset(2, rng=ConstantNoise(rho), days=1)
-    return env.step([])[2].consumption
+    return env.step(bid_schedule())[2].consumption
 
 
 def test_consumption_formula():
@@ -126,6 +152,35 @@ def test_wind_formula():
     wind = hourly_production(overcast, np.array([11.0, 12.0, 5.5, 0.0]), cfg)
     np.testing.assert_allclose(wind, [0.05, 0.0, 0.025, 0.0], rtol=0, atol=1e-12)
     assert wind[1] == 0.0 and wind[3] == 0.0
+
+
+# One case per rule, each named by the field the error must name.
+UNHONOURABLE = [
+    ("penalty_sell_multiplier", 3.0),   # dumping energy would pay
+    ("penalty_sell_multiplier", -0.1),
+    ("penalty_buy_multiplier", 0.5),    # a shortfall would be cheaper than a bid
+    ("penalty_buy_multiplier", math.inf),  # 0 * inf: NaN cash in every surplus hour
+    ("price_stat_window", 0),           # an empty median window
+    ("action_hour", 24),
+    ("action_hour", -1),                # would net hour 23 first
+    ("price_scale", 0.0),               # was silently replaced by the default
+    ("price_scale", -5.0),
+    ("consumption_noise_std", -0.1),    # failed only in reset, inside numpy
+]
+
+
+@pytest.mark.parametrize("field,value", UNHONOURABLE)
+def test_env_config_rejects_values_the_kernel_cannot_honour(field, value):
+    with pytest.raises(ValueError, match=field):
+        EnvConfig(**{field: value})
+
+
+def test_env_config_accepts_the_boundaries():
+    for kwargs in ({"penalty_sell_multiplier": 0.0, "penalty_buy_multiplier": 1.0},
+                   {"penalty_sell_multiplier": 1.0}, {"price_stat_window": 1},
+                   {"action_hour": 0}, {"action_hour": 23}, {"price_scale": 1e-9},
+                   {"consumption_noise_std": 0.0}):
+        EnvConfig(**kwargs)
 
 
 def test_max_hourly_production_composition():
@@ -187,7 +242,7 @@ def test_step_balanced_flows_no_bids():
     ds = flat_dataset(num_days=6, cloudiness=4, wind=0.0, profile=profile)
     env = make_env(ds, quiet_config())  # solar at c=4 is exactly 0.04
     env.reset(2, rng=0, days=1)
-    ctx, reward, result, done = env.step([])
+    ctx, reward, result, done = env.step(bid_schedule())
     assert reward == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(result.battery_trace, 0.0, atol=1e-12)
 
@@ -197,7 +252,7 @@ def test_step_single_buy_charges_battery_with_losses():
     ds = flat_dataset(num_days=6, price=200.0)  # no production, no consumption
     env = make_env(ds, quiet_config())
     env.reset(2, rng=0, days=1)
-    bids = [Bid(0.5, math.inf, BUY, 9)]
+    bids = bid_schedule(Bid(0.5, math.inf, BUY, 9))
     ctx, reward, result, done = env.step(bids)
     assert reward == pytest.approx(-100.0, abs=1e-9)
     assert result.battery_trace[9] == pytest.approx(0.0, abs=1e-12)
@@ -213,7 +268,7 @@ def test_step_full_battery_overflow_sells_at_half_price():
     # cloudiness 4 -> production 0.04 MWh/h; buy 0.16 more in one hour = 0.2 surplus
     env = make_env(ds, quiet_config(initial_charge=1.0))
     env.reset(2, rng=0, days=1)
-    bids = [Bid(0.2, math.inf, BUY, 5)]
+    bids = bid_schedule(Bid(0.2, math.inf, BUY, 5))
     ctx, reward, result, done = env.step(bids)
     # every hour also overflows its 0.04 MWh of production
     assert result.unscheduled_sells[5] == pytest.approx(0.24, abs=1e-12)
@@ -228,7 +283,7 @@ def test_step_empty_battery_deficit_buys_at_double_price():
     ds = flat_dataset(num_days=6, price=100.0, profile=profile)
     env = make_env(ds, quiet_config())
     env.reset(2, rng=0, days=1)
-    ctx, reward, result, done = env.step([])
+    ctx, reward, result, done = env.step(bid_schedule())
     np.testing.assert_allclose(result.unscheduled_buys, 0.05, atol=1e-12)
     assert reward == pytest.approx(-24 * 0.05 * 200.0, abs=1e-9)
 
@@ -238,8 +293,8 @@ def test_bids_execute_at_market_price_not_bid_price():
     env = make_env(ds, quiet_config())
     env.reset(2, rng=0, days=1)
     # buy limit far above market still pays market price
-    ctx, reward, result, done = env.step([Bid(0.5, 9_999.0, BUY, 0),
-                                          Bid(0.4, 10.0, SELL, 1)])
+    ctx, reward, result, done = env.step(bid_schedule(Bid(0.5, 9_999.0, BUY, 0),
+                                                      Bid(0.4, 10.0, SELL, 1)))
     assert result.cash_deltas[0] == pytest.approx(-0.5 * 180.0, abs=1e-9)
     # the sold 0.4 comes out of the 0.425 stored in hour 0
     assert result.cash_deltas[1] == pytest.approx(0.4 * 180.0, abs=1e-9)
@@ -250,24 +305,30 @@ def test_rejected_bids_do_not_trade():
     ds = flat_dataset(num_days=6, price=180.0)
     env = make_env(ds, quiet_config())
     env.reset(2, rng=0, days=1)
-    ctx, reward, result, done = env.step([Bid(0.5, 100.0, BUY, 0),    # below market
-                                          Bid(0.4, 300.0, SELL, 1)])  # above market
+    ctx, reward, result, done = env.step(bid_schedule(
+        Bid(0.5, 100.0, BUY, 0),     # below market
+        Bid(0.4, 300.0, SELL, 1)))   # above market
     assert reward == pytest.approx(0.0, abs=1e-12)
     assert [o.accepted for o in result.bid_outcomes] == [False, False]
 
 
 def test_step_rejects_malformed_bids():
+    """Off-grid volumes, a 25th hour, a fifth row and negative or NaN prices."""
     ds = flat_dataset(num_days=6)
     env = make_env(ds, quiet_config())
     env.reset(2, rng=0, days=1)
-    with pytest.raises(ValueError, match="multiple"):
-        env.step([Bid(0.15, 100.0, BUY, 0)])
+    with pytest.raises(ValueError, match="sell volume 0.15 in hour 3 is not a multiple"):
+        env.step(bid_schedule(Bid(0.15, 100.0, SELL, 3)))
     env.reset(2, rng=0, days=1)
-    with pytest.raises(ValueError, match="hour"):
-        env.step([Bid(0.1, 100.0, BUY, 24)])
+    with pytest.raises(ValueError, match="4 rows of 24 hours"):
+        env.step([row + [0.0] for row in bid_schedule()])
     env.reset(2, rng=0, days=1)
-    with pytest.raises(ValueError, match="side"):
-        env.step([Bid(0.1, 100.0, "hold", 0)])
+    with pytest.raises(ValueError, match="4 rows of 24 hours"):
+        env.step(bid_schedule() + [[0.0] * 24])
+    for price in (-1.0, math.nan):
+        env.reset(2, rng=0, days=1)
+        with pytest.raises(ValueError, match="buy price .* in hour 0 must be nonnegative"):
+            env.step(bid_schedule(Bid(0.1, price, BUY, 0)))
 
 
 @pytest.mark.parametrize("volume", [math.inf, math.nan])
@@ -276,16 +337,16 @@ def test_step_rejects_non_finite_volume(volume):
     env = make_env(flat_dataset(num_days=6), quiet_config())
     env.reset(2, rng=0, days=1)
     with pytest.raises(ValueError, match="finite"):
-        env.step([Bid(volume, 100.0, BUY, 0)])
+        env.step(bid_schedule(Bid(volume, 100.0, BUY, 0)))
 
 
 def test_done_at_replay_end():
     ds = flat_dataset(num_days=6)
     env = make_env(ds, quiet_config())
     env.reset(4, rng=0, days=2)
-    ctx, _, _, done = env.step([])       # delivery day 4, next ctx for day 5
+    ctx, _, _, done = env.step(bid_schedule())  # delivery day 4, next ctx for day 5
     assert not done and ctx is not None
-    ctx, _, _, done = env.step([])       # delivery day 5, day 6 does not exist
+    ctx, _, _, done = env.step(bid_schedule())  # delivery day 5, day 6 does not exist
     assert done and ctx is None
 
 
@@ -294,13 +355,16 @@ def test_done_at_replay_end():
 # ---------------------------------------------------------------------------
 
 def random_bids(rng):
-    bids = []
+    """A schedule of up to 9 random bids; a later draw for a side and hour
+    replaces the earlier one."""
+    bids = {}
     for _ in range(rng.integers(0, 10)):
         side = BUY if rng.random() < 0.5 else SELL
-        volume = round_volume(float(rng.uniform(0.0, 1.5)))
+        volume = round_volumes([float(rng.uniform(0.0, 1.5))])[0]
         price = float(rng.uniform(50.0, 500.0))
-        bids.append(Bid(volume, price, side, int(rng.integers(0, 24))))
-    return bids
+        hour = int(rng.integers(0, 24))
+        bids[side, hour] = Bid(volume, price, side, hour)
+    return bid_schedule(*bids.values())
 
 
 def run_randomized_days(dataset, config, num_days, seed):
@@ -383,7 +447,7 @@ def test_episode_leaves_generator_where_per_day_draws_did(small_dataset):
     profile = small_dataset.profile.avg_per_household
     for start, days in ((30, 10), (50, 4)):
         env.reset(start, stream, days)
-        got = [env.step([])[2].consumption.tolist() for _ in range(days)]
+        got = [env.step(bid_schedule())[2].consumption.tolist() for _ in range(days)]
         assert got == reference_consumption(ref, config, profile, days)
     assert stream.normal() == ref.normal()
 
@@ -391,10 +455,10 @@ def test_episode_leaves_generator_where_per_day_draws_did(small_dataset):
 def test_step_past_episode_raises(small_dataset):
     env = TradingEnv(small_dataset, EnvConfig())
     env.reset(30, 0, 2)
-    env.step([])
-    env.step([])
+    env.step(bid_schedule())
+    env.step(bid_schedule())
     with pytest.raises(RuntimeError, match="episode ended with day 31"):
-        env.step([])
+        env.step(bid_schedule())
     with pytest.raises(ValueError, match="does not fit"):
         env.reset(110, 0, small_dataset.num_days - 109)
 
@@ -406,7 +470,8 @@ def test_replay_purity(year_dataset):
 
 
 def test_strategies_cannot_write_the_replay_tape(small_dataset):
-    """pbar and prices_today are read-only views: writes raise and change nothing."""
+    """pbar is a read-only view and each observation a fresh array: writes
+    raise or change nothing."""
     ds = replace(small_dataset, prices=small_dataset.prices.copy())
     before = ds.content_hash()
 
@@ -417,9 +482,10 @@ def test_strategies_cannot_write_the_replay_tape(small_dataset):
         total = 0.0
         for _ in range(20):
             if tamper:
-                for view in (ctx.pbar, ctx.prices_today):
-                    with pytest.raises(ValueError, match="read-only"):
-                        view *= 0.0
+                view = ctx.pbar
+                with pytest.raises(ValueError, match="read-only"):
+                    view *= 0.0
+                ctx.observation(True)[:] = 0.0
             ctx, reward, _, _ = env.step(random_bids(rng))
             total += reward
         return total
@@ -445,7 +511,7 @@ def test_estimate_single_sell_empties_battery():
     ds = flat_dataset(num_days=6, price=250.0)
     env = make_env(ds, quiet_config(initial_charge=0.4))  # 0.8 MWh stored
     env.reset(2, rng=0, days=1)
-    ctx, _, result, _ = env.step([Bid(0.8, 0.0, SELL, 23)])
+    ctx, _, result, _ = env.step(bid_schedule(Bid(0.8, 0.0, SELL, 23)))
     assert ctx.est_midnight == pytest.approx(0.0, abs=1e-12)
     assert result.battery_trace[24] == pytest.approx(0.0, abs=1e-12)
 
@@ -472,7 +538,7 @@ def test_estimate_reflects_scheduled_bids_mid_day(small_dataset):
     config = EnvConfig(consumption_noise_std=0.0)
     env = TradingEnv(ds, config)
     env.reset(40, rng=0, days=1)
-    ctx, _, result, _ = env.step([Bid(1.0, math.inf, BUY, 15)])
+    ctx, _, result, _ = env.step(bid_schedule(Bid(1.0, math.inf, BUY, 15)))
     assert ctx.est_midnight * config.battery_capacity == pytest.approx(
         result.battery_trace[24], abs=1e-12)
 
@@ -481,11 +547,11 @@ def test_battery_level_caps_and_floors():
     ds = flat_dataset(num_days=6)  # no production, no consumption
     env = make_env(ds, quiet_config(initial_charge=0.95))  # 1.9 of 2.0 MWh
     env.reset(2, rng=0, days=1)
-    _, _, result, _ = env.step([Bid(1.0, math.inf, BUY, 0)])
+    _, _, result, _ = env.step(bid_schedule(Bid(1.0, math.inf, BUY, 0)))
     assert result.battery_trace[1] == 2.0
     env = make_env(ds, quiet_config(initial_charge=0.05))  # 0.1 MWh
     env.reset(2, rng=0, days=1)
-    _, _, result, _ = env.step([Bid(1.0, 0.0, SELL, 0)])
+    _, _, result, _ = env.step(bid_schedule(Bid(1.0, 0.0, SELL, 0)))
     assert result.battery_trace[1] == 0.0
 
 
@@ -500,7 +566,7 @@ bid_lists = st.lists(
               price=st.one_of(st.floats(0.0, 600.0), st.just(math.inf)),
               side=st.sampled_from([BUY, SELL]),
               hour=st.integers(0, 23)),
-    max_size=12)
+    max_size=12, unique_by=lambda bid: (bid.side, bid.hour))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -509,12 +575,13 @@ bid_lists = st.lists(
        initial_charge=st.floats(0.0, 1.0))
 def test_battery_rule_properties(perfect_dataset, days, start, initial_charge):
     """Random bid lists keep the hourly identities, and with perfect forecasts
-    and no consumption noise the midnight estimate equals the realized level."""
+    and no consumption noise the midnight estimate, netted by the charge-only
+    rule, equals the level the full rule realizes, bit for bit."""
     config = EnvConfig(consumption_noise_std=0.0, initial_charge=initial_charge)
     env = TradingEnv(perfect_dataset, config)
     env.reset(start, rng=0, days=len(days))
     for bids in days:
-        ctx, _, result, done = env.step(bids)
+        ctx, _, result, done = env.step(bid_schedule(*bids))
         assert_hourly_identities([result], config)
         if done:
             break
@@ -544,8 +611,9 @@ def test_observation_layout(small_dataset):
     assert obs[49] == pytest.approx(ctx.est_midnight)
     month_block, weekday_block = obs[50:62], obs[62:69]
     assert month_block.sum() == 1.0 and weekday_block.sum() == 1.0
-    assert month_block[ctx.month_index] == 1.0
-    assert weekday_block[ctx.weekday] == 1.0
+    date = small_dataset.date_of(ctx.day)
+    assert month_block[date.month - 1] == 1.0
+    assert weekday_block[date.weekday()] == 1.0
     np.testing.assert_allclose(obs[69:93], small_dataset.forecast_cloudiness[30] / 8.0)
     np.testing.assert_allclose(obs[93:117],
                                small_dataset.forecast_wind_speed[30] / config.max_wind_speed)
@@ -570,12 +638,13 @@ def test_observation_one_hot_positions():
 def test_weather_observation_requires_forecasts():
     ds = flat_dataset(num_days=60)
     with_fc = with_perfect_forecasts(ds)
-    # drop one forecast block and ask for it
+    # a context on the last day, whose next day has no forecast block
     env = TradingEnv(with_fc, quiet_config())
     ctx = env.reset(2, rng=0, days=1)
-    ctx._forecast_norm = None
+    last = DecisionContext(env, ds.num_days - 1, ctx.rel_charge, ctx.est_midnight, ctx.pbar)
+    assert last.observation(include_weather=False).shape == (69,)
     with pytest.raises(ValueError, match="forecast"):
-        ctx.observation(include_weather=True)
+        last.observation(include_weather=True)
 
 
 # ---------------------------------------------------------------------------

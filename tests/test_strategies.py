@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dayahead.market import BUY, SELL
+from dayahead.market import BUY, SELL, schedule_bids
 from dayahead.nets import init_policy
 from dayahead.strategies import (OpportunisticParams, TimingParams,
                                  blackbox_bids, load_strategy_params,
@@ -12,8 +12,8 @@ from dayahead.strategies import (OpportunisticParams, TimingParams,
                                  timing_bids)
 
 
-def by_hour(bids, side):
-    return {b.hour: b for b in bids if b.side == side}
+def by_hour(schedule, side):
+    return {b.hour: b for b in schedule_bids(schedule) if b.side == side}
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +34,7 @@ def test_timing_volumes_and_prices():
 
 
 def test_timing_empty_battery_symmetric_volumes():
-    bids = timing_bids(TimingParams(1.0, 0.7), est_level=0.0)
+    bids = schedule_bids(timing_bids(TimingParams(1.0, 0.7), est_level=0.0))
     assert len(bids) == 8
     for b in bids:
         assert b.volume == pytest.approx(0.3)  # rnd(1.0/4), tie away from zero
@@ -56,7 +56,7 @@ def test_timing_negative_buy_volume_clamps_to_no_bid():
 def test_opportunistic_all_zero_coefficients():
     params = OpportunisticParams.from_vector(np.zeros(100))
     pbar = np.full(24, 250.0)
-    bids = opportunistic_bids(params, est_level=0.0, vbar=0.13, pbar=pbar)
+    bids = schedule_bids(opportunistic_bids(params, est_level=0.0, vbar=0.13, pbar=pbar))
     assert len(bids) == 48
     assert all(b.volume == pytest.approx(0.1) for b in bids)  # rnd(0.13)
     assert all(b.price == pytest.approx(250.0) for b in bids)
@@ -67,7 +67,7 @@ def test_opportunistic_shifted_volume_offsets_suppress_bids():
     vec = np.zeros(100)
     vec[OpportunisticParams.volume_offset_indices()] = -2.0
     params = OpportunisticParams.from_vector(vec)
-    bids = opportunistic_bids(params, 0.0, 0.13, np.full(24, 250.0))
+    bids = schedule_bids(opportunistic_bids(params, 0.0, 0.13, np.full(24, 250.0)))
     assert bids == []
 
 
@@ -76,8 +76,8 @@ def test_opportunistic_price_scales_with_pbar():
     params = OpportunisticParams.from_vector(rng.normal(0, 1, 100))
     pbar = np.linspace(100.0, 400.0, 24)
     est = 0.37
-    base = opportunistic_bids(params, est, 0.13, pbar)
-    doubled = opportunistic_bids(params, est, 0.13, 2.0 * pbar)
+    base = schedule_bids(opportunistic_bids(params, est, 0.13, pbar))
+    doubled = schedule_bids(opportunistic_bids(params, est, 0.13, 2.0 * pbar))
     assert len(base) == len(doubled)
     for a, b in zip(base, doubled):
         assert b.price == pytest.approx(2.0 * a.price)
@@ -108,7 +108,7 @@ def test_opportunistic_requires_100_values():
 
 def test_blackbox_identity_action():
     pbar = np.linspace(150.0, 380.0, 24)
-    bids = blackbox_bids(np.zeros((4, 24)), 0.13, pbar)
+    bids = schedule_bids(blackbox_bids(np.zeros((4, 24)), 0.13, pbar))
     assert len(bids) == 48
     for b in bids:
         assert b.volume == pytest.approx(0.1)
@@ -134,8 +134,8 @@ def test_blackbox_scale_equivariance_in_pbar():
     rng = np.random.default_rng(0)
     action = rng.uniform(-3, 3, (4, 24))
     pbar = rng.uniform(100, 400, 24)
-    base = blackbox_bids(action, 0.13, pbar)
-    scaled = blackbox_bids(action, 0.13, 3.0 * pbar)
+    base = schedule_bids(blackbox_bids(action, 0.13, pbar))
+    scaled = schedule_bids(blackbox_bids(action, 0.13, 3.0 * pbar))
     for a, b in zip(base, scaled):
         assert b.price == pytest.approx(3.0 * a.price)
         assert b.volume == a.volume
@@ -145,10 +145,39 @@ def test_blackbox_volumes_are_market_compliant():
     rng = np.random.default_rng(1)
     for _ in range(50):
         action = rng.uniform(-3, 3, (4, 24))
-        for b in blackbox_bids(action, 0.13, rng.uniform(50, 500, 24)):
+        for b in schedule_bids(blackbox_bids(action, 0.13, rng.uniform(50, 500, 24))):
             assert b.volume >= 0.1 - 1e-12
             assert abs(b.volume * 10 - round(b.volume * 10)) < 1e-9
             assert b.price > 0
+
+
+def reference_round_volume(volume):
+    """The scalar rounding rule the row rounding inlines."""
+    if volume < 0.05:
+        return 0.0
+    try:
+        return math.floor(volume * 10.0 + 0.5) / 10.0
+    except OverflowError:
+        return math.inf
+
+
+def test_blackbox_schedule_matches_per_bid_decoding():
+    """The schedule rows equal a per-hour decode: each volume by the scalar
+    rule, each price as pbar times e^action, including volumes that round
+    to 0 or overflow to inf."""
+    rng = np.random.default_rng(5)
+    pbar = rng.uniform(50, 500, 24)
+    for _ in range(200):
+        action = rng.uniform(-4, 4, (4, 24))
+        action[rng.random((4, 24)) < 0.05] = 800.0  # e^800 overflows
+        with np.errstate(over="ignore"):
+            rows = blackbox_bids(action, 0.13, pbar)
+            scaled = np.exp(action)
+        want = [[reference_round_volume(0.13 * float(v)) for v in scaled[0]],
+                [float(p) * float(v) for p, v in zip(pbar, scaled[1])],
+                [reference_round_volume(0.13 * float(v)) for v in scaled[2]],
+                [float(p) * float(v) for p, v in zip(pbar, scaled[3])]]
+        assert rows == want
 
 
 def test_blackbox_rejects_bad_shape():

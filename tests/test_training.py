@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from dayahead import training
 from dayahead.cmaes import CmaesConfig, cmaes_optimize, default_population
-from dayahead.market import EnvConfig, TradingEnv, delivery_window
+from dayahead.market import EnvConfig, TradingEnv, delivery_window, observation_size
 from dayahead.nets import forward, init_policy
 from dayahead.strategies import OpportunisticParams, TimingParams, params_class
 from dayahead.training import (A2cConfig, A2cUpdater, a2c_train, battery_sweep,
@@ -14,7 +15,7 @@ from dayahead.training import (A2cConfig, A2cUpdater, a2c_train, battery_sweep,
                                optimize_parametric, parametric_strategy,
                                policy_strategy)
 
-from conftest import flat_dataset, with_perfect_forecasts
+from conftest import bid_schedule, flat_dataset, with_perfect_forecasts
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,7 @@ def test_evaluate_no_bids_on_balanced_fixture():
     profile = np.full(24, 0.0004)
     ds = with_perfect_forecasts(flat_dataset(num_days=8, cloudiness=4, profile=profile))
     env = TradingEnv(ds, EnvConfig(consumption_noise_std=0.0, initial_charge=0.0))
-    income = evaluate_strategy(lambda ctx: [], env, (2, 8), seed=0)
+    income = evaluate_strategy(lambda ctx: bid_schedule(), env, (2, 8), seed=0)
     assert income == pytest.approx(0.0, abs=1e-9)
 
 
@@ -221,6 +222,64 @@ def test_evaluate_collecting_traces(small_dataset):
         (30, 40), seed=1, collect_results=True)
     assert len(results) == 10
     assert income == pytest.approx(sum(r.reward for r in results))
+
+
+# Final means and per-generation records (generation, best, median, sigma) of
+# short seed-0 runs on small_dataset, recorded before bids became per-hour
+# schedules.  A flipped candidate ranking in any generation would change them.
+PINNED_TIMING_MEAN = [1.5316055484810531, 1.0751627399512818]
+PINNED_TIMING_RECORDS = [
+    (0, 11486.391828531965, -3229.381639434539, 0.8039444841200153),
+    (1, 12818.28971088142, 8329.09229447907, 1.0557420446172696),
+    (2, 12616.586052527304, 11902.514298665392, 1.178415639115416),
+]
+PINNED_OPPORTUNISTIC_MEAN_SHA256 = \
+    "5aa2ab4d5984563b75b64063c9afb3ad0c4e5ee186c58579c8529f57de86676a"
+PINNED_OPPORTUNISTIC_MEAN_HEAD = [0.8875742503452063, -0.373723279072246,
+                                  0.46694826300572684, -0.023122136860337567]
+PINNED_OPPORTUNISTIC_RECORDS = [(0, 3765.3400222317055, -13483.414883948451, 0.9625277333727228)]
+
+
+def records_of(history):
+    return [(r.generation, r.best_objective, r.median_objective, r.sigma)
+            for r in history.records]
+
+
+def test_optimize_parametric_matches_pinned_runs(small_dataset):
+    env = TradingEnv(small_dataset, EnvConfig())
+    mean, history = optimize_parametric("timing", env, CmaesConfig(generations=3), seed=0)
+    assert mean.tolist() == PINNED_TIMING_MEAN
+    assert records_of(history) == PINNED_TIMING_RECORDS
+    mean, history = optimize_parametric("opportunistic", env, CmaesConfig(generations=1), seed=0)
+    assert mean[:4].tolist() == PINNED_OPPORTUNISTIC_MEAN_HEAD
+    assert hashlib.sha256(mean.astype("<f8").tobytes()).hexdigest() == \
+        PINNED_OPPORTUNISTIC_MEAN_SHA256
+    assert records_of(history) == PINNED_OPPORTUNISTIC_RECORDS
+
+
+def test_evaluate_total_is_the_sum_of_collected_rewards(small_dataset):
+    env = TradingEnv(small_dataset, EnvConfig())
+    for strategy in (TimingParams(1.2, 0.6).bids, fixed_action_strategy(np.zeros((4, 24)))):
+        total = evaluate_strategy(strategy, env, (30, 60), seed=3)
+        collected, results = evaluate_strategy(strategy, env, (30, 60), seed=3,
+                                               collect_results=True)
+        assert total == collected == sum(r.reward for r in results)
+
+
+def test_seed_tapes_do_not_leak_between_evaluations(small_dataset):
+    """Seeds 1, 2, 1, 1 on one environment, with a generator-driven rollout
+    before the second 1, score as on fresh environments."""
+    strategy = TimingParams(1.2, 0.6).bids
+    fresh = {seed: evaluate_strategy(strategy, TradingEnv(small_dataset, EnvConfig()),
+                                     (30, 60), seed) for seed in (1, 2)}
+    env = TradingEnv(small_dataset, EnvConfig())
+    got = [evaluate_strategy(strategy, env, (30, 60), 1),
+           evaluate_strategy(strategy, env, (30, 60), 2)]
+    policy = init_policy(observation_size(True), hidden_size=8, seed=0)
+    training._rollout(env, policy, 30, 30, np.random.default_rng(1),
+                      np.random.default_rng(2), True)
+    got += [evaluate_strategy(strategy, env, (30, 60), 1) for _ in range(2)]
+    assert got == [fresh[1], fresh[2], fresh[1], fresh[1]]
 
 
 def test_optimize_parametric_improves_timing(small_dataset):
@@ -426,17 +485,17 @@ def test_a2c_rollouts_stay_in_training_split(year_dataset, monkeypatch):
     real_rollout = training._rollout
 
     def recording_rollout(env, *args, **kwargs):
-        real_step = env.step
+        real_reset = env.reset
 
-        def step(bids, **kw):
-            stepped.append(env.next_delivery_day)
-            return real_step(bids, **kw)
+        def reset(start_day, rng, days):
+            stepped.extend(range(start_day, start_day + days))
+            return real_reset(start_day, rng, days)
 
-        env.step = step
+        env.reset = reset
         try:
             return real_rollout(env, *args, **kwargs)
         finally:
-            del env.step
+            del env.reset
 
     monkeypatch.setattr(training, "_rollout", recording_rollout)
     cfg = tiny_a2c_config(total_days=2400, n_steps=120, eval_frequency=2400,
