@@ -32,7 +32,8 @@ Each simulator rule lives in one place:
   once per episode: the consumption tape built by ``TradingEnv.reset``;
 * the per-hour rolling median price: :func:`rolling_price_stats`;
 * volume rounding to the market step: :func:`round_volumes`;
-* the bid records of a schedule, in ``bids.csv`` order: :func:`schedule_bids`;
+* the bids of a schedule, in ``bids.csv`` order: :func:`schedule_slots`;
+* the per-hour trace layout of a collected day: :data:`TRACE_FIELDS`;
 * the deliverable days of a day range: :func:`delivery_window`;
 * the observation layout and size: :func:`observation_size`.
 
@@ -42,13 +43,15 @@ only randomness is the consumption noise generator given to ``reset``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from math import floor
 
 import numpy as np
 
-from .data import (Dataset, HOURS_PER_DAY, OKTA_MAX, day_hour_columns, hour_by_hour,
-                   write_columns, write_rows)
+from .data import (Dataset, HOURS_PER_DAY, OKTA_MAX, day_hour_columns, write_columns,
+                   write_rows)
 
 BUY = "buy"
 SELL = "sell"
@@ -91,17 +94,21 @@ class BidOutcome:
 NO_BIDS = ((0.0,) * HOURS_PER_DAY,) * 4  # the empty schedule
 
 
-def schedule_bids(schedule) -> list[Bid]:
-    """The bids of a schedule, hour by hour with the buy before the sell,
-    which is the row order of ``bids.csv``; a volume of 0 is no bid."""
+def schedule_slots(schedule):
+    """``(hour, side, volume, price)`` of each bid of a schedule, hour by hour
+    with the buy before the sell, which is the row order of ``bids.csv``; a
+    volume of 0 is no bid."""
     buy_volumes, buy_prices, sell_volumes, sell_prices = schedule
-    bids = []
     for hour in range(HOURS_PER_DAY):
         if buy_volumes[hour]:
-            bids.append(Bid(buy_volumes[hour], buy_prices[hour], BUY, hour))
+            yield hour, BUY, buy_volumes[hour], buy_prices[hour]
         if sell_volumes[hour]:
-            bids.append(Bid(sell_volumes[hour], sell_prices[hour], SELL, hour))
-    return bids
+            yield hour, SELL, sell_volumes[hour], sell_prices[hour]
+
+
+def schedule_bids(schedule) -> list[Bid]:
+    """The bids of a schedule as :class:`Bid` records, in ``bids.csv`` order."""
+    return [Bid(volume, price, side, hour) for hour, side, volume, price in schedule_slots(schedule)]
 
 
 def _check_schedule(schedule) -> None:
@@ -274,52 +281,123 @@ class DecisionContext:
         return obs
 
 
+# What ``TradingEnv._net_hours`` appends to a collected day's trace, per hour
+# and in this order; ``battery_trace`` is the level at the end of the hour.
+TRACE_FIELDS = ("buy_volumes", "sell_volumes", "consumption", "charge_input", "discharge",
+                "unscheduled_buys", "unscheduled_sells", "battery_trace", "cash_deltas")
+_TRACE_INDEX = {name: k for k, name in enumerate(TRACE_FIELDS)}
+
+
+class _DayArray:
+    """A read-only array attribute of :class:`DayResult`, built from the
+    record's lists when first read and then kept on the instance."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return self
+        values = result.hourly(self.name)
+        if self.name == "battery_trace":
+            values = [result.start_charge, *values]
+        array = np.array(values, dtype=float)
+        array.flags.writeable = False
+        result.__dict__[self.name] = array
+        return array
+
+
 @dataclass
 class DayResult:
-    """Full trace of one simulated delivery day."""
+    """One simulated delivery day, as the simulator left it.
+
+    The record keeps what the simulator already holds: the flat per-hour
+    ``trace`` that ``TradingEnv._net_hours`` appends to (nine values an hour,
+    in :data:`TRACE_FIELDS` order), the day's bid ``schedule`` frozen to
+    tuples, the charge at the start of the day, the reward, and the day's
+    price and production rows, which it shares with the environment.  The
+    eleven arrays and :attr:`bid_outcomes` are built when first read and
+    then kept.  The arrays are read-only, so they cannot drift from the lists
+    the exporters write.  A day read back by
+    :func:`~dayahead.reports.read_day_results` has no schedule and holds the
+    bids of the file instead.
+    """
 
     day: int
-    prices: np.ndarray            # (24,) clearing prices
-    bid_outcomes: list[BidOutcome]
-    buy_volumes: np.ndarray       # (24,) executed purchase volume per hour
-    sell_volumes: np.ndarray      # (24,) executed sale volume per hour
-    production: np.ndarray        # (24,) MWh generated
-    consumption: np.ndarray       # (24,) MWh consumed
-    charge_input: np.ndarray      # (24,) MWh fed into the battery (before losses)
-    discharge: np.ndarray         # (24,) MWh drawn from the battery
-    unscheduled_buys: np.ndarray  # (24,) forced purchases at 2x price
-    unscheduled_sells: np.ndarray # (24,) forced sales at 0.5x price
-    battery_trace: np.ndarray     # (25,) level at each hour boundary
-    cash_deltas: np.ndarray       # (24,) per-hour profit
-    reward: float                 # sum of cash deltas
+    trace: list[float]
+    schedule: tuple[tuple, ...] | None
+    start_charge: float
+    reward: float                   # sum of cash deltas
+    price_row: tuple[float, ...] = field(repr=False)
+    production_row: tuple[float, ...] = field(repr=False)
+    bids: list[tuple] | None = field(default=None, repr=False)  # bid_rows() of a read day
+
+    prices = _DayArray()            # (24,) clearing prices
+    buy_volumes = _DayArray()       # (24,) executed purchase volume per hour
+    sell_volumes = _DayArray()      # (24,) executed sale volume per hour
+    production = _DayArray()        # (24,) MWh generated
+    consumption = _DayArray()       # (24,) MWh consumed
+    charge_input = _DayArray()      # (24,) MWh fed into the battery (before losses)
+    discharge = _DayArray()         # (24,) MWh drawn from the battery
+    unscheduled_buys = _DayArray()  # (24,) forced purchases at 2x price
+    unscheduled_sells = _DayArray() # (24,) forced sales at 0.5x price
+    battery_trace = _DayArray()     # (25,) level at each hour boundary
+    cash_deltas = _DayArray()       # (24,) per-hour profit
+
+    def hourly(self, name: str):
+        """The 24 hourly values of the array attribute ``name`` as Python
+        floats; of ``battery_trace`` the levels at the end of each hour."""
+        if name == "prices":
+            return self.price_row
+        if name == "production":
+            return self.production_row
+        return self.trace[_TRACE_INDEX[name]::len(TRACE_FIELDS)]
+
+    def bid_rows(self) -> list[tuple]:
+        """``(hour, side, volume, price, accepted)`` of each bid, in
+        ``bids.csv`` order; a bid is accepted when its side traded in its hour."""
+        if self.bids is not None:
+            return self.bids
+        executed = {BUY: self.hourly("buy_volumes"), SELL: self.hourly("sell_volumes")}
+        return [(hour, side, volume, price, executed[side][hour] != 0.0)
+                for hour, side, volume, price in schedule_slots(self.schedule)]
+
+    @cached_property
+    def bid_outcomes(self) -> list[BidOutcome]:
+        return [BidOutcome(Bid(volume, price, side, hour), accepted)
+                for hour, side, volume, price, accepted in self.bid_rows()]
 
 
 DAY_RESULT_HEADER = ("day", "hour", "price", "buy_exec", "sell_exec",
                      "uns_buy", "uns_sell", "battery_level", "cash_delta")
+# The DayResult quantity of each DAY_RESULT_HEADER column after day and hour.
+DAY_RESULT_COLUMNS = ("prices", "buy_volumes", "sell_volumes", "unscheduled_buys",
+                      "unscheduled_sells", "battery_trace", "cash_deltas")
 BID_OUTCOME_HEADER = ("day", "hour", "side", "volume", "price", "accepted")
 
 
+def _hourly_column(results: list[DayResult], name: str):
+    return chain.from_iterable(result.hourly(name) for result in results)
+
+
 def hourly_columns(results: list[DayResult], *names: str) -> list:
-    """Day, hour and the named arrays of ``results`` as columns for
-    :func:`~dayahead.data.write_columns`, one item per hour; of each array
-    the last 24 values, so the end-of-hour levels of ``battery_trace``."""
+    """Day, hour and the named quantities of ``results`` as columns for
+    :func:`~dayahead.data.write_columns`, one item per hour (see
+    :meth:`DayResult.hourly`)."""
     return [*day_hour_columns([res.day for res in results]),
-            *(hour_by_hour([getattr(res, name)[-HOURS_PER_DAY:] for res in results])
-              for name in names)]
+            *(_hourly_column(results, name) for name in names)]
 
 
 def export_day_results(results: list[DayResult], path) -> None:
     """Write per-hour traces; battery_level is the level at the end of the hour."""
-    write_columns(path, DAY_RESULT_HEADER, hourly_columns(
-        results, "prices", "buy_volumes", "sell_volumes", "unscheduled_buys",
-        "unscheduled_sells", "battery_trace", "cash_deltas"))
+    write_columns(path, DAY_RESULT_HEADER, hourly_columns(results, *DAY_RESULT_COLUMNS))
 
 
 def export_bid_outcomes(results: list[DayResult], path) -> None:
     """Write one row per bid: day,hour,side,volume,price,accepted."""
     write_rows(path, BID_OUTCOME_HEADER, (
-        (res.day, o.bid.hour, o.bid.side, float(o.bid.volume), float(o.bid.price), int(o.accepted))
-        for res in results for o in res.bid_outcomes))
+        (res.day, hour, side, float(volume), float(price), int(accepted))
+        for res in results for hour, side, volume, price, accepted in res.bid_rows()))
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +412,16 @@ class TradingEnv:
     consumption noise of ``days`` delivery days from ``rng``, and returns the
     context for bidding on ``start_day``.  Each ``step(schedule)`` clears a
     bid schedule against the next delivery day, simulates its 24 hours, and
-    returns the next decision context, the day's profit, the full
+    returns the next decision context, the day's profit, the day's
     :class:`DayResult` and ``done``, signalled when the replay tape runs out
     of forecast data for the next decision; stepping beyond ``days`` raises.
-    ``collect=False`` skips the per-day trace and its bid records, which
-    roughly halves the cost of rollouts; ``trusted=True`` skips the check.
+    A collected day keeps the hour trace the battery loop appends to and the
+    schedule, and builds its arrays and bid records only when they are read.
+    ``collect=False`` returns ``None`` for it and skips the trace, which
+    saves about a third of a collected day's cost; ``trusted=True`` skips
+    the check.
+    The default price scale, the training split's mean price, must be
+    positive: a split whose mean is 0 needs an explicit ``price_scale``.
     """
 
     def __init__(self, dataset: Dataset, config: EnvConfig | None = None):
@@ -346,15 +429,21 @@ class TradingEnv:
         self.config = config or EnvConfig()
         cfg = self.config
         self._production = hourly_production(dataset.cloudiness, dataset.wind_speed, cfg)
-        self._production_rows = self._production.tolist()
-        self._price_rows = dataset.prices.tolist()
+        # Tuples: collected day records share these rows with the environment.
+        self._production_rows = list(map(tuple, self._production.tolist()))
+        self._price_rows = list(map(tuple, dataset.prices.tolist()))
         self._zero_noise_consumption = (cfg.households
                                         * dataset.profile.avg_per_household).tolist()
         self._vbar = cfg.max_hourly_production
         self._price_scale = cfg.price_scale
         if cfg.price_scale is None:  # the mean price of the training split
             lo, hi = dataset.split.train if dataset.split is not None else (0, dataset.num_days)
-            self._price_scale = float(dataset.prices[lo:hi].mean())
+            train_prices = dataset.prices[lo:hi]
+            self._price_scale = float(train_prices.mean()) if train_prices.size else 0.0
+            if not self._price_scale > 0:
+                raise ValueError(f"the training split, days {lo}..{hi - 1}, has mean price "
+                                 f"{self._price_scale}, which cannot normalize observations; "
+                                 "set price_scale explicitly")
         # The tables DecisionContext.observation reads.
         profile_max = dataset.profile.avg_per_household.max()
         self._profile_norm = (dataset.profile.avg_per_household / profile_max
@@ -436,9 +525,12 @@ class TradingEnv:
                                "reset() the environment")
         if not trusted:
             _check_schedule(schedule)
+        trace = None
+        if collect:  # the record keeps the schedule: freeze it against later edits
+            schedule = tuple(map(tuple, schedule))
+            trace = []
         self._schedule = schedule
         self._schedule_prices = self._price_rows[day]
-        trace = [] if collect else None
         start_charge = self.charge
 
         action_hour = self.config.action_hour
@@ -456,27 +548,8 @@ class TradingEnv:
         reward += cash
         result = None
         if collect:
-            # One row per flow, each contiguous.
-            buys, sells, cons, charge_in, discharge, uns_buys, uns_sells, levels, cash_deltas = \
-                np.fromiter(trace, float, len(trace)).reshape(HOURS_PER_DAY, -1).T.copy()
-            executed = {BUY: buys.tolist(), SELL: sells.tolist()}
-            result = DayResult(
-                day=day,
-                prices=self.dataset.prices[day].copy(),
-                bid_outcomes=[BidOutcome(bid, executed[bid.side][bid.hour] != 0.0)
-                              for bid in schedule_bids(schedule)],
-                buy_volumes=buys,
-                sell_volumes=sells,
-                production=self._production[day].copy(),
-                consumption=cons,
-                charge_input=charge_in,
-                discharge=discharge,
-                unscheduled_buys=uns_buys,
-                unscheduled_sells=uns_sells,
-                battery_trace=np.concatenate(([start_charge], levels)),
-                cash_deltas=cash_deltas,
-                reward=reward,
-            )
+            result = DayResult(day, trace, schedule, start_charge, reward,
+                               self._price_rows[day], production)
         self._next_day = day + 1
         return ctx, reward, result, done
 
@@ -494,7 +567,7 @@ class TradingEnv:
         on the way in, a deficit drains it; what the battery cannot absorb or
         supply is settled at the penalty prices.  Returns the final charge
         and the cash earned; with a ``trace`` list, each hour appends its
-        trades, flows, end level and cash in the order ``step`` unpacks.
+        trades, flows, end level and cash in :data:`TRACE_FIELDS` order.
         """
         cfg = self.config
         capacity = cfg.battery_capacity

@@ -10,13 +10,14 @@ diagnostic figures.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import DataError, read_columns, write_columns
-from .market import (BID_OUTCOME_HEADER, BUY, DAY_RESULT_HEADER, HOURS_PER_DAY, SELL, Bid,
-                     BidOutcome, DayResult, hourly_columns)
+from .market import (BID_OUTCOME_HEADER, BUY, DAY_RESULT_COLUMNS, DAY_RESULT_HEADER,
+                     HOURS_PER_DAY, SELL, TRACE_FIELDS, DayResult, hourly_columns)
 
 
 @dataclass
@@ -96,7 +97,8 @@ def write_battery_trace(results_by_seed: list[list[DayResult]],
     per_seed = [_window_results(results, window) for results in results_by_seed]
     # (days, 24, seeds), seeds innermost and contiguous, so that each mean
     # sums its seeds in the same order as a mean over one hour's levels
-    levels = np.stack([[r.battery_trace[1:] for r in picked] for picked in per_seed], axis=-1)
+    levels = np.stack([[r.hourly("battery_trace") for r in picked] for picked in per_seed],
+                      axis=-1)
     write_columns(path, ("day", "hour", "mean", "min", "max"), [
         *hourly_columns(per_seed[0]), levels.mean(axis=-1).ravel().tolist(),
         levels.min(axis=-1).ravel().tolist(), levels.max(axis=-1).ravel().tolist()])
@@ -110,10 +112,11 @@ def _write_bid_trace(results: list[DayResult], window: tuple[int, int], path,
     columns = {f"{side}_{name}": [""] * (len(picked) * HOURS_PER_DAY)
                for side in (BUY, SELL) for name in (attribute, "accepted")}
     for i, result in enumerate(picked):
-        for outcome in reversed(result.bid_outcomes):  # the first bid of an hour wins
-            slot = i * HOURS_PER_DAY + outcome.bid.hour
-            columns[f"{outcome.bid.side}_{attribute}"][slot] = float(getattr(outcome.bid, attribute))
-            columns[f"{outcome.bid.side}_accepted"][slot] = int(outcome.accepted)
+        # the first bid of an hour wins
+        for hour, side, volume, price, accepted in reversed(result.bid_rows()):
+            slot = i * HOURS_PER_DAY + hour
+            columns[f"{side}_{attribute}"][slot] = float(volume if attribute == "volume" else price)
+            columns[f"{side}_accepted"][slot] = int(accepted)
     write_columns(path, ("day", "hour", "market_price", *columns),
                   [*hourly_columns(picked, "prices"), *columns.values()])
 
@@ -141,15 +144,30 @@ def _check_hours(path, days: np.ndarray, hours: np.ndarray) -> None:
         raise DataError(f"{path}: day {days[i]} has hour {hours[i]} outside 0..23")
 
 
+def _check_each_hour_once(path, days: np.ndarray, inverse: np.ndarray,
+                          hours: np.ndarray) -> None:
+    """Raise a DataError naming the first day and hour of ``days`` that the
+    rows (day ``days[inverse[i]]``, hour ``hours[i]``) lack or repeat."""
+    counts = np.bincount(inverse * HOURS_PER_DAY + hours, minlength=days.size * HOURS_PER_DAY)
+    wrong = np.flatnonzero(counts != 1)
+    if wrong.size:
+        k, hour = divmod(int(wrong[0]), HOURS_PER_DAY)
+        problem = "lacks" if counts[wrong[0]] == 0 else "repeats"
+        raise DataError(f"{path}: day {days[k]} {problem} hour {hour}")
+
+
 def read_day_results(trace_path, bids_path, window: tuple[int, int]) -> list[DayResult]:
     """Rebuild the day results of ``window`` from exported trace/bids CSVs,
     for report assembly; ``bids_path`` may be None or missing.
 
     Only the lines of the window's days are parsed (see
     :func:`~dayahead.data.read_columns`), in whatever order the files hold
-    them.  Only the columns the trace writers use are recovered; production
-    and consumption stay zero.  A day of the window that the files lack is
-    left out, for the trace writers to report.
+    them.  Each day in the trace must have each hour once.  Only the
+    columns the trace writers use are recovered; production, consumption
+    and the battery flows stay zero, and the start level is NaN.  The bids
+    are kept as the file holds them, several per hour included.  A day of
+    the window that the files lack is left out, for the trace writers to
+    report.
     """
     import os
 
@@ -158,24 +176,21 @@ def read_day_results(trace_path, bids_path, window: tuple[int, int]) -> list[Day
         days=window)
     _check_hours(trace_path, row_days, hours)
     days, inverse = np.unique(row_days, return_inverse=True)
+    _check_each_hour_once(trace_path, days, inverse, hours)
     tables = np.zeros((len(values), days.size, HOURS_PER_DAY))
     tables[:, inverse, hours] = values
-    prices, buys, sells, uns_buys, uns_sells, levels, cash = tables
-    battery = np.full((days.size, HOURS_PER_DAY + 1), np.nan)
-    battery[:, 1:] = levels
-    zeros = np.zeros(HOURS_PER_DAY)
-    results = {day: DayResult(
-        day=day, prices=prices[k], bid_outcomes=[], buy_volumes=buys[k], sell_volumes=sells[k],
-        production=zeros.copy(), consumption=zeros.copy(), charge_input=zeros.copy(),
-        discharge=zeros.copy(), unscheduled_buys=uns_buys[k], unscheduled_sells=uns_sells[k],
-        battery_trace=battery[k], cash_deltas=cash[k], reward=float(cash[k].sum()),
-    ) for k, day in enumerate(days.tolist())}
+    by_name = dict(zip(DAY_RESULT_COLUMNS, tables))
+    zeros = np.zeros((days.size, HOURS_PER_DAY))
+    traces = np.stack([by_name.get(name, zeros) for name in TRACE_FIELDS], axis=-1)
+    prices, cash = by_name["prices"], by_name["cash_deltas"]
+    bids = {day: [] for day in days.tolist()}
     if bids_path and os.path.exists(bids_path):
-        bids = read_columns(bids_path, BID_OUTCOME_HEADER,
-                            (int, int, (BUY, SELL), float, float, int), days=window)
-        _check_hours(bids_path, *bids[:2])
-        for day, hour, side, volume, price, accepted in zip(*map(np.ndarray.tolist, bids)):
-            if day in results:
-                results[day].bid_outcomes.append(BidOutcome(Bid(volume, price, side.decode(), hour),
-                                                            bool(accepted)))
-    return list(results.values())
+        columns = read_columns(bids_path, BID_OUTCOME_HEADER,
+                               (int, int, (BUY, SELL), float, float, int), days=window)
+        _check_hours(bids_path, *columns[:2])
+        for day, hour, side, volume, price, accepted in zip(*map(np.ndarray.tolist, columns)):
+            if day in bids:
+                bids[day].append((hour, side.decode(), volume, price, bool(accepted)))
+    return [DayResult(day, traces[k].ravel().tolist(), None, math.nan, float(cash[k].sum()),
+                      tuple(prices[k].tolist()), (0.0,) * HOURS_PER_DAY, bids[day])
+            for k, day in enumerate(days.tolist())]

@@ -45,3 +45,18 @@ def test_traced_names_are_package_functions():
 
 def test_step_clock_hooks_exist():
     assert [name for name in STEP_CLOCK_HOOKS if not is_plain_function(*name)] == []
+
+
+def test_collected_step_exposes_accepted_bid_outcomes(small_dataset):
+    """perfbench's ``BidCounter`` reads ``result[2].bid_outcomes[i].accepted``
+    of each collected step and ``None`` there otherwise; without them
+    ``market.accept_frac`` turns ``missing``."""
+    from dayahead.market import EnvConfig, TradingEnv
+
+    env = TradingEnv(small_dataset, EnvConfig())
+    schedule = [[0.1] * 24, [1e9] * 24, [0.0] * 24, [0.0] * 24]  # buys that always clear
+    env.reset(10, 0, 2)
+    result = env.step(schedule)
+    assert len(result[2].bid_outcomes) == 24
+    assert all(outcome.accepted is True for outcome in result[2].bid_outcomes)
+    assert env.step(schedule, collect=False)[2] is None

@@ -268,6 +268,20 @@ def test_evaluate_with_infinite_profile_hour_exits_2(tmp_path, capsys):
     assert "profile.csv:4: non-finite value 'inf' for hour 2" in capsys.readouterr().err
 
 
+def test_evaluate_on_zero_training_prices_exits_2_unless_price_scale_is_set(tmp_path, capsys):
+    data = tmp_path / "d"
+    assert main(["generate-data", "--seed", "3", "--days", "60", "--out", str(data)]) == 0
+    lines = (data / "prices.csv").read_text().splitlines(keepends=True)
+    lines[1:] = [line[:line.rindex(",")] + ",0.0\n" for line in lines[1:]]
+    (data / "prices.csv").write_text("".join(lines))
+    argv = ["evaluate", "--zero-action", "--data", str(data), "--seeds", "0"]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert "mean price 0.0" in capsys.readouterr().err
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"price_scale": 1.0}))
+    assert main([*argv, "--config", str(config), "--out", str(tmp_path / "p")]) == 0
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------

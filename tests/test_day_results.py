@@ -1,0 +1,105 @@
+"""A collected day keeps the simulator's hour trace and schedule and builds
+its arrays and bid records when they are read.  These tests hold it to the
+eager record it replaced: the same values bit for bit, the same CSV bytes,
+and no change when a strategy edits its schedule lists after the step."""
+import math
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dayahead.data import day_hour_columns, hour_by_hour, write_columns, write_rows
+from dayahead.market import (BID_OUTCOME_HEADER, BUY, DAY_RESULT_HEADER, FIRST_DELIVERY_DAY,
+                             HOURS_PER_DAY, SELL, BidOutcome, EnvConfig, TradingEnv,
+                             export_bid_outcomes, export_day_results, hourly_production,
+                             schedule_bids)
+
+ARRAYS = ("prices", "buy_volumes", "sell_volumes", "production", "consumption", "charge_input",
+          "discharge", "unscheduled_buys", "unscheduled_sells", "battery_trace", "cash_deltas")
+
+
+def eager_record(dataset, config, day, start_charge, reward, schedule, trace):
+    """The record as ``TradingEnv.step`` built it eagerly, formula for formula."""
+    buys, sells, cons, charge_in, discharge, uns_buys, uns_sells, levels, cash_deltas = \
+        np.fromiter(trace, float, len(trace)).reshape(HOURS_PER_DAY, -1).T.copy()
+    executed = {BUY: buys.tolist(), SELL: sells.tolist()}
+    production = hourly_production(dataset.cloudiness, dataset.wind_speed, config)
+    return SimpleNamespace(
+        day=day, prices=dataset.prices[day].copy(),
+        bid_outcomes=[BidOutcome(bid, executed[bid.side][bid.hour] != 0.0)
+                      for bid in schedule_bids(schedule)],
+        buy_volumes=buys, sell_volumes=sells, production=production[day].copy(),
+        consumption=cons, charge_input=charge_in, discharge=discharge,
+        unscheduled_buys=uns_buys, unscheduled_sells=uns_sells,
+        battery_trace=np.concatenate(([start_charge], levels)), cash_deltas=cash_deltas,
+        reward=reward)
+
+
+def eager_export_day_results(records, path):
+    """The trace writer that read the eager record's arrays."""
+    write_columns(path, DAY_RESULT_HEADER, [
+        *day_hour_columns([r.day for r in records]),
+        *(hour_by_hour([getattr(r, name)[-HOURS_PER_DAY:] for r in records])
+          for name in ("prices", "buy_volumes", "sell_volumes", "unscheduled_buys",
+                       "unscheduled_sells", "battery_trace", "cash_deltas"))])
+
+
+def eager_export_bid_outcomes(records, path):
+    """The bid writer that read one ``BidOutcome`` per bid."""
+    write_rows(path, BID_OUTCOME_HEADER, (
+        (r.day, o.bid.hour, o.bid.side, float(o.bid.volume), float(o.bid.price), int(o.accepted))
+        for r in records for o in r.bid_outcomes))
+
+
+@pytest.fixture(scope="module")
+def env(small_dataset):
+    return TradingEnv(small_dataset, EnvConfig())
+
+
+def hours(values):
+    return st.lists(values, min_size=HOURS_PER_DAY, max_size=HOURS_PER_DAY)
+
+
+VOLUMES = hours(st.one_of(st.just(0.0), st.integers(1, 30).map(lambda k: k / 10)))
+PRICES = st.floats(0.0, 800.0)
+SCHEDULES = st.tuples(VOLUMES, hours(st.one_of(PRICES, st.just(math.inf))),
+                      VOLUMES, hours(st.one_of(PRICES, st.just(0.0)))).map(list)
+
+
+@settings(max_examples=40, deadline=None)
+@given(start=st.integers(FIRST_DELIVERY_DAY, 110), seed=st.integers(0, 3),
+       schedules=st.lists(SCHEDULES, min_size=1, max_size=4))
+def test_lean_record_matches_the_eager_record(env, start, seed, schedules):
+    env.reset(start, seed, len(schedules))
+    records, eager = [], []
+    for schedule in schedules:
+        start_charge = env.charge
+        copy = [list(row) for row in schedule]
+        _, reward, record, _ = env.step(schedule)
+        for row in schedule:  # the strategy reuses its lists
+            row[:] = [1.5] * HOURS_PER_DAY
+        records.append(record)
+        eager.append(eager_record(env.dataset, env.config, record.day, start_charge, reward,
+                                  copy, record.trace))
+
+    for got, want in zip(records, eager):
+        assert (got.day, got.reward) == (want.day, want.reward)
+        for name in ARRAYS:
+            array = getattr(got, name)
+            assert array.dtype == want.__dict__[name].dtype, name
+            assert array.tobytes() == want.__dict__[name].tobytes(), name
+            assert not array.flags.writeable
+            assert getattr(got, name) is array  # built once
+        assert got.bid_outcomes == want.bid_outcomes
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        export_day_results(records, out / "trace.csv")
+        export_bid_outcomes(records, out / "bids.csv")
+        eager_export_day_results(eager, out / "eager_trace.csv")
+        eager_export_bid_outcomes(eager, out / "eager_bids.csv")
+        for name in ("trace.csv", "bids.csv"):
+            assert (out / name).read_bytes() == (out / f"eager_{name}").read_bytes(), name
+

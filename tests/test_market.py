@@ -183,6 +183,22 @@ def test_env_config_accepts_the_boundaries():
         EnvConfig(**kwargs)
 
 
+def test_zero_mean_training_price_needs_an_explicit_price_scale():
+    """The default scale, the training split's mean price, was 0 here: a
+    RuntimeWarning, then inf/NaN price slots in every observation."""
+    from dayahead.data import SplitBoundaries
+
+    ds = with_perfect_forecasts(flat_dataset(num_days=6, price=0.0))
+    with pytest.raises(ValueError, match=r"training split, days 0\.\.5, has mean price 0\.0.*"
+                                         r"set price_scale"):
+        TradingEnv(ds, EnvConfig())
+    ds.prices[3:] = 100.0  # only the split's own days count
+    with pytest.raises(ValueError, match=r"training split, days 0\.\.2,"):
+        TradingEnv(replace(ds, split=SplitBoundaries((0, 3), (3, 4), (4, 6))), EnvConfig())
+    obs = TradingEnv(ds, EnvConfig(price_scale=1.0)).reset(2, 0, 1).observation(True)
+    assert np.isfinite(obs).all() and not obs[:24].any()
+
+
 def test_max_hourly_production_composition():
     assert EnvConfig().max_hourly_production == pytest.approx(0.13, abs=1e-12)
 

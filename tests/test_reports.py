@@ -68,3 +68,33 @@ def test_hour_outside_the_day_names_file_day_and_hour(tmp_path, small_dataset, f
     path.write_text("".join(lines))
     with pytest.raises(DataError, match=rf"{file}: day 91 has hour {hour} outside 0\.\.23"):
         read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (90, 93))
+
+
+def scored_files(tmp_path, dataset):
+    """trace.csv and bids.csv of a timing run over days 90..92, and the
+    trace's lines."""
+    env = TradingEnv(dataset, EnvConfig())
+    _, results = evaluate_strategy(TimingParams(1.2, 0.8).bids, env, (90, 93), 0,
+                                   collect_results=True)
+    export_day_results(results, tmp_path / "trace.csv")
+    export_bid_outcomes(results, tmp_path / "bids.csv")
+    return (tmp_path / "trace.csv").read_text().splitlines(keepends=True)
+
+
+def test_trace_day_lacking_an_hour_names_file_day_and_hour(tmp_path, small_dataset):
+    """It read as price 0 and level 0, and the report wrote both."""
+    lines = scored_files(tmp_path, small_dataset)
+    lines.remove(next(line for line in lines if line.startswith("91,5,")))
+    (tmp_path / "trace.csv").write_text("".join(lines))
+    with pytest.raises(DataError, match=r"trace\.csv: day 91 lacks hour 5$"):
+        read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (90, 93))
+
+
+def test_trace_day_repeating_an_hour_names_file_day_and_hour(tmp_path, small_dataset):
+    """A repeated hour silently took the place of the hour it displaced."""
+    lines = scored_files(tmp_path, small_dataset)
+    hour_4 = next(i for i, line in enumerate(lines) if line.startswith("91,4,"))
+    lines[hour_4 + 1] = lines[hour_4]  # hour 5 becomes a second hour 4
+    (tmp_path / "trace.csv").write_text("".join(lines))
+    with pytest.raises(DataError, match=r"trace\.csv: day 91 repeats hour 4$"):
+        read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (90, 93))
