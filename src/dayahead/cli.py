@@ -15,6 +15,14 @@ Verbs:
 
 Every verb accepts ``--config`` (flat JSON of parameter overrides using the
 names from the parameter tables), ``--seed`` (master seed), and ``--out``.
+One table, :data:`CONFIG_KEYS`, maps each config key to the section that
+uses it (environment, CMA-ES, A2C, data split, test range or synthetic
+generator), the field it sets there, and the cast that reads it.  Every
+known key is cast when the config is loaded; a value its cast refuses (a
+fraction for a whole number, a ``test_days`` below 1, ``split_fractions``
+that are not three numbers) exits 2 with the key and value named, before
+the verb writes anything.  Keys the table does not know are ignored.
+
 Exit codes: 0 success, 2 validation error, 3 missing artifact.
 """
 from __future__ import annotations
@@ -23,6 +31,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, replace
+from datetime import date
 
 import numpy as np
 
@@ -48,52 +58,99 @@ class MissingArtifact(FileNotFoundError):
 
 
 # ---------------------------------------------------------------------------
-# Config handling: one flat JSON document, keys named after the parameter
-# tables (environment / CMA-ES / A2C), all optional.
+# Config handling: one flat JSON document whose keys are all optional.  One
+# table maps each key to the section that uses it, the field it sets there,
+# and the cast that reads it; nothing else reads the document.
 # ---------------------------------------------------------------------------
 
-ENV_CONFIG_KEYS = {
-    "action_scheduling_hour": ("action_hour", int),
-    "battery_capacity": ("battery_capacity", float),
-    "battery_efficiency": ("battery_efficiency", float),
-    "max_solar_generation": ("max_solar_generation", float),
-    "solar_panel_efficiency": ("solar_efficiency", float),
-    "max_wind_generation": ("max_wind_generation", float),
-    "max_wind_speed": ("max_wind_speed", float),
-    "households": ("households", int),
-    "consumption_noise_std": ("consumption_noise_std", float),
-    "price_stat_window": ("price_stat_window", int),
-    "penalty_buy_multiplier": ("penalty_buy_multiplier", float),
-    "penalty_sell_multiplier": ("penalty_sell_multiplier", float),
-    "initial_charge": ("initial_charge", float),
-    "price_scale": ("price_scale", float),
+def _whole(value) -> int:
+    """``int(value)``, refusing a number with a fractional part rather than
+    truncating it; ``2.0`` and ``"2"`` are accepted."""
+    whole = int(value)
+    if not isinstance(value, str) and whole != value:
+        raise ValueError("not a whole number")
+    return whole
+
+
+def _at_least_one(value) -> int:
+    whole = _whole(value)
+    if whole < 1:
+        raise ValueError("must be at least 1")
+    return whole
+
+
+def _population(value) -> int | None:
+    return None if value == "automatic" else _whole(value)
+
+
+def _reals(count: int):
+    def cast(value) -> tuple[float, ...]:
+        if not isinstance(value, list) or len(value) != count:
+            raise ValueError(f"not a list of {count} numbers")
+        return tuple(float(v) for v in value)
+
+    return cast
+
+
+def _synthetic_cast(default):
+    if isinstance(default, date):
+        return date.fromisoformat
+    if isinstance(default, tuple):
+        return _reals(len(default))
+    return float
+
+
+# key -> (section, field, cast).  Sections: "env" EnvConfig, "cmaes"
+# CmaesConfig, "a2c" A2cConfig, "split" data.split_dataset, "test" the test
+# range (test_range_of), "synthetic" data.SyntheticConfig (generate-data).
+CONFIG_KEYS = {
+    "action_scheduling_hour": ("env", "action_hour", _whole),
+    "battery_capacity": ("env", "battery_capacity", float),
+    "battery_efficiency": ("env", "battery_efficiency", float),
+    "max_solar_generation": ("env", "max_solar_generation", float),
+    "solar_panel_efficiency": ("env", "solar_efficiency", float),
+    "max_wind_generation": ("env", "max_wind_generation", float),
+    "max_wind_speed": ("env", "max_wind_speed", float),
+    "households": ("env", "households", _whole),
+    "consumption_noise_std": ("env", "consumption_noise_std", float),
+    "price_stat_window": ("env", "price_stat_window", _whole),
+    "penalty_buy_multiplier": ("env", "penalty_buy_multiplier", float),
+    "penalty_sell_multiplier": ("env", "penalty_sell_multiplier", float),
+    "initial_charge": ("env", "initial_charge", float),
+    "price_scale": ("env", "price_scale", float),
+    "initial_sigma": ("cmaes", "sigma0", float),
+    "population_size": ("cmaes", "population", _population),  # "automatic" or a whole number
+    "generations": ("cmaes", "generations", _whole),
+    "timesteps": ("a2c", "total_days", _whole),
+    "evaluation_frequency": ("a2c", "eval_frequency", _whole),
+    "n_steps": ("a2c", "n_steps", _whole),
+    "learning_rate": ("a2c", "learning_rate", float),
+    "gamma": ("a2c", "gamma", float),
+    "gae_lambda": ("a2c", "gae_lambda", float),
+    "ent_coef": ("a2c", "ent_coef", float),
+    "vf_coef": ("a2c", "vf_coef", float),
+    "rms_prop_eps": ("a2c", "rms_eps", float),
+    "max_grad_norm": ("a2c", "max_grad_norm", float),
+    "net_arch": ("a2c", "hidden_size", _whole),
+    "log_std_init": ("a2c", "log_std_init", float),
+    "eval_days": ("a2c", "eval_days", _whole),
+    "split_fractions": ("split", "fractions", _reals(3)),
+    "test_days": ("test", "days", _at_least_one),
+    **{f.name: ("synthetic", f.name, _synthetic_cast(f.default))
+       for f in fields(datamod.SyntheticConfig)},
 }
 
-CMA_CONFIG_KEYS = {
-    "initial_sigma": ("sigma0", float),
-    "population_size": ("population", None),  # "automatic" or an integer
-    "generations": ("generations", int),
-}
 
-A2C_CONFIG_KEYS = {
-    "timesteps": ("total_days", int),
-    "evaluation_frequency": ("eval_frequency", int),
-    "n_steps": ("n_steps", int),
-    "learning_rate": ("learning_rate", float),
-    "gamma": ("gamma", float),
-    "gae_lambda": ("gae_lambda", float),
-    "ent_coef": ("ent_coef", float),
-    "vf_coef": ("vf_coef", float),
-    "rms_prop_eps": ("rms_eps", float),
-    "max_grad_norm": ("max_grad_norm", float),
-    "net_arch": ("hidden_size", int),
-    "log_std_init": ("log_std_init", float),
-    "eval_days": ("eval_days", int),
-    "test_days": ("test_days", int),
-}
+def _cast(key: str, value):
+    try:
+        return CONFIG_KEYS[key][2](value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"config key {key!r} has value {value!r}: {exc}") from None
 
 
 def load_config(path) -> dict:
+    """The flat JSON object at ``path`` ({} for None), every known key cast
+    once so that a bad value fails before a verb writes anything."""
     if path is None:
         return {}
     if not os.path.exists(path):
@@ -102,36 +159,25 @@ def load_config(path) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a flat JSON object")
+    for key in cfg:
+        if key in CONFIG_KEYS:
+            _cast(key, cfg[key])
     return cfg
 
 
+def config_section(cfg: dict, section: str) -> dict:
+    """Keyword arguments for ``section``: each key of ``cfg`` that the table
+    maps there, cast, under its field name."""
+    return {field: _cast(key, cfg[key]) for key, (owner, field, _) in CONFIG_KEYS.items()
+            if owner == section and key in cfg}
+
+
 def env_config_from(cfg: dict) -> EnvConfig:
-    kwargs = {}
-    for key, (attr, cast) in ENV_CONFIG_KEYS.items():
-        if key in cfg:
-            kwargs[attr] = cast(cfg[key])
-    return EnvConfig(**kwargs)
-
-
-def cma_config_from(cfg: dict, seed: int) -> CmaesConfig:
-    kwargs = {"seed": seed}
-    for key, (attr, cast) in CMA_CONFIG_KEYS.items():
-        if key in cfg:
-            value = cfg[key]
-            if key == "population_size":
-                value = None if value == "automatic" else int(value)
-            elif cast is not None:
-                value = cast(value)
-            kwargs[attr] = value
-    return CmaesConfig(**kwargs)
+    return EnvConfig(**config_section(cfg, "env"))
 
 
 def a2c_config_from(cfg: dict, include_weather: bool) -> A2cConfig:
-    kwargs = {"include_weather": include_weather}
-    for key, (attr, cast) in A2C_CONFIG_KEYS.items():
-        if key in cfg:
-            kwargs[attr] = cast(cfg[key])
-    return A2cConfig(**kwargs)
+    return A2cConfig(include_weather=include_weather, **config_section(cfg, "a2c"))
 
 
 def load_data_dir(data_dir, cfg: dict) -> datamod.Dataset:
@@ -143,8 +189,7 @@ def load_data_dir(data_dir, cfg: dict) -> datamod.Dataset:
     forecast_path = paths["forecasts"] if os.path.exists(paths["forecasts"]) else None
     dataset = datamod.load_dataset(paths["prices"], paths["weather"],
                                    paths["profile"], forecast_path)
-    fractions = cfg.get("split_fractions")
-    return datamod.split_dataset(dataset, tuple(fractions) if fractions else None)
+    return datamod.split_dataset(dataset, **config_section(cfg, "split"))
 
 
 def parse_seeds(text: str | None, master: int) -> list[int]:
@@ -170,7 +215,16 @@ def write_manifest(out_dir, command: str, cfg: dict, seeds: list[int],
 
 
 def test_range_of(dataset: datamod.Dataset, cfg: dict) -> tuple[int, int]:
-    return delivery_window(dataset.split.test, int(cfg.get("test_days", 365)))
+    return delivery_window(dataset.split.test, config_section(cfg, "test").get("days", 365))
+
+
+def _verb_inputs(args):
+    """What each verb over a dataset reads first: the config, the split
+    dataset, the environment config, the run seeds and the test range."""
+    cfg = load_config(args.config)
+    dataset = load_data_dir(args.data, cfg)
+    return (cfg, dataset, env_config_from(cfg), parse_seeds(args.seeds, args.seed),
+            test_range_of(dataset, cfg))
 
 
 def _write_result(out_dir, name: str, seeds: list[int], incomes: list[float],
@@ -209,9 +263,7 @@ def cmd_generate_data(args) -> int:
     cfg = load_config(args.config)
     if args.days < datamod.MIN_SYNTHETIC_DAYS:
         raise ValueError(f"--days must be at least {datamod.MIN_SYNTHETIC_DAYS}")
-    gen_keys = {f.name for f in __import__("dataclasses").fields(datamod.SyntheticConfig)}
-    overrides = {k: v for k, v in cfg.items() if k in gen_keys}
-    gen_config = datamod.SyntheticConfig(**overrides) if overrides else None
+    gen_config = datamod.SyntheticConfig(**config_section(cfg, "synthetic"))
     dataset = datamod.generate_synthetic_dataset(args.seed, args.days, gen_config)
     dataset = datamod.make_forecasts(dataset, seed=args.seed + 1)
     os.makedirs(args.out, exist_ok=True)
@@ -228,19 +280,15 @@ def cmd_generate_data(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    cfg = load_config(args.config)
-    dataset = load_data_dir(args.data, cfg)
-    env_config = env_config_from(cfg)
-    seeds = parse_seeds(args.seeds, args.seed)
+    cfg, dataset, env_config, seeds, test_range = _verb_inputs(args)
+    cma_config = CmaesConfig(**config_section(cfg, "cmaes"))
     kind = args.strategy
-    test_range = test_range_of(dataset, cfg)
     env = TradingEnv(dataset, env_config)
     os.makedirs(args.out, exist_ok=True)
 
     incomes = []
     artifacts = {}
     for seed in seeds:
-        cma_config = cma_config_from(cfg, seed)
         params_vec, history = optimize_parametric(kind, env, cma_config, seed)
         seed_dir = os.path.join(args.out, f"seed{seed}")
         os.makedirs(seed_dir, exist_ok=True)
@@ -264,13 +312,9 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_train_rl(args) -> int:
-    cfg = load_config(args.config)
-    dataset = load_data_dir(args.data, cfg)
-    env_config = env_config_from(cfg)
+    cfg, dataset, env_config, seeds, test_range = _verb_inputs(args)
     include_weather = not args.no_weather
     a2c_config = a2c_config_from(cfg, include_weather)
-    seeds = parse_seeds(args.seeds, args.seed)
-    test_range = test_range_of(dataset, cfg)
     env = TradingEnv(dataset, env_config)
     os.makedirs(args.out, exist_ok=True)
 
@@ -303,11 +347,7 @@ def cmd_train_rl(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config)
-    dataset = load_data_dir(args.data, cfg)
-    env_config = env_config_from(cfg)
-    seeds = parse_seeds(args.seeds, args.seed)
-    test_range = test_range_of(dataset, cfg)
+    cfg, dataset, env_config, seeds, test_range = _verb_inputs(args)
     os.makedirs(args.out, exist_ok=True)
 
     if args.policy:
@@ -322,7 +362,6 @@ def cmd_evaluate(args) -> int:
                 raise ValueError(f"policy was trained with {key} {policy.meta[key]!r}, "
                                  f"the config gives {value!r}")
         if "price_scale" in policy.meta:
-            from dataclasses import replace
             env_config = replace(env_config, price_scale=float(policy.meta["price_scale"]))
         bids_fn = policy_strategy(policy, include_weather)
         name = args.name or "policy"
@@ -353,15 +392,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep_battery(args) -> int:
-    cfg = load_config(args.config)
-    dataset = load_data_dir(args.data, cfg)
-    env_config = env_config_from(cfg)
+    cfg, dataset, env_config, seeds, test_range = _verb_inputs(args)
     a2c_config = a2c_config_from(cfg, include_weather=True)
-    seeds = parse_seeds(args.seeds, args.seed)
     capacities = [float(v) for v in args.capacities.replace(",", " ").split()]
     os.makedirs(args.out, exist_ok=True)
 
-    rows = battery_sweep(capacities, dataset, env_config, a2c_config, seeds,
+    rows = battery_sweep(capacities, dataset, env_config, a2c_config, seeds, test_range,
                          progress=lambda cap, seed, income:
                          print(f"capacity {cap}: seed {seed} income {income:.2f}"))
     with open(os.path.join(args.out, "battery_sweep.csv"), "w") as fh:
@@ -377,9 +413,7 @@ def cmd_sweep_battery(args) -> int:
 
 
 def cmd_report(args) -> int:
-    cfg = load_config(args.config)
-    dataset = load_data_dir(args.data, cfg)
-    env_config = env_config_from(cfg)
+    cfg, dataset, env_config, _, _ = _verb_inputs(args)
     os.makedirs(args.out, exist_ok=True)
     run_dirs = args.runs
 
@@ -458,10 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated run seeds (default: 5 from --seed)")
 
     p = sub.add_parser("generate-data", help="write a synthetic dataset")
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--days", type=int, required=True)
-    p.add_argument("--out", required=True)
+    common(p, needs_data=False)
     p.set_defaults(func=cmd_generate_data)
 
     p = sub.add_parser("optimize", help="CMA-ES over a parametric strategy")

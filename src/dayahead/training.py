@@ -11,7 +11,7 @@ the final ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -172,7 +172,6 @@ class A2cConfig:
     hidden_size: int = 200
     log_std_init: float = -1.0
     include_weather: bool = True
-    test_days: int = 365
 
     def __post_init__(self) -> None:
         if not 0 <= self.gamma <= 1:
@@ -201,7 +200,6 @@ class TrainingRun:
     best_val_reward: float
     best_step: int
     seed: int
-    test_income: float | None = None
 
     def log_rows(self) -> list[tuple[int, float, int]]:
         return [(p.step, p.val_reward, int(p.is_best)) for p in self.eval_log]
@@ -289,22 +287,21 @@ def _rollout(env: TradingEnv, policy: PolicyParams, start_day: int,
 
 
 def a2c_train(env: TradingEnv, config: A2cConfig, seed: int) -> TrainingRun:
-    """Full training run on ``env``: rollouts, updates, periodic validation,
-    final test.
+    """Full training run on ``env``: rollouts, updates and periodic
+    validation; returns the best validated policy, unscored on the test range.
 
     All randomness (init, window sampling, environment noise, exploration
-    noise, evaluation noise) derives from ``seed``.
+    noise, validation noise) derives from ``seed``.
     """
     split = env.dataset.split
     if split is None:
         raise ValueError("dataset needs split boundaries before training")
 
     ss = np.random.SeedSequence(seed)
-    init_seed, window_seed, env_seed, noise_seed, val_seed, test_seed = ss.spawn(6)
+    init_seed, window_seed, env_seed, noise_seed, val_seed = ss.spawn(5)
     window_rng = np.random.default_rng(window_seed)
     noise_rng = np.random.default_rng(noise_seed)
     val_eval_seed = int(val_seed.generate_state(1)[0])
-    test_eval_seed = int(test_seed.generate_state(1)[0])
 
     env_rng = np.random.default_rng(env_seed)
     policy = init_policy(
@@ -353,30 +350,32 @@ def a2c_train(env: TradingEnv, config: A2cConfig, seed: int) -> TrainingRun:
             while next_eval <= steps:
                 next_eval += config.eval_frequency
 
-    run = TrainingRun(eval_log=eval_log, best_policy=best_policy,
-                      best_val_reward=best_val, best_step=best_step, seed=seed)
-    test_range = delivery_window(split.test, config.test_days)
-    run.test_income = float(evaluate_strategy(
-        policy_strategy(best_policy, config.include_weather), env, test_range,
-        test_eval_seed))
-    return run
+    return TrainingRun(eval_log=eval_log, best_policy=best_policy,
+                       best_val_reward=best_val, best_step=best_step, seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # Battery capacity sweep
 # ---------------------------------------------------------------------------
 
+def sweep_test_seed(seed: int) -> int:
+    """Evaluation seed of the sweep's test scoring: drawn from the sixth child
+    of ``SeedSequence(seed)``, next to the five that :func:`a2c_train` spawns."""
+    return int(np.random.SeedSequence(seed, spawn_key=(5,)).generate_state(1)[0])
+
+
 def battery_sweep(capacities: list[float], dataset: Dataset,
                   env_config: EnvConfig, a2c_config: A2cConfig,
-                  seeds: list[int], progress=None) -> list[tuple[float, BalanceRow]]:
-    """Train and test the neural strategy independently per battery capacity.
+                  seeds: list[int], test_range: tuple[int, int],
+                  progress=None) -> list[tuple[float, BalanceRow]]:
+    """Train the neural strategy independently per battery capacity and
+    score each run's best policy on ``test_range``.
 
     Returns (capacity, test incomes) pairs sorted by capacity.  Each
-    (capacity, seed) pair is a fully independent training run with its own
-    derived seed; the runs of one capacity share its environment.
+    (capacity, seed) pair is a fully independent training run; its test
+    score uses :func:`sweep_test_seed`.  The runs of one capacity share its
+    environment.
     """
-    from dataclasses import replace
-
     if any(c <= 0 for c in capacities):
         raise ValueError("capacities must be positive")
     rows = []
@@ -385,8 +384,11 @@ def battery_sweep(capacities: list[float], dataset: Dataset,
         incomes = []
         for seed in seeds:
             run = a2c_train(env, a2c_config, seed)
-            incomes.append(run.test_income)
+            income = float(evaluate_strategy(
+                policy_strategy(run.best_policy, a2c_config.include_weather), env,
+                test_range, sweep_test_seed(seed)))
+            incomes.append(income)
             if progress is not None:
-                progress(capacity, seed, run.test_income)
+                progress(capacity, seed, income)
         rows.append((capacity, BalanceRow(f"capacity {capacity!r}", incomes)))
     return rows

@@ -60,3 +60,24 @@ def test_collected_step_exposes_accepted_bid_outcomes(small_dataset):
     assert len(result[2].bid_outcomes) == 24
     assert all(outcome.accepted is True for outcome in result[2].bid_outcomes)
     assert env.step(schedule, collect=False)[2] is None
+
+
+# The other package names perfbench/run.py calls, with the parameters it
+# passes them; it reads ``n_steps`` and ``eval_days`` of the A2C config.
+BENCHMARK_CALLS = [
+    ("cli", "load_config", ["path"]),
+    ("cli", "load_data_dir", ["data_dir", "cfg"]),
+    ("cli", "a2c_config_from", ["cfg", "include_weather"]),
+    ("training", "initial_parameter_mean", ["kind", "rng"]),
+]
+
+
+def test_benchmark_entry_points_keep_their_signatures():
+    from dayahead.cli import a2c_config_from
+
+    for module, name, params in BENCHMARK_CALLS:
+        function = getattr(importlib.import_module(f"dayahead.{module}"), name, None)
+        assert inspect.isfunction(function), (module, name)
+        assert list(inspect.signature(function).parameters) == params, (module, name)
+    config = a2c_config_from({"n_steps": 10, "eval_days": 5}, True)
+    assert (config.n_steps, config.eval_days) == (10, 5)

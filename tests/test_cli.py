@@ -1,11 +1,19 @@
 import hashlib
 import json
 import os
+from dataclasses import fields
+from datetime import date
 
 import numpy as np
 import pytest
 
-from dayahead.cli import main
+from dayahead import cli
+from dayahead.cli import (CONFIG_KEYS, a2c_config_from, config_section, env_config_from,
+                          load_config, load_data_dir, main)
+from dayahead.cmaes import CmaesConfig
+from dayahead.data import SyntheticConfig
+from dayahead.market import EnvConfig
+from dayahead.training import A2cConfig
 
 TINY_CONFIG = {
     # small synthetic market and desk-tiny budgets so the pipeline runs in seconds
@@ -71,6 +79,105 @@ def test_generate_data_refuses_short_spans(tmp_path):
     code = main(["generate-data", "--seed", "1", "--days", "10",
                  "--out", str(tmp_path / "x")])
     assert code == 2
+
+
+def test_generate_data_casts_its_config_keys(tmp_path, capsys):
+    """A start date is parsed from ISO text and a number that is not one is
+    refused by name; both crashed with a traceback before."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"start_date": "2017-03-01"}))
+    out = tmp_path / "d"
+    assert main(["generate-data", "--seed", "3", "--days", "60", "--config", str(config),
+                 "--out", str(out)]) == 0
+    assert "start: 2017-03-01" in capsys.readouterr().out
+    config.write_text(json.dumps({"base_price": "abc"}))
+    bad = tmp_path / "bad"
+    assert main(["generate-data", "--seed", "3", "--days", "60", "--config", str(config),
+                 "--out", str(bad)]) == 2
+    assert "'base_price' has value 'abc'" in capsys.readouterr().err
+    assert not bad.exists()
+
+
+# ---------------------------------------------------------------------------
+# The config table
+# ---------------------------------------------------------------------------
+
+# Every key the config accepted before the table existed; the table must
+# accept exactly these.
+ACCEPTED_CONFIG_KEYS = {
+    # environment
+    "action_scheduling_hour", "battery_capacity", "battery_efficiency",
+    "max_solar_generation", "solar_panel_efficiency", "max_wind_generation",
+    "max_wind_speed", "households", "consumption_noise_std", "price_stat_window",
+    "penalty_buy_multiplier", "penalty_sell_multiplier", "initial_charge", "price_scale",
+    # CMA-ES
+    "initial_sigma", "population_size", "generations",
+    # A2C
+    "timesteps", "evaluation_frequency", "n_steps", "learning_rate", "gamma", "gae_lambda",
+    "ent_coef", "vf_coef", "rms_prop_eps", "max_grad_norm", "net_arch", "log_std_init",
+    "eval_days",
+    # data split and test range
+    "split_fractions", "test_days",
+    # synthetic generator
+    "start_date", "base_price", "winter_shape", "summer_shape", "weekend_discount",
+    "weekend_shape_factor", "seasonal_price_amplitude", "day_shock_ar", "day_shock_std",
+    "hour_noise_std", "cloud_price_coef", "wind_price_coef", "cold_price_coef",
+    "heat_price_coef", "mean_temperature", "seasonal_temperature_amplitude",
+    "daily_temperature_amplitude", "temperature_ar", "temperature_innovation_std",
+    "mean_cloudiness", "seasonal_cloudiness_amplitude", "cloudiness_ar",
+    "cloudiness_innovation_std", "mean_wind", "seasonal_wind_amplitude", "wind_ar",
+    "wind_innovation_std", "profile_shape", "household_daily_kwh",
+}
+
+NON_DEFAULT_CONFIG = {
+    "action_scheduling_hour": 9, "battery_capacity": 3.5, "battery_efficiency": 0.9,
+    "max_solar_generation": 0.5, "solar_panel_efficiency": 0.25, "max_wind_generation": 0.06,
+    "max_wind_speed": 12.0, "households": 50, "consumption_noise_std": 0.02,
+    "price_stat_window": 14, "penalty_buy_multiplier": 2.5, "penalty_sell_multiplier": 0.4,
+    "initial_charge": 0.3, "price_scale": 210.0,
+    "initial_sigma": 0.5, "population_size": 8, "generations": 7,
+    "timesteps": 1000, "evaluation_frequency": 300, "n_steps": 20, "learning_rate": 3e-4,
+    "gamma": 0.95, "gae_lambda": 0.8, "ent_coef": 0.01, "vf_coef": 0.25, "rms_prop_eps": 1e-6,
+    "max_grad_norm": 0.7, "net_arch": 32, "log_std_init": -0.5, "eval_days": 10,
+    "split_fractions": [0.6, 0.15, 0.25], "test_days": 10,
+    "start_date": "2017-03-01",
+    **{f.name: f.default + 0.5 for f in fields(SyntheticConfig) if isinstance(f.default, float)},
+    **{f.name: [v + 0.5 for v in f.default] for f in fields(SyntheticConfig)
+       if isinstance(f.default, tuple)},
+}
+
+
+def test_config_table_sets_every_key_on_its_field(data_dir, tmp_path):
+    assert set(CONFIG_KEYS) == ACCEPTED_CONFIG_KEYS
+    assert set(NON_DEFAULT_CONFIG) == ACCEPTED_CONFIG_KEYS
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(NON_DEFAULT_CONFIG))
+    cfg = load_config(str(path))
+    built = {
+        "env": (env_config_from(cfg), EnvConfig()),
+        "cmaes": (CmaesConfig(**config_section(cfg, "cmaes")), CmaesConfig()),
+        "a2c": (a2c_config_from(cfg, True), A2cConfig()),
+        "synthetic": (SyntheticConfig(**config_section(cfg, "synthetic")), SyntheticConfig()),
+    }
+    for key, (section, field, _) in CONFIG_KEYS.items():
+        if section in built:
+            value = NON_DEFAULT_CONFIG[key]
+            want = (date.fromisoformat(value) if key == "start_date"
+                    else tuple(value) if isinstance(value, list) else value)
+            config, default = built[section]
+            assert getattr(config, field) == want != getattr(default, field), key
+    dataset = load_data_dir(data_dir, cfg)  # 120 days
+    assert dataset.split.train == (0, 72) and dataset.split.test == (90, 120)
+    assert cli.test_range_of(dataset, cfg) == (90, 100)
+
+
+def test_config_accepts_integral_floats_and_automatic_population(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"households": 2.0, "generations": "3",
+                                "population_size": "automatic"}))
+    cfg = load_config(str(path))
+    assert env_config_from(cfg).households == 2
+    assert config_section(cfg, "cmaes") == {"generations": 3, "population": None}
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +300,17 @@ def test_train_rl_with_evaluation_frequency_below_one_exits_2(data_dir, tmp_path
     ("price_scale", 0, "price_scale"),
     ("price_scale", -5, "price_scale"),
     ("consumption_noise_std", -0.1, "consumption_noise_std"),
+    ("split_fractions", 5, "split_fractions"),
+    ("split_fractions", ["a", "b", "c"], "split_fractions"),
+    ("test_days", 0, "test_days"),
+    ("households", 2.9, "households"),
+    ("population_size", 4.7, "population_size"),
 ])
 def test_environment_value_the_kernel_cannot_honour_exits_2(data_dir, tmp_path, capsys,
                                                             key, value, field):
-    """Each was accepted before (exit 0), or failed only inside numpy; now
-    the error names the field and nothing is written."""
+    """Each was accepted before (exit 0, a fractional whole number truncated,
+    a test_days of 0 scoring no day), or failed only inside numpy or with a
+    traceback; now the error names the field or key and nothing is written."""
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({**TINY_CONFIG, key: value}))
     out = tmp_path / "eval"
@@ -229,6 +342,26 @@ def test_each_verb_builds_one_environment(data_dir, config_path, tmp_path, monke
         built.clear()
         assert main([*argv, *common, "--out", str(tmp_path / verb)]) == 0
         assert len(built) == 1, verb
+
+
+def test_train_rl_scores_the_test_range_once_per_seed(data_dir, config_path, tmp_path,
+                                                     monkeypatch):
+    from dayahead import training
+
+    ranges = []
+    real = training.evaluate_strategy
+
+    def recording(bids_fn, env, day_range, seed, collect_results=False):
+        ranges.append(tuple(day_range))
+        return real(bids_fn, env, day_range, seed, collect_results)
+
+    monkeypatch.setattr(training, "evaluate_strategy", recording)
+    monkeypatch.setattr(cli, "evaluate_strategy", recording)
+    out = tmp_path / "rl"
+    assert main(["train-rl", "--data", str(data_dir), "--config", config_path,
+                 "--seeds", "0,1", "--out", str(out)]) == 0
+    test_range = tuple(json.loads((out / "result.json").read_text())["test_range"])
+    assert ranges.count(test_range) == 2
 
 
 def test_evaluate_missing_policy_exits_3(data_dir, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dayahead.cli import ENV_CONFIG_KEYS, env_config_from, load_config
+from dayahead.cli import CONFIG_KEYS, env_config_from, load_config
 from dayahead.market import (BUY, SELL, Bid, DecisionContext, EnvConfig, TradingEnv,
                              hourly_production, reference_balance,
                              rolling_price_stats, round_volumes)
@@ -698,7 +698,8 @@ def test_reference_balance_negative_for_net_consumer():
 def test_env_config_round_trip(tmp_path):
     config = EnvConfig(battery_capacity=1.5, households=250, price_scale=210.0)
     path = tmp_path / "env.json"
-    path.write_text(json.dumps({key: getattr(config, attr)
-                                for key, (attr, _) in ENV_CONFIG_KEYS.items()}))
+    path.write_text(json.dumps({key: getattr(config, field)
+                                for key, (section, field, _) in CONFIG_KEYS.items()
+                                if section == "env"}))
     loaded = env_config_from(load_config(str(path)))
     assert loaded == config

@@ -13,7 +13,7 @@ from dayahead.training import (A2cConfig, A2cUpdater, a2c_train, battery_sweep,
                                evaluate_strategy, fixed_action_strategy,
                                gae_advantages, initial_parameter_mean,
                                optimize_parametric, parametric_strategy,
-                               policy_strategy)
+                               policy_strategy, sweep_test_seed)
 
 from conftest import bid_schedule, flat_dataset, with_perfect_forecasts
 
@@ -320,9 +320,9 @@ def test_golden_incomes(year_dataset):
 
 
 def test_golden_a2c_test_income(small_dataset):
-    run = a2c_train(TradingEnv(small_dataset, EnvConfig()), tiny_a2c_config(total_days=120),
-                    seed=0)
-    assert run.test_income == pytest.approx(GOLDEN_A2C_TEST_INCOME, rel=1e-9, abs=0)
+    env = TradingEnv(small_dataset, EnvConfig())
+    run = a2c_train(env, tiny_a2c_config(total_days=120), seed=0)
+    assert sweep_test_income(env, run) == pytest.approx(GOLDEN_A2C_TEST_INCOME, rel=1e-9, abs=0)
 
 
 def test_overflowing_opportunistic_candidate_scores_non_finite(small_dataset):
@@ -425,8 +425,18 @@ def tiny_a2c_config(**kwargs):
     kwargs.setdefault("eval_frequency", 90)
     kwargs.setdefault("eval_days", 20)
     kwargs.setdefault("hidden_size", 16)
-    kwargs.setdefault("test_days", 25)
     return A2cConfig(**kwargs)
+
+
+TINY_TEST_DAYS = 25
+
+
+def sweep_test_income(env, run):
+    """What ``battery_sweep`` reports for ``run``: its best policy over the
+    first TINY_TEST_DAYS test days, scored with the run's derived test seed."""
+    test_range = delivery_window(env.dataset.split.test, TINY_TEST_DAYS)
+    bids = policy_strategy(run.best_policy, run.best_policy.meta["include_weather"])
+    return evaluate_strategy(bids, env, test_range, sweep_test_seed(run.seed))
 
 
 def test_a2c_train_runs_and_checkpoints(small_dataset):
@@ -436,26 +446,36 @@ def test_a2c_train_runs_and_checkpoints(small_dataset):
     assert run.best_val_reward == best_from_log
     flagged = [p for p in run.eval_log if p.is_best]
     assert flagged and flagged[-1].val_reward == best_from_log
-    assert run.test_income is not None
+    assert run.best_step == flagged[-1].step
 
 
 def test_a2c_reported_test_income_comes_from_best_checkpoint(small_dataset):
     config = EnvConfig()
     a2c = tiny_a2c_config()
+    test_range = delivery_window(small_dataset.split.test, TINY_TEST_DAYS)
+    [(_, row)] = battery_sweep([config.battery_capacity], small_dataset, config, a2c,
+                               [1], test_range)
     run = a2c_train(TradingEnv(small_dataset, config), a2c, seed=1)
-    test_range = delivery_window(small_dataset.split.test, a2c.test_days)
-    ss = np.random.SeedSequence(1).spawn(6)
-    test_seed = int(ss[5].generate_state(1)[0])
-    replayed = evaluate_strategy(policy_strategy(run.best_policy, a2c.include_weather),
-                                 TradingEnv(small_dataset, config), test_range, test_seed)
-    assert replayed == pytest.approx(run.test_income)
+    replayed = sweep_test_income(TradingEnv(small_dataset, config), run)
+    assert replayed == pytest.approx(row.incomes[0])
+
+
+def test_sweep_test_seed_is_the_sixth_child_of_the_run_seed():
+    """a2c_train spawns five children; the sweep's test seed comes from the
+    sixth, as when a2c_train spawned six and scored the test range itself."""
+    for seed in (0, 1, 7, 2**40):
+        five, six = (np.random.SeedSequence(seed).spawn(n) for n in (5, 6))
+        assert [c.generate_state(4).tolist() for c in five] == \
+            [c.generate_state(4).tolist() for c in six[:5]]
+        assert sweep_test_seed(seed) == int(six[5].generate_state(1)[0])
 
 
 def test_a2c_train_deterministic_per_seed(small_dataset):
     cfg = tiny_a2c_config(total_days=120)
-    a = a2c_train(TradingEnv(small_dataset, EnvConfig()), cfg, seed=3)
-    b = a2c_train(TradingEnv(small_dataset, EnvConfig()), cfg, seed=3)
-    assert a.test_income == b.test_income
+    env_a, env_b = TradingEnv(small_dataset, EnvConfig()), TradingEnv(small_dataset, EnvConfig())
+    a = a2c_train(env_a, cfg, seed=3)
+    b = a2c_train(env_b, cfg, seed=3)
+    assert sweep_test_income(env_a, a) == sweep_test_income(env_b, b)
     assert [p.val_reward for p in a.eval_log] == [p.val_reward for p in b.eval_log]
     for pa, pb in zip(a.best_policy.parameters(), b.best_policy.parameters()):
         np.testing.assert_array_equal(pa, pb)
@@ -469,8 +489,9 @@ def test_reused_environment_matches_fresh(small_dataset):
     cma = CmaesConfig(generations=2)
     for seed in (0, 1):
         run = a2c_train(shared, a2c, seed)
-        fresh_run = a2c_train(TradingEnv(small_dataset, EnvConfig()), a2c, seed)
-        assert run.test_income == fresh_run.test_income
+        fresh = TradingEnv(small_dataset, EnvConfig())
+        fresh_run = a2c_train(fresh, a2c, seed)
+        assert sweep_test_income(shared, run) == sweep_test_income(fresh, fresh_run)
         assert run.log_rows() == fresh_run.log_rows()
         mean, _ = optimize_parametric("opportunistic", shared, cma, seed)
         fresh_mean, _ = optimize_parametric("opportunistic",
@@ -499,7 +520,7 @@ def test_a2c_rollouts_stay_in_training_split(year_dataset, monkeypatch):
 
     monkeypatch.setattr(training, "_rollout", recording_rollout)
     cfg = tiny_a2c_config(total_days=2400, n_steps=120, eval_frequency=2400,
-                          eval_days=5, test_days=5)
+                          eval_days=5)
     a2c_train(TradingEnv(year_dataset, EnvConfig()), cfg, seed=0)
     lo, hi = year_dataset.split.train
     assert len(stepped) == 2400
@@ -519,7 +540,8 @@ def test_a2c_no_weather_uses_69_inputs(small_dataset):
 
 def test_battery_sweep_shapes(small_dataset):
     rows = battery_sweep([2.0, 1.0], small_dataset, EnvConfig(),
-                         tiny_a2c_config(total_days=60), seeds=[0, 1])
+                         tiny_a2c_config(total_days=60), seeds=[0, 1],
+                         test_range=delivery_window(small_dataset.split.test, TINY_TEST_DAYS))
     assert [capacity for capacity, _ in rows] == [1.0, 2.0]  # sorted ascending
     for _, row in rows:
         assert len(row.incomes) == 2
@@ -529,11 +551,13 @@ def test_battery_sweep_shapes(small_dataset):
 
 def test_battery_sweep_single_seed_zero_std(small_dataset):
     rows = battery_sweep([1.5], small_dataset, EnvConfig(),
-                         tiny_a2c_config(total_days=60), seeds=[4])
+                         tiny_a2c_config(total_days=60), seeds=[4],
+                         test_range=delivery_window(small_dataset.split.test, TINY_TEST_DAYS))
     assert len(rows) == 1
     assert rows[0][1].std == 0.0
 
 
 def test_battery_sweep_rejects_non_positive_capacity(small_dataset):
     with pytest.raises(ValueError):
-        battery_sweep([0.0], small_dataset, EnvConfig(), tiny_a2c_config(), seeds=[0])
+        battery_sweep([0.0], small_dataset, EnvConfig(), tiny_a2c_config(), seeds=[0],
+                      test_range=small_dataset.split.test)
