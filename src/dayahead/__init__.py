@@ -9,9 +9,9 @@ neural bidding policy.
 from .data import (ConsumptionProfile, DataError, Dataset, ForecastSigmas,
                    SyntheticConfig, generate_synthetic_dataset, load_dataset,
                    make_forecasts, split_dataset, write_dataset)
-from .market import (BUY, SELL, Bid, DayResult, DecisionContext, EnvConfig,
-                     TradingEnv, hourly_production, reference_balance,
-                     rolling_price_stats, round_volumes, schedule_bids)
+from .market import (BUY, SELL, DayResult, DecisionContext, EnvConfig, TradingEnv,
+                     hourly_production, reference_balance, rolling_price_stats,
+                     round_volumes)
 from .cmaes import CmaesConfig, cmaes_optimize, default_population
 from .nets import (MLP, PolicyParams, backward, forward, init_policy,
                    load_policy, orthogonal_init, rmsprop_step, save_policy)

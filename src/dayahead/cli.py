@@ -19,9 +19,11 @@ One table, :data:`CONFIG_KEYS`, maps each config key to the section that
 uses it (environment, CMA-ES, A2C, data split, test range or synthetic
 generator), the field it sets there, and the cast that reads it.  Every
 known key is cast when the config is loaded; a value its cast refuses (a
-fraction for a whole number, a ``test_days`` below 1, ``split_fractions``
-that are not three numbers) exits 2 with the key and value named, before
-the verb writes anything.  Keys the table does not know are ignored.
+fraction for a whole number, NaN or an infinity for a real number, a
+``test_days`` below 1, ``split_fractions`` that are not three numbers) exits
+2 with the key and value named, before the verb writes anything.  Keys the
+table does not know are ignored.  A ``--seeds`` list that is empty or names
+a seed twice exits 2 as well.
 
 Exit codes: 0 success, 2 validation error, 3 missing artifact.
 """
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -79,6 +82,15 @@ def _at_least_one(value) -> int:
     return whole
 
 
+def _finite(value) -> float:
+    """``float(value)``, refusing NaN and infinities, which ``json.load``
+    reads from ``NaN`` and ``Infinity``."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError("not a finite number")
+    return number
+
+
 def _population(value) -> int | None:
     return None if value == "automatic" else _whole(value)
 
@@ -87,7 +99,7 @@ def _reals(count: int):
     def cast(value) -> tuple[float, ...]:
         if not isinstance(value, list) or len(value) != count:
             raise ValueError(f"not a list of {count} numbers")
-        return tuple(float(v) for v in value)
+        return tuple(map(_finite, value))
 
     return cast
 
@@ -97,7 +109,7 @@ def _synthetic_cast(default):
         return date.fromisoformat
     if isinstance(default, tuple):
         return _reals(len(default))
-    return float
+    return _finite
 
 
 # key -> (section, field, cast).  Sections: "env" EnvConfig, "cmaes"
@@ -105,34 +117,34 @@ def _synthetic_cast(default):
 # range (test_range_of), "synthetic" data.SyntheticConfig (generate-data).
 CONFIG_KEYS = {
     "action_scheduling_hour": ("env", "action_hour", _whole),
-    "battery_capacity": ("env", "battery_capacity", float),
-    "battery_efficiency": ("env", "battery_efficiency", float),
-    "max_solar_generation": ("env", "max_solar_generation", float),
-    "solar_panel_efficiency": ("env", "solar_efficiency", float),
-    "max_wind_generation": ("env", "max_wind_generation", float),
-    "max_wind_speed": ("env", "max_wind_speed", float),
+    "battery_capacity": ("env", "battery_capacity", _finite),
+    "battery_efficiency": ("env", "battery_efficiency", _finite),
+    "max_solar_generation": ("env", "max_solar_generation", _finite),
+    "solar_panel_efficiency": ("env", "solar_efficiency", _finite),
+    "max_wind_generation": ("env", "max_wind_generation", _finite),
+    "max_wind_speed": ("env", "max_wind_speed", _finite),
     "households": ("env", "households", _whole),
-    "consumption_noise_std": ("env", "consumption_noise_std", float),
+    "consumption_noise_std": ("env", "consumption_noise_std", _finite),
     "price_stat_window": ("env", "price_stat_window", _whole),
-    "penalty_buy_multiplier": ("env", "penalty_buy_multiplier", float),
-    "penalty_sell_multiplier": ("env", "penalty_sell_multiplier", float),
-    "initial_charge": ("env", "initial_charge", float),
-    "price_scale": ("env", "price_scale", float),
-    "initial_sigma": ("cmaes", "sigma0", float),
+    "penalty_buy_multiplier": ("env", "penalty_buy_multiplier", _finite),
+    "penalty_sell_multiplier": ("env", "penalty_sell_multiplier", _finite),
+    "initial_charge": ("env", "initial_charge", _finite),
+    "price_scale": ("env", "price_scale", _finite),
+    "initial_sigma": ("cmaes", "sigma0", _finite),
     "population_size": ("cmaes", "population", _population),  # "automatic" or a whole number
     "generations": ("cmaes", "generations", _whole),
     "timesteps": ("a2c", "total_days", _whole),
     "evaluation_frequency": ("a2c", "eval_frequency", _whole),
     "n_steps": ("a2c", "n_steps", _whole),
-    "learning_rate": ("a2c", "learning_rate", float),
-    "gamma": ("a2c", "gamma", float),
-    "gae_lambda": ("a2c", "gae_lambda", float),
-    "ent_coef": ("a2c", "ent_coef", float),
-    "vf_coef": ("a2c", "vf_coef", float),
-    "rms_prop_eps": ("a2c", "rms_eps", float),
-    "max_grad_norm": ("a2c", "max_grad_norm", float),
+    "learning_rate": ("a2c", "learning_rate", _finite),
+    "gamma": ("a2c", "gamma", _finite),
+    "gae_lambda": ("a2c", "gae_lambda", _finite),
+    "ent_coef": ("a2c", "ent_coef", _finite),
+    "vf_coef": ("a2c", "vf_coef", _finite),
+    "rms_prop_eps": ("a2c", "rms_eps", _finite),
+    "max_grad_norm": ("a2c", "max_grad_norm", _finite),
     "net_arch": ("a2c", "hidden_size", _whole),
-    "log_std_init": ("a2c", "log_std_init", float),
+    "log_std_init": ("a2c", "log_std_init", _finite),
     "eval_days": ("a2c", "eval_days", _whole),
     "split_fractions": ("split", "fractions", _reals(3)),
     "test_days": ("test", "days", _at_least_one),
@@ -193,9 +205,17 @@ def load_data_dir(data_dir, cfg: dict) -> datamod.Dataset:
 
 
 def parse_seeds(text: str | None, master: int) -> list[int]:
-    if text:
-        return [int(v) for v in text.replace(",", " ").split()]
-    return [master + i for i in range(5)]
+    """The run seeds of ``--seeds``, each once; five from ``master`` when the
+    flag is not given."""
+    if text is None:
+        return [master + i for i in range(5)]
+    try:
+        seeds = [int(v) for v in text.replace(",", " ").split()]
+    except ValueError:
+        raise ValueError(f"--seeds {text!r} must list whole numbers") from None
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ValueError(f"--seeds {text!r} must name at least one seed, each once")
+    return seeds
 
 
 def write_manifest(out_dir, command: str, cfg: dict, seeds: list[int],
@@ -395,11 +415,11 @@ def cmd_sweep_battery(args) -> int:
     cfg, dataset, env_config, seeds, test_range = _verb_inputs(args)
     a2c_config = a2c_config_from(cfg, include_weather=True)
     capacities = [float(v) for v in args.capacities.replace(",", " ").split()]
-    os.makedirs(args.out, exist_ok=True)
 
     rows = battery_sweep(capacities, dataset, env_config, a2c_config, seeds, test_range,
                          progress=lambda cap, seed, income:
                          print(f"capacity {cap}: seed {seed} income {income:.2f}"))
+    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "battery_sweep.csv"), "w") as fh:
         fh.write("capacity,mean_income,std,incomes\n")
         for capacity, row in rows:
@@ -414,7 +434,6 @@ def cmd_sweep_battery(args) -> int:
 
 def cmd_report(args) -> int:
     cfg, dataset, env_config, _, _ = _verb_inputs(args)
-    os.makedirs(args.out, exist_ok=True)
     run_dirs = args.runs
 
     missing = [d for d in run_dirs if not os.path.exists(os.path.join(d, "result.json"))]
@@ -425,6 +444,8 @@ def cmd_report(args) -> int:
     for run_dir in run_dirs:
         with open(os.path.join(run_dir, "result.json")) as fh:
             results.append(json.load(fh))
+        if not results[-1]["seeds"]:
+            raise ValueError(f"{os.path.join(run_dir, 'result.json')} holds no seeds")
     ranges = {tuple(result["test_range"]) for result in results}
     if len(ranges) != 1:
         raise ValueError(f"runs differ in test_range: {sorted(ranges)}")
@@ -434,28 +455,28 @@ def cmd_report(args) -> int:
     for result in results:
         report.add(result["strategy"], result["incomes"])
     report.reference = reference_balance(dataset, env_config, test_range)
+    os.makedirs(args.out, exist_ok=True)
     report.write_csv(os.path.join(args.out, "balance_report.csv"))
     report.write_json(os.path.join(args.out, "balance_report.json"))
 
     window = reportsmod.middle_window(test_range, args.window_days)
     for run_dir, result in zip(run_dirs, results):
         name = os.path.basename(os.path.normpath(run_dir))
-        seed_results = []
+        seed_days = []
         for seed in result["seeds"]:
             trace = os.path.join(run_dir, f"seed{seed}", "trace.csv")
             bids = os.path.join(run_dir, f"seed{seed}", "bids.csv")
             if not os.path.exists(trace):
                 raise MissingArtifact(f"missing trace {trace}")
-            seed_results.append(reportsmod.read_day_results(trace, bids, window))
-        reportsmod.write_battery_trace(seed_results, window,
+            seed_days.append(reportsmod.read_day_results(trace, bids, window))
+        reportsmod.write_battery_trace([tables for tables, _ in seed_days], window,
                                        os.path.join(args.out, f"trace_battery_{name}.csv"))
-        best_idx = int(np.argmax(result["incomes"]))
-        best = seed_results[best_idx]
-        reportsmod.write_bid_price_trace(best, window,
+        tables, bids = seed_days[int(np.argmax(result["incomes"]))]
+        reportsmod.write_bid_price_trace(tables, bids, window,
                                          os.path.join(args.out, f"trace_bid_prices_{name}.csv"))
-        reportsmod.write_bid_volume_trace(best, window,
+        reportsmod.write_bid_volume_trace(tables, bids, window,
                                           os.path.join(args.out, f"trace_bid_volumes_{name}.csv"))
-        reportsmod.write_unscheduled_trace(best, window,
+        reportsmod.write_unscheduled_trace(tables, window,
                                            os.path.join(args.out, f"trace_unscheduled_{name}.csv"))
 
     print(f"report written to {args.out}")

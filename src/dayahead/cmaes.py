@@ -28,8 +28,8 @@ class CmaesConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma0 <= 0:
-            raise ValueError("initial sigma must be positive")
+        if not 0 < self.sigma0 < math.inf:  # rejects NaN
+            raise ValueError(f"initial sigma must be positive and finite, got {self.sigma0}")
         if self.population is not None and self.population < 4:
             raise ValueError("population must be at least 4")
 
@@ -51,15 +51,14 @@ class CmaesHistory:
         return max(r.best_objective for r in self.records)
 
 
-def cmaes_optimize(objective, x0: np.ndarray, config: CmaesConfig | None = None,
-                   callback=None) -> tuple[np.ndarray, CmaesHistory]:
+def cmaes_optimize(objective, x0: np.ndarray, config: CmaesConfig | None = None
+                   ) -> tuple[np.ndarray, CmaesHistory]:
     """Maximize ``objective`` over R^n starting from mean ``x0``.
 
     Runs the configured number of generations and returns the final
     distribution mean (the point a trained strategy actually uses) together
     with a per-generation history.  Candidates with non-finite objective
-    values are ranked worst.  ``callback(gen, candidates, values, order)``
-    is invoked after each generation's evaluation, before the update.
+    values are ranked worst.
     """
     config = config or CmaesConfig()
     mean = np.array(x0, dtype=float)
@@ -98,8 +97,6 @@ def cmaes_optimize(objective, x0: np.ndarray, config: CmaesConfig | None = None,
             v = objective(candidates[k])
             values[k] = v if math.isfinite(v) else -math.inf
         order = np.argsort(-values, kind="stable")
-        if callback is not None:
-            callback(gen, candidates, values, order)
 
         selected = candidates[order[:mu]]
         new_mean = weights @ selected

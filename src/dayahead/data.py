@@ -105,8 +105,6 @@ class Dataset:
     forecast_wind_speed: np.ndarray | None = None
     forecast_temperature: np.ndarray | None = None
     split: SplitBoundaries | None = None
-    # raw pre-clip forecast deviations, kept only when make_forecasts is asked to
-    forecast_deviations: dict[str, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         self.prices = np.asarray(self.prices, dtype=float)
@@ -683,49 +681,44 @@ class ForecastSigmas:
     temperature: float = 2.0  # degrees C
 
 
-def make_forecasts(dataset: Dataset, sigmas: ForecastSigmas | None = None,
-                   seed: int = 0, clip: bool = True,
-                   keep_deviations: bool = False) -> Dataset:
-    """Attach next-day weather forecasts obtained by noising the actuals.
+def forecast_walk(num_days: int, sigmas: ForecastSigmas, seed: int) -> dict[str, np.ndarray]:
+    """Day-ahead forecast deviations: one ``(num_days, 24)`` array per
+    weather variable, NaN on day 0, which has no forecast.
 
     For every target day (all but the first), a deviation random walk starts
     at the 10 am issuance of the previous day with per-step noise of variance
     sigma^2/24, so the accumulated deviation at a 24-hour horizon has standard
     deviation sigma.  Only the 24 steps covering the target day are kept.
-    Cloudiness forecasts are clipped to 0..8 and projected to the nearest
-    integer (ties away from zero); wind forecasts are clipped at zero.
-    ``clip=False`` skips both projections, which is useful for validating the
-    deviation walk itself.
+    The walks are drawn day by day, the variables in :class:`ForecastSigmas`
+    order within a day.
     """
-    sigmas = sigmas or ForecastSigmas()
     for name, sigma in asdict(sigmas).items():
         if sigma < 0:
             raise DataError(f"negative forecast sigma for {name}")
     rng = np.random.default_rng(seed)
-    num_days = dataset.num_days
-    shape = (num_days, HOURS_PER_DAY)
-    forecast = {name: np.full(shape, np.nan) for name in asdict(sigmas)}
-    deviations = {name: np.full(shape, np.nan) for name in asdict(sigmas)} if keep_deviations else None
-
-    actual = {name: getattr(dataset, name).astype(float) for name in asdict(sigmas)}
+    walks = {name: np.full((num_days, HOURS_PER_DAY), np.nan) for name in asdict(sigmas)}
     lo, hi = FORECAST_TARGET_LO, FORECAST_TARGET_HI
     for day in range(1, num_days):
         for name, sigma in asdict(sigmas).items():
             eps = rng.normal(0.0, sigma / math.sqrt(24.0), FORECAST_WALK_STEPS)
-            walk = np.cumsum(eps)
-            dev = walk[lo - 1: hi]  # deviations at steps 14..37 -> target hours 0..23
-            values = actual[name][day] + dev
-            if clip:
-                if name == "cloudiness":
-                    values = np.floor(np.clip(values, 0.0, OKTA_MAX) + 0.5)
-                elif name == "wind_speed":
-                    values = np.maximum(0.0, values)
-            forecast[name][day] = values
-            if deviations is not None:
-                deviations[name][day] = dev
+            walks[name][day] = np.cumsum(eps)[lo - 1: hi]  # steps 14..37 -> target hours 0..23
+    return walks
 
-    return replace(dataset, **{f"forecast_{name}": values for name, values in forecast.items()},
-                   forecast_deviations=deviations)
+
+def make_forecasts(dataset: Dataset, sigmas: ForecastSigmas | None = None,
+                   seed: int = 0) -> Dataset:
+    """Attach next-day weather forecasts: the actuals plus the deviations of
+    :func:`forecast_walk`, projected onto each variable's range.
+
+    Cloudiness forecasts are clipped to 0..8 and projected to the nearest
+    integer (ties away from zero); wind forecasts are clipped at zero.
+    """
+    deviations = forecast_walk(dataset.num_days, sigmas or ForecastSigmas(), seed)
+    forecast = {name: getattr(dataset, name).astype(float) + deviation
+                for name, deviation in deviations.items()}
+    forecast["cloudiness"] = np.floor(np.clip(forecast["cloudiness"], 0.0, OKTA_MAX) + 0.5)
+    forecast["wind_speed"] = np.maximum(0.0, forecast["wind_speed"])
+    return replace(dataset, **{f"forecast_{name}": values for name, values in forecast.items()})
 
 
 # ---------------------------------------------------------------------------

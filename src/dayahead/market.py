@@ -33,6 +33,8 @@ Each simulator rule lives in one place:
 * the per-hour rolling median price: :func:`rolling_price_stats`;
 * volume rounding to the market step: :func:`round_volumes`;
 * the bids of a schedule, in ``bids.csv`` order: :func:`schedule_slots`;
+* the name of each hourly quantity: :data:`DAY_RESULT_HEADER`, the
+  columns of ``trace.csv``, whose names :data:`TRACE_FIELDS` reuses;
 * the per-hour trace layout of a collected day: :data:`TRACE_FIELDS`;
 * the deliverable days of a day range: :func:`delivery_window`;
 * the observation layout and size: :func:`observation_size`.
@@ -47,6 +49,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from math import floor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,22 +78,6 @@ def round_volumes(values, scale: float = 1.0) -> list[float]:
                 for x in values]
 
 
-@dataclass(slots=True)
-class Bid:
-    """One day-ahead bid: volume [MWh], limit price [currency/MWh], side, hour."""
-
-    volume: float
-    price: float
-    side: str
-    hour: int
-
-
-@dataclass(slots=True)
-class BidOutcome:
-    bid: Bid
-    accepted: bool
-
-
 NO_BIDS = ((0.0,) * HOURS_PER_DAY,) * 4  # the empty schedule
 
 
@@ -104,11 +91,6 @@ def schedule_slots(schedule):
             yield hour, BUY, buy_volumes[hour], buy_prices[hour]
         if sell_volumes[hour]:
             yield hour, SELL, sell_volumes[hour], sell_prices[hour]
-
-
-def schedule_bids(schedule) -> list[Bid]:
-    """The bids of a schedule as :class:`Bid` records, in ``bids.csv`` order."""
-    return [Bid(volume, price, side, hour) for hour, side, volume, price in schedule_slots(schedule)]
 
 
 def _check_schedule(schedule) -> None:
@@ -149,20 +131,22 @@ class EnvConfig:
     temperature_range: tuple[float, float] = (-20.0, 40.0)
 
     def __post_init__(self) -> None:
-        if self.battery_capacity <= 0:
-            raise ValueError("battery capacity must be positive")
+        if not 0 < self.battery_capacity < math.inf:  # rejects NaN
+            raise ValueError(f"battery_capacity must be positive and finite, "
+                             f"got {self.battery_capacity}")
         if not 0 < self.battery_efficiency <= 1:
             raise ValueError("battery efficiency must lie in (0, 1]")
         if not 0 < self.solar_efficiency <= 1:
             raise ValueError("solar efficiency must lie in (0, 1]")
-        if min(self.max_solar_generation, self.max_wind_generation, self.max_wind_speed) <= 0:
-            raise ValueError("generation limits must be positive")
+        for name in ("max_solar_generation", "max_wind_generation", "max_wind_speed"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.households < 0:
             raise ValueError("household count must be nonnegative")
         if not 0 <= self.initial_charge <= 1:
             raise ValueError("initial charge must be a fraction of capacity")
-        if not self.consumption_noise_std >= 0:
-            raise ValueError("consumption_noise_std must be nonnegative")
+        if not 0 <= self.consumption_noise_std < math.inf:
+            raise ValueError("consumption_noise_std must be finite and nonnegative")
         if not 0 <= self.action_hour < HOURS_PER_DAY:
             raise ValueError(f"action_hour must lie in 0..23, got {self.action_hour}")
         if self.price_stat_window < 1:
@@ -172,8 +156,8 @@ class EnvConfig:
             raise ValueError("penalty_sell_multiplier must lie in [0, 1]")
         if not 1 <= self.penalty_buy_multiplier < math.inf:
             raise ValueError("penalty_buy_multiplier must be finite and at least 1")
-        if self.price_scale is not None and not self.price_scale > 0:
-            raise ValueError("price_scale must be positive")
+        if self.price_scale is not None and not 0 < self.price_scale < math.inf:
+            raise ValueError("price_scale must be positive and finite")
 
     @property
     def max_hourly_production(self) -> float:
@@ -282,97 +266,66 @@ class DecisionContext:
 
 
 # What ``TradingEnv._net_hours`` appends to a collected day's trace, per hour
-# and in this order; ``battery_trace`` is the level at the end of the hour.
-TRACE_FIELDS = ("buy_volumes", "sell_volumes", "consumption", "charge_input", "discharge",
-                "unscheduled_buys", "unscheduled_sells", "battery_trace", "cash_deltas")
+# and in this order, under the ``trace.csv`` column names where there is one;
+# ``battery_level`` is the level at the end of the hour.
+TRACE_FIELDS = ("buy_exec", "sell_exec", "consumption", "charge_input", "discharge",
+                "uns_buy", "uns_sell", "battery_level", "cash_delta")
 _TRACE_INDEX = {name: k for k, name in enumerate(TRACE_FIELDS)}
 
 
-class _DayArray:
-    """A read-only array attribute of :class:`DayResult`, built from the
-    record's lists when first read and then kept on the instance."""
+class BidRow(NamedTuple):
+    """One bid of a collected day and whether its side traded in its hour."""
 
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, result, owner=None):
-        if result is None:
-            return self
-        values = result.hourly(self.name)
-        if self.name == "battery_trace":
-            values = [result.start_charge, *values]
-        array = np.array(values, dtype=float)
-        array.flags.writeable = False
-        result.__dict__[self.name] = array
-        return array
+    hour: int
+    side: str
+    volume: float
+    price: float
+    accepted: bool
 
 
 @dataclass
 class DayResult:
-    """One simulated delivery day, as the simulator left it.
+    """One simulated delivery day, as ``TradingEnv.step`` produced it.
 
     The record keeps what the simulator already holds: the flat per-hour
     ``trace`` that ``TradingEnv._net_hours`` appends to (nine values an hour,
     in :data:`TRACE_FIELDS` order), the day's bid ``schedule`` frozen to
     tuples, the charge at the start of the day, the reward, and the day's
-    price and production rows, which it shares with the environment.  The
-    eleven arrays and :attr:`bid_outcomes` are built when first read and
-    then kept.  The arrays are read-only, so they cannot drift from the lists
-    the exporters write.  A day read back by
-    :func:`~dayahead.reports.read_day_results` has no schedule and holds the
-    bids of the file instead.
+    price and production rows, which it shares with the environment.
+    :meth:`hourly` reads one quantity by name and :meth:`bid_rows` the bids.
     """
 
     day: int
     trace: list[float]
-    schedule: tuple[tuple, ...] | None
+    schedule: tuple[tuple, ...]
     start_charge: float
     reward: float                   # sum of cash deltas
     price_row: tuple[float, ...] = field(repr=False)
     production_row: tuple[float, ...] = field(repr=False)
-    bids: list[tuple] | None = field(default=None, repr=False)  # bid_rows() of a read day
-
-    prices = _DayArray()            # (24,) clearing prices
-    buy_volumes = _DayArray()       # (24,) executed purchase volume per hour
-    sell_volumes = _DayArray()      # (24,) executed sale volume per hour
-    production = _DayArray()        # (24,) MWh generated
-    consumption = _DayArray()       # (24,) MWh consumed
-    charge_input = _DayArray()      # (24,) MWh fed into the battery (before losses)
-    discharge = _DayArray()         # (24,) MWh drawn from the battery
-    unscheduled_buys = _DayArray()  # (24,) forced purchases at 2x price
-    unscheduled_sells = _DayArray() # (24,) forced sales at 0.5x price
-    battery_trace = _DayArray()     # (25,) level at each hour boundary
-    cash_deltas = _DayArray()       # (24,) per-hour profit
 
     def hourly(self, name: str):
-        """The 24 hourly values of the array attribute ``name`` as Python
-        floats; of ``battery_trace`` the levels at the end of each hour."""
-        if name == "prices":
+        """The 24 values of ``"price"`` or of a :data:`TRACE_FIELDS` quantity,
+        as Python floats."""
+        if name == "price":
             return self.price_row
-        if name == "production":
-            return self.production_row
         return self.trace[_TRACE_INDEX[name]::len(TRACE_FIELDS)]
 
     def bid_rows(self) -> list[tuple]:
         """``(hour, side, volume, price, accepted)`` of each bid, in
         ``bids.csv`` order; a bid is accepted when its side traded in its hour."""
-        if self.bids is not None:
-            return self.bids
-        executed = {BUY: self.hourly("buy_volumes"), SELL: self.hourly("sell_volumes")}
+        executed = {BUY: self.hourly("buy_exec"), SELL: self.hourly("sell_exec")}
         return [(hour, side, volume, price, executed[side][hour] != 0.0)
                 for hour, side, volume, price in schedule_slots(self.schedule)]
 
     @cached_property
-    def bid_outcomes(self) -> list[BidOutcome]:
-        return [BidOutcome(Bid(volume, price, side, hour), accepted)
-                for hour, side, volume, price, accepted in self.bid_rows()]
+    def bid_outcomes(self) -> list[BidRow]:
+        """:meth:`bid_rows` as :class:`BidRow` records, built when first read;
+        the benchmark's bid counter reads them."""
+        return list(map(BidRow._make, self.bid_rows()))
 
 
 DAY_RESULT_HEADER = ("day", "hour", "price", "buy_exec", "sell_exec",
                      "uns_buy", "uns_sell", "battery_level", "cash_delta")
-# The DayResult quantity of each DAY_RESULT_HEADER column after day and hour.
-DAY_RESULT_COLUMNS = ("prices", "buy_volumes", "sell_volumes", "unscheduled_buys",
-                      "unscheduled_sells", "battery_trace", "cash_deltas")
 BID_OUTCOME_HEADER = ("day", "hour", "side", "volume", "price", "accepted")
 
 
@@ -380,17 +333,11 @@ def _hourly_column(results: list[DayResult], name: str):
     return chain.from_iterable(result.hourly(name) for result in results)
 
 
-def hourly_columns(results: list[DayResult], *names: str) -> list:
-    """Day, hour and the named quantities of ``results`` as columns for
-    :func:`~dayahead.data.write_columns`, one item per hour (see
-    :meth:`DayResult.hourly`)."""
-    return [*day_hour_columns([res.day for res in results]),
-            *(_hourly_column(results, name) for name in names)]
-
-
 def export_day_results(results: list[DayResult], path) -> None:
     """Write per-hour traces; battery_level is the level at the end of the hour."""
-    write_columns(path, DAY_RESULT_HEADER, hourly_columns(results, *DAY_RESULT_COLUMNS))
+    write_columns(path, DAY_RESULT_HEADER, [
+        *day_hour_columns([res.day for res in results]),
+        *(_hourly_column(results, name) for name in DAY_RESULT_HEADER[2:])])
 
 
 def export_bid_outcomes(results: list[DayResult], path) -> None:
@@ -416,7 +363,7 @@ class TradingEnv:
     :class:`DayResult` and ``done``, signalled when the replay tape runs out
     of forecast data for the next decision; stepping beyond ``days`` raises.
     A collected day keeps the hour trace the battery loop appends to and the
-    schedule, and builds its arrays and bid records only when they are read.
+    frozen schedule.
     ``collect=False`` returns ``None`` for it and skips the trace, which
     saves about a third of a collected day's cost; ``trusted=True`` skips
     the check.

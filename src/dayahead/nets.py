@@ -199,10 +199,15 @@ class PolicyParams:
         return PolicyParams(self.sizes, self.vector.copy(), dict(self.meta))
 
 
+# Orthogonal-init gains of the hidden layers and of the two output heads.
+HIDDEN_GAIN = 1.0
+POLICY_GAIN = 0.01
+VALUE_GAIN = 1.0
+
+
 def init_policy(input_size: int, hidden_size: int = 200, action_size: int = 96,
                 seed: int | np.random.Generator = 0, log_std_init: float = -1.0,
-                hidden_gain: float = 1.0, policy_gain: float = 0.01,
-                value_gain: float = 1.0, meta: dict | None = None) -> PolicyParams:
+                meta: dict | None = None) -> PolicyParams:
     """Fresh orthogonally-initialized actor-critic pair.
 
     The small policy-head gain keeps initial actions near zero, i.e. initial
@@ -210,8 +215,8 @@ def init_policy(input_size: int, hidden_size: int = 200, action_size: int = 96,
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     policy = PolicyParams([input_size, hidden_size, action_size], meta=meta)
-    orthogonal_init(policy.actor, rng, [hidden_gain, policy_gain])
-    orthogonal_init(policy.critic, rng, [hidden_gain, value_gain])
+    orthogonal_init(policy.actor, rng, [HIDDEN_GAIN, POLICY_GAIN])
+    orthogonal_init(policy.critic, rng, [HIDDEN_GAIN, VALUE_GAIN])
     policy.log_std[:] = float(log_std_init)
     return policy
 

@@ -5,19 +5,20 @@ per-seed incomes it was computed from) plus the no-skill reference balance.
 Trace files cover a short day window -- by default five days from the middle
 of the test range -- with per-hour battery levels aggregated across seeds and
 the bid prices/volumes of the best run, the raw material for the usual
-diagnostic figures.
+diagnostic figures.  The trace writers read a run's exported ``trace.csv``
+and ``bids.csv`` through :func:`read_day_results`: one ``(days, 24)`` table
+per ``trace.csv`` column and the window's bid rows.
 """
 from __future__ import annotations
 
 import json
-import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import DataError, read_columns, write_columns
-from .market import (BID_OUTCOME_HEADER, BUY, DAY_RESULT_COLUMNS, DAY_RESULT_HEADER,
-                     HOURS_PER_DAY, SELL, TRACE_FIELDS, DayResult, hourly_columns)
+from .market import BID_OUTCOME_HEADER, BUY, DAY_RESULT_HEADER, HOURS_PER_DAY, SELL
 
 
 @dataclass
@@ -82,58 +83,62 @@ def middle_window(day_range: tuple[int, int], window_days: int = 5) -> tuple[int
     return start, start + window_days
 
 
-def _window_results(results: list[DayResult], window: tuple[int, int]) -> list[DayResult]:
+def _check_window(tables: dict, window: tuple[int, int]) -> None:
+    """Raise a ValueError naming the days of ``window`` that the trace
+    ``tables`` of :func:`read_day_results` lack."""
     lo, hi = window
-    picked = [r for r in results if lo <= r.day < hi]
-    if len(picked) != hi - lo:
-        missing = sorted(set(range(lo, hi)) - {r.day for r in picked})
-        raise ValueError(f"trace window misses days {missing}")
-    return sorted(picked, key=lambda r: r.day)
+    days = tables["day"][:, 0].tolist()
+    if days != list(range(lo, hi)):
+        raise ValueError(f"trace window misses days {sorted(set(range(lo, hi)) - set(days))}")
 
 
-def write_battery_trace(results_by_seed: list[list[DayResult]],
-                        window: tuple[int, int], path) -> None:
+def _columns(tables: dict, *names: str) -> list[list]:
+    """The named ``(days, 24)`` tables as columns, hour by hour."""
+    return [tables[name].ravel().tolist() for name in names]
+
+
+def write_battery_trace(tables_by_seed: list[dict], window: tuple[int, int], path) -> None:
     """Per-hour battery level: mean with min/max streaks across seeds."""
-    per_seed = [_window_results(results, window) for results in results_by_seed]
+    for tables in tables_by_seed:
+        _check_window(tables, window)
     # (days, 24, seeds), seeds innermost and contiguous, so that each mean
     # sums its seeds in the same order as a mean over one hour's levels
-    levels = np.stack([[r.hourly("battery_trace") for r in picked] for picked in per_seed],
-                      axis=-1)
+    levels = np.stack([tables["battery_level"] for tables in tables_by_seed], axis=-1)
     write_columns(path, ("day", "hour", "mean", "min", "max"), [
-        *hourly_columns(per_seed[0]), levels.mean(axis=-1).ravel().tolist(),
+        *_columns(tables_by_seed[0], "day", "hour"), levels.mean(axis=-1).ravel().tolist(),
         levels.min(axis=-1).ravel().tolist(), levels.max(axis=-1).ravel().tolist()])
 
 
-def _write_bid_trace(results: list[DayResult], window: tuple[int, int], path,
+def _write_bid_trace(tables: dict, bids: list[tuple], window: tuple[int, int], path,
                      attribute: str) -> None:
     """Per hour, the market price and the ``attribute`` of the first buy and
     the first sell bid with their acceptance; empty where there is none."""
-    picked = _window_results(results, window)
-    columns = {f"{side}_{name}": [""] * (len(picked) * HOURS_PER_DAY)
+    _check_window(tables, window)
+    lo, hi = window
+    columns = {f"{side}_{name}": [""] * ((hi - lo) * HOURS_PER_DAY)
                for side in (BUY, SELL) for name in (attribute, "accepted")}
-    for i, result in enumerate(picked):
-        # the first bid of an hour wins
-        for hour, side, volume, price, accepted in reversed(result.bid_rows()):
-            slot = i * HOURS_PER_DAY + hour
-            columns[f"{side}_{attribute}"][slot] = float(volume if attribute == "volume" else price)
-            columns[f"{side}_accepted"][slot] = int(accepted)
+    for day, hour, side, volume, price, accepted in reversed(bids):  # the first bid wins
+        slot = (day - lo) * HOURS_PER_DAY + hour
+        columns[f"{side}_{attribute}"][slot] = volume if attribute == "volume" else price
+        columns[f"{side}_accepted"][slot] = int(accepted)
     write_columns(path, ("day", "hour", "market_price", *columns),
-                  [*hourly_columns(picked, "prices"), *columns.values()])
+                  [*_columns(tables, "day", "hour", "price"), *columns.values()])
 
 
-def write_bid_price_trace(results: list[DayResult], window: tuple[int, int], path) -> None:
+def write_bid_price_trace(tables: dict, bids: list[tuple], window: tuple[int, int], path) -> None:
     """Bid prices of one run; positive values only, so a log scale plots cleanly."""
-    _write_bid_trace(results, window, path, "price")
+    _write_bid_trace(tables, bids, window, path, "price")
 
 
-def write_bid_volume_trace(results: list[DayResult], window: tuple[int, int], path) -> None:
+def write_bid_volume_trace(tables: dict, bids: list[tuple], window: tuple[int, int], path) -> None:
     """Bid volumes of one run with the unscaled market price alongside."""
-    _write_bid_trace(results, window, path, "volume")
+    _write_bid_trace(tables, bids, window, path, "volume")
 
 
-def write_unscheduled_trace(results: list[DayResult], window: tuple[int, int], path) -> None:
-    write_columns(path, ("day", "hour", "uns_buy", "uns_sell"), hourly_columns(
-        _window_results(results, window), "unscheduled_buys", "unscheduled_sells"))
+def write_unscheduled_trace(tables: dict, window: tuple[int, int], path) -> None:
+    header = ("day", "hour", "uns_buy", "uns_sell")
+    _check_window(tables, window)
+    write_columns(path, header, _columns(tables, *header))
 
 
 def _check_hours(path, days: np.ndarray, hours: np.ndarray) -> None:
@@ -156,21 +161,20 @@ def _check_each_hour_once(path, days: np.ndarray, inverse: np.ndarray,
         raise DataError(f"{path}: day {days[k]} {problem} hour {hour}")
 
 
-def read_day_results(trace_path, bids_path, window: tuple[int, int]) -> list[DayResult]:
-    """Rebuild the day results of ``window`` from exported trace/bids CSVs,
+def read_day_results(trace_path, bids_path, window: tuple[int, int]
+                     ) -> tuple[dict[str, np.ndarray], list[tuple]]:
+    """The days of ``window`` in an exported ``trace.csv`` and ``bids.csv``,
     for report assembly; ``bids_path`` may be None or missing.
 
-    Only the lines of the window's days are parsed (see
-    :func:`~dayahead.data.read_columns`), in whatever order the files hold
-    them.  Each day in the trace must have each hour once.  Only the
-    columns the trace writers use are recovered; production, consumption
-    and the battery flows stay zero, and the start level is NaN.  The bids
-    are kept as the file holds them, several per hour included.  A day of
-    the window that the files lack is left out, for the trace writers to
-    report.
+    Returns one ``(days, 24)`` table per ``trace.csv`` column, keyed by
+    column name and with the days ascending, and the window's
+    ``(day, hour, side, volume, price, accepted)`` bid rows in file order,
+    several per hour included.  Only the lines of the window's days are
+    parsed (see :func:`~dayahead.data.read_columns`), in whatever order the
+    files hold them.  Each day in the trace must have each hour once.  A day
+    of the window that the trace lacks is left out, for the trace writers
+    to report.
     """
-    import os
-
     row_days, hours, *values = read_columns(
         trace_path, DAY_RESULT_HEADER, (int, int) + (float,) * (len(DAY_RESULT_HEADER) - 2),
         days=window)
@@ -179,18 +183,14 @@ def read_day_results(trace_path, bids_path, window: tuple[int, int]) -> list[Day
     _check_each_hour_once(trace_path, days, inverse, hours)
     tables = np.zeros((len(values), days.size, HOURS_PER_DAY))
     tables[:, inverse, hours] = values
-    by_name = dict(zip(DAY_RESULT_COLUMNS, tables))
-    zeros = np.zeros((days.size, HOURS_PER_DAY))
-    traces = np.stack([by_name.get(name, zeros) for name in TRACE_FIELDS], axis=-1)
-    prices, cash = by_name["prices"], by_name["cash_deltas"]
-    bids = {day: [] for day in days.tolist()}
+    by_column = {"day": np.repeat(days[:, None], HOURS_PER_DAY, axis=1),
+                 "hour": np.tile(np.arange(HOURS_PER_DAY), (days.size, 1)),
+                 **dict(zip(DAY_RESULT_HEADER[2:], tables))}
+    bids = []
     if bids_path and os.path.exists(bids_path):
         columns = read_columns(bids_path, BID_OUTCOME_HEADER,
                                (int, int, (BUY, SELL), float, float, int), days=window)
         _check_hours(bids_path, *columns[:2])
-        for day, hour, side, volume, price, accepted in zip(*map(np.ndarray.tolist, columns)):
-            if day in bids:
-                bids[day].append((hour, side.decode(), volume, price, bool(accepted)))
-    return [DayResult(day, traces[k].ravel().tolist(), None, math.nan, float(cash[k].sum()),
-                      tuple(prices[k].tolist()), (0.0,) * HOURS_PER_DAY, bids[day])
-            for k, day in enumerate(days.tolist())]
+        bids = [(day, hour, side.decode(), volume, price, bool(accepted)) for
+                day, hour, side, volume, price, accepted in zip(*map(np.ndarray.tolist, columns))]
+    return by_column, bids

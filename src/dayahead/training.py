@@ -96,8 +96,7 @@ def initial_parameter_mean(kind: str, rng: np.random.Generator) -> np.ndarray:
     return params_class(kind).initial_mean(rng)
 
 
-def optimize_parametric(kind: str, env: TradingEnv, cma_config: CmaesConfig, seed: int,
-                        eval_range: tuple[int, int] | None = None,
+def optimize_parametric(kind: str, env: TradingEnv, cma_config: CmaesConfig, seed: int
                         ) -> tuple[np.ndarray, CmaesHistory]:
     """CMA-ES over the training split; returns the final mean parameters.
 
@@ -106,20 +105,17 @@ def optimize_parametric(kind: str, env: TradingEnv, cma_config: CmaesConfig, see
     split = env.dataset.split
     if split is None:
         raise ValueError("dataset needs split boundaries before optimization")
-    if eval_range is None:
-        eval_range = delivery_window(split.train)
+    train_range = delivery_window(split.train)
     seeds = np.random.SeedSequence(seed).spawn(2)
     init_rng = np.random.default_rng(seeds[0])
     objective_seed = int(seeds[1].generate_state(1)[0])
 
     def objective(vector: np.ndarray) -> float:
-        return evaluate_strategy(parametric_strategy(kind, vector), env, eval_range,
+        return evaluate_strategy(parametric_strategy(kind, vector), env, train_range,
                                  objective_seed)
 
     x0 = initial_parameter_mean(kind, init_rng)
-    cfg = CmaesConfig(population=cma_config.population, sigma0=cma_config.sigma0,
-                      generations=cma_config.generations, seed=seed)
-    return cmaes_optimize(objective, x0, cfg)
+    return cmaes_optimize(objective, x0, replace(cma_config, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +372,9 @@ def battery_sweep(capacities: list[float], dataset: Dataset,
     score uses :func:`sweep_test_seed`.  The runs of one capacity share its
     environment.
     """
-    if any(c <= 0 for c in capacities):
-        raise ValueError("capacities must be positive")
+    bad = [c for c in capacities if not 0 < c < math.inf]
+    if bad:
+        raise ValueError(f"capacities must be positive and finite, got {bad}")
     rows = []
     for capacity in sorted(capacities):
         env = TradingEnv(dataset, replace(env_config, battery_capacity=capacity))

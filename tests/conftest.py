@@ -48,12 +48,21 @@ def with_perfect_forecasts(dataset):
 
 
 def bid_schedule(*bids):
-    """A day's bid schedule holding ``bids`` (``market.Bid`` records), at
-    most one per side and hour; every other slot is no bid."""
+    """A day's bid schedule holding ``bids``, ``(hour, side, volume, price)``
+    tuples, at most one per side and hour; every other slot is no bid."""
     rows = [[0.0] * 24 for _ in range(4)]
-    for bid in bids:
-        row = 0 if bid.side == BUY else 2
-        assert rows[row][bid.hour] == 0.0, "at most one bid per side and hour"
-        rows[row][bid.hour] = bid.volume
-        rows[row + 1][bid.hour] = bid.price
+    for hour, side, volume, price in bids:
+        row = 0 if side == BUY else 2
+        assert rows[row][hour] == 0.0, "at most one bid per side and hour"
+        rows[row][hour] = volume
+        rows[row + 1][hour] = price
     return rows
+
+
+def day_array(result, name):
+    """``result.hourly(name)`` as an array; for ``"battery_level"`` the 25
+    levels at the hour boundaries, from the start charge on."""
+    values = result.hourly(name)
+    if name == "battery_level":
+        values = [result.start_charge, *values]
+    return np.array(values, dtype=float)

@@ -50,15 +50,23 @@ def test_step_clock_hooks_exist():
 def test_collected_step_exposes_accepted_bid_outcomes(small_dataset):
     """perfbench's ``BidCounter`` reads ``result[2].bid_outcomes[i].accepted``
     of each collected step and ``None`` there otherwise; without them
-    ``market.accept_frac`` turns ``missing``."""
-    from dayahead.market import EnvConfig, TradingEnv
+    ``market.accept_frac`` turns ``missing``.  They are the bids of
+    ``bids.csv``, field by field, so the counter cannot drift from it."""
+    from dayahead.market import BUY, SELL, EnvConfig, TradingEnv
 
     env = TradingEnv(small_dataset, EnvConfig())
     schedule = [[0.1] * 24, [1e9] * 24, [0.0] * 24, [0.0] * 24]  # buys that always clear
-    env.reset(10, 0, 2)
+    env.reset(10, 0, 3)
     result = env.step(schedule)
     assert len(result[2].bid_outcomes) == 24
     assert all(outcome.accepted is True for outcome in result[2].bid_outcomes)
+    mixed = [[0.1] * 24, [1e9, 0.0] * 12, [0.2] * 24, [1e9, 0.0] * 12]  # half of each clear
+    day = env.step(mixed)[2]
+    outcomes, rows = day.bid_outcomes, day.bid_rows()
+    assert [o.accepted for o in outcomes] == [True, False, False, True] * 12
+    assert [(o.hour, o.side, o.volume, o.price, o.accepted) for o in outcomes] == rows
+    assert [tuple(o) for o in outcomes] == rows
+    assert rows[:2] == [(0, BUY, 0.1, 1e9, True), (0, SELL, 0.2, 1e9, False)]
     assert env.step(schedule, collect=False)[2] is None
 
 

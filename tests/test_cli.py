@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import fields
 from datetime import date
@@ -12,8 +14,10 @@ from dayahead.cli import (CONFIG_KEYS, a2c_config_from, config_section, env_conf
                           load_config, load_data_dir, main)
 from dayahead.cmaes import CmaesConfig
 from dayahead.data import SyntheticConfig
-from dayahead.market import EnvConfig
-from dayahead.training import A2cConfig
+from dayahead.market import EnvConfig, TradingEnv
+from dayahead.training import A2cConfig, evaluate_strategy
+
+from conftest import day_array
 
 TINY_CONFIG = {
     # small synthetic market and desk-tiny budgets so the pipeline runs in seconds
@@ -305,12 +309,23 @@ def test_train_rl_with_evaluation_frequency_below_one_exits_2(data_dir, tmp_path
     ("test_days", 0, "test_days"),
     ("households", 2.9, "households"),
     ("population_size", 4.7, "population_size"),
+    # json.load reads NaN and Infinity: each ran to exit 0 (income nan or
+    # -inf, wind production silently 0, "alpha": [NaN, NaN]) or failed
+    # mid-run
+    ("battery_capacity", math.nan, "battery_capacity"),
+    ("battery_capacity", math.inf, "battery_capacity"),
+    ("max_wind_speed", math.nan, "max_wind_speed"),
+    ("consumption_noise_std", math.inf, "consumption_noise_std"),
+    ("initial_sigma", math.nan, "initial_sigma"),
+    ("learning_rate", math.nan, "learning_rate"),
+    ("split_fractions", [0.7, math.nan, 0.2], "split_fractions"),
 ])
 def test_environment_value_the_kernel_cannot_honour_exits_2(data_dir, tmp_path, capsys,
                                                             key, value, field):
     """Each was accepted before (exit 0, a fractional whole number truncated,
-    a test_days of 0 scoring no day), or failed only inside numpy or with a
-    traceback; now the error names the field or key and nothing is written."""
+    a test_days of 0 scoring no day, a NaN or infinite number), or failed
+    only inside numpy or with a traceback; now the error names the field or
+    key and nothing is written."""
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({**TINY_CONFIG, key: value}))
     out = tmp_path / "eval"
@@ -318,6 +333,31 @@ def test_environment_value_the_kernel_cannot_honour_exits_2(data_dir, tmp_path, 
                  "--seeds", "0", "--out", str(out)])
     assert code == 2
     assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_refuses_a_non_finite_capacity_before_training(data_dir, config_path,
+                                                             tmp_path, capsys):
+    """It trained capacity 1.0 fully, then failed on NaN with no result file."""
+    out = tmp_path / "sweep"
+    code = main(["sweep-battery", "--capacities", "1.0,nan", "--data", str(data_dir),
+                 "--config", config_path, "--seeds", "0", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "capacities must be positive and finite, got [nan]" in captured.err
+    assert "capacity 1.0" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", ["3,3", ",", "", "0 1,0", "1,x"])
+def test_empty_or_repeated_seed_list_exits_2(data_dir, config_path, tmp_path, capsys, seeds):
+    """``3,3`` scored seed 3 twice and wrote seed3/ twice; ``,`` scored no
+    seed, and a report over that run failed inside numpy."""
+    out = tmp_path / "eval"
+    code = main(["evaluate", "--zero-action", "--data", str(data_dir), "--config", config_path,
+                 "--seeds", seeds, "--out", str(out)])
+    assert code == 2
+    assert f"--seeds {seeds!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -449,6 +489,129 @@ def test_report_consolidates_runs(data_dir, config_path, tmp_path):
     assert (report_out / "trace_bid_volumes_zero.csv").exists()
 
 
+def read_table(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def number(text):
+    return float(text) if text else None
+
+
+def simulated_days(data_dir, config_path, bids_fn, seeds, window):
+    """The collected days of ``window`` as ``evaluate`` simulated them, per seed."""
+    cfg = load_config(config_path)
+    dataset = load_data_dir(data_dir, cfg)
+    env = TradingEnv(dataset, env_config_from(cfg))
+    test_range = cli.test_range_of(dataset, cfg)
+    per_seed = []
+    for seed in seeds:
+        _, results = evaluate_strategy(bids_fn, env, test_range, seed, collect_results=True)
+        per_seed.append([r for r in results if window[0] <= r.day < window[1]])
+    return per_seed
+
+
+def first_bids(result):
+    """``{(side, hour): (volume, price, accepted)}`` of the first bid of each
+    side and hour in ``bid_rows()``."""
+    first = {}
+    for hour, side, volume, price, accepted in result.bid_rows():
+        first.setdefault((side, hour), (volume, price, accepted))
+    return first
+
+
+def assert_bid_traces(report_out, name, days):
+    """The bid-price and bid-volume traces show, per hour, the market price
+    and the first buy and sell of ``days`` (dicts from :func:`first_bids`
+    plus the day's prices) with their acceptance, empty where none."""
+    for attribute, index in (("price", 1), ("volume", 0)):
+        rows = read_table(report_out / f"trace_bid_{attribute}s_{name}.csv")
+        assert len(rows) == len(days) * 24
+        for row in rows:
+            day, hour = int(row["day"]), int(row["hour"])
+            prices, first = days[day]
+            assert float(row["market_price"]) == prices[hour]
+            for side in ("buy", "sell"):
+                bid = first.get((side, hour))
+                assert number(row[f"{side}_{attribute}"]) == (bid and bid[index])
+                assert row[f"{side}_accepted"] == ("" if bid is None else str(int(bid[2])))
+
+
+@pytest.mark.parametrize("run", ["timing", "zero"])
+def test_report_traces_hold_the_simulated_days(data_dir, config_path, tmp_path, run):
+    """Battery levels across seeds, the best seed's first bid per side and
+    hour with its acceptance, and its unscheduled trades, each as the
+    simulator produced them; timing bids leave most hours empty."""
+    from dayahead.strategies import TimingParams, save_strategy_params
+    from dayahead.training import fixed_action_strategy
+
+    out = tmp_path / run
+    if run == "timing":
+        params = TimingParams(1.2, 0.8)
+        save_strategy_params(tmp_path / "params.json", "timing", params)
+        argv, bids_fn = ["--params", str(tmp_path / "params.json")], params.bids
+    else:
+        argv, bids_fn = ["--zero-action"], fixed_action_strategy(np.zeros((4, 24)))
+    result, window = evaluated_run(data_dir, config_path, out, argv)
+    report_out = tmp_path / "report"
+    assert main(["report", "--runs", str(out), "--data", str(data_dir),
+                 "--config", config_path, "--out", str(report_out)]) == 0
+    per_seed = simulated_days(data_dir, config_path, bids_fn, result["seeds"], window)
+    best = per_seed[int(np.argmax(result["incomes"]))]
+
+    battery = read_table(report_out / f"trace_battery_{run}.csv")
+    levels = np.stack([[day_array(r, "battery_level")[1:] for r in days] for days in per_seed],
+                      axis=-1).reshape(-1, len(per_seed))
+    assert [(int(row["day"]), int(row["hour"])) for row in battery] == \
+        [(day, hour) for day in range(*window) for hour in range(24)]
+    for row, hour_levels in zip(battery, levels, strict=True):
+        assert float(row["mean"]) == pytest.approx(hour_levels.mean(), rel=1e-12, abs=1e-15)
+        assert float(row["min"]) == hour_levels.min()
+        assert float(row["max"]) == hour_levels.max()
+
+    assert_bid_traces(report_out, run, {r.day: (day_array(r, "price"), first_bids(r))
+                                        for r in best})
+    if run == "timing":
+        assert any(row["buy_price"] == "" for row in read_table(
+            report_out / "trace_bid_prices_timing.csv"))
+
+    unscheduled = read_table(report_out / f"trace_unscheduled_{run}.csv")
+    want = [(u, s) for r in best
+            for u, s in zip(day_array(r, "uns_buy"), day_array(r, "uns_sell"))]
+    assert [(float(row["uns_buy"]), float(row["uns_sell"])) for row in unscheduled] == want
+
+
+def test_report_bid_traces_show_the_first_bid_of_an_hour(data_dir, config_path, tmp_path):
+    """A bids.csv holding two buys in one hour shows the one it lists first."""
+    result, (lo, hi) = evaluated_run(data_dir, config_path, tmp_path / "zero")
+    best = result["seeds"][int(np.argmax(result["incomes"]))]
+    bids = tmp_path / "zero" / f"seed{best}" / "bids.csv"
+    lines = bids.read_text().splitlines(keepends=True)
+    header, rows = lines[0], lines[1:]
+
+    def buy_index(hour):
+        return next(i for i, line in enumerate(rows) if line.startswith(f"{lo},{hour},buy,"))
+
+    after = buy_index(3)  # a second buy after the first: the first stays shown
+    rows.insert(after + 1, f"{lo},3,buy,0.7,1.5,0\n")
+    before = buy_index(5)  # one listed before it: it is shown instead
+    rows.insert(before, f"{lo},5,buy,0.9,2.5,1\n")
+    bids.write_text(header + "".join(rows))
+    report_out = tmp_path / "report"
+    assert main(["report", "--runs", str(tmp_path / "zero"), "--data", str(data_dir),
+                 "--config", config_path, "--out", str(report_out)]) == 0
+
+    trace = {(int(row["day"]), int(row["hour"])): row
+             for row in read_table(report_out / "trace_bid_prices_zero.csv")}
+    volumes = {(int(row["day"]), int(row["hour"])): row
+               for row in read_table(report_out / "trace_bid_volumes_zero.csv")}
+    first = rows[after].split(",")
+    assert (trace[lo, 3]["buy_price"], volumes[lo, 3]["buy_volume"]) == (first[4], first[3])
+    assert trace[lo, 3]["buy_accepted"] == first[5].strip()
+    assert (trace[lo, 5]["buy_price"], volumes[lo, 5]["buy_volume"]) == ("2.5", "0.9")
+    assert trace[lo, 5]["buy_accepted"] == "1"
+
+
 def test_report_refuses_runs_with_different_test_ranges(data_dir, config_path, tmp_path):
     short_config = tmp_path / "short.json"
     short_config.write_text(json.dumps({**TINY_CONFIG, "test_days": 10}))
@@ -460,6 +623,19 @@ def test_report_refuses_runs_with_different_test_ranges(data_dir, config_path, t
     code = main(["report", "--runs", *runs, "--data", str(data_dir),
                  "--config", config_path, "--out", str(tmp_path / "report")])
     assert code == 2
+
+
+def test_report_refuses_a_run_without_seeds(data_dir, config_path, tmp_path, capsys):
+    evaluated_run(data_dir, config_path, tmp_path / "zero")
+    path = tmp_path / "zero" / "result.json"
+    result = json.loads(path.read_text())
+    path.write_text(json.dumps({**result, "seeds": [], "incomes": []}))
+    report_out = tmp_path / "report"
+    code = main(["report", "--runs", str(tmp_path / "zero"), "--data", str(data_dir),
+                 "--config", config_path, "--out", str(report_out)])
+    assert code == 2
+    assert "result.json holds no seeds" in capsys.readouterr().err
+    assert not report_out.exists()
 
 
 def test_report_missing_run_exits_3(data_dir, tmp_path):
@@ -478,10 +654,10 @@ def test_report_rejects_window_below_one_day(data_dir, tmp_path, capsys, days):
     assert not (tmp_path / "report").exists()
 
 
-def zero_action_run(data_dir, config_path, out):
-    """An evaluated zero-action run over seeds 0 and 1, its result and the
-    default five-day report window."""
-    assert main(["evaluate", "--zero-action", "--data", str(data_dir),
+def evaluated_run(data_dir, config_path, out, strategy=("--zero-action",)):
+    """An ``evaluate`` run of ``strategy`` (zero action by default) over seeds
+    0 and 1, its result and the default five-day report window."""
+    assert main(["evaluate", *strategy, "--data", str(data_dir),
                  "--config", config_path, "--seeds", "0,1", "--out", str(out)]) == 0
     result = json.loads((out / "result.json").read_text())
     test_lo, test_hi = result["test_range"]
@@ -490,7 +666,7 @@ def zero_action_run(data_dir, config_path, out):
 
 
 def test_report_names_line_of_non_integer_trace_day(data_dir, config_path, tmp_path, capsys):
-    zero_action_run(data_dir, config_path, tmp_path / "zero")
+    evaluated_run(data_dir, config_path, tmp_path / "zero")
     trace = tmp_path / "zero" / "seed1" / "trace.csv"
     lines = trace.read_text().splitlines(keepends=True)
     lines[4] = "x" + lines[4][lines[4].index(","):]
@@ -502,7 +678,7 @@ def test_report_names_line_of_non_integer_trace_day(data_dir, config_path, tmp_p
 
 
 def test_report_names_line_of_unknown_bid_side(data_dir, config_path, tmp_path, capsys):
-    result, (lo, hi) = zero_action_run(data_dir, config_path, tmp_path / "zero")
+    result, (lo, hi) = evaluated_run(data_dir, config_path, tmp_path / "zero")
     best = result["seeds"][int(np.argmax(result["incomes"]))]
     bids = tmp_path / "zero" / f"seed{best}" / "bids.csv"
     lines = bids.read_text().splitlines(keepends=True)

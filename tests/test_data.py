@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dayahead import data as damod
-from dayahead.data import (ConsumptionProfile, DataError, ForecastSigmas,
+from dayahead.data import (ConsumptionProfile, DataError, ForecastSigmas, forecast_walk,
                            generate_synthetic_dataset,
                            load_dataset, make_forecasts, split_dataset,
                            write_dataset)
@@ -436,9 +436,7 @@ def test_cloudiness_clipped_and_projected():
     assert np.all(cloud >= 0) and np.all(cloud <= 8)
     assert np.all(cloud == np.round(cloud))
     # positive deviations on a fully overcast sky must clip back to 8
-    dev = make_forecasts(ds, ForecastSigmas(2.0, 0.0, 0.0), seed=1, clip=False,
-                         keep_deviations=True)
-    above = dev.forecast_deviations["cloudiness"][1:] > 0
+    above = forecast_walk(60, ForecastSigmas(2.0, 0.0, 0.0), seed=1)["cloudiness"][1:] > 0
     assert above.any()
     assert np.all(cloud[above] == 8)
 
@@ -450,17 +448,23 @@ def test_wind_clipped_at_zero():
 
 
 def test_deviation_is_running_sum_of_noise(small_dataset):
-    """With clipping off, forecast - actual must equal the recorded walk."""
-    fc = make_forecasts(small_dataset, seed=9, clip=False, keep_deviations=True)
-    for day in (1, 30, 100):
-        for name, actual in (("cloudiness", small_dataset.cloudiness.astype(float)),
-                             ("wind_speed", small_dataset.wind_speed),
-                             ("temperature", small_dataset.temperature)):
-            dev = fc.forecast_deviations[name][day]
-            block = {"cloudiness": fc.forecast_cloudiness,
-                     "wind_speed": fc.forecast_wind_speed,
-                     "temperature": fc.forecast_temperature}[name][day]
-            np.testing.assert_allclose(block - actual[day], dev, atol=1e-12)
+    """Each forecast is the actual plus the walk, before the projection; the
+    walk is the running sum of the generator's draws, day by day and
+    variable by variable, from the issuance step on."""
+    sigmas = ForecastSigmas()
+    walks = forecast_walk(small_dataset.num_days, sigmas, seed=9)
+    fc = make_forecasts(small_dataset, sigmas, seed=9)
+    # the temperature forecast is not projected
+    np.testing.assert_array_equal(fc.forecast_temperature,
+                                  small_dataset.temperature + walks["temperature"])
+    rng = np.random.default_rng(9)
+    for day in range(1, 101):
+        for name, sigma in zip(("cloudiness", "wind_speed", "temperature"),
+                               (sigmas.cloudiness, sigmas.wind_speed, sigmas.temperature)):
+            steps = rng.normal(0.0, sigma / np.sqrt(24.0), 37)  # from 10 am of day - 1
+            if day in (1, 30, 100):  # steps 14..37 cover the target day
+                np.testing.assert_allclose(walks[name][day], np.cumsum(steps)[13:37], atol=1e-12)
+    assert np.isnan([walk[0] for walk in walks.values()]).all()
 
 
 def test_deviation_std_at_24h_matches_sigma():
@@ -468,10 +472,9 @@ def test_deviation_std_at_24h_matches_sigma():
     ds = flat_dataset(num_days=501)
     samples = []
     for seed in range(20):
-        fc = make_forecasts(ds, ForecastSigmas(0.0, 0.0, 2.0), seed=seed,
-                            clip=False, keep_deviations=True)
+        walks = forecast_walk(ds.num_days, ForecastSigmas(0.0, 0.0, 2.0), seed=seed)
         # t = 24 is 10 am of the target day: deviation index hour 10
-        samples.append(fc.forecast_deviations["temperature"][1:, 10])
+        samples.append(walks["temperature"][1:, 10])
     samples = np.concatenate(samples)
     assert samples.size == 10_000
     assert abs(samples.std() - 2.0) / 2.0 < 0.05

@@ -1,7 +1,7 @@
-"""A collected day keeps the simulator's hour trace and schedule and builds
-its arrays and bid records when they are read.  These tests hold it to the
-eager record it replaced: the same values bit for bit, the same CSV bytes,
-and no change when a strategy edits its schedule lists after the step."""
+"""A collected day keeps only the simulator's hour trace, schedule, start
+charge, reward and price and production rows.  These tests hold it to the
+eager record of arrays it replaced: the same values bit for bit, the same CSV
+bytes, and no change when a strategy edits its schedule lists after the step."""
 import math
 import tempfile
 from pathlib import Path
@@ -13,12 +13,17 @@ from hypothesis import given, settings, strategies as st
 
 from dayahead.data import day_hour_columns, hour_by_hour, write_columns, write_rows
 from dayahead.market import (BID_OUTCOME_HEADER, BUY, DAY_RESULT_HEADER, FIRST_DELIVERY_DAY,
-                             HOURS_PER_DAY, SELL, BidOutcome, EnvConfig, TradingEnv,
-                             export_bid_outcomes, export_day_results, hourly_production,
-                             schedule_bids)
+                             HOURS_PER_DAY, SELL, EnvConfig, TradingEnv, export_bid_outcomes,
+                             export_day_results, hourly_production, schedule_slots)
 
-ARRAYS = ("prices", "buy_volumes", "sell_volumes", "production", "consumption", "charge_input",
-          "discharge", "unscheduled_buys", "unscheduled_sells", "battery_trace", "cash_deltas")
+from conftest import day_array
+
+# The eager record's array of each quantity the lean record names.
+EAGER_NAMES = {"price": "prices", "buy_exec": "buy_volumes", "sell_exec": "sell_volumes",
+               "consumption": "consumption", "charge_input": "charge_input",
+               "discharge": "discharge", "uns_buy": "unscheduled_buys",
+               "uns_sell": "unscheduled_sells", "battery_level": "battery_trace",
+               "cash_delta": "cash_deltas"}
 
 
 def eager_record(dataset, config, day, start_charge, reward, schedule, trace):
@@ -29,8 +34,8 @@ def eager_record(dataset, config, day, start_charge, reward, schedule, trace):
     production = hourly_production(dataset.cloudiness, dataset.wind_speed, config)
     return SimpleNamespace(
         day=day, prices=dataset.prices[day].copy(),
-        bid_outcomes=[BidOutcome(bid, executed[bid.side][bid.hour] != 0.0)
-                      for bid in schedule_bids(schedule)],
+        bid_outcomes=[(hour, side, volume, price, executed[side][hour] != 0.0)
+                      for hour, side, volume, price in schedule_slots(schedule)],
         buy_volumes=buys, sell_volumes=sells, production=production[day].copy(),
         consumption=cons, charge_input=charge_in, discharge=discharge,
         unscheduled_buys=uns_buys, unscheduled_sells=uns_sells,
@@ -48,10 +53,10 @@ def eager_export_day_results(records, path):
 
 
 def eager_export_bid_outcomes(records, path):
-    """The bid writer that read one ``BidOutcome`` per bid."""
+    """The bid writer that read one outcome record per bid."""
     write_rows(path, BID_OUTCOME_HEADER, (
-        (r.day, o.bid.hour, o.bid.side, float(o.bid.volume), float(o.bid.price), int(o.accepted))
-        for r in records for o in r.bid_outcomes))
+        (r.day, hour, side, float(volume), float(price), int(accepted))
+        for r in records for hour, side, volume, price, accepted in r.bid_outcomes))
 
 
 @pytest.fixture(scope="module")
@@ -87,13 +92,10 @@ def test_lean_record_matches_the_eager_record(env, start, seed, schedules):
 
     for got, want in zip(records, eager):
         assert (got.day, got.reward) == (want.day, want.reward)
-        for name in ARRAYS:
-            array = getattr(got, name)
-            assert array.dtype == want.__dict__[name].dtype, name
-            assert array.tobytes() == want.__dict__[name].tobytes(), name
-            assert not array.flags.writeable
-            assert getattr(got, name) is array  # built once
-        assert got.bid_outcomes == want.bid_outcomes
+        for name, eager_name in EAGER_NAMES.items():
+            assert day_array(got, name).tobytes() == getattr(want, eager_name).tobytes(), name
+        assert np.array(got.production_row).tobytes() == want.production.tobytes()
+        assert got.bid_rows() == want.bid_outcomes
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         export_day_results(records, out / "trace.csv")

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dayahead.cli import CONFIG_KEYS, env_config_from, load_config
-from dayahead.market import (BUY, SELL, Bid, DecisionContext, EnvConfig, TradingEnv,
+from dayahead.market import (BUY, SELL, DecisionContext, EnvConfig, TradingEnv,
                              hourly_production, reference_balance,
                              rolling_price_stats, round_volumes)
 from dayahead.strategies import TimingParams
 from dayahead.training import evaluate_strategy
 
-from conftest import bid_schedule, flat_dataset, with_perfect_forecasts
+from conftest import bid_schedule, day_array, flat_dataset, with_perfect_forecasts
 
 
 # ---------------------------------------------------------------------------
@@ -51,29 +51,29 @@ def executed(bid, market_price):
     env = make_env(flat_dataset(num_days=4, price=market_price), quiet_config(price_scale=1.0))
     env.reset(2, rng=0, days=1)
     _, _, result, _ = env.step(bid_schedule(bid))
-    volumes = result.buy_volumes if bid.side == BUY else result.sell_volumes
-    done = bool(volumes[bid.hour])
-    assert [o.accepted for o in result.bid_outcomes] == ([done] if bid.volume else [])
+    hour, side, volume, _ = bid
+    done = bool(result.hourly("buy_exec" if side == BUY else "sell_exec")[hour])
+    assert [row[-1] for row in result.bid_rows()] == ([done] if volume else [])
     return done
 
 
 def test_buy_at_market_price_is_accepted():
-    assert executed(Bid(0.5, 100.0, BUY, 6), 100.0)
+    assert executed((6, BUY, 0.5, 100.0), 100.0)
 
 
 def test_sell_below_market_price_is_accepted():
-    assert executed(Bid(0.5, 100.0, SELL, 6), 101.0)
+    assert executed((6, SELL, 0.5, 100.0), 101.0)
 
 
 def test_sentinel_prices_always_execute():
-    assert executed(Bid(0.1, math.inf, BUY, 0), 10_000.0)
-    assert executed(Bid(0.1, 0.0, SELL, 0), 0.0)
-    assert executed(Bid(0.1, 0.0, SELL, 0), 987.0)
+    assert executed((0, BUY, 0.1, math.inf), 10_000.0)
+    assert executed((0, SELL, 0.1, 0.0), 0.0)
+    assert executed((0, SELL, 0.1, 0.0), 987.0)
 
 
 def test_zero_volume_never_executes():
-    assert not executed(Bid(0.0, math.inf, BUY, 0), 100.0)
-    assert not executed(Bid(0.0, 0.0, SELL, 0), 100.0)
+    assert not executed((0, BUY, 0.0, math.inf), 100.0)
+    assert not executed((0, SELL, 0.0, 0.0), 100.0)
 
 
 def test_clearing_matches_brute_force_grid():
@@ -91,9 +91,9 @@ def test_clearing_matches_brute_force_grid():
         for day in range(2, 7):
             schedule = [[0.1] * 24, [bid_price] * 24, [0.1] * 24, [bid_price] * 24]
             _, _, result, _ = env.step(schedule)
-            accepted = [o.accepted for o in result.bid_outcomes]
-            assert accepted[0::2] == (result.buy_volumes != 0).tolist()
-            assert accepted[1::2] == (result.sell_volumes != 0).tolist()
+            accepted = [row[-1] for row in result.bid_rows()]
+            assert accepted[0::2] == (day_array(result, "buy_exec") != 0).tolist()
+            assert accepted[1::2] == (day_array(result, "sell_exec") != 0).tolist()
             for hour, market_price in enumerate(ds.prices[day].tolist()):
                 if (day - 2) * 24 + hour >= 100:
                     break
@@ -123,7 +123,7 @@ def day_consumption(households, rho):
     """Simulated consumption of one delivery day at 0.002 MWh per household-hour."""
     env = make_env(flat_dataset(profile=np.full(24, 0.002)), quiet_config(households=households))
     env.reset(2, rng=ConstantNoise(rho), days=1)
-    return env.step(bid_schedule())[2].consumption
+    return day_array(env.step(bid_schedule())[2], "consumption")
 
 
 def test_consumption_formula():
@@ -166,6 +166,15 @@ UNHONOURABLE = [
     ("price_scale", 0.0),               # was silently replaced by the default
     ("price_scale", -5.0),
     ("consumption_noise_std", -0.1),    # failed only in reset, inside numpy
+    # NaN and infinities passed: income nan or -inf, or no wind production
+    ("battery_capacity", math.nan),
+    ("battery_capacity", math.inf),
+    ("max_solar_generation", math.inf),
+    ("max_wind_generation", math.nan),
+    ("max_wind_speed", math.nan),
+    ("consumption_noise_std", math.inf),
+    ("price_scale", math.nan),
+    ("price_scale", math.inf),
 ]
 
 
@@ -260,7 +269,7 @@ def test_step_balanced_flows_no_bids():
     env.reset(2, rng=0, days=1)
     ctx, reward, result, done = env.step(bid_schedule())
     assert reward == pytest.approx(0.0, abs=1e-12)
-    np.testing.assert_allclose(result.battery_trace, 0.0, atol=1e-12)
+    np.testing.assert_allclose(day_array(result, "battery_level"), 0.0, atol=1e-12)
 
 
 def test_step_single_buy_charges_battery_with_losses():
@@ -268,13 +277,14 @@ def test_step_single_buy_charges_battery_with_losses():
     ds = flat_dataset(num_days=6, price=200.0)  # no production, no consumption
     env = make_env(ds, quiet_config())
     env.reset(2, rng=0, days=1)
-    bids = bid_schedule(Bid(0.5, math.inf, BUY, 9))
+    bids = bid_schedule((9, BUY, 0.5, math.inf))
     ctx, reward, result, done = env.step(bids)
     assert reward == pytest.approx(-100.0, abs=1e-9)
-    assert result.battery_trace[9] == pytest.approx(0.0, abs=1e-12)
-    assert result.battery_trace[10] == pytest.approx(0.425, abs=1e-12)
-    assert result.battery_trace[24] == pytest.approx(0.425, abs=1e-12)
-    assert result.charge_input[9] == pytest.approx(0.5, abs=1e-12)
+    levels = day_array(result, "battery_level")
+    assert levels[9] == pytest.approx(0.0, abs=1e-12)
+    assert levels[10] == pytest.approx(0.425, abs=1e-12)
+    assert levels[24] == pytest.approx(0.425, abs=1e-12)
+    assert day_array(result, "charge_input")[9] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_step_full_battery_overflow_sells_at_half_price():
@@ -284,14 +294,15 @@ def test_step_full_battery_overflow_sells_at_half_price():
     # cloudiness 4 -> production 0.04 MWh/h; buy 0.16 more in one hour = 0.2 surplus
     env = make_env(ds, quiet_config(initial_charge=1.0))
     env.reset(2, rng=0, days=1)
-    bids = bid_schedule(Bid(0.2, math.inf, BUY, 5))
+    bids = bid_schedule((5, BUY, 0.2, math.inf))
     ctx, reward, result, done = env.step(bids)
+    uns_sell, cash = day_array(result, "uns_sell"), day_array(result, "cash_delta")
     # every hour also overflows its 0.04 MWh of production
-    assert result.unscheduled_sells[5] == pytest.approx(0.24, abs=1e-12)
-    assert result.cash_deltas[5] == pytest.approx(-0.2 * 300 + 0.24 * 150, abs=1e-9)
+    assert uns_sell[5] == pytest.approx(0.24, abs=1e-12)
+    assert cash[5] == pytest.approx(-0.2 * 300 + 0.24 * 150, abs=1e-9)
     # the bid-free hours each sell 0.04 at half price
-    assert result.unscheduled_sells[6] == pytest.approx(0.04, abs=1e-12)
-    assert result.cash_deltas[6] == pytest.approx(0.04 * 150, abs=1e-9)
+    assert uns_sell[6] == pytest.approx(0.04, abs=1e-12)
+    assert cash[6] == pytest.approx(0.04 * 150, abs=1e-9)
 
 
 def test_step_empty_battery_deficit_buys_at_double_price():
@@ -300,7 +311,7 @@ def test_step_empty_battery_deficit_buys_at_double_price():
     env = make_env(ds, quiet_config())
     env.reset(2, rng=0, days=1)
     ctx, reward, result, done = env.step(bid_schedule())
-    np.testing.assert_allclose(result.unscheduled_buys, 0.05, atol=1e-12)
+    np.testing.assert_allclose(day_array(result, "uns_buy"), 0.05, atol=1e-12)
     assert reward == pytest.approx(-24 * 0.05 * 200.0, abs=1e-9)
 
 
@@ -309,12 +320,13 @@ def test_bids_execute_at_market_price_not_bid_price():
     env = make_env(ds, quiet_config())
     env.reset(2, rng=0, days=1)
     # buy limit far above market still pays market price
-    ctx, reward, result, done = env.step(bid_schedule(Bid(0.5, 9_999.0, BUY, 0),
-                                                      Bid(0.4, 10.0, SELL, 1)))
-    assert result.cash_deltas[0] == pytest.approx(-0.5 * 180.0, abs=1e-9)
+    ctx, reward, result, done = env.step(bid_schedule((0, BUY, 0.5, 9_999.0),
+                                                      (1, SELL, 0.4, 10.0)))
+    cash = day_array(result, "cash_delta")
+    assert cash[0] == pytest.approx(-0.5 * 180.0, abs=1e-9)
     # the sold 0.4 comes out of the 0.425 stored in hour 0
-    assert result.cash_deltas[1] == pytest.approx(0.4 * 180.0, abs=1e-9)
-    assert result.battery_trace[2] == pytest.approx(0.425 - 0.4, abs=1e-12)
+    assert cash[1] == pytest.approx(0.4 * 180.0, abs=1e-9)
+    assert day_array(result, "battery_level")[2] == pytest.approx(0.425 - 0.4, abs=1e-12)
 
 
 def test_rejected_bids_do_not_trade():
@@ -322,10 +334,10 @@ def test_rejected_bids_do_not_trade():
     env = make_env(ds, quiet_config())
     env.reset(2, rng=0, days=1)
     ctx, reward, result, done = env.step(bid_schedule(
-        Bid(0.5, 100.0, BUY, 0),     # below market
-        Bid(0.4, 300.0, SELL, 1)))   # above market
+        (0, BUY, 0.5, 100.0),     # below market
+        (1, SELL, 0.4, 300.0)))   # above market
     assert reward == pytest.approx(0.0, abs=1e-12)
-    assert [o.accepted for o in result.bid_outcomes] == [False, False]
+    assert [row[-1] for row in result.bid_rows()] == [False, False]
 
 
 def test_step_rejects_malformed_bids():
@@ -334,7 +346,7 @@ def test_step_rejects_malformed_bids():
     env = make_env(ds, quiet_config())
     env.reset(2, rng=0, days=1)
     with pytest.raises(ValueError, match="sell volume 0.15 in hour 3 is not a multiple"):
-        env.step(bid_schedule(Bid(0.15, 100.0, SELL, 3)))
+        env.step(bid_schedule((3, SELL, 0.15, 100.0)))
     env.reset(2, rng=0, days=1)
     with pytest.raises(ValueError, match="4 rows of 24 hours"):
         env.step([row + [0.0] for row in bid_schedule()])
@@ -344,7 +356,7 @@ def test_step_rejects_malformed_bids():
     for price in (-1.0, math.nan):
         env.reset(2, rng=0, days=1)
         with pytest.raises(ValueError, match="buy price .* in hour 0 must be nonnegative"):
-            env.step(bid_schedule(Bid(0.1, price, BUY, 0)))
+            env.step(bid_schedule((0, BUY, 0.1, price)))
 
 
 @pytest.mark.parametrize("volume", [math.inf, math.nan])
@@ -353,7 +365,7 @@ def test_step_rejects_non_finite_volume(volume):
     env = make_env(flat_dataset(num_days=6), quiet_config())
     env.reset(2, rng=0, days=1)
     with pytest.raises(ValueError, match="finite"):
-        env.step(bid_schedule(Bid(volume, 100.0, BUY, 0)))
+        env.step(bid_schedule((0, BUY, volume, 100.0)))
 
 
 def test_done_at_replay_end():
@@ -379,7 +391,7 @@ def random_bids(rng):
         volume = round_volumes([float(rng.uniform(0.0, 1.5))])[0]
         price = float(rng.uniform(50.0, 500.0))
         hour = int(rng.integers(0, 24))
-        bids[side, hour] = Bid(volume, price, side, hour)
+        bids[side, hour] = (hour, side, volume, price)
     return bid_schedule(*bids.values())
 
 
@@ -400,22 +412,24 @@ def assert_hourly_identities(results, config, atol=1e-9):
     capacity = config.battery_capacity
     eta = config.battery_efficiency
     for res in results:
-        trace = res.battery_trace
+        trace = day_array(res, "battery_level")
         assert np.all(trace >= -atol) and np.all(trace <= capacity + atol)
+        buy, sell, consumption, charge_in, discharge, uns_buy, uns_sell, cash_delta = (
+            day_array(res, name) for name in ("buy_exec", "sell_exec", "consumption",
+                                              "charge_input", "discharge", "uns_buy",
+                                              "uns_sell", "cash_delta"))
         for h in range(24):
-            lhs = res.production[h] + res.buy_volumes[h] + res.discharge[h] \
-                + res.unscheduled_buys[h]
-            rhs = res.consumption[h] + res.sell_volumes[h] + res.charge_input[h] \
-                + res.unscheduled_sells[h]
+            lhs = res.production_row[h] + buy[h] + discharge[h] + uns_buy[h]
+            rhs = consumption[h] + sell[h] + charge_in[h] + uns_sell[h]
             assert abs(lhs - rhs) < atol
             stored = trace[h + 1] - trace[h]
-            assert abs(stored - (eta * res.charge_input[h] - res.discharge[h])) < atol
-            price = res.prices[h]
-            cash = (res.sell_volumes[h] - res.buy_volumes[h]) * price \
-                + res.unscheduled_sells[h] * config.penalty_sell_multiplier * price \
-                - res.unscheduled_buys[h] * config.penalty_buy_multiplier * price
-            assert abs(cash - res.cash_deltas[h]) < atol
-        assert abs(res.reward - res.cash_deltas.sum()) < atol
+            assert abs(stored - (eta * charge_in[h] - discharge[h])) < atol
+            price = res.hourly("price")[h]
+            cash = (sell[h] - buy[h]) * price \
+                + uns_sell[h] * config.penalty_sell_multiplier * price \
+                - uns_buy[h] * config.penalty_buy_multiplier * price
+            assert abs(cash - cash_delta[h]) < atol
+        assert abs(res.reward - cash_delta.sum()) < atol
 
 
 def test_conservation_over_randomized_days(year_dataset):
@@ -429,9 +443,8 @@ def test_determinism_of_day_results(year_dataset):
     a = run_randomized_days(year_dataset, EnvConfig(), 50, seed=5)
     b = run_randomized_days(year_dataset, EnvConfig(), 50, seed=5)
     for ra, rb in zip(a, b):
-        np.testing.assert_array_equal(ra.cash_deltas, rb.cash_deltas)
-        np.testing.assert_array_equal(ra.battery_trace, rb.battery_trace)
-        np.testing.assert_array_equal(ra.consumption, rb.consumption)
+        for name in ("cash_delta", "battery_level", "consumption"):
+            np.testing.assert_array_equal(day_array(ra, name), day_array(rb, name))
 
 
 def reference_consumption(ref, config, profile, days):
@@ -452,7 +465,7 @@ def test_consumption_tape_matches_per_day_draws(small_dataset):
                                    collect_results=True)
     want = reference_consumption(np.random.default_rng(5), config,
                                  small_dataset.profile.avg_per_household, 30)
-    assert [res.consumption.tolist() for res in results] == want
+    assert [res.hourly("consumption") for res in results] == want
 
 
 def test_episode_leaves_generator_where_per_day_draws_did(small_dataset):
@@ -463,7 +476,7 @@ def test_episode_leaves_generator_where_per_day_draws_did(small_dataset):
     profile = small_dataset.profile.avg_per_household
     for start, days in ((30, 10), (50, 4)):
         env.reset(start, stream, days)
-        got = [env.step(bid_schedule())[2].consumption.tolist() for _ in range(days)]
+        got = [env.step(bid_schedule())[2].hourly("consumption") for _ in range(days)]
         assert got == reference_consumption(ref, config, profile, days)
     assert stream.normal() == ref.normal()
 
@@ -527,9 +540,9 @@ def test_estimate_single_sell_empties_battery():
     ds = flat_dataset(num_days=6, price=250.0)
     env = make_env(ds, quiet_config(initial_charge=0.4))  # 0.8 MWh stored
     env.reset(2, rng=0, days=1)
-    ctx, _, result, _ = env.step(bid_schedule(Bid(0.8, 0.0, SELL, 23)))
+    ctx, _, result, _ = env.step(bid_schedule((23, SELL, 0.8, 0.0)))
     assert ctx.est_midnight == pytest.approx(0.0, abs=1e-12)
-    assert result.battery_trace[24] == pytest.approx(0.0, abs=1e-12)
+    assert day_array(result, "battery_level")[24] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_estimate_matches_realized_level_without_noise(small_dataset):
@@ -542,7 +555,7 @@ def test_estimate_matches_realized_level_without_noise(small_dataset):
     for _ in range(30):
         est = ctx.est_midnight
         ctx, _, result, done = env.step(random_bids(rng))
-        realized = result.battery_trace[0] / config.battery_capacity
+        realized = day_array(result, "battery_level")[0] / config.battery_capacity
         assert est == pytest.approx(realized, abs=1e-12)
         if done:
             break
@@ -554,21 +567,21 @@ def test_estimate_reflects_scheduled_bids_mid_day(small_dataset):
     config = EnvConfig(consumption_noise_std=0.0)
     env = TradingEnv(ds, config)
     env.reset(40, rng=0, days=1)
-    ctx, _, result, _ = env.step(bid_schedule(Bid(1.0, math.inf, BUY, 15)))
+    ctx, _, result, _ = env.step(bid_schedule((15, BUY, 1.0, math.inf)))
     assert ctx.est_midnight * config.battery_capacity == pytest.approx(
-        result.battery_trace[24], abs=1e-12)
+        day_array(result, "battery_level")[24], abs=1e-12)
 
 
 def test_battery_level_caps_and_floors():
     ds = flat_dataset(num_days=6)  # no production, no consumption
     env = make_env(ds, quiet_config(initial_charge=0.95))  # 1.9 of 2.0 MWh
     env.reset(2, rng=0, days=1)
-    _, _, result, _ = env.step(bid_schedule(Bid(1.0, math.inf, BUY, 0)))
-    assert result.battery_trace[1] == 2.0
+    _, _, result, _ = env.step(bid_schedule((0, BUY, 1.0, math.inf)))
+    assert day_array(result, "battery_level")[1] == 2.0
     env = make_env(ds, quiet_config(initial_charge=0.05))  # 0.1 MWh
     env.reset(2, rng=0, days=1)
-    _, _, result, _ = env.step(bid_schedule(Bid(1.0, 0.0, SELL, 0)))
-    assert result.battery_trace[1] == 0.0
+    _, _, result, _ = env.step(bid_schedule((0, SELL, 1.0, 0.0)))
+    assert day_array(result, "battery_level")[1] == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -577,12 +590,11 @@ def perfect_dataset(small_dataset):
 
 
 bid_lists = st.lists(
-    st.builds(Bid,
-              volume=st.integers(0, 20).map(lambda k: k / 10),
-              price=st.one_of(st.floats(0.0, 600.0), st.just(math.inf)),
-              side=st.sampled_from([BUY, SELL]),
-              hour=st.integers(0, 23)),
-    max_size=12, unique_by=lambda bid: (bid.side, bid.hour))
+    st.tuples(st.integers(0, 23),                                  # hour
+              st.sampled_from([BUY, SELL]),                        # side
+              st.integers(0, 20).map(lambda k: k / 10),            # volume
+              st.one_of(st.floats(0.0, 600.0), st.just(math.inf))),  # price
+    max_size=12, unique_by=lambda bid: bid[:2])
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -601,7 +613,7 @@ def test_battery_rule_properties(perfect_dataset, days, start, initial_charge):
         assert_hourly_identities([result], config)
         if done:
             break
-        assert ctx.est_midnight * config.battery_capacity == result.battery_trace[24]
+        assert ctx.est_midnight * config.battery_capacity == result.hourly("battery_level")[23]
 
 
 # ---------------------------------------------------------------------------

@@ -345,7 +345,7 @@ def test_policy_arrays_are_views_covering_the_vector_once():
 
 
 def test_policy_head_gain_keeps_initial_actions_small():
-    policy = init_policy(141, seed=2, policy_gain=0.01)
+    policy = init_policy(141, seed=2)
     obs = np.random.default_rng(3).uniform(0, 1, 141)
     assert np.max(np.abs(forward(policy.actor, obs))) < 0.1
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dayahead.data import DataError
-from dayahead.market import EnvConfig, TradingEnv, export_bid_outcomes, export_day_results
+from dayahead.market import (DAY_RESULT_HEADER, EnvConfig, TradingEnv, export_bid_outcomes,
+                             export_day_results)
 from dayahead.reports import read_day_results, write_battery_trace
 from dayahead.strategies import TimingParams
 from dayahead.training import evaluate_strategy, fixed_action_strategy
@@ -19,7 +20,7 @@ def test_exported_day_results_read_back_exactly(tmp_path, small_dataset):
     _, blackbox = evaluate_strategy(fixed_action_strategy(action), env, (96, 102), 1,
                                     collect_results=True)
     results = timing + blackbox
-    assert any(o.bid.price == math.inf for r in timing for o in r.bid_outcomes)
+    assert any(price == math.inf for r in timing for _, _, _, price, _ in r.bid_rows())
 
     export_day_results(results, tmp_path / "trace.csv")
     export_bid_outcomes(results, tmp_path / "bids.csv")
@@ -33,21 +34,21 @@ def test_exported_day_results_read_back_exactly(tmp_path, small_dataset):
     partial = read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (99, 104))
     assert_same_days(partial, results[9:])
     with pytest.raises(ValueError, match=r"trace window misses days \[102, 103\]"):
-        write_battery_trace([partial], (99, 104), tmp_path / "battery.csv")
-    assert read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (110, 115)) == []
+        write_battery_trace([partial[0]], (99, 104), tmp_path / "battery.csv")
+    assert_same_days(read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (110, 115)),
+                     [])
 
 
 def assert_same_days(loaded, results):
-    assert [r.day for r in loaded] == [r.day for r in results]
-    for got, want in zip(loaded, results):
-        for name in ("prices", "buy_volumes", "sell_volumes", "unscheduled_buys",
-                     "unscheduled_sells", "cash_deltas"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        np.testing.assert_array_equal(got.battery_trace[1:], want.battery_trace[1:])
-        assert [(o.bid.volume, o.bid.price, o.bid.side, o.bid.hour, o.accepted)
-                for o in got.bid_outcomes] == \
-               [(o.bid.volume, o.bid.price, o.bid.side, o.bid.hour, o.accepted)
-                for o in want.bid_outcomes]
+    """The tables and bid rows read back hold exactly the days of ``results``."""
+    tables, bids = loaded
+    assert set(tables) == set(DAY_RESULT_HEADER)
+    days = [r.day for r in results]
+    assert tables["day"].tolist() == [[day] * 24 for day in days]
+    assert tables["hour"].tolist() == [list(range(24))] * len(days)
+    for name in DAY_RESULT_HEADER[2:]:
+        assert tables[name].tolist() == [list(r.hourly(name)) for r in results], name
+    assert bids == [(r.day, *row) for r in results for row in r.bid_rows()]
 
 
 @pytest.mark.parametrize("file", ["trace.csv", "bids.csv"])

@@ -1,9 +1,10 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from dayahead.market import BUY, SELL, schedule_bids
+from dayahead.market import BUY, SELL, schedule_slots
 from dayahead.nets import init_policy
 from dayahead.strategies import (OpportunisticParams, TimingParams,
                                  blackbox_bids, load_strategy_params,
@@ -12,8 +13,16 @@ from dayahead.strategies import (OpportunisticParams, TimingParams,
                                  timing_bids)
 
 
+Slot = namedtuple("Slot", "hour side volume price")
+
+
+def slots(schedule):
+    """The bids of a schedule, in ``bids.csv`` order, with named fields."""
+    return [Slot(*slot) for slot in schedule_slots(schedule)]
+
+
 def by_hour(schedule, side):
-    return {b.hour: b for b in schedule_bids(schedule) if b.side == side}
+    return {b.hour: b for b in slots(schedule) if b.side == side}
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +43,7 @@ def test_timing_volumes_and_prices():
 
 
 def test_timing_empty_battery_symmetric_volumes():
-    bids = schedule_bids(timing_bids(TimingParams(1.0, 0.7), est_level=0.0))
+    bids = slots(timing_bids(TimingParams(1.0, 0.7), est_level=0.0))
     assert len(bids) == 8
     for b in bids:
         assert b.volume == pytest.approx(0.3)  # rnd(1.0/4), tie away from zero
@@ -56,7 +65,7 @@ def test_timing_negative_buy_volume_clamps_to_no_bid():
 def test_opportunistic_all_zero_coefficients():
     params = OpportunisticParams.from_vector(np.zeros(100))
     pbar = np.full(24, 250.0)
-    bids = schedule_bids(opportunistic_bids(params, est_level=0.0, vbar=0.13, pbar=pbar))
+    bids = slots(opportunistic_bids(params, est_level=0.0, vbar=0.13, pbar=pbar))
     assert len(bids) == 48
     assert all(b.volume == pytest.approx(0.1) for b in bids)  # rnd(0.13)
     assert all(b.price == pytest.approx(250.0) for b in bids)
@@ -67,7 +76,7 @@ def test_opportunistic_shifted_volume_offsets_suppress_bids():
     vec = np.zeros(100)
     vec[OpportunisticParams.volume_offset_indices()] = -2.0
     params = OpportunisticParams.from_vector(vec)
-    bids = schedule_bids(opportunistic_bids(params, 0.0, 0.13, np.full(24, 250.0)))
+    bids = slots(opportunistic_bids(params, 0.0, 0.13, np.full(24, 250.0)))
     assert bids == []
 
 
@@ -76,8 +85,8 @@ def test_opportunistic_price_scales_with_pbar():
     params = OpportunisticParams.from_vector(rng.normal(0, 1, 100))
     pbar = np.linspace(100.0, 400.0, 24)
     est = 0.37
-    base = schedule_bids(opportunistic_bids(params, est, 0.13, pbar))
-    doubled = schedule_bids(opportunistic_bids(params, est, 0.13, 2.0 * pbar))
+    base = slots(opportunistic_bids(params, est, 0.13, pbar))
+    doubled = slots(opportunistic_bids(params, est, 0.13, 2.0 * pbar))
     assert len(base) == len(doubled)
     for a, b in zip(base, doubled):
         assert b.price == pytest.approx(2.0 * a.price)
@@ -108,7 +117,7 @@ def test_opportunistic_requires_100_values():
 
 def test_blackbox_identity_action():
     pbar = np.linspace(150.0, 380.0, 24)
-    bids = schedule_bids(blackbox_bids(np.zeros((4, 24)), 0.13, pbar))
+    bids = slots(blackbox_bids(np.zeros((4, 24)), 0.13, pbar))
     assert len(bids) == 48
     for b in bids:
         assert b.volume == pytest.approx(0.1)
@@ -134,8 +143,8 @@ def test_blackbox_scale_equivariance_in_pbar():
     rng = np.random.default_rng(0)
     action = rng.uniform(-3, 3, (4, 24))
     pbar = rng.uniform(100, 400, 24)
-    base = schedule_bids(blackbox_bids(action, 0.13, pbar))
-    scaled = schedule_bids(blackbox_bids(action, 0.13, 3.0 * pbar))
+    base = slots(blackbox_bids(action, 0.13, pbar))
+    scaled = slots(blackbox_bids(action, 0.13, 3.0 * pbar))
     for a, b in zip(base, scaled):
         assert b.price == pytest.approx(3.0 * a.price)
         assert b.volume == a.volume
@@ -145,7 +154,7 @@ def test_blackbox_volumes_are_market_compliant():
     rng = np.random.default_rng(1)
     for _ in range(50):
         action = rng.uniform(-3, 3, (4, 24))
-        for b in schedule_bids(blackbox_bids(action, 0.13, rng.uniform(50, 500, 24))):
+        for b in slots(blackbox_bids(action, 0.13, rng.uniform(50, 500, 24))):
             assert b.volume >= 0.1 - 1e-12
             assert abs(b.volume * 10 - round(b.volume * 10)) < 1e-9
             assert b.price > 0

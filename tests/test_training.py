@@ -87,6 +87,13 @@ def test_gae_rejects_mismatched_lengths():
 # CMA-ES
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("sigma0", [0.0, -1.0, math.nan, math.inf])
+def test_cmaes_config_refuses_a_sigma_that_is_not_positive_and_finite(sigma0):
+    """A NaN sigma ran every generation and returned a NaN mean."""
+    with pytest.raises(ValueError, match="initial sigma"):
+        CmaesConfig(sigma0=sigma0)
+
+
 def test_population_formula():
     assert default_population(2) == 6
     assert default_population(10) == 10
@@ -110,18 +117,23 @@ def test_objective_shift_invariance():
     def f(x):
         return -float(np.sum((x - 1.5) ** 2))
 
-    def run(objective):
-        log = []
-        cfg = CmaesConfig(population=12, generations=25, seed=3)
-        cmaes_optimize(objective, np.zeros(5), cfg,
-                       callback=lambda g, c, v, o: log.append((c.copy(), o.copy())))
-        return log
+    def run(shift):
+        """Every candidate in evaluation order, and each generation's ranks."""
+        candidates, values = [], []
 
-    base = run(f)
-    shifted = run(lambda x: f(x) + 1000.0)
-    for (ca, oa), (cb, ob) in zip(base, shifted):
-        np.testing.assert_array_equal(ca, cb)
-        np.testing.assert_array_equal(oa, ob)
+        def objective(x):
+            candidates.append(x.copy())
+            values.append(f(x) + shift)
+            return values[-1]
+
+        cmaes_optimize(objective, np.zeros(5), CmaesConfig(population=12, generations=25, seed=3))
+        ranks = np.argsort(-np.reshape(values, (25, 12)), axis=1, kind="stable")
+        return np.array(candidates), ranks
+
+    (base, base_ranks), (shifted, shifted_ranks) = run(0.0), run(1000.0)
+    assert base.shape == (25 * 12, 5)
+    np.testing.assert_array_equal(base, shifted)
+    np.testing.assert_array_equal(base_ranks, shifted_ranks)
 
 
 def test_constant_objective_no_systematic_drift():
@@ -561,3 +573,14 @@ def test_battery_sweep_rejects_non_positive_capacity(small_dataset):
     with pytest.raises(ValueError):
         battery_sweep([0.0], small_dataset, EnvConfig(), tiny_a2c_config(), seeds=[0],
                       test_range=small_dataset.split.test)
+
+
+def test_battery_sweep_checks_every_capacity_before_training(small_dataset, monkeypatch):
+    """A NaN capacity failed only after the capacities before it had trained."""
+    import dayahead.training as training
+
+    monkeypatch.setattr(training, "a2c_train", lambda *args: pytest.fail("trained"))
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="capacities must be positive and finite"):
+            battery_sweep([1.0, bad], small_dataset, EnvConfig(), tiny_a2c_config(),
+                          seeds=[0], test_range=small_dataset.split.test)
