@@ -218,6 +218,17 @@ def parse_seeds(text: str | None, master: int) -> list[int]:
     return seeds
 
 
+def parse_capacities(text: str) -> list[float]:
+    """The battery capacities of ``--capacities``, each once."""
+    try:
+        capacities = [float(v) for v in text.replace(",", " ").split()]
+    except ValueError:
+        raise ValueError(f"--capacities {text!r} must list numbers") from None
+    if not capacities or len(set(capacities)) != len(capacities):
+        raise ValueError(f"--capacities {text!r} must name at least one capacity, each once")
+    return capacities
+
+
 def write_manifest(out_dir, command: str, cfg: dict, seeds: list[int],
                    dataset: datamod.Dataset | None, extra: dict | None = None) -> None:
     manifest = {
@@ -412,9 +423,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep_battery(args) -> int:
+    capacities = parse_capacities(args.capacities)
     cfg, dataset, env_config, seeds, test_range = _verb_inputs(args)
     a2c_config = a2c_config_from(cfg, include_weather=True)
-    capacities = [float(v) for v in args.capacities.replace(",", " ").split()]
 
     rows = battery_sweep(capacities, dataset, env_config, a2c_config, seeds, test_range,
                          progress=lambda cap, seed, income:

@@ -7,10 +7,11 @@ average consumption profile per household.  Everything downstream treats a
 ``Dataset`` as an immutable replay tape.
 
 Real price/weather data can be loaded from CSV (see the header tuples next to
-the ``load_dataset`` / ``write_dataset`` pair).  Every CSV table the package
-reads, run traces included, goes through ``read_columns``: one ``np.loadtxt``
-pass per file, optionally restricted to a window of days, and a csv row scan
-that runs only to name the file and line of a bad field.
+the ``load_dataset`` / ``write_dataset`` pair).  The dataset files, run traces
+and report tables are written through ``write_lines``, and every CSV table the
+package reads goes through ``read_columns``: one ``np.loadtxt`` pass per file,
+optionally restricted to a window of days, and a csv row scan that runs only
+to name the file and line of a bad field.
 
 When no real data is at hand, ``generate_synthetic_dataset`` produces a seeded artificial market with the
 qualitative structure trading strategies care about: a double-peaked daily
@@ -23,10 +24,11 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+import re
 import warnings
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import NoReturn
 
 import numpy as np
@@ -177,12 +179,16 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
-# CSV I/O: every table goes through write_rows (or write_columns) and
-# read_columns, and each file has one header tuple that its writer and its
-# reader share.  read_columns parses a table in one np.loadtxt pass, numpy's C
-# tokenizer and float parser; only when that pass or a check of its texts
-# fails does _raise_bad_row scan the rows with csv, to name the file and line
-# of the first bad field.  The scan never returns data.
+# CSV I/O: every table is written by write_lines, from lines the caller has
+# formatted (trace.csv and bids.csv, day by day) or through write_columns,
+# and read by read_columns; each file has one header tuple that its writer
+# and its reader share.  The bytes are those the csv module's default writer
+# writes for a table of two or more columns: rows ended by CR LF, floats by
+# repr, so they read back bit for bit, and a text quoted only when it holds a
+# comma, a quote, CR or LF.  read_columns parses a table in one np.loadtxt
+# pass, numpy's C tokenizer and float parser; only when that pass or a check
+# of its texts fails does _raise_bad_row scan the rows with csv.reader, to
+# name the file and line of the first bad field.  The scan never returns data.
 # ---------------------------------------------------------------------------
 
 PRICES_HEADER = ("date", "hour", "price")
@@ -207,19 +213,44 @@ def _dtype(kind) -> str:
     return {int: "i8", float: "f8"}[kind]
 
 
-def write_rows(path, header: tuple[str, ...], rows) -> None:
-    """Write ``rows`` (iterables of Python scalars) under ``header``; ``csv``
-    writes floats by ``repr``, so they read back bit for bit.  An iterator is
-    consumed row by row, so the table need not be built."""
+_QUOTED = re.compile('[,"\r\n]')
+_QUOTED_LINE = re.compile('["\r\n]')  # a comma shows only by the count
+_LINES_PER_WRITE = 256
+
+
+def _cell(text: str) -> str:
+    """``text`` as csv's QUOTE_MINIMAL writes it: quoted, with inner quotes
+    doubled, when it holds a comma, a quote, CR or LF."""
+    return '"' + text.replace('"', '""') + '"' if _QUOTED.search(text) else text
+
+
+def write_lines(path, header: tuple[str, ...], lines) -> None:
+    """Write the table of ``header`` and ``lines``, rows whose cells are
+    already texts joined by commas, each ended by CR LF.  Streams:
+    ``lines`` may be an iterator, and at most a few hundred lines are held
+    at a time."""
+    lines = iter(lines)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(map(_cell, header)) + "\r\n")
+        while batch := list(islice(lines, _LINES_PER_WRITE)):
+            fh.write("\r\n".join(batch) + "\r\n")
 
 
 def write_columns(path, header: tuple[str, ...], columns) -> None:
-    """Write equal-length ``columns`` (iterables of Python scalars) as rows."""
-    write_rows(path, header, zip(*columns, strict=True))
+    """Write equal-length ``columns`` (iterables of Python scalars) as rows,
+    each value by ``str`` (``repr`` for a float), a text quoted where it
+    needs it; unequal lengths raise a ValueError."""
+    texts = [map(str, column) for column in columns]
+    commas = len(texts) - 1
+
+    def lines():
+        for cells in zip(*texts, strict=True):
+            line = ",".join(cells)
+            if line.count(",") != commas or _QUOTED_LINE.search(line):
+                line = ",".join(map(_cell, cells))
+            yield line
+
+    write_lines(path, header, lines())
 
 
 def day_hour_columns(days: list) -> list[Iterator]:

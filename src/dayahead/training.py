@@ -170,6 +170,10 @@ class A2cConfig:
     include_weather: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("learning_rate", "vf_coef", "ent_coef", "rms_decay", "rms_eps",
+                     "max_grad_norm", "log_std_init"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
         if not 0 <= self.gamma <= 1:
             raise ValueError("gamma must lie in [0, 1]")
         if not 0 <= self.gae_lambda <= 1:

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -361,6 +362,25 @@ def test_empty_or_repeated_seed_list_exits_2(data_dir, config_path, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("capacities", ["1.0,1.0", "1.0,abc", "2 1,2.0", ","])
+def test_empty_repeated_or_non_numeric_capacity_list_exits_2(data_dir, config_path, tmp_path,
+                                                             capsys, monkeypatch, capacities):
+    """``1.0,1.0`` trained capacity 1.0 twice and wrote two equal rows;
+    ``1.0,abc`` failed without naming the flag."""
+    from dayahead import training
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before refusing the capacities")
+
+    monkeypatch.setattr(training, "a2c_train", no_training)
+    out = tmp_path / "sweep"
+    code = main(["sweep-battery", "--capacities", capacities, "--data", str(data_dir),
+                 "--config", config_path, "--seeds", "0", "--out", str(out)])
+    assert code == 2
+    assert f"--capacities {capacities!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_each_verb_builds_one_environment(data_dir, config_path, tmp_path, monkeypatch):
     from dayahead import market
 
@@ -487,6 +507,34 @@ def test_report_consolidates_runs(data_dir, config_path, tmp_path):
     assert len(prices) == 5 * 24 + 1
     assert (report_out / "trace_unscheduled_timing.csv").exists()
     assert (report_out / "trace_bid_volumes_zero.csv").exists()
+
+
+def test_report_quotes_a_run_name_and_writes_an_empty_bid_table(data_dir, config_path,
+                                                                 tmp_path):
+    """A ``--name`` with a comma and a quote reads back unchanged from
+    ``balance_report.csv``, quoted as the csv module quotes it, and a run
+    without a single bid writes ``bids.csv`` as the header line alone."""
+    name = 'zero, "quoted"'
+    no_bids = tmp_path / "no_bids.json"
+    no_bids.write_text(json.dumps({"strategy_kind": "timing", "alpha": [0.0, 0.0]}))
+    runs = {"zero": ["--zero-action", "--name", name], "idle": ["--params", str(no_bids)]}
+    for run, flags in runs.items():
+        assert main(["evaluate", *flags, "--data", str(data_dir), "--config", config_path,
+                     "--seeds", "0,1", "--out", str(tmp_path / run)]) == 0
+    for seed in (0, 1):
+        bids = (tmp_path / "idle" / f"seed{seed}" / "bids.csv").read_bytes()
+        assert bids == b"day,hour,side,volume,price,accepted\r\n"
+    assert main(["report", "--runs", *(str(tmp_path / run) for run in runs),
+                 "--data", str(data_dir), "--config", config_path,
+                 "--out", str(tmp_path / "report")]) == 0
+    raw = (tmp_path / "report" / "balance_report.csv").read_bytes()
+    with open(tmp_path / "report" / "balance_report.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows] == ["strategy", "reference", name, "timing"]
+    assert b'\r\n"zero, ""quoted""",' in raw
+    rewritten = io.StringIO(newline="")
+    csv.writer(rewritten).writerows(rows)
+    assert raw == rewritten.getvalue().encode()
 
 
 def read_table(path):

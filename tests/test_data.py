@@ -1,10 +1,13 @@
+import csv
 import datetime as dt
 import math
+import tempfile
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dayahead import data as damod
 from dayahead.data import (ConsumptionProfile, DataError, ForecastSigmas, forecast_walk,
@@ -283,6 +286,41 @@ def test_column_codec_round_trips_floats_bit_for_bit(tmp_path):
     assert keys.tolist() == list(range(len(texts)))
     assert values.view(np.int64).tolist() == \
         np.array([float(text) for text in texts]).view(np.int64).tolist()
+
+
+# What a table cell can be: Python floats (edge values included), ints and
+# texts that csv must quote (a comma, a quote, CR or LF), or the empty text.
+TEXTS = st.text(st.sampled_from('ab ,"\r\n\t;\u00e9'), max_size=6)
+CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]),
+    st.integers(-10**20, 10**20),
+    TEXTS,
+)
+
+
+@st.composite
+def tables(draw):
+    """A header and equal-length columns (at least two), zero rows included."""
+    width = draw(st.integers(2, 5))
+    rows = draw(st.integers(0, 6))
+    header = tuple(draw(st.lists(TEXTS, min_size=width, max_size=width)))
+    return header, [draw(st.lists(CELLS, min_size=rows, max_size=rows)) for _ in range(width)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=tables())
+def test_write_columns_writes_the_bytes_of_csv_writer(table):
+    header, columns = table
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = f"{tmp}/got.csv", f"{tmp}/want.csv"
+        damod.write_columns(got, header, columns)
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(zip(*columns))
+        with open(got, "rb") as fh_got, open(want, "rb") as fh_want:
+            assert fh_got.read() == fh_want.read()
 
 
 def test_column_codec_reads_dates_and_choices(tmp_path):

@@ -2,6 +2,7 @@
 charge, reward and price and production rows.  These tests hold it to the
 eager record of arrays it replaced: the same values bit for bit, the same CSV
 bytes, and no change when a strategy edits its schedule lists after the step."""
+import csv
 import math
 import tempfile
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dayahead.data import day_hour_columns, hour_by_hour, write_columns, write_rows
+from dayahead.data import day_hour_columns, hour_by_hour
 from dayahead.market import (BID_OUTCOME_HEADER, BUY, DAY_RESULT_HEADER, FIRST_DELIVERY_DAY,
                              HOURS_PER_DAY, SELL, EnvConfig, TradingEnv, export_bid_outcomes,
                              export_day_results, hourly_production, schedule_slots)
@@ -43,18 +44,26 @@ def eager_record(dataset, config, day, start_charge, reward, schedule, trace):
         reward=reward)
 
 
+def write_csv(path, header, rows):
+    """The table as ``csv.writer`` writes it, which the exporters match."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def eager_export_day_results(records, path):
     """The trace writer that read the eager record's arrays."""
-    write_columns(path, DAY_RESULT_HEADER, [
+    write_csv(path, DAY_RESULT_HEADER, zip(
         *day_hour_columns([r.day for r in records]),
         *(hour_by_hour([getattr(r, name)[-HOURS_PER_DAY:] for r in records])
           for name in ("prices", "buy_volumes", "sell_volumes", "unscheduled_buys",
-                       "unscheduled_sells", "battery_trace", "cash_deltas"))])
+                       "unscheduled_sells", "battery_trace", "cash_deltas"))))
 
 
 def eager_export_bid_outcomes(records, path):
     """The bid writer that read one outcome record per bid."""
-    write_rows(path, BID_OUTCOME_HEADER, (
+    write_csv(path, BID_OUTCOME_HEADER, (
         (r.day, hour, side, float(volume), float(price), int(accepted))
         for r in records for hour, side, volume, price, accepted in r.bid_outcomes))
 
@@ -105,3 +114,20 @@ def test_lean_record_matches_the_eager_record(env, start, seed, schedules):
         for name in ("trace.csv", "bids.csv"):
             assert (out / name).read_bytes() == (out / f"eager_{name}").read_bytes(), name
 
+
+def test_bids_csv_writes_numpy_scalars_as_numbers(env, tmp_path):
+    """A schedule of numpy rows leaves numpy scalars in the record; the bid
+    table still holds the numbers, as the csv oracle writes them."""
+    schedule = np.zeros((4, HOURS_PER_DAY))
+    schedule[0, 3], schedule[1, 3] = 0.3, 1e9  # a buy that clears
+    schedule[2, 5], schedule[3, 5] = 0.2, 1e9  # a sell that does not
+    env.reset(10, 0, 1)
+    _, reward, record, _ = env.step(schedule)
+    eager = eager_record(env.dataset, env.config, record.day, record.start_charge, reward,
+                         schedule.tolist(), record.trace)
+    export_bid_outcomes([record], tmp_path / "bids.csv")
+    eager_export_bid_outcomes([eager], tmp_path / "eager_bids.csv")
+    written = (tmp_path / "bids.csv").read_bytes()
+    assert written == (tmp_path / "eager_bids.csv").read_bytes()
+    assert written.splitlines()[1:] == [b"10,3,buy,0.3,1000000000.0,1",
+                                        b"10,5,sell,0.2,1000000000.0,0"]

@@ -360,6 +360,21 @@ def test_a2c_config_rejects_evaluation_frequency_below_one(frequency):
         A2cConfig(eval_frequency=frequency)
 
 
+@pytest.mark.parametrize("name", ["learning_rate", "vf_coef", "ent_coef", "rms_decay",
+                                  "rms_eps", "max_grad_norm", "log_std_init"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a2c_config_rejects_non_finite_reals(name, value):
+    """A NaN or infinite rate or coefficient was accepted, and a direct
+    caller of a2c_train failed only mid-run."""
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        A2cConfig(**{name: value})
+
+
+def test_a2c_config_names_the_first_non_finite_field():
+    with pytest.raises(ValueError, match="learning_rate"):
+        A2cConfig(learning_rate=math.nan, max_grad_norm=math.inf, vf_coef=math.nan)
+
+
 def make_updater(action_size=4, seed=0, **cfg_kwargs):
     cfg_kwargs.setdefault("learning_rate", 1e-3)
     cfg = A2cConfig(**cfg_kwargs)
