@@ -204,29 +204,29 @@ def load_data_dir(data_dir, cfg: dict) -> datamod.Dataset:
     return datamod.split_dataset(dataset, **config_section(cfg, "split"))
 
 
+def _parse_list(flag: str, text: str, cast, kind: str, noun: str) -> list:
+    """The values of a comma- or space-separated ``flag`` list, each cast by
+    ``cast`` and each once."""
+    try:
+        values = [cast(v) for v in text.replace(",", " ").split()]
+    except ValueError:
+        raise ValueError(f"{flag} {text!r} must list {kind}") from None
+    if not values or len(set(values)) != len(values):
+        raise ValueError(f"{flag} {text!r} must name at least one {noun}, each once")
+    return values
+
+
 def parse_seeds(text: str | None, master: int) -> list[int]:
     """The run seeds of ``--seeds``, each once; five from ``master`` when the
     flag is not given."""
     if text is None:
         return [master + i for i in range(5)]
-    try:
-        seeds = [int(v) for v in text.replace(",", " ").split()]
-    except ValueError:
-        raise ValueError(f"--seeds {text!r} must list whole numbers") from None
-    if not seeds or len(set(seeds)) != len(seeds):
-        raise ValueError(f"--seeds {text!r} must name at least one seed, each once")
-    return seeds
+    return _parse_list("--seeds", text, int, "whole numbers", "seed")
 
 
 def parse_capacities(text: str) -> list[float]:
     """The battery capacities of ``--capacities``, each once."""
-    try:
-        capacities = [float(v) for v in text.replace(",", " ").split()]
-    except ValueError:
-        raise ValueError(f"--capacities {text!r} must list numbers") from None
-    if not capacities or len(set(capacities)) != len(capacities):
-        raise ValueError(f"--capacities {text!r} must name at least one capacity, each once")
-    return capacities
+    return _parse_list("--capacities", text, float, "numbers", "capacity")
 
 
 def write_manifest(out_dir, command: str, cfg: dict, seeds: list[int],

@@ -32,8 +32,7 @@ Each simulator rule lives in one place:
   once per episode: the consumption tape built by ``TradingEnv.reset``;
 * the per-hour rolling median price: :func:`rolling_price_stats`;
 * volume rounding to the market step: :func:`round_volumes`;
-* the bids of a schedule, in ``bids.csv`` order: :func:`schedule_slots`,
-  whose walk ``export_bid_outcomes`` repeats per day, pinned to it by test;
+* the bids of a schedule, in ``bids.csv`` order: :func:`schedule_slots`;
 * the name of each hourly quantity: :data:`DAY_RESULT_HEADER`, the
   columns of ``trace.csv``, whose names :data:`TRACE_FIELDS` reuses;
 * the per-hour trace layout of a collected day: :data:`TRACE_FIELDS`;
@@ -336,47 +335,29 @@ def export_day_results(results: list[DayResult], path) -> None:
     """Write ``trace.csv``: one row per hour of each day, with the columns of
     :data:`DAY_RESULT_HEADER`; battery_level is the level at the end of the
     hour.  Each day's 24 lines are formatted from its record, every value by
-    ``repr``, as the csv module writes a float."""
+    ``str``, which writes a float as the csv module does and a numpy scalar
+    as the same number."""
     names = DAY_RESULT_HEADER[2:]
     write_lines(path, DAY_RESULT_HEADER, chain.from_iterable(
         map(",".join, zip(repeat(str(res.day)), _HOUR_TEXTS,
-                          *[map(repr, res.hourly(name)) for name in names]))
+                          *[map(str, res.hourly(name)) for name in names]))
         for res in results))
 
 
-class _FloatTexts(dict):
-    """The ``repr`` of ``float(value)`` for each value looked up, formatted
-    once: bid volumes lie on the 0.1 MWh grid and repeat."""
-
-    def __missing__(self, value) -> str:
-        text = self[value] = repr(float(value))
-        return text
-
-
-def _bid_lines(res: DayResult, volume_texts: _FloatTexts):
-    """The ``bids.csv`` lines of one day: its schedule walked as
-    :func:`schedule_slots` walks it, a bid accepted when its side traded in
-    its hour (see :meth:`DayResult.bid_rows`)."""
-    day = res.day
-    buy_volumes, buy_prices, sell_volumes, sell_prices = res.schedule
-    bought, sold = res.hourly("buy_exec"), res.hourly("sell_exec")
-    for hour in range(HOURS_PER_DAY):
-        if buy_volumes[hour]:
-            yield (f"{day},{hour},{BUY},{volume_texts[buy_volumes[hour]]},"
-                   f"{float(buy_prices[hour])!r},{int(bought[hour] != 0.0)}")
-        if sell_volumes[hour]:
-            yield (f"{day},{hour},{SELL},{volume_texts[sell_volumes[hour]]},"
-                   f"{float(sell_prices[hour])!r},{int(sold[hour] != 0.0)}")
+def _bid_lines(res: DayResult):
+    """The ``bids.csv`` lines of one day, in :func:`schedule_slots` order; a
+    bid is accepted when its side traded in its hour."""
+    executed = {BUY: res.hourly("buy_exec"), SELL: res.hourly("sell_exec")}
+    for hour, side, volume, price in schedule_slots(res.schedule):
+        yield (f"{res.day},{hour},{side},{float(volume)!r},{float(price)!r},"
+               f"{int(executed[side][hour] != 0.0)}")
 
 
 def export_bid_outcomes(results: list[DayResult], path) -> None:
     """Write ``bids.csv``: one row per bid, day,hour,side,volume,price,accepted,
     in :func:`schedule_slots` order.  Volumes and prices pass through
-    ``float`` so that a numpy scalar prints as a number; the text of each
-    volume is formatted once per call."""
-    volume_texts = _FloatTexts()
-    write_lines(path, BID_OUTCOME_HEADER,
-                chain.from_iterable(_bid_lines(res, volume_texts) for res in results))
+    ``float`` so that a numpy scalar prints as a number."""
+    write_lines(path, BID_OUTCOME_HEADER, chain.from_iterable(map(_bid_lines, results)))
 
 
 # ---------------------------------------------------------------------------

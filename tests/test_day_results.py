@@ -16,6 +16,7 @@ from dayahead.data import day_hour_columns, hour_by_hour
 from dayahead.market import (BID_OUTCOME_HEADER, BUY, DAY_RESULT_HEADER, FIRST_DELIVERY_DAY,
                              HOURS_PER_DAY, SELL, EnvConfig, TradingEnv, export_bid_outcomes,
                              export_day_results, hourly_production, schedule_slots)
+from dayahead.reports import read_day_results
 
 from conftest import day_array
 
@@ -115,19 +116,27 @@ def test_lean_record_matches_the_eager_record(env, start, seed, schedules):
             assert (out / name).read_bytes() == (out / f"eager_{name}").read_bytes(), name
 
 
-def test_bids_csv_writes_numpy_scalars_as_numbers(env, tmp_path):
-    """A schedule of numpy rows leaves numpy scalars in the record; the bid
-    table still holds the numbers, as the csv oracle writes them."""
+def test_run_tables_write_numpy_scalars_as_numbers(env, tmp_path):
+    """A schedule of numpy rows leaves numpy scalars in the record; the trace
+    and bid tables still hold the numbers, as the csv oracle writes them, and
+    ``report`` reads them back."""
     schedule = np.zeros((4, HOURS_PER_DAY))
     schedule[0, 3], schedule[1, 3] = 0.3, 1e9  # a buy that clears
     schedule[2, 5], schedule[3, 5] = 0.2, 1e9  # a sell that does not
     env.reset(10, 0, 1)
     _, reward, record, _ = env.step(schedule)
+    assert any(isinstance(value, np.floating) for value in record.trace)
     eager = eager_record(env.dataset, env.config, record.day, record.start_charge, reward,
                          schedule.tolist(), record.trace)
+    export_day_results([record], tmp_path / "trace.csv")
     export_bid_outcomes([record], tmp_path / "bids.csv")
+    eager_export_day_results([eager], tmp_path / "eager_trace.csv")
     eager_export_bid_outcomes([eager], tmp_path / "eager_bids.csv")
-    written = (tmp_path / "bids.csv").read_bytes()
-    assert written == (tmp_path / "eager_bids.csv").read_bytes()
-    assert written.splitlines()[1:] == [b"10,3,buy,0.3,1000000000.0,1",
-                                        b"10,5,sell,0.2,1000000000.0,0"]
+    for name in ("trace.csv", "bids.csv"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"eager_{name}").read_bytes(), name
+    assert (tmp_path / "bids.csv").read_bytes().splitlines()[1:] == [
+        b"10,3,buy,0.3,1000000000.0,1", b"10,5,sell,0.2,1000000000.0,0"]
+    tables, bids = read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (10, 11))
+    assert tables["buy_exec"][0].tolist() == record.hourly("buy_exec")
+    assert tables["battery_level"][0].tolist() == record.hourly("battery_level")
+    assert bids == [(10, 3, BUY, 0.3, 1e9, True), (10, 5, SELL, 0.2, 1e9, False)]
