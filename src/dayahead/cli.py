@@ -25,11 +25,24 @@ fraction for a whole number, NaN or an infinity for a real number, a
 table does not know are ignored.  A ``--seeds`` list that is empty or names
 a seed twice exits 2 as well.
 
-Exit codes: 0 success, 2 validation error, 3 missing artifact.
+``optimize``, ``train-rl`` and ``evaluate`` lay out ``--out`` as one run
+directory: per run seed, ``seed<N>/`` holds the scoring of the test range,
+``trace.csv`` (the simulated hours) and ``bids.csv`` (each bid and whether
+it cleared), next to the verb's own files (``params.json`` and
+``optimization_log.csv`` from ``optimize``; ``policy.npz``, ``params.json``
+and ``training_log.csv`` from ``train-rl``).  ``result.json`` (strategy,
+seeds, incomes, test range and each seed's artifact) and ``manifest.json``
+(command, config, seeds, data hash) close the run; ``report`` reads it back.
+
+Exit codes: 0 success, 2 validation error, 3 missing artifact.  ``--out``
+is made with the first file a verb writes, after all of its input checks
+and, for the three verbs above, after the first seed's strategy is fitted
+or loaded; so a verb that exits 2 or 3 on its inputs writes nothing.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -42,8 +55,8 @@ import numpy as np
 from . import data as datamod
 from . import reports as reportsmod
 from .cmaes import CmaesConfig
-from .market import (EnvConfig, TradingEnv, delivery_window, export_bid_outcomes,
-                     export_day_results, reference_balance)
+from .market import (TEMPERATURE_RANGE, EnvConfig, TradingEnv, delivery_window,
+                     export_bid_outcomes, export_day_results, reference_balance)
 from .nets import load_policy, save_policy
 from .strategies import (BLACKBOX, PARAMETRIC_KINDS, load_strategy_params, params_class,
                          save_strategy_params)
@@ -258,32 +271,49 @@ def _verb_inputs(args):
             test_range_of(dataset, cfg))
 
 
-def _write_result(out_dir, name: str, seeds: list[int], incomes: list[float],
-                  test_range: tuple[int, int], artifacts: dict) -> None:
-    payload = {
-        "strategy": name,
-        "seeds": seeds,
-        "incomes": [float(v) for v in incomes],
-        "test_range": list(test_range),
-        "artifacts": artifacts,
-    }
-    with open(os.path.join(out_dir, "result.json"), "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+def seed_dir(seed: int) -> str:
+    """The name of one seed's directory in a run directory."""
+    return f"seed{seed}"
+
+
+def _seed_file(run_dir, seed: int, name: str) -> str:
+    """The path of ``name`` in a seed directory, made with the run directory on first use."""
+    os.makedirs(os.path.join(run_dir, seed_dir(seed)), exist_ok=True)
+    return os.path.join(run_dir, seed_dir(seed), name)
+
+
+def _run_seeds(args, cfg: dict, env: TradingEnv, seeds: list[int],
+               test_range: tuple[int, int], name: str, extra: dict, fit) -> list[float]:
+    """Fill the run directory of a scoring verb; returns the test incomes.
+    Per seed, ``fit(seed, seed_file)`` fits or loads the strategy, writes the
+    verb's own files to ``seed_file(name)``, and returns the strategy, the
+    file name of its artifact (or None) and the text printed before the
+    income; the strategy is then scored on ``test_range`` and exported."""
+    incomes, artifacts = [], {}
+    for seed in seeds:
+        seed_file = functools.partial(_seed_file, args.out, seed)
+        strategy, artifact, text = fit(seed, seed_file)
+        income, results = evaluate_strategy(strategy, env, test_range, seed,
+                                            collect_results=True)
+        export_day_results(results, seed_file("trace.csv"))
+        export_bid_outcomes(results, seed_file("bids.csv"))
+        del results  # the collected days; the next seed's fit must not hold them
+        incomes.append(income)
+        if artifact is not None:
+            artifacts[seed_dir(seed)] = os.path.join(seed_dir(seed), artifact)
+        print(f"seed {seed}: {text}income {income:.2f}")
+    with open(os.path.join(args.out, "result.json"), "w") as fh:
+        json.dump({"strategy": name, "seeds": seeds, "incomes": [float(v) for v in incomes],
+                   "test_range": list(test_range), "artifacts": artifacts},
+                  fh, indent=1, sort_keys=True)
         fh.write("\n")
+    write_manifest(args.out, args.command, cfg, seeds, env.dataset, extra)
+    return incomes
 
 
 def _print_summary(name: str, incomes: list[float]) -> None:
     row = reportsmod.BalanceRow(name, incomes)
     print(f"{name}: {row.mean:.2f} +- {row.std:.2f}")
-
-
-def _score_and_trace(bids_fn, env, test_range, seed, seed_dir):
-    income, results = evaluate_strategy(bids_fn, env, test_range, seed,
-                                        collect_results=True)
-    os.makedirs(seed_dir, exist_ok=True)
-    export_day_results(results, os.path.join(seed_dir, "trace.csv"))
-    export_bid_outcomes(results, os.path.join(seed_dir, "bids.csv"))
-    return income
 
 
 # ---------------------------------------------------------------------------
@@ -315,30 +345,21 @@ def cmd_optimize(args) -> int:
     cma_config = CmaesConfig(**config_section(cfg, "cmaes"))
     kind = args.strategy
     env = TradingEnv(dataset, env_config)
-    os.makedirs(args.out, exist_ok=True)
 
-    incomes = []
-    artifacts = {}
-    for seed in seeds:
+    def fit(seed, seed_file):
         params_vec, history = optimize_parametric(kind, env, cma_config, seed)
-        seed_dir = os.path.join(args.out, f"seed{seed}")
-        os.makedirs(seed_dir, exist_ok=True)
         params = params_class(kind).from_vector(params_vec)
-        save_strategy_params(os.path.join(seed_dir, "params.json"), kind, params)
-        with open(os.path.join(seed_dir, "optimization_log.csv"), "w") as fh:
+        save_strategy_params(seed_file("params.json"), kind, params)
+        with open(seed_file("optimization_log.csv"), "w") as fh:
             fh.write("generation,best_objective,median_objective,sigma\n")
             for rec in history.records:
                 fh.write(f"{rec.generation},{rec.best_objective!r},"
                          f"{rec.median_objective!r},{rec.sigma!r}\n")
-        income = _score_and_trace(params.bids, env, test_range, seed, seed_dir)
-        incomes.append(income)
-        artifacts[f"seed{seed}"] = os.path.join(f"seed{seed}", "params.json")
-        print(f"seed {seed}: test income {income:.2f}")
+        return params.bids, "params.json", "test "
 
     name = f"{kind} (CMA-ES)"
-    _write_result(args.out, name, seeds, incomes, test_range, artifacts)
-    write_manifest(args.out, "optimize", cfg, seeds, dataset, {"strategy": kind})
-    _print_summary(name, incomes)
+    _print_summary(name, _run_seeds(args, cfg, env, seeds, test_range, name,
+                                    {"strategy": kind}, fit))
     return EXIT_OK
 
 
@@ -347,40 +368,26 @@ def cmd_train_rl(args) -> int:
     include_weather = not args.no_weather
     a2c_config = a2c_config_from(cfg, include_weather)
     env = TradingEnv(dataset, env_config)
-    os.makedirs(args.out, exist_ok=True)
 
-    incomes = []
-    artifacts = {}
-    for seed in seeds:
+    def fit(seed, seed_file):
         run = a2c_train(env, a2c_config, seed)
-        seed_dir = os.path.join(args.out, f"seed{seed}")
-        os.makedirs(seed_dir, exist_ok=True)
-        policy_path = os.path.join(seed_dir, "policy.npz")
-        save_policy(policy_path, run.best_policy)
-        save_strategy_params(os.path.join(seed_dir, "params.json"), BLACKBOX, "policy.npz")
-        with open(os.path.join(seed_dir, "training_log.csv"), "w") as fh:
+        save_policy(seed_file("policy.npz"), run.best_policy)
+        save_strategy_params(seed_file("params.json"), BLACKBOX, "policy.npz")
+        with open(seed_file("training_log.csv"), "w") as fh:
             fh.write("step,val_reward,is_best\n")
             for step, val, is_best in run.log_rows():
                 fh.write(f"{step},{val!r},{is_best}\n")
-        income = _score_and_trace(policy_strategy(run.best_policy, include_weather),
-                                  env, test_range, seed, seed_dir)
-        incomes.append(income)
-        artifacts[f"seed{seed}"] = os.path.join(f"seed{seed}", "policy.npz")
-        print(f"seed {seed}: best val {run.best_val_reward:.2f} at step {run.best_step}, "
-              f"test income {income:.2f}")
+        return (policy_strategy(run.best_policy, include_weather), "policy.npz",
+                f"best val {run.best_val_reward:.2f} at step {run.best_step}, test ")
 
     name = "neural (A2C)" if include_weather else "neural (A2C, no weather)"
-    _write_result(args.out, name, seeds, incomes, test_range, artifacts)
-    write_manifest(args.out, "train-rl", cfg, seeds, dataset,
-                   {"include_weather": include_weather})
-    _print_summary(name, incomes)
+    _print_summary(name, _run_seeds(args, cfg, env, seeds, test_range, name,
+                                    {"include_weather": include_weather}, fit))
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     cfg, dataset, env_config, seeds, test_range = _verb_inputs(args)
-    os.makedirs(args.out, exist_ok=True)
-
     if args.policy:
         if not os.path.exists(args.policy):
             raise MissingArtifact(f"policy file {args.policy} not found")
@@ -388,7 +395,7 @@ def cmd_evaluate(args) -> int:
         include_weather = bool(policy.meta.get("include_weather", True))
         # The policy must see forecasts normalized as in its training.
         for key, value in (("max_wind_speed", env_config.max_wind_speed),
-                           ("temperature_range", list(env_config.temperature_range))):
+                           ("temperature_range", list(TEMPERATURE_RANGE))):
             if key in policy.meta and policy.meta[key] != value:
                 raise ValueError(f"policy was trained with {key} {policy.meta[key]!r}, "
                                  f"the config gives {value!r}")
@@ -411,14 +418,8 @@ def cmd_evaluate(args) -> int:
         raise ValueError("pass one of --policy, --params or --zero-action")
 
     env = TradingEnv(dataset, env_config)
-    incomes = []
-    for seed in seeds:
-        income = _score_and_trace(bids_fn, env, test_range, seed,
-                                  os.path.join(args.out, f"seed{seed}"))
-        incomes.append(income)
-        print(f"seed {seed}: income {income:.2f}")
-    _write_result(args.out, name, seeds, incomes, test_range, {})
-    write_manifest(args.out, "evaluate", cfg, seeds, dataset, {"strategy": name})
+    _run_seeds(args, cfg, env, seeds, test_range, name, {"strategy": name},
+               lambda seed, seed_file: (bids_fn, None, ""))
     return EXIT_OK
 
 
@@ -466,20 +467,22 @@ def cmd_report(args) -> int:
     for result in results:
         report.add(result["strategy"], result["incomes"])
     report.reference = reference_balance(dataset, env_config, test_range)
+    window = reportsmod.middle_window(test_range, args.window_days)
+    run_days = []  # per run, the (tables, bids) of each seed's window
+    for run_dir, result in zip(run_dirs, results):
+        run_days.append([])
+        for seed in result["seeds"]:
+            trace = os.path.join(run_dir, seed_dir(seed), "trace.csv")
+            if not os.path.exists(trace):
+                raise MissingArtifact(f"missing trace {trace}")
+            bids = os.path.join(run_dir, seed_dir(seed), "bids.csv")
+            run_days[-1].append(reportsmod.read_day_results(trace, bids, window))
+
     os.makedirs(args.out, exist_ok=True)
     report.write_csv(os.path.join(args.out, "balance_report.csv"))
     report.write_json(os.path.join(args.out, "balance_report.json"))
-
-    window = reportsmod.middle_window(test_range, args.window_days)
-    for run_dir, result in zip(run_dirs, results):
+    for run_dir, result, seed_days in zip(run_dirs, results, run_days):
         name = os.path.basename(os.path.normpath(run_dir))
-        seed_days = []
-        for seed in result["seeds"]:
-            trace = os.path.join(run_dir, f"seed{seed}", "trace.csv")
-            bids = os.path.join(run_dir, f"seed{seed}", "bids.csv")
-            if not os.path.exists(trace):
-                raise MissingArtifact(f"missing trace {trace}")
-            seed_days.append(reportsmod.read_day_results(trace, bids, window))
         reportsmod.write_battery_trace([tables for tables, _ in seed_days], window,
                                        os.path.join(args.out, f"trace_battery_{name}.csv"))
         tables, bids = seed_days[int(np.argmax(result["incomes"]))]

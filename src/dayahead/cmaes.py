@@ -32,6 +32,8 @@ class CmaesConfig:
             raise ValueError(f"initial sigma must be positive and finite, got {self.sigma0}")
         if self.population is not None and self.population < 4:
             raise ValueError("population must be at least 4")
+        if self.generations < 1:
+            raise ValueError(f"generations must be at least 1, got {self.generations}")
 
 
 @dataclass

@@ -49,13 +49,32 @@ class DataError(ValueError):
     """A dataset file or record violates the schema or a domain invariant."""
 
 
-def _check_finite(values: np.ndarray, what: str, start_date: dt.date) -> None:
-    """Raise a DataError naming the first non-finite hour of a (days, 24) array."""
+# The values each hourly Dataset array may hold: (lowest, highest, the
+# words for a value beyond them).
+HOURLY_DOMAINS = {
+    "prices": (0.0, math.inf, "below 0"),
+    "cloudiness": (0, OKTA_MAX, f"outside 0..{OKTA_MAX}"),
+    "wind_speed": (0.0, math.inf, "below 0"),
+    "temperature": (-math.inf, math.inf, ""),
+}
+
+
+def _check_hourly(values: np.ndarray, field: str, start_date: dt.date,
+                  what: str | None = None) -> None:
+    """Raise a DataError, starting with ``what`` (the field by default) and
+    naming the date, day and hour, for the first value of a (days, 24) array
+    of ``field`` that is not finite or lies outside its domain."""
+    lo, hi, beyond = HOURLY_DOMAINS[field]
     bad = ~np.isfinite(values)
-    if bad.any():
-        day, hour = (int(i) for i in np.argwhere(bad)[0])
-        raise DataError(f"{what}: non-finite value on {start_date + dt.timedelta(days=day)} "
-                        f"(day {day}) hour {hour}")
+    if not bad.any():
+        bad = (values < lo) | (values > hi)
+        if not bad.any():
+            return
+    day, hour = (int(i) for i in np.argwhere(bad)[0])
+    value = values[day, hour]
+    problem = f"value {value} {beyond}" if np.isfinite(value) else "non-finite value"
+    raise DataError(f"{what or field}: {problem} on {start_date + dt.timedelta(days=day)} "
+                    f"(day {day}) hour {hour}")
 
 
 @dataclass
@@ -71,8 +90,10 @@ class ConsumptionProfile:
         bad = np.flatnonzero(~np.isfinite(self.avg_per_household))
         if bad.size:
             raise DataError(f"consumption profile: non-finite value at hour {bad[0]}")
-        if np.any(self.avg_per_household < 0):
-            raise DataError("consumption profile values must be nonnegative")
+        negative = np.flatnonzero(self.avg_per_household < 0)
+        if negative.size:
+            raise DataError(f"consumption profile: negative value "
+                            f"{self.avg_per_household[negative[0]]} at hour {negative[0]}")
 
 
 @dataclass(frozen=True)
@@ -82,9 +103,6 @@ class SplitBoundaries:
     train: tuple[int, int]
     validation: tuple[int, int]
     test: tuple[int, int]
-
-    def ranges(self) -> tuple[tuple[int, int], ...]:
-        return (self.train, self.validation, self.test)
 
 
 @dataclass
@@ -119,13 +137,7 @@ class Dataset:
         for name in ("prices", "cloudiness", "wind_speed", "temperature"):
             if getattr(self, name).shape != shape:
                 raise DataError(f"{name} array shape differs from prices")
-            _check_finite(getattr(self, name), name, self.start_date)
-        if np.any(self.prices < 0):
-            raise DataError("prices must be nonnegative")
-        if np.any((self.cloudiness < 0) | (self.cloudiness > OKTA_MAX)):
-            raise DataError(f"cloudiness must lie in 0..{OKTA_MAX}")
-        if np.any(self.wind_speed < 0):
-            raise DataError("wind speed must be nonnegative")
+            _check_hourly(getattr(self, name), name, self.start_date)
         self._check_forecasts()
         self._pbar_cache: dict[int, list] = {}
 
@@ -385,11 +397,13 @@ def _check_hours(path, hours: np.ndarray, what: str = "hour") -> None:
         raise DataError(f"{path}:{_line_of(path, i)}: {what} {hours[i]} outside 0..23")
 
 
-def _read_hourly_csv(path, header: tuple[str, ...]):
+def _read_hourly_csv(path, header: tuple[str, ...], fields: tuple[str, ...]):
     """Read a date/hour keyed CSV into (start_date, [(days, 24) array per value column]).
 
     Rows must be sorted by (date, hour) and form a gap-free hourly grid; the
-    first missing slot is reported by date, day index, and hour.
+    first missing slot is reported by date, day index, and hour.  The value
+    columns fill the Dataset arrays ``fields``, and each is checked against
+    its domain.
     """
     days, hours, *values = read_columns(
         path, header, (DATE, int) + (float,) * (len(header) - 2),
@@ -407,12 +421,12 @@ def _read_hourly_csv(path, header: tuple[str, ...]):
         raise DataError(f"{path}: gap in hourly sequence, missing "
                         f"{start_date + dt.timedelta(days=exp_day)} (day {exp_day}) hour {exp_hour}")
     arrays = [column.reshape(-1, HOURS_PER_DAY) for column in values]
-    for name, column in zip(header[2:], arrays):
-        _check_finite(column, f"{path}: {name}", start_date)
+    for name, field, column in zip(header[2:], fields, arrays):
+        _check_hourly(column, field, start_date, f"{path}: {name}")
     return start_date, arrays
 
 
-def _read_profile_csv(path) -> np.ndarray:
+def _read_profile_csv(path) -> ConsumptionProfile:
     hours, values = read_columns(path, PROFILE_HEADER, (int, float), messages={
         "avg_consumption_mwh": "{path}:{line}: bad value {text!r}"})
     _check_hours(path, hours)
@@ -425,7 +439,10 @@ def _read_profile_csv(path) -> np.ndarray:
     profile[hours] = values
     if np.any(np.isnan(profile)):
         raise DataError(f"{path}: profile must define all 24 hours")
-    return profile
+    try:  # the profile rules live in ConsumptionProfile; name the file
+        return ConsumptionProfile(profile)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _read_forecasts_csv(path, dataset: Dataset) -> np.ndarray:
@@ -462,24 +479,18 @@ def load_dataset(price_path, weather_path, profile_path, forecast_path=None) -> 
     Forecasts are optional; without ``forecast_path`` the returned dataset has
     no forecast block and one can be generated later with ``make_forecasts``.
     """
-    price_start, (prices,) = _read_hourly_csv(price_path, PRICES_HEADER)
-    weather_start, (cloud, wind_speed, temperature) = _read_hourly_csv(weather_path,
-                                                                       WEATHER_HEADER)
+    price_start, (prices,) = _read_hourly_csv(price_path, PRICES_HEADER, ("prices",))
+    weather_start, (cloud, wind_speed, temperature) = _read_hourly_csv(
+        weather_path, WEATHER_HEADER, ("cloudiness", "wind_speed", "temperature"))
     if price_start != weather_start or prices.shape != cloud.shape:
         raise DataError("price and weather files cover different day ranges")
     fractional = np.argwhere(cloud != np.round(cloud))
     if fractional.size:
         raise DataError(f"{weather_path}: cloudiness must be an integer Okta value "
                         f"(day {fractional[0, 0]}, hour {fractional[0, 1]})")
-    cloud = cloud.astype(int)
-    outside = np.argwhere((cloud < 0) | (cloud > OKTA_MAX))
-    if outside.size:
-        day, hour = outside[0]
-        raise DataError(f"{weather_path}: cloudiness {cloud[day, hour]} outside 0..{OKTA_MAX} "
-                        f"(day {day}, hour {hour})")
-    dataset = Dataset(start_date=price_start, prices=prices, cloudiness=cloud,
+    dataset = Dataset(start_date=price_start, prices=prices, cloudiness=cloud.astype(int),
                       wind_speed=wind_speed, temperature=temperature,
-                      profile=ConsumptionProfile(_read_profile_csv(profile_path)))
+                      profile=_read_profile_csv(profile_path))
     if forecast_path is None:
         return dataset
     forecasts = _read_forecasts_csv(forecast_path, dataset)
@@ -759,34 +770,22 @@ def make_forecasts(dataset: Dataset, sigmas: ForecastSigmas | None = None,
 DEFAULT_SPLIT_FRACTIONS = (11 / 16, 1 / 16, 4 / 16)
 
 
-def split_dataset(dataset: Dataset, fractions: tuple[float, float, float] | None = None,
-                  ranges: tuple[tuple[int, int], ...] | None = None) -> Dataset:
-    """Record train/validation/test day ranges on the dataset.
+def split_dataset(dataset: Dataset,
+                  fractions: tuple[float, float, float] = DEFAULT_SPLIT_FRACTIONS) -> Dataset:
+    """Record train/validation/test day ranges on the dataset: consecutive
+    half-open ranges covering the whole span, sized by ``fractions``.
 
-    Either explicit half-open day ranges (must be disjoint and in order) or
-    fractions of the whole span.  The default split mirrors an 11:1:4 quarter
-    layout: about 2.75 years of training, one validation quarter, one test year.
+    The fractions must be three positive finite numbers summing to 1, and
+    each range must hold at least one day.  The default split mirrors an
+    11:1:4 quarter layout: about 2.75 years of training, one validation
+    quarter, one test year.
     """
-    if ranges is not None:
-        if fractions is not None:
-            raise DataError("pass either fractions or ranges, not both")
-        if len(ranges) != 3:
-            raise DataError("expected exactly three (start, end) ranges")
-        for start, end in ranges:
-            if not (0 <= start < end <= dataset.num_days):
-                raise DataError(f"range ({start}, {end}) outside the dataset")
-        (t0, t1), (v0, v1), (s0, s1) = ranges
-        if not (t1 <= v0 and v1 <= s0):
-            raise DataError("ranges must be disjoint and ordered train < validation < test")
-        split = SplitBoundaries((t0, t1), (v0, v1), (s0, s1))
-    else:
-        fractions = fractions or DEFAULT_SPLIT_FRACTIONS
-        if len(fractions) != 3 or any(f <= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-            raise DataError("fractions must be three positive values summing to 1")
-        n = dataset.num_days
-        b1 = round(n * fractions[0])
-        b2 = round(n * (fractions[0] + fractions[1]))
-        if not (0 < b1 < b2 < n):
-            raise DataError("dataset too small for the requested split")
-        split = SplitBoundaries((0, b1), (b1, b2), (b2, n))
-    return replace(dataset, split=split)
+    if len(fractions) != 3 or not all(0 < f < math.inf for f in fractions) \
+            or abs(sum(fractions) - 1.0) > 1e-9:  # NaN fails 0 < f
+        raise DataError("fractions must be three positive values summing to 1")
+    n = dataset.num_days
+    b1 = round(n * fractions[0])
+    b2 = round(n * (fractions[0] + fractions[1]))
+    if not (0 < b1 < b2 < n):
+        raise DataError("dataset too small for the requested split")
+    return replace(dataset, split=SplitBoundaries((0, b1), (b1, b2), (b2, n)))

@@ -59,6 +59,7 @@ BUY = "buy"
 SELL = "sell"
 
 FIRST_DELIVERY_DAY = 2  # after a decision day, which needs a forecast (from day 1)
+TEMPERATURE_RANGE = (-20.0, 40.0)  # degrees C scaled to 0..1 in observations
 
 
 def round_volumes(values, scale: float = 1.0) -> list[float]:
@@ -127,7 +128,6 @@ class EnvConfig:
     penalty_sell_multiplier: float = 0.5
     initial_charge: float = 0.5          # starting battery level as a fraction of capacity
     price_scale: float | None = None     # observation normalization; None -> train-split mean
-    temperature_range: tuple[float, float] = (-20.0, 40.0)
 
     def __post_init__(self) -> None:
         if not 0 < self.battery_capacity < math.inf:  # rejects NaN
@@ -414,7 +414,7 @@ class TradingEnv:
         self._forecast_ok = [dataset.forecast_available(d) for d in range(dataset.num_days)]
         self._forecast_ok.append(False)  # sentinel for day num_days
         if dataset.has_forecasts:
-            t_lo, t_hi = cfg.temperature_range
+            t_lo, t_hi = TEMPERATURE_RANGE
             self._forecast_norm = np.concatenate(
                 [dataset.forecast_cloudiness / 8.0,
                  dataset.forecast_wind_speed / cfg.max_wind_speed,

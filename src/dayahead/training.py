@@ -17,8 +17,8 @@ import numpy as np
 
 from .cmaes import CmaesConfig, CmaesHistory, cmaes_optimize
 from .data import Dataset
-from .market import (DayResult, EnvConfig, TradingEnv, delivery_window,
-                     observation_size)
+from .market import (TEMPERATURE_RANGE, DayResult, EnvConfig, TradingEnv,
+                     delivery_window, observation_size)
 from .nets import (PolicyParams, backward, clip_gradient_norm, forward_cached,
                    init_policy, rmsprop_step)
 from .reports import BalanceRow
@@ -178,10 +178,9 @@ class A2cConfig:
             raise ValueError("gamma must lie in [0, 1]")
         if not 0 <= self.gae_lambda <= 1:
             raise ValueError("gae_lambda must lie in [0, 1]")
-        if self.n_steps <= 0:
-            raise ValueError("n_steps must be positive")
-        if self.eval_frequency < 1:
-            raise ValueError("eval_frequency must be at least 1")
+        for name in ("total_days", "n_steps", "eval_frequency", "eval_days", "hidden_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -310,7 +309,7 @@ def a2c_train(env: TradingEnv, config: A2cConfig, seed: int) -> TrainingRun:
         meta={
             "include_weather": config.include_weather,
             "price_scale": env.price_scale,
-            "temperature_range": list(env.config.temperature_range),
+            "temperature_range": list(TEMPERATURE_RANGE),
             "max_wind_speed": env.config.max_wind_speed,
         },
     )

@@ -16,6 +16,7 @@ from dayahead.cli import (CONFIG_KEYS, a2c_config_from, config_section, env_conf
 from dayahead.cmaes import CmaesConfig
 from dayahead.data import SyntheticConfig
 from dayahead.market import EnvConfig, TradingEnv
+from dayahead.reports import BalanceRow
 from dayahead.training import A2cConfig, evaluate_strategy
 
 from conftest import day_array
@@ -189,32 +190,62 @@ def test_config_accepts_integral_floats_and_automatic_population(tmp_path):
 # optimize / train-rl / evaluate
 # ---------------------------------------------------------------------------
 
-def test_optimize_timing_writes_params_and_result(data_dir, config_path, tmp_path):
+def assert_run_directory(out, seeds, seed_files, artifact):
+    """The layout of a scoring verb's run directory: one directory per seed
+    holding ``seed_files``, ``result.json`` naming each seed's ``artifact``
+    (none when None), and ``manifest.json``; returns ``result.json``."""
+    assert set(os.listdir(out)) == {"result.json", "manifest.json",
+                                    *(f"seed{seed}" for seed in seeds)}
+    for seed in seeds:
+        assert set(os.listdir(out / f"seed{seed}")) == seed_files, seed
+    result = json.loads((out / "result.json").read_text())
+    assert result["seeds"] == seeds
+    assert result["artifacts"] == ({} if artifact is None else
+                                   {f"seed{seed}": f"seed{seed}/{artifact}" for seed in seeds})
+    return result
+
+
+def summary_line(name, incomes):
+    row = BalanceRow(name, incomes)
+    return f"{name}: {row.mean:.2f} +- {row.std:.2f}"
+
+
+def test_optimize_timing_writes_params_and_result(data_dir, config_path, tmp_path, capsys):
     out = tmp_path / "timing"
     code = main(["optimize", "--strategy", "timing", "--data", str(data_dir),
                  "--config", config_path, "--seeds", "0,1", "--out", str(out)])
     assert code == 0
-    result = json.loads((out / "result.json").read_text())
+    result = assert_run_directory(out, [0, 1], {"params.json", "optimization_log.csv",
+                                                "trace.csv", "bids.csv"}, "params.json")
     assert result["strategy"] == "timing (CMA-ES)"
     assert len(result["incomes"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"seed {seed}: test income {income:.2f}"
+          for seed, income in zip([0, 1], result["incomes"])),
+        summary_line("timing (CMA-ES)", result["incomes"])]
     params = json.loads((out / "seed0" / "params.json").read_text())
     assert params["strategy_kind"] == "timing"
     assert len(params["alpha"]) == 2
-    assert (out / "seed0" / "trace.csv").exists()
-    assert (out / "seed0" / "optimization_log.csv").exists()
 
 
-def test_train_rl_writes_policy_and_logs(data_dir, config_path, tmp_path):
+def test_train_rl_writes_policy_and_logs(data_dir, config_path, tmp_path, capsys):
     out = tmp_path / "rl"
     code = main(["train-rl", "--data", str(data_dir), "--config", config_path,
                  "--seeds", "0", "--out", str(out)])
     assert code == 0
-    result = json.loads((out / "result.json").read_text())
+    result = assert_run_directory(out, [0], {"policy.npz", "params.json", "training_log.csv",
+                                             "trace.csv", "bids.csv"}, "policy.npz")
     assert result["strategy"] == "neural (A2C)"
-    assert (out / "seed0" / "policy.npz").exists()
+    assert json.loads((out / "seed0" / "params.json").read_text()) == {
+        "strategy_kind": "blackbox", "policy_path": "policy.npz"}
     log = (out / "seed0" / "training_log.csv").read_text().strip().splitlines()
     assert log[0] == "step,val_reward,is_best"
     assert len(log) >= 2
+    step, val, _ = [row.split(",") for row in log[1:] if row.endswith(",1")][-1]
+    assert capsys.readouterr().out.splitlines() == [
+        f"seed 0: best val {float(val):.2f} at step {step}, "
+        f"test income {result['incomes'][0]:.2f}",
+        summary_line("neural (A2C)", result["incomes"])]
 
 
 def test_train_rl_no_weather_flag(data_dir, config_path, tmp_path):
@@ -228,13 +259,16 @@ def test_train_rl_no_weather_flag(data_dir, config_path, tmp_path):
     assert policy.input_size == 69
 
 
-def test_evaluate_zero_action_baseline(data_dir, config_path, tmp_path):
+def test_evaluate_zero_action_baseline(data_dir, config_path, tmp_path, capsys):
     out = tmp_path / "zero"
     code = main(["evaluate", "--zero-action", "--data", str(data_dir),
                  "--config", config_path, "--seeds", "0,1", "--out", str(out)])
     assert code == 0
-    result = json.loads((out / "result.json").read_text())
+    result = assert_run_directory(out, [0, 1], {"trace.csv", "bids.csv"}, None)
+    assert result["strategy"] == "zero-action"
     assert len(result["incomes"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"seed {seed}: income {income:.2f}" for seed, income in zip([0, 1], result["incomes"])]
 
 
 def test_evaluate_stored_policy(data_dir, config_path, tmp_path):
@@ -266,6 +300,7 @@ def test_evaluate_policy_with_other_forecast_normalization_exits_2(
     assert code == 2
     err = capsys.readouterr().err
     assert key in err and repr(value) in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_evaluate_policy_missing_an_array_exits_2(data_dir, tmp_path, capsys):
@@ -428,6 +463,51 @@ def test_evaluate_missing_policy_exits_3(data_dir, tmp_path):
     code = main(["evaluate", "--policy", str(tmp_path / "nope.npz"),
                  "--data", str(data_dir), "--out", str(tmp_path / "o")])
     assert code == 3
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    ([], "pass one of --policy, --params or --zero-action"),
+    (["--params", "blackbox.json"], "black-box params reference a policy file"),
+])
+def test_evaluate_without_a_scorable_strategy_exits_2_and_writes_nothing(
+        data_dir, tmp_path, capsys, flags, message):
+    """Each left an empty output directory."""
+    from dayahead.strategies import BLACKBOX, save_strategy_params
+
+    save_strategy_params(tmp_path / "blackbox.json", BLACKBOX, "policy.npz")
+    flags = [str(tmp_path / flag) if flag.endswith(".json") else flag for flag in flags]
+    out = tmp_path / "o"
+    code = main(["evaluate", *flags, "--data", str(data_dir), "--seeds", "0",
+                 "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb,key,value,message", [
+    ("train-rl", "n_steps", 1000, "training split shorter than one episode"),
+    ("train-rl", "timesteps", 0, "total_days must be at least 1, got 0"),
+    ("train-rl", "eval_days", 0, "eval_days must be at least 1, got 0"),
+    ("train-rl", "net_arch", 0, "hidden_size must be at least 1, got 0"),
+    ("optimize", "generations", 0, "generations must be at least 1, got 0"),
+    ("optimize", "generations", -3, "generations must be at least 1, got -3"),
+])
+def test_fitting_verb_refused_before_its_first_seed_writes_nothing(
+        data_dir, tmp_path, capsys, verb, key, value, message):
+    """The episode longer than the training split left an empty output
+    directory; each size below one ran to exit 0 (an empty CMA-ES log, an
+    untrained policy, validations over zero days, an actor without hidden
+    units)."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**TINY_CONFIG, key: value}))
+    strategy = ["--strategy", "timing"] if verb == "optimize" else []
+    out = tmp_path / "o"
+    code = main([verb, *strategy, "--data", str(data_dir), "--config", str(config),
+                 "--seeds", "0", "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_data_dir_exits_3(tmp_path):
@@ -723,6 +803,7 @@ def test_report_names_line_of_non_integer_trace_day(data_dir, config_path, tmp_p
                  "--config", config_path, "--out", str(tmp_path / "report")])
     assert code == 2
     assert "trace.csv:5: bad day 'x'" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()  # every trace is read before the first write
 
 
 def test_report_names_line_of_unknown_bid_side(data_dir, config_path, tmp_path, capsys):

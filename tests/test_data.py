@@ -101,6 +101,50 @@ def test_non_finite_csv_value_names_file_day_and_hour(tmp_path, file, column, va
         load_dataset(*paths)
 
 
+@pytest.mark.parametrize("file,column,message", [
+    ("prices.csv", 2, r"prices\.csv: price: value -3\.0 below 0 on 2020-01-02 \(day 1\) hour 7"),
+    ("weather.csv", 3,
+     r"weather\.csv: wind_speed: value -3\.0 below 0 on 2020-01-02 \(day 1\) hour 7"),
+])
+def test_negative_csv_value_names_file_day_and_hour(tmp_path, file, column, message):
+    """Exited 2 with only ``prices must be nonnegative`` or ``wind speed must
+    be nonnegative``."""
+    paths = write_fixture_csvs(tmp_path, num_days=3)
+    edit_line(tmp_path / file, 1 + 24 + 7 + 1, set_field(column, "-3.0"))  # day 1, hour 7
+    with pytest.raises(DataError, match=message):
+        load_dataset(*paths)
+
+
+def test_negative_profile_value_names_file_and_hour(tmp_path):
+    """Exited 2 with only ``consumption profile values must be nonnegative``."""
+    paths = write_fixture_csvs(tmp_path, num_days=3)
+    edit_line(paths[2], 4, set_field(1, "-0.0002"))  # hour 2
+    with pytest.raises(DataError, match=r"profile\.csv: consumption profile: negative value "
+                                        r"-0\.0002 at hour 2"):
+        load_dataset(*paths)
+
+
+def test_out_of_range_cloudiness_names_file_day_and_hour(tmp_path):
+    paths = write_fixture_csvs(tmp_path, num_days=3)
+    edit_line(paths[1], 1 + 24 + 7 + 1, set_field(2, "9"))  # day 1, hour 7
+    with pytest.raises(DataError, match=r"weather\.csv: cloudiness: value 9\.0 outside 0\.\.8 "
+                                        r"on 2020-01-02 \(day 1\) hour 7"):
+        load_dataset(*paths)
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("prices", -1.0, r"prices: value -1\.0 below 0"),
+    ("wind_speed", -0.5, r"wind_speed: value -0\.5 below 0"),
+    ("cloudiness", 9, r"cloudiness: value 9 outside 0\.\.8"),
+])
+def test_dataset_rejects_values_outside_their_domain(name, value, message):
+    ds = flat_dataset(num_days=6)
+    values = getattr(ds, name).copy()
+    values[3, 5] = value
+    with pytest.raises(DataError, match=message + r" on 2020-01-09 \(day 3\) hour 5"):
+        replace(ds, **{name: values})
+
+
 @pytest.mark.parametrize("name", ["prices", "wind_speed", "temperature"])
 def test_dataset_rejects_non_finite_values(name):
     ds = flat_dataset(num_days=6)
@@ -214,6 +258,13 @@ def test_consumption_profile_rejects_non_finite_hour(value):
     values = np.full(24, 0.0002)
     values[5] = value
     with pytest.raises(DataError, match="non-finite value at hour 5"):
+        ConsumptionProfile(values)
+
+
+def test_consumption_profile_rejects_negative_hour():
+    values = np.full(24, 0.0002)
+    values[5] = -0.5
+    with pytest.raises(DataError, match="negative value -0.5 at hour 5"):
         ConsumptionProfile(values)
 
 
@@ -538,24 +589,17 @@ def test_default_split_proportions():
     quarter = 365.25 / 4
     ds = generate_synthetic_dataset(seed=2, num_days=1461)  # 4 years
     ds = split_dataset(ds)
-    train, val, test = ds.split.ranges()
+    train, val, test = ds.split.train, ds.split.validation, ds.split.test
     assert round((train[1] - train[0]) / quarter) == 11
     assert round((val[1] - val[0]) / quarter) == 1
     assert round((test[1] - test[0]) / quarter) == 4
     assert train[1] == val[0] and val[1] == test[0] and test[1] == ds.num_days
 
 
-def test_explicit_disjoint_ranges_accepted(small_dataset):
-    ds = split_dataset(small_dataset, ranges=((0, 60), (60, 90), (90, 120)))
-    assert ds.split.train == (0, 60)
-    assert ds.split.test == (90, 120)
-
-
-def test_overlapping_ranges_rejected(small_dataset):
-    with pytest.raises(DataError, match="disjoint"):
-        split_dataset(small_dataset, ranges=((0, 61), (60, 90), (90, 120)))
-
-
-def test_out_of_order_ranges_rejected(small_dataset):
-    with pytest.raises(DataError, match="disjoint|ordered"):
-        split_dataset(small_dataset, ranges=((60, 90), (0, 60), (90, 120)))
+@pytest.mark.parametrize("fractions", [(0.7, math.nan, 0.2), (math.nan,) * 3,
+                                       (0.7, math.inf, 0.2), (0.8, -0.1, 0.3)])
+def test_split_refuses_fractions_that_are_not_positive_and_finite(small_dataset, fractions):
+    """A NaN passed ``f <= 0`` and the sum check, and failed in ``round()``
+    with a bare ``cannot convert float NaN to integer``."""
+    with pytest.raises(DataError, match="three positive values summing to 1"):
+        split_dataset(small_dataset, fractions)

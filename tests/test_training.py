@@ -94,6 +94,13 @@ def test_cmaes_config_refuses_a_sigma_that_is_not_positive_and_finite(sigma0):
         CmaesConfig(sigma0=sigma0)
 
 
+@pytest.mark.parametrize("generations", [0, -3])
+def test_cmaes_config_refuses_fewer_than_one_generation(generations):
+    """It returned the initial mean with an empty log."""
+    with pytest.raises(ValueError, match=f"generations must be at least 1, got {generations}"):
+        CmaesConfig(generations=generations)
+
+
 def test_population_formula():
     assert default_population(2) == 6
     assert default_population(10) == 10
@@ -358,6 +365,16 @@ def test_a2c_config_rejects_evaluation_frequency_below_one(frequency):
     """The training loop advances its next evaluation step by this amount."""
     with pytest.raises(ValueError, match="eval_frequency"):
         A2cConfig(eval_frequency=frequency)
+
+
+@pytest.mark.parametrize("name", ["total_days", "n_steps", "eval_days", "hidden_size"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_a2c_config_rejects_sizes_below_one(name, value):
+    """``total_days`` 0 scored an untrained policy, ``eval_days`` 0 scored
+    every validation over zero days, and ``hidden_size`` 0 built an actor
+    without hidden units."""
+    with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
+        A2cConfig(**{name: value})
 
 
 @pytest.mark.parametrize("name", ["learning_rate", "vf_coef", "ent_coef", "rms_decay",
