@@ -18,7 +18,7 @@ from .nets import (MLP, PolicyParams, backward, forward, init_policy,
 from .strategies import (OpportunisticParams, TimingParams, blackbox_bids,
                          log_density, mean_action, opportunistic_bids,
                          sample_action, timing_bids)
-from .training import (A2cConfig, TrainingRun, a2c_train, battery_sweep,
-                       evaluate_strategy, gae_advantages, optimize_parametric)
+from .training import (A2cConfig, TrainingRun, a2c_train, evaluate_strategy,
+                       gae_advantages, optimize_parametric)
 
 __version__ = "0.1.0"

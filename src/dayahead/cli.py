@@ -8,8 +8,9 @@ Verbs:
   opportunistic), then score the optimized parameters on the test range;
 * ``train-rl``       actor-critic training of the neural strategy, with or
   without weather observations;
-* ``evaluate``       score stored strategy parameters or a stored policy;
-* ``sweep-battery``  repeat RL training across battery capacities;
+* ``evaluate``       score stored strategy parameters or a stored policy
+  (exactly one of ``--params``, ``--policy`` and ``--zero-action``);
+* ``sweep-battery``  ``train-rl`` once per battery capacity;
 * ``report``         consolidate run results into a balance table and
   plot-ready hourly trace files.
 
@@ -32,12 +33,22 @@ it cleared), next to the verb's own files (``params.json`` and
 ``optimization_log.csv`` from ``optimize``; ``policy.npz``, ``params.json``
 and ``training_log.csv`` from ``train-rl``).  ``result.json`` (strategy,
 seeds, incomes, test range and each seed's artifact) and ``manifest.json``
-(command, config, seeds, data hash) close the run; ``report`` reads it back.
+(command, config, seeds, data hash) close the run; ``report`` reads it back,
+checking each ``result.json`` first, and refuses two runs of one basename,
+which names its trace files.
 
-Exit codes: 0 success, 2 validation error, 3 missing artifact.  ``--out``
-is made with the first file a verb writes, after all of its input checks
-and, for the three verbs above, after the first seed's strategy is fitted
-or loaded; so a verb that exits 2 or 3 on its inputs writes nothing.
+``sweep-battery`` lays out ``--out`` as one ``capacity<C>/`` directory per
+capacity, in ascending order, each the run directory ``train-rl`` writes
+with ``battery_capacity: C`` (its strategy is named ``capacity <C>``), plus
+``battery_sweep.csv`` (per capacity the mean, spread and seed incomes) and
+``manifest.json``.  Every capacity is checked before the first one trains.
+
+Exit codes: 0 success, 2 validation error, 3 missing artifact.  Training
+that diverges (a non-finite gradient) exits 2 as well, naming the seed and
+the update.  ``--out`` is made with the first file a verb writes, after all
+of its input checks and, for the four verbs above, after the first seed's
+strategy is fitted or loaded; so a verb that exits 2 or 3 on its inputs
+writes nothing.
 """
 from __future__ import annotations
 
@@ -60,9 +71,8 @@ from .market import (TEMPERATURE_RANGE, EnvConfig, TradingEnv, delivery_window,
 from .nets import load_policy, save_policy
 from .strategies import (BLACKBOX, PARAMETRIC_KINDS, load_strategy_params, params_class,
                          save_strategy_params)
-from .training import (A2cConfig, a2c_train, battery_sweep, evaluate_strategy,
-                       fixed_action_strategy, optimize_parametric,
-                       policy_strategy)
+from .training import (A2cConfig, a2c_train, evaluate_strategy, fixed_action_strategy,
+                       optimize_parametric, policy_strategy)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -282,7 +292,7 @@ def _seed_file(run_dir, seed: int, name: str) -> str:
     return os.path.join(run_dir, seed_dir(seed), name)
 
 
-def _run_seeds(args, cfg: dict, env: TradingEnv, seeds: list[int],
+def _run_seeds(run_dir, command: str, cfg: dict, env: TradingEnv, seeds: list[int],
                test_range: tuple[int, int], name: str, extra: dict, fit) -> list[float]:
     """Fill the run directory of a scoring verb; returns the test incomes.
     Per seed, ``fit(seed, seed_file)`` fits or loads the strategy, writes the
@@ -291,24 +301,54 @@ def _run_seeds(args, cfg: dict, env: TradingEnv, seeds: list[int],
     income; the strategy is then scored on ``test_range`` and exported."""
     incomes, artifacts = [], {}
     for seed in seeds:
-        seed_file = functools.partial(_seed_file, args.out, seed)
+        seed_file = functools.partial(_seed_file, run_dir, seed)
         strategy, artifact, text = fit(seed, seed_file)
         income, results = evaluate_strategy(strategy, env, test_range, seed,
                                             collect_results=True)
         export_day_results(results, seed_file("trace.csv"))
         export_bid_outcomes(results, seed_file("bids.csv"))
         del results  # the collected days; the next seed's fit must not hold them
-        incomes.append(income)
+        incomes.append(float(income))
         if artifact is not None:
             artifacts[seed_dir(seed)] = os.path.join(seed_dir(seed), artifact)
         print(f"seed {seed}: {text}income {income:.2f}")
-    with open(os.path.join(args.out, "result.json"), "w") as fh:
-        json.dump({"strategy": name, "seeds": seeds, "incomes": [float(v) for v in incomes],
+    with open(os.path.join(run_dir, "result.json"), "w") as fh:
+        json.dump({"strategy": name, "seeds": seeds, "incomes": incomes,
                    "test_range": list(test_range), "artifacts": artifacts},
                   fh, indent=1, sort_keys=True)
         fh.write("\n")
-    write_manifest(args.out, args.command, cfg, seeds, env.dataset, extra)
+    write_manifest(run_dir, command, cfg, seeds, env.dataset, extra)
     return incomes
+
+
+def read_result(path) -> dict:
+    """The ``result.json`` at ``path``: a strategy name, a non-empty list of
+    seeds, one income per seed and the test range.  A file that holds less
+    raises a DataError that names it."""
+    try:
+        with open(path) as fh:
+            result = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise datamod.DataError(f"{path}: {exc}") from None
+    if not isinstance(result, dict):
+        result = {}
+
+    def numbers(value, kind) -> bool:
+        return isinstance(value, list) and all(
+            isinstance(v, kind) and not isinstance(v, bool) for v in value)
+
+    seeds, incomes, test_range = (result.get(k) for k in ("seeds", "incomes", "test_range"))
+    for key, want, ok in (
+            ("strategy", "a string", isinstance(result.get("strategy"), str)),
+            ("seeds", "a non-empty list of whole numbers", numbers(seeds, int) and seeds),
+            ("incomes", "one number per seed",
+             numbers(incomes, (int, float)) and numbers(seeds, int)
+             and len(incomes) == len(seeds)),
+            ("test_range", "two whole numbers",
+             numbers(test_range, int) and len(test_range) == 2)):
+        if not ok:
+            raise datamod.DataError(f"{path} holds no {key} ({want})")
+    return result
 
 
 def _print_summary(name: str, incomes: list[float]) -> None:
@@ -358,16 +398,14 @@ def cmd_optimize(args) -> int:
         return params.bids, "params.json", "test "
 
     name = f"{kind} (CMA-ES)"
-    _print_summary(name, _run_seeds(args, cfg, env, seeds, test_range, name,
+    _print_summary(name, _run_seeds(args.out, args.command, cfg, env, seeds, test_range, name,
                                     {"strategy": kind}, fit))
     return EXIT_OK
 
 
-def cmd_train_rl(args) -> int:
-    cfg, dataset, env_config, seeds, test_range = _verb_inputs(args)
-    include_weather = not args.no_weather
-    a2c_config = a2c_config_from(cfg, include_weather)
-    env = TradingEnv(dataset, env_config)
+def _a2c_fit(env: TradingEnv, a2c_config: A2cConfig):
+    """The ``fit`` of :func:`_run_seeds` for the neural strategy: train on
+    ``env``, write the best policy and the training log."""
 
     def fit(seed, seed_file):
         run = a2c_train(env, a2c_config, seed)
@@ -377,12 +415,21 @@ def cmd_train_rl(args) -> int:
             fh.write("step,val_reward,is_best\n")
             for step, val, is_best in run.log_rows():
                 fh.write(f"{step},{val!r},{is_best}\n")
-        return (policy_strategy(run.best_policy, include_weather), "policy.npz",
+        return (policy_strategy(run.best_policy, a2c_config.include_weather), "policy.npz",
                 f"best val {run.best_val_reward:.2f} at step {run.best_step}, test ")
 
+    return fit
+
+
+def cmd_train_rl(args) -> int:
+    cfg, dataset, env_config, seeds, test_range = _verb_inputs(args)
+    include_weather = not args.no_weather
+    a2c_config = a2c_config_from(cfg, include_weather)
+    env = TradingEnv(dataset, env_config)
     name = "neural (A2C)" if include_weather else "neural (A2C, no weather)"
-    _print_summary(name, _run_seeds(args, cfg, env, seeds, test_range, name,
-                                    {"include_weather": include_weather}, fit))
+    _print_summary(name, _run_seeds(args.out, args.command, cfg, env, seeds, test_range, name,
+                                    {"include_weather": include_weather},
+                                    _a2c_fit(env, a2c_config)))
     return EXIT_OK
 
 
@@ -418,7 +465,7 @@ def cmd_evaluate(args) -> int:
         raise ValueError("pass one of --policy, --params or --zero-action")
 
     env = TradingEnv(dataset, env_config)
-    _run_seeds(args, cfg, env, seeds, test_range, name, {"strategy": name},
+    _run_seeds(args.out, args.command, cfg, env, seeds, test_range, name, {"strategy": name},
                lambda seed, seed_file: (bids_fn, None, ""))
     return EXIT_OK
 
@@ -427,11 +474,19 @@ def cmd_sweep_battery(args) -> int:
     capacities = parse_capacities(args.capacities)
     cfg, dataset, env_config, seeds, test_range = _verb_inputs(args)
     a2c_config = a2c_config_from(cfg, include_weather=True)
+    # Every capacity is checked, by EnvConfig, before the first one trains.
+    env_configs = [replace(env_config, battery_capacity=c) for c in sorted(capacities)]
 
-    rows = battery_sweep(capacities, dataset, env_config, a2c_config, seeds, test_range,
-                         progress=lambda cap, seed, income:
-                         print(f"capacity {cap}: seed {seed} income {income:.2f}"))
-    os.makedirs(args.out, exist_ok=True)
+    rows = []
+    for config in env_configs:
+        capacity = config.battery_capacity
+        env = TradingEnv(dataset, config)
+        name = f"capacity {capacity!r}"
+        incomes = _run_seeds(os.path.join(args.out, f"capacity{capacity!r}"), args.command,
+                             {**cfg, "battery_capacity": capacity}, env, seeds, test_range,
+                             name, {"include_weather": True}, _a2c_fit(env, a2c_config))
+        rows.append((capacity, reportsmod.BalanceRow(name, incomes)))
+        _print_summary(name, incomes)
     with open(os.path.join(args.out, "battery_sweep.csv"), "w") as fh:
         fh.write("capacity,mean_income,std,incomes\n")
         for capacity, row in rows:
@@ -439,8 +494,6 @@ def cmd_sweep_battery(args) -> int:
             fh.write(f"{capacity!r},{row.mean!r},{row.std!r},{joined}\n")
     write_manifest(args.out, "sweep-battery", cfg, seeds, dataset,
                    {"capacities": capacities})
-    for capacity, row in rows:
-        print(f"capacity {capacity}: {row.mean:.2f} +- {row.std:.2f}")
     return EXIT_OK
 
 
@@ -452,12 +505,14 @@ def cmd_report(args) -> int:
     if missing:
         raise MissingArtifact("missing run results: " + ", ".join(missing))
 
-    results = []
+    names = {}
     for run_dir in run_dirs:
-        with open(os.path.join(run_dir, "result.json")) as fh:
-            results.append(json.load(fh))
-        if not results[-1]["seeds"]:
-            raise ValueError(f"{os.path.join(run_dir, 'result.json')} holds no seeds")
+        name = os.path.basename(os.path.normpath(run_dir))
+        if name in names:
+            raise ValueError(f"runs {names[name]} and {run_dir} share the name {name!r} "
+                             f"that their trace files are named by")
+        names[name] = run_dir
+    results = [read_result(os.path.join(run_dir, "result.json")) for run_dir in run_dirs]
     ranges = {tuple(result["test_range"]) for result in results}
     if len(ranges) != 1:
         raise ValueError(f"runs differ in test_range: {sorted(ranges)}")
@@ -481,8 +536,7 @@ def cmd_report(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     report.write_csv(os.path.join(args.out, "balance_report.csv"))
     report.write_json(os.path.join(args.out, "balance_report.json"))
-    for run_dir, result, seed_days in zip(run_dirs, results, run_days):
-        name = os.path.basename(os.path.normpath(run_dir))
+    for name, result, seed_days in zip(names, results, run_days):
         reportsmod.write_battery_trace([tables for tables, _ in seed_days], window,
                                        os.path.join(args.out, f"trace_battery_{name}.csv"))
         tables, bids = seed_days[int(np.argmax(result["incomes"]))]
@@ -543,10 +597,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_rl)
 
     p = sub.add_parser("evaluate", help="score stored parameters or a policy")
-    p.add_argument("--params", default=None, help="strategy params JSON")
-    p.add_argument("--policy", default=None, help="policy .npz file")
-    p.add_argument("--zero-action", action="store_true",
-                   help="score the untrained zero-action baseline")
+    scored = p.add_mutually_exclusive_group()
+    scored.add_argument("--params", default=None, help="strategy params JSON")
+    scored.add_argument("--policy", default=None, help="policy .npz file")
+    scored.add_argument("--zero-action", action="store_true",
+                        help="score the untrained zero-action baseline")
     p.add_argument("--name", default=None, help="row name in the result")
     common(p)
     p.set_defaults(func=cmd_evaluate)
@@ -573,7 +628,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:  # MissingArtifact included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except (ValueError, datamod.DataError) as exc:
+    except (ValueError, FloatingPointError) as exc:  # DataError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

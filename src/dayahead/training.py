@@ -16,12 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cmaes import CmaesConfig, CmaesHistory, cmaes_optimize
-from .data import Dataset
-from .market import (TEMPERATURE_RANGE, DayResult, EnvConfig, TradingEnv,
-                     delivery_window, observation_size)
+from .market import TEMPERATURE_RANGE, DayResult, TradingEnv, delivery_window, observation_size
 from .nets import (PolicyParams, backward, clip_gradient_norm, forward_cached,
                    init_policy, rmsprop_step)
-from .reports import BalanceRow
 from .strategies import (LOG2PI, blackbox_bids, log_density, mean_action,
                          params_class, sample_action)
 
@@ -181,6 +178,11 @@ class A2cConfig:
         for name in ("total_days", "n_steps", "eval_frequency", "eval_days", "hidden_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        try:
+            math.exp(self.log_std_init)
+        except OverflowError:
+            raise ValueError(f"log_std_init must have a finite exponential, "
+                             f"got {self.log_std_init}") from None
 
 
 @dataclass
@@ -247,7 +249,8 @@ class A2cUpdater:
 
         backward(policy.actor, actor_cache, actor_out_grad, grad.actor)
         backward(policy.critic, critic_cache, critic_out_grad, grad.critic)
-        grad_norm = clip_gradient_norm(grad, cfg.max_grad_norm)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is refused next
+            grad_norm = clip_gradient_norm(grad, cfg.max_grad_norm)
         if not math.isfinite(grad_norm):
             raise FloatingPointError("non-finite gradient; training diverged")
         rmsprop_step(policy.vector, grad.vector, self._square_avg, lr=cfg.learning_rate,
@@ -334,7 +337,11 @@ def a2c_train(env: TradingEnv, config: A2cConfig, seed: int) -> TrainingRun:
         obs, noise, rewards = _rollout(env, policy, start, config.n_steps, env_rng,
                                        noise_rng, config.include_weather)
         # Fixed-length episodes end at the rollout boundary: no bootstrap.
-        updater.update(obs, noise, rewards, bootstrap=0.0)
+        try:
+            updater.update(obs, noise, rewards, bootstrap=0.0)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"seed {seed}, update {steps // config.n_steps + 1}: "
+                                     f"{exc}") from None
         steps += config.n_steps
 
         if steps >= next_eval or steps >= config.total_days:
@@ -351,44 +358,3 @@ def a2c_train(env: TradingEnv, config: A2cConfig, seed: int) -> TrainingRun:
 
     return TrainingRun(eval_log=eval_log, best_policy=best_policy,
                        best_val_reward=best_val, best_step=best_step, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# Battery capacity sweep
-# ---------------------------------------------------------------------------
-
-def sweep_test_seed(seed: int) -> int:
-    """Evaluation seed of the sweep's test scoring: drawn from the sixth child
-    of ``SeedSequence(seed)``, next to the five that :func:`a2c_train` spawns."""
-    return int(np.random.SeedSequence(seed, spawn_key=(5,)).generate_state(1)[0])
-
-
-def battery_sweep(capacities: list[float], dataset: Dataset,
-                  env_config: EnvConfig, a2c_config: A2cConfig,
-                  seeds: list[int], test_range: tuple[int, int],
-                  progress=None) -> list[tuple[float, BalanceRow]]:
-    """Train the neural strategy independently per battery capacity and
-    score each run's best policy on ``test_range``.
-
-    Returns (capacity, test incomes) pairs sorted by capacity.  Each
-    (capacity, seed) pair is a fully independent training run; its test
-    score uses :func:`sweep_test_seed`.  The runs of one capacity share its
-    environment.
-    """
-    bad = [c for c in capacities if not 0 < c < math.inf]
-    if bad:
-        raise ValueError(f"capacities must be positive and finite, got {bad}")
-    rows = []
-    for capacity in sorted(capacities):
-        env = TradingEnv(dataset, replace(env_config, battery_capacity=capacity))
-        incomes = []
-        for seed in seeds:
-            run = a2c_train(env, a2c_config, seed)
-            income = float(evaluate_strategy(
-                policy_strategy(run.best_policy, a2c_config.include_weather), env,
-                test_range, sweep_test_seed(seed)))
-            incomes.append(income)
-            if progress is not None:
-                progress(capacity, seed, income)
-        rows.append((capacity, BalanceRow(f"capacity {capacity!r}", incomes)))
-    return rows

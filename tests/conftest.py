@@ -1,8 +1,23 @@
+import json
+
 import numpy as np
 import pytest
 
 from dayahead import data as damod
+from dayahead.cli import main
 from dayahead.market import BUY
+
+TINY_CONFIG = {
+    # small synthetic market and desk-tiny budgets so the pipeline runs in seconds
+    "generations": 4,
+    "timesteps": 120,
+    "n_steps": 30,
+    "evaluation_frequency": 60,
+    "eval_days": 15,
+    "net_arch": 16,
+    "test_days": 20,
+    "split_fractions": [0.7, 0.1, 0.2],
+}
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +34,23 @@ def year_dataset():
     ds = damod.generate_synthetic_dataset(seed=11, num_days=420)
     ds = damod.make_forecasts(ds, seed=12)
     return damod.split_dataset(ds)
+
+
+@pytest.fixture(scope="module")
+def data_dir(tmp_path_factory):
+    """A 120-day dataset directory written by ``generate-data``."""
+    path = tmp_path_factory.mktemp("data")
+    assert main(["generate-data", "--seed", "7", "--days", "120",
+                 "--out", str(path)]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    """A config file holding TINY_CONFIG."""
+    path = tmp_path_factory.mktemp("cfg") / "tiny.json"
+    path.write_text(json.dumps(TINY_CONFIG))
+    return str(path)
 
 
 def flat_dataset(num_days=6, price=250.0, cloudiness=8, wind=0.0, temperature=10.0,

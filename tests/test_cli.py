@@ -19,19 +19,7 @@ from dayahead.market import EnvConfig, TradingEnv
 from dayahead.reports import BalanceRow
 from dayahead.training import A2cConfig, evaluate_strategy
 
-from conftest import day_array
-
-TINY_CONFIG = {
-    # small synthetic market and desk-tiny budgets so the pipeline runs in seconds
-    "generations": 4,
-    "timesteps": 120,
-    "n_steps": 30,
-    "evaluation_frequency": 60,
-    "eval_days": 15,
-    "net_arch": 16,
-    "test_days": 20,
-    "split_fractions": [0.7, 0.1, 0.2],
-}
+from conftest import TINY_CONFIG, day_array
 
 
 def file_hashes(root):
@@ -42,21 +30,6 @@ def file_hashes(root):
             with open(path, "rb") as fh:
                 out[os.path.relpath(path, root)] = hashlib.sha256(fh.read()).hexdigest()
     return out
-
-
-@pytest.fixture(scope="module")
-def data_dir(tmp_path_factory):
-    path = tmp_path_factory.mktemp("data")
-    assert main(["generate-data", "--seed", "7", "--days", "120",
-                 "--out", str(path)]) == 0
-    return path
-
-
-@pytest.fixture(scope="module")
-def config_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cfg") / "tiny.json"
-    path.write_text(json.dumps(TINY_CONFIG))
-    return str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +353,7 @@ def test_sweep_refuses_a_non_finite_capacity_before_training(data_dir, config_pa
                  "--config", config_path, "--seeds", "0", "--out", str(out)])
     assert code == 2
     captured = capsys.readouterr()
-    assert "capacities must be positive and finite, got [nan]" in captured.err
+    assert "battery_capacity must be positive and finite, got nan" in captured.err
     assert "capacity 1.0" not in captured.out
     assert not out.exists()
 
@@ -402,18 +375,49 @@ def test_empty_repeated_or_non_numeric_capacity_list_exits_2(data_dir, config_pa
                                                              capsys, monkeypatch, capacities):
     """``1.0,1.0`` trained capacity 1.0 twice and wrote two equal rows;
     ``1.0,abc`` failed without naming the flag."""
-    from dayahead import training
-
     def no_training(*args, **kwargs):
         raise AssertionError("trained before refusing the capacities")
 
-    monkeypatch.setattr(training, "a2c_train", no_training)
+    monkeypatch.setattr(cli, "a2c_train", no_training)
     out = tmp_path / "sweep"
     code = main(["sweep-battery", "--capacities", capacities, "--data", str(data_dir),
                  "--config", config_path, "--seeds", "0", "--out", str(out)])
     assert code == 2
     assert f"--capacities {capacities!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_writes_one_train_rl_run_directory_per_capacity(data_dir, config_path,
+                                                              tmp_path, capsys):
+    """Each ``capacity<C>/seed<N>/`` file is byte-identical to what
+    ``train-rl`` writes with ``battery_capacity: C``, and ``report`` reads the
+    capacity directories."""
+    out = tmp_path / "sweep"
+    assert main(["sweep-battery", "--capacities", "2.0,1.0", "--data", str(data_dir),
+                 "--config", config_path, "--seeds", "0,1", "--out", str(out)]) == 0
+    assert set(os.listdir(out)) == {"battery_sweep.csv", "manifest.json",
+                                    "capacity1.0", "capacity2.0"}
+    lines = capsys.readouterr().out.splitlines()
+    for capacity in (1.0, 2.0):
+        run = out / f"capacity{capacity!r}"
+        result = assert_run_directory(run, [0, 1], {"policy.npz", "params.json",
+                                                   "training_log.csv", "trace.csv",
+                                                   "bids.csv"}, "policy.npz")
+        assert result["strategy"] == f"capacity {capacity!r}"
+        assert summary_line(result["strategy"], result["incomes"]) in lines
+        config = tmp_path / f"cap{capacity}.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "battery_capacity": capacity}))
+        rl = tmp_path / f"rl{capacity}"
+        assert main(["train-rl", "--data", str(data_dir), "--config", str(config),
+                     "--seeds", "0,1", "--out", str(rl)]) == 0
+        for seed in ("seed0", "seed1"):
+            assert file_hashes(run / seed) == file_hashes(rl / seed), (capacity, seed)
+    report_out = tmp_path / "report"
+    assert main(["report", "--runs", str(out / "capacity1.0"), str(out / "capacity2.0"),
+                 "--data", str(data_dir), "--config", config_path,
+                 "--out", str(report_out)]) == 0
+    payload = json.loads((report_out / "balance_report.json").read_text())
+    assert [row["strategy"] for row in payload["rows"]] == ["capacity 1.0", "capacity 2.0"]
 
 
 def test_each_verb_builds_one_environment(data_dir, config_path, tmp_path, monkeypatch):
@@ -429,14 +433,15 @@ def test_each_verb_builds_one_environment(data_dir, config_path, tmp_path, monke
     monkeypatch.setattr(market.TradingEnv, "__init__", counting_init)
     common = ["--data", str(data_dir), "--config", config_path, "--seeds", "0,1"]
     verbs = {
-        "optimize": ["optimize", "--strategy", "timing"],
-        "train-rl": ["train-rl"],
-        "evaluate": ["evaluate", "--zero-action"],
+        "optimize": (["optimize", "--strategy", "timing"], 1),
+        "train-rl": (["train-rl"], 1),
+        "evaluate": (["evaluate", "--zero-action"], 1),
+        "sweep-battery": (["sweep-battery", "--capacities", "2.0,1.0"], 2),  # one per capacity
     }
-    for verb, argv in verbs.items():
+    for verb, (argv, environments) in verbs.items():
         built.clear()
         assert main([*argv, *common, "--out", str(tmp_path / verb)]) == 0
-        assert len(built) == 1, verb
+        assert len(built) == environments, verb
 
 
 def test_train_rl_scores_the_test_range_once_per_seed(data_dir, config_path, tmp_path,
@@ -485,11 +490,29 @@ def test_evaluate_without_a_scorable_strategy_exits_2_and_writes_nothing(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--params", "timing.json", "--policy", "policy.npz"],
+                                   ["--zero-action", "--params", "timing.json"],
+                                   ["--policy", "policy.npz", "--zero-action"]])
+def test_evaluate_refuses_two_strategies(data_dir, tmp_path, capsys, flags):
+    """``--params`` with ``--policy`` scored the policy alone and ignored the
+    params without a word."""
+    flags = [str(tmp_path / flag) if "." in flag else flag for flag in flags]
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", *flags, "--data", str(data_dir), "--seeds", "0", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb,key,value,message", [
     ("train-rl", "n_steps", 1000, "training split shorter than one episode"),
     ("train-rl", "timesteps", 0, "total_days must be at least 1, got 0"),
     ("train-rl", "eval_days", 0, "eval_days must be at least 1, got 0"),
     ("train-rl", "net_arch", 0, "hidden_size must be at least 1, got 0"),
+    # a traceback and exit 1, and a run to exit 0 on an infinite exploration noise
+    ("train-rl", "ent_coef", 1e300, "seed 0, update 1: non-finite gradient"),
+    ("train-rl", "log_std_init", 1e6, "log_std_init must have a finite exponential"),
     ("optimize", "generations", 0, "generations must be at least 1, got 0"),
     ("optimize", "generations", -3, "generations must be at least 1, got -3"),
 ])
@@ -763,6 +786,45 @@ def test_report_refuses_a_run_without_seeds(data_dir, config_path, tmp_path, cap
                  "--config", config_path, "--out", str(report_out)])
     assert code == 2
     assert "result.json holds no seeds" in capsys.readouterr().err
+    assert not report_out.exists()
+
+
+def test_report_refuses_two_runs_of_one_name(data_dir, config_path, tmp_path, capsys):
+    """The second run's trace files overwrote the first's."""
+    runs = [tmp_path / "zero", tmp_path / "dup" / "zero"]
+    for run in runs:
+        evaluated_run(data_dir, config_path, run)
+    report_out = tmp_path / "report"
+    code = main(["report", "--runs", *map(str, runs), "--data", str(data_dir),
+                 "--config", config_path, "--out", str(report_out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(runs[0]) in err and str(runs[1]) in err
+    assert not report_out.exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("strategy", None), ("strategy", 3),
+    ("seeds", None), ("seeds", "0,1"), ("seeds", [0, "1"]), ("seeds", [0, True]),
+    ("incomes", None), ("incomes", [1.0]), ("incomes", [1.0, "2"]), ("incomes", 3.0),
+    ("test_range", None), ("test_range", [90]), ("test_range", [90.5, 110]),
+])
+def test_report_refuses_a_malformed_result(data_dir, config_path, tmp_path, capsys, key, value):
+    """A dropped (None) or retyped key is named with its file; a missing
+    ``incomes`` crashed with a KeyError traceback."""
+    evaluated_run(data_dir, config_path, tmp_path / "zero")
+    path = tmp_path / "zero" / "result.json"
+    result = json.loads(path.read_text())
+    if value is None:
+        del result[key]
+    else:
+        result[key] = value
+    path.write_text(json.dumps(result))
+    report_out = tmp_path / "report"
+    code = main(["report", "--runs", str(tmp_path / "zero"), "--data", str(data_dir),
+                 "--config", config_path, "--out", str(report_out)])
+    assert code == 2
+    assert f"{path} holds no {key}" in capsys.readouterr().err
     assert not report_out.exists()
 
 

@@ -1,19 +1,18 @@
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from dayahead import training
+from dayahead import cli, training
 from dayahead.cmaes import CmaesConfig, cmaes_optimize, default_population
 from dayahead.market import EnvConfig, TradingEnv, delivery_window, observation_size
 from dayahead.nets import forward, init_policy
 from dayahead.strategies import OpportunisticParams, TimingParams, params_class
-from dayahead.training import (A2cConfig, A2cUpdater, a2c_train, battery_sweep,
-                               evaluate_strategy, fixed_action_strategy,
-                               gae_advantages, initial_parameter_mean,
-                               optimize_parametric, parametric_strategy,
-                               policy_strategy, sweep_test_seed)
+from dayahead.training import (A2cConfig, A2cUpdater, a2c_train, evaluate_strategy,
+                               fixed_action_strategy, gae_advantages, initial_parameter_mean,
+                               optimize_parametric, parametric_strategy, policy_strategy)
 
 from conftest import bid_schedule, flat_dataset, with_perfect_forecasts
 
@@ -341,7 +340,8 @@ def test_golden_incomes(year_dataset):
 def test_golden_a2c_test_income(small_dataset):
     env = TradingEnv(small_dataset, EnvConfig())
     run = a2c_train(env, tiny_a2c_config(total_days=120), seed=0)
-    assert sweep_test_income(env, run) == pytest.approx(GOLDEN_A2C_TEST_INCOME, rel=1e-9, abs=0)
+    assert sixth_child_test_income(env, run) == pytest.approx(GOLDEN_A2C_TEST_INCOME,
+                                                              rel=1e-9, abs=0)
 
 
 def test_overflowing_opportunistic_candidate_scores_non_finite(small_dataset):
@@ -475,12 +475,15 @@ def tiny_a2c_config(**kwargs):
 TINY_TEST_DAYS = 25
 
 
-def sweep_test_income(env, run):
-    """What ``battery_sweep`` reports for ``run``: its best policy over the
-    first TINY_TEST_DAYS test days, scored with the run's derived test seed."""
+def sixth_child_test_income(env, run):
+    """The best policy of ``run`` over the first TINY_TEST_DAYS test days,
+    scored with a seed drawn from the sixth child of ``SeedSequence(run.seed)``,
+    next to the five that a2c_train spawns; GOLDEN_A2C_TEST_INCOME was
+    recorded so."""
     test_range = delivery_window(env.dataset.split.test, TINY_TEST_DAYS)
     bids = policy_strategy(run.best_policy, run.best_policy.meta["include_weather"])
-    return evaluate_strategy(bids, env, test_range, sweep_test_seed(run.seed))
+    seed = int(np.random.SeedSequence(run.seed, spawn_key=(5,)).generate_state(1)[0])
+    return evaluate_strategy(bids, env, test_range, seed)
 
 
 def test_a2c_train_runs_and_checkpoints(small_dataset):
@@ -493,25 +496,20 @@ def test_a2c_train_runs_and_checkpoints(small_dataset):
     assert run.best_step == flagged[-1].step
 
 
-def test_a2c_reported_test_income_comes_from_best_checkpoint(small_dataset):
-    config = EnvConfig()
-    a2c = tiny_a2c_config()
-    test_range = delivery_window(small_dataset.split.test, TINY_TEST_DAYS)
-    [(_, row)] = battery_sweep([config.battery_capacity], small_dataset, config, a2c,
-                               [1], test_range)
-    run = a2c_train(TradingEnv(small_dataset, config), a2c, seed=1)
-    replayed = sweep_test_income(TradingEnv(small_dataset, config), run)
-    assert replayed == pytest.approx(row.incomes[0])
-
-
-def test_sweep_test_seed_is_the_sixth_child_of_the_run_seed():
-    """a2c_train spawns five children; the sweep's test seed comes from the
-    sixth, as when a2c_train spawned six and scored the test range itself."""
-    for seed in (0, 1, 7, 2**40):
-        five, six = (np.random.SeedSequence(seed).spawn(n) for n in (5, 6))
-        assert [c.generate_state(4).tolist() for c in five] == \
-            [c.generate_state(4).tolist() for c in six[:5]]
-        assert sweep_test_seed(seed) == int(six[5].generate_state(1)[0])
+def test_a2c_reported_test_income_comes_from_best_checkpoint(data_dir, config_path, tmp_path):
+    """The income in ``result.json`` is the best validated policy's, scored
+    on the test range at the run seed."""
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep-battery", "--capacities", "2.0", "--data", str(data_dir),
+                     "--config", config_path, "--seeds", "1", "--out", str(out)]) == 0
+    result = json.loads((out / "capacity2.0" / "result.json").read_text())
+    cfg = cli.load_config(config_path)
+    dataset = cli.load_data_dir(data_dir, cfg)
+    env = TradingEnv(dataset, EnvConfig(battery_capacity=2.0))
+    run = a2c_train(env, cli.a2c_config_from(cfg, include_weather=True), seed=1)
+    replayed = evaluate_strategy(policy_strategy(run.best_policy), env,
+                                 tuple(result["test_range"]), 1)
+    assert replayed == pytest.approx(result["incomes"][0])
 
 
 def test_a2c_train_deterministic_per_seed(small_dataset):
@@ -519,7 +517,7 @@ def test_a2c_train_deterministic_per_seed(small_dataset):
     env_a, env_b = TradingEnv(small_dataset, EnvConfig()), TradingEnv(small_dataset, EnvConfig())
     a = a2c_train(env_a, cfg, seed=3)
     b = a2c_train(env_b, cfg, seed=3)
-    assert sweep_test_income(env_a, a) == sweep_test_income(env_b, b)
+    assert sixth_child_test_income(env_a, a) == sixth_child_test_income(env_b, b)
     assert [p.val_reward for p in a.eval_log] == [p.val_reward for p in b.eval_log]
     for pa, pb in zip(a.best_policy.parameters(), b.best_policy.parameters()):
         np.testing.assert_array_equal(pa, pb)
@@ -535,7 +533,8 @@ def test_reused_environment_matches_fresh(small_dataset):
         run = a2c_train(shared, a2c, seed)
         fresh = TradingEnv(small_dataset, EnvConfig())
         fresh_run = a2c_train(fresh, a2c, seed)
-        assert sweep_test_income(shared, run) == sweep_test_income(fresh, fresh_run)
+        assert (sixth_child_test_income(shared, run)
+                == sixth_child_test_income(fresh, fresh_run))
         assert run.log_rows() == fresh_run.log_rows()
         mean, _ = optimize_parametric("opportunistic", shared, cma, seed)
         fresh_mean, _ = optimize_parametric("opportunistic",
@@ -579,40 +578,56 @@ def test_a2c_no_weather_uses_69_inputs(small_dataset):
 
 
 # ---------------------------------------------------------------------------
-# Battery sweep
+# Battery sweep, run through the command line
 # ---------------------------------------------------------------------------
 
-def test_battery_sweep_shapes(small_dataset):
-    rows = battery_sweep([2.0, 1.0], small_dataset, EnvConfig(),
-                         tiny_a2c_config(total_days=60), seeds=[0, 1],
-                         test_range=delivery_window(small_dataset.split.test, TINY_TEST_DAYS))
-    assert [capacity for capacity, _ in rows] == [1.0, 2.0]  # sorted ascending
-    for _, row in rows:
-        assert len(row.incomes) == 2
-        assert row.mean == pytest.approx(np.mean(row.incomes))
-        assert row.std == pytest.approx(np.std(row.incomes, ddof=1))
+def sweep(data_dir, config_path, out, capacities, seeds):
+    """Exit code of ``sweep-battery`` over ``capacities`` and ``seeds``."""
+    return cli.main(["sweep-battery", "--capacities", capacities, "--data", str(data_dir),
+                     "--config", config_path, "--seeds", seeds, "--out", str(out)])
 
 
-def test_battery_sweep_single_seed_zero_std(small_dataset):
-    rows = battery_sweep([1.5], small_dataset, EnvConfig(),
-                         tiny_a2c_config(total_days=60), seeds=[4],
-                         test_range=delivery_window(small_dataset.split.test, TINY_TEST_DAYS))
+def sweep_rows(out):
+    """``battery_sweep.csv`` as (capacity, mean, std, incomes) rows."""
+    lines = (out / "battery_sweep.csv").read_text().splitlines()
+    assert lines[0] == "capacity,mean_income,std,incomes"
+    rows = []
+    for line in lines[1:]:
+        capacity, mean, std, incomes = line.split(",")
+        rows.append((float(capacity), float(mean), float(std),
+                     [float(v) for v in incomes.split()]))
+    return rows
+
+
+def test_battery_sweep_shapes(data_dir, config_path, tmp_path):
+    assert sweep(data_dir, config_path, tmp_path / "s", "2.0,1.0", "0,1") == 0
+    rows = sweep_rows(tmp_path / "s")
+    assert [capacity for capacity, *_ in rows] == [1.0, 2.0]  # sorted ascending
+    for _, mean, std, incomes in rows:
+        assert len(incomes) == 2
+        assert mean == pytest.approx(np.mean(incomes))
+        assert std == pytest.approx(np.std(incomes, ddof=1))
+
+
+def test_battery_sweep_single_seed_zero_std(data_dir, config_path, tmp_path):
+    assert sweep(data_dir, config_path, tmp_path / "s", "1.5", "4") == 0
+    rows = sweep_rows(tmp_path / "s")
     assert len(rows) == 1
-    assert rows[0][1].std == 0.0
+    assert rows[0][2] == 0.0
 
 
-def test_battery_sweep_rejects_non_positive_capacity(small_dataset):
-    with pytest.raises(ValueError):
-        battery_sweep([0.0], small_dataset, EnvConfig(), tiny_a2c_config(), seeds=[0],
-                      test_range=small_dataset.split.test)
+def test_battery_sweep_rejects_non_positive_capacity(data_dir, config_path, tmp_path,
+                                                     monkeypatch):
+    monkeypatch.setattr(cli, "a2c_train", lambda *args: pytest.fail("trained"))
+    for capacities in ("1.0,0", "1.0,-1"):
+        assert sweep(data_dir, config_path, tmp_path / "s", capacities, "0") == 2, capacities
+        assert not (tmp_path / "s").exists()
 
 
-def test_battery_sweep_checks_every_capacity_before_training(small_dataset, monkeypatch):
+def test_battery_sweep_checks_every_capacity_before_training(data_dir, config_path, tmp_path,
+                                                             monkeypatch):
     """A NaN capacity failed only after the capacities before it had trained."""
-    import dayahead.training as training
-
-    monkeypatch.setattr(training, "a2c_train", lambda *args: pytest.fail("trained"))
-    for bad in (math.nan, math.inf, -1.0):
-        with pytest.raises(ValueError, match="capacities must be positive and finite"):
-            battery_sweep([1.0, bad], small_dataset, EnvConfig(), tiny_a2c_config(),
-                          seeds=[0], test_range=small_dataset.split.test)
+    monkeypatch.setattr(cli, "a2c_train", lambda *args: pytest.fail("trained"))
+    for capacities in ("1.0,nan", "1.0,inf", "1.0,-1"):
+        assert sweep(data_dir, config_path, tmp_path / "s", capacities, "0") == 2, capacities
+        assert not (tmp_path / "s").exists()
