@@ -9,7 +9,10 @@ Verbs:
 * ``train-rl``       actor-critic training of the neural strategy, with or
   without weather observations;
 * ``evaluate``       score stored strategy parameters or a stored policy
-  (exactly one of ``--params``, ``--policy`` and ``--zero-action``);
+  (exactly one of ``--params``, ``--policy`` and ``--zero-action``); a
+  policy file that records another battery capacity, maximum wind speed or
+  temperature range than the config gives is refused with exit 2, both
+  values named, and a value the file does not record is not checked;
 * ``sweep-battery``  ``train-rl`` once per battery capacity;
 * ``report``         consolidate run results into a balance table and
   plot-ready hourly trace files.
@@ -440,9 +443,10 @@ def cmd_evaluate(args) -> int:
             raise MissingArtifact(f"policy file {args.policy} not found")
         policy = load_policy(args.policy)
         include_weather = bool(policy.meta.get("include_weather", True))
-        # The policy must see forecasts normalized as in its training.
+        # The policy must see forecasts normalized as in its training, and its battery.
         for key, value in (("max_wind_speed", env_config.max_wind_speed),
-                           ("temperature_range", list(TEMPERATURE_RANGE))):
+                           ("temperature_range", list(TEMPERATURE_RANGE)),
+                           ("battery_capacity", env_config.battery_capacity)):
             if key in policy.meta and policy.meta[key] != value:
                 raise ValueError(f"policy was trained with {key} {policy.meta[key]!r}, "
                                  f"the config gives {value!r}")

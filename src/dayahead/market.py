@@ -25,9 +25,9 @@ Each simulator rule lives in one place:
 
 * production from weather, for actuals, forecasts and the reference
   balance: :func:`hourly_production`;
-* clearing, battery netting and penalty settlement, hour by hour:
-  ``TradingEnv._net_hours``, and its charge-only twin
-  ``TradingEnv._charge_after`` where no cash is booked, pinned to it by test;
+* clearing, battery netting and penalty settlement, hour by hour, and the
+  projected midnight level, as a charge-only lane through the same cleared
+  trades: ``TradingEnv._net_hours``;
 * consumption ``households * profile * |1 + rho|``, with the noise drawn
   once per episode: the consumption tape built by ``TradingEnv.reset``;
 * the per-hour rolling median price: :func:`rolling_price_stats`;
@@ -369,12 +369,15 @@ class TradingEnv:
 
     ``reset(start_day, rng, days)`` positions the simulation at the decision
     point on ``start_day - 1`` (with an empty inherited schedule), draws the
-    consumption noise of ``days`` delivery days from ``rng``, and returns the
-    context for bidding on ``start_day``.  Each ``step(schedule)`` clears a
-    bid schedule against the next delivery day, simulates its 24 hours, and
-    returns the next decision context, the day's profit, the day's
-    :class:`DayResult` and ``done``, signalled when the replay tape runs out
-    of forecast data for the next decision; stepping beyond ``days`` raises.
+    consumption noise of ``days`` delivery days from ``rng``, plays out the
+    decision day from the action hour, and returns the context for bidding
+    on ``start_day``.  Each ``step(schedule)`` clears a bid schedule against
+    the next delivery day, simulates its 24 hours, and returns the next
+    decision context, the day's profit, the day's :class:`DayResult` and
+    ``done``, signalled when the replay tape runs out of forecast data for
+    the next decision; stepping beyond ``days`` raises.  Both end with one
+    pass from the action hour to midnight that also carries the midnight
+    estimate of the context they return.
     A collected day keeps the hour trace the battery loop appends to and the
     frozen schedule.
     ``collect=False`` returns ``None`` for it and skips the trace, which
@@ -468,12 +471,10 @@ class TradingEnv:
         self._next_day = start_day
         self._schedule = NO_BIDS
         self._schedule_prices = self._price_rows[decision_day]
-        ctx = self._build_context(decision_day)
         # Play out the rest of the decision day with no scheduled bids, so the
         # realized midnight level follows the dynamics the estimator assumes.
-        self.charge = self._charge_after(self._production_rows[decision_day],
-                                         self._consumption_rows[0])
-        return ctx
+        return self._finish_day(decision_day, self._production_rows[decision_day],
+                                self._consumption_rows[0], None)[1]
 
     def step(self, schedule, collect: bool = True, trusted: bool = False
              ) -> tuple[DecisionContext | None, float, DayResult | None, bool]:
@@ -492,32 +493,25 @@ class TradingEnv:
         self._schedule = schedule
         self._schedule_prices = self._price_rows[day]
         start_charge = self.charge
-
-        action_hour = self.config.action_hour
         production = self._production_rows[day]
         consumption = self._consumption_rows[day - self._tape_day]
-        self.charge, reward = self._net_hours(self.charge, 0, action_hour, production,
-                                              consumption, trace)
-
-        # Decision snapshot for the *next* delivery day, taken mid-delivery.
-        done = not self._forecast_ok[day + 1]
-        ctx = None if done else self._build_context(day)
-
-        self.charge, cash = self._net_hours(self.charge, action_hour, HOURS_PER_DAY,
-                                            production, consumption, trace)
+        self.charge, reward, _ = self._net_hours(self.charge, 0, self.config.action_hour,
+                                                 production, consumption, trace)
+        cash, ctx = self._finish_day(day, production, consumption, trace)
         reward += cash
         result = None
         if collect:
             result = DayResult(day, trace, schedule, start_charge, reward,
                                self._price_rows[day], production)
         self._next_day = day + 1
-        return ctx, reward, result, done
+        return ctx, reward, result, ctx is None
 
     # -- internals ----------------------------------------------------------
 
     def _net_hours(self, charge: float, hour_lo: int, hour_hi: int,
                    production: list[float], consumption: list[float],
-                   trace: list | None) -> tuple[float, float]:
+                   trace: list | None, forecast: list[float] | None = None
+                   ) -> tuple[float, float, float | None]:
         """Net one stretch of hours against the battery: the battery rule.
 
         Each hour ``h`` clears the schedule's bids -- a buy executes at the
@@ -525,9 +519,13 @@ class TradingEnv:
         is not above it -- and nets ``production[h]`` and the executed trades
         against ``consumption[h]``.  A surplus charges the battery with losses
         on the way in, a deficit drains it; what the battery cannot absorb or
-        supply is settled at the penalty prices.  Returns the final charge
-        and the cash earned; with a ``trace`` list, each hour appends its
-        trades, flows, end level and cash in :data:`TRACE_FIELDS` order.
+        supply is settled at the penalty prices.  Given a ``forecast``
+        production row, a second, charge-only lane nets ``forecast[h]`` and
+        the same cleared trades against the mean consumption, from the same
+        charge: the midnight estimate.  Returns the final charge, the cash
+        earned and the estimate lane's final charge (None without a
+        ``forecast``); with a ``trace`` list, each hour appends its trades,
+        flows, end level and cash in :data:`TRACE_FIELDS` order.
         """
         cfg = self.config
         capacity = cfg.battery_capacity
@@ -536,6 +534,8 @@ class TradingEnv:
         sell_mult = cfg.penalty_sell_multiplier
         prices = self._schedule_prices
         buy_vol, buy_limit, sell_vol, sell_limit = self._schedule
+        mean_consumption = self._zero_noise_consumption
+        estimate = charge
         cash = 0.0
         for h in range(hour_lo, hour_hi):
             price = prices[h]
@@ -545,6 +545,17 @@ class TradingEnv:
             sell = sell_vol[h]
             if not (sell and sell_limit[h] <= price):
                 sell = 0.0
+            if forecast is not None:  # in this order: another grouping is not bit-safe
+                delta = forecast[h] + buy - mean_consumption[h] - sell
+                if delta >= 0.0:
+                    headroom = (capacity - estimate) / eta
+                    estimate = estimate + eta * (delta if delta <= headroom else headroom)
+                    if estimate > capacity:
+                        estimate = capacity
+                elif -delta <= estimate:
+                    estimate -= -delta
+                else:
+                    estimate = 0.0
             cons = consumption[h]
             delta = production[h] + buy - cons - sell
             if delta >= 0.0:
@@ -575,56 +586,41 @@ class TradingEnv:
             cash += hour_cash
             if trace is not None:
                 trace += (buy, sell, cons, charge_in, discharge, uns_buy, uns_sell, charge, hour_cash)
-        return charge, cash
+        return charge, cash, None if forecast is None else estimate
 
-    def _charge_after(self, production: list[float], consumption: list[float]) -> float:
-        """The charge at midnight after netting the hours from the action hour
-        on, from the current charge: :meth:`_net_hours` step for step,
-        clearing included, without its cash and trace."""
+    def _finish_day(self, day: int, production: list[float], consumption: list[float],
+                    trace: list | None) -> tuple[float, DecisionContext | None]:
+        """Net ``day`` from the action hour to midnight, with the estimate lane
+        on the day's forecast.  Returns the cash and the context for bidding on
+        ``day + 1``, or None when the tape has no forecast for ``day + 1``."""
         cfg = self.config
-        capacity = cfg.battery_capacity
-        eta = cfg.battery_efficiency
-        prices = self._schedule_prices
-        buy_vol, buy_limit, sell_vol, sell_limit = self._schedule
-        charge = self.charge
-        for h in range(cfg.action_hour, HOURS_PER_DAY):
-            price = prices[h]
-            buy = buy_vol[h]
-            if not (buy and buy_limit[h] >= price):
-                buy = 0.0
-            sell = sell_vol[h]
-            if not (sell and sell_limit[h] <= price):
-                sell = 0.0
-            delta = production[h] + buy - consumption[h] - sell
-            if delta >= 0.0:
-                headroom = (capacity - charge) / eta
-                charge = charge + eta * (delta if delta <= headroom else headroom)
-                if charge > capacity:
-                    charge = capacity
-            elif -delta <= charge:
-                charge -= -delta
-            else:
-                charge = 0.0
-        return charge
+        start = self.charge
+        forecast = self._forecast_row(day) if self._forecast_ok[day + 1] else None
+        self.charge, cash, estimate = self._net_hours(start, cfg.action_hour, HOURS_PER_DAY,
+                                                      production, consumption, trace, forecast)
+        if forecast is None:
+            return cash, None
+        return cash, DecisionContext(
+            self, day, start / cfg.battery_capacity, estimate / cfg.battery_capacity,
+            rolling_price_stats(self.dataset, day, cfg.price_stat_window))
 
-    def _build_context(self, decision_day: int) -> DecisionContext:
-        cfg = self.config
-        return DecisionContext(
-            self, decision_day, self.charge / cfg.battery_capacity,
-            self.estimate_midnight_level(decision_day),
-            rolling_price_stats(self.dataset, decision_day, cfg.price_stat_window))
+    def _forecast_row(self, day: int) -> list[float]:
+        """The production implied by ``day``'s weather forecast, hour by hour."""
+        if not self._forecast_ok[day]:
+            raise ValueError(f"no forecast available for day {day}")
+        return self._forecast_production_rows[day]
 
     def estimate_midnight_level(self, decision_day: int) -> float:
-        """Projected relative battery level at the upcoming midnight.
-
-        Runs the battery rule over the remaining hours of the decision day
-        with the already cleared bid schedule, production implied by the
-        day's weather forecast, and consumption at its mean (zero noise).
-        """
-        if not self._forecast_ok[decision_day]:
-            raise ValueError(f"no forecast available for day {decision_day}")
-        return self._charge_after(self._forecast_production_rows[decision_day],
-                                  self._zero_noise_consumption) / self.config.battery_capacity
+        """Projected relative battery level at the upcoming midnight, from the
+        current charge and schedule: the battery rule from the action hour on,
+        with the day's forecast production and the mean consumption.  The
+        package does not call it: each context gets its estimate from the
+        lane of :meth:`_net_hours`.  It stays because ``perfbench`` traces it
+        by name."""
+        charge, _, _ = self._net_hours(self.charge, self.config.action_hour, HOURS_PER_DAY,
+                                       self._forecast_row(decision_day),
+                                       self._zero_noise_consumption, None)
+        return charge / self.config.battery_capacity
 
 
 # ---------------------------------------------------------------------------

@@ -272,16 +272,14 @@ def _rollout(env: TradingEnv, policy: PolicyParams, start_day: int,
     ``noise_rng``."""
     ctx = env.reset(start_day, env_rng, n_steps)
     obs = np.empty((n_steps, policy.input_size))
-    noise = np.empty((n_steps, policy.action_size))
+    noise = noise_rng.standard_normal((n_steps, policy.action_size))  # the stream of a draw per day
     rewards = np.empty(n_steps)
     for t in range(n_steps):
         s = ctx.observation(include_weather)
-        xi = noise_rng.standard_normal(policy.action_size)
-        action = sample_action(policy, s, xi)
+        action = sample_action(policy, s, noise[t])
         ctx, reward, _, done = env.step(blackbox_bids(action, ctx.vbar, ctx.pbar),
                                         collect=False, trusted=True)
         obs[t] = s
-        noise[t] = xi
         rewards[t] = reward
         if done and t != n_steps - 1:
             raise RuntimeError("training window ran off the replay tape")
@@ -314,6 +312,7 @@ def a2c_train(env: TradingEnv, config: A2cConfig, seed: int) -> TrainingRun:
             "price_scale": env.price_scale,
             "temperature_range": list(TEMPERATURE_RANGE),
             "max_wind_speed": env.config.max_wind_speed,
+            "battery_capacity": env.config.battery_capacity,
         },
     )
     updater = A2cUpdater(policy, config)

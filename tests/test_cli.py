@@ -260,10 +260,12 @@ def test_evaluate_stored_policy(data_dir, config_path, tmp_path):
 
 
 @pytest.mark.parametrize("key,value", [("max_wind_speed", 9.0),
-                                       ("temperature_range", [-10.0, 30.0])])
+                                       ("temperature_range", [-10.0, 30.0]),
+                                       ("battery_capacity", 1.0)])
 def test_evaluate_policy_with_other_forecast_normalization_exits_2(
         data_dir, tmp_path, capsys, key, value):
-    """A config that would renormalize the policy's forecast inputs is refused."""
+    """A config that would renormalize the policy's forecast inputs, or give
+    it another battery, is refused."""
     from dayahead.nets import init_policy, save_policy
 
     path = tmp_path / "policy.npz"
@@ -274,6 +276,29 @@ def test_evaluate_policy_with_other_forecast_normalization_exits_2(
     err = capsys.readouterr().err
     assert key in err and repr(value) in err
     assert not (tmp_path / "o").exists()
+
+
+def test_evaluate_sweep_policy_needs_its_battery_capacity(data_dir, config_path, tmp_path,
+                                                         capsys):
+    """A capacity-1.0 sweep policy scored at the default capacity exits 2
+    with both capacities named; with ``battery_capacity: 1.0`` it reproduces
+    the sweep's seed income."""
+    sweep = tmp_path / "sweep"
+    assert main(["sweep-battery", "--capacities", "1.0", "--data", str(data_dir),
+                 "--config", config_path, "--seeds", "0", "--out", str(sweep)]) == 0
+    policy = str(sweep / "capacity1.0" / "seed0" / "policy.npz")
+    out = tmp_path / "eval"
+    code = main(["evaluate", "--policy", policy, "--data", str(data_dir),
+                 "--config", config_path, "--seeds", "0", "--out", str(out)])
+    assert code == 2
+    assert "battery_capacity 1.0, the config gives 2.0" in capsys.readouterr().err
+    assert not out.exists()
+    config = tmp_path / "cap1.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "battery_capacity": 1.0}))
+    assert main(["evaluate", "--policy", policy, "--data", str(data_dir),
+                 "--config", str(config), "--seeds", "0", "--out", str(out)]) == 0
+    swept = json.loads((sweep / "capacity1.0" / "result.json").read_text())["incomes"]
+    assert json.loads((out / "result.json").read_text())["incomes"] == swept
 
 
 def test_evaluate_policy_missing_an_array_exits_2(data_dir, tmp_path, capsys):

@@ -572,6 +572,42 @@ def test_estimate_reflects_scheduled_bids_mid_day(small_dataset):
         day_array(result, "battery_level")[24], abs=1e-12)
 
 
+def test_estimate_clears_bids_whose_limit_equals_the_price(small_dataset):
+    """A buy and a sell after the action hour whose limits equal the clearing
+    price both trade, and the estimate nets them as the real pass does."""
+    ds = with_perfect_forecasts(small_dataset)
+    config = EnvConfig(consumption_noise_std=0.0)
+    env = TradingEnv(ds, config)
+    env.reset(40, rng=0, days=1)
+    prices = ds.prices[40]
+    ctx, _, result, _ = env.step(bid_schedule((14, BUY, 0.7, float(prices[14])),
+                                              (19, SELL, 0.4, float(prices[19]))))
+    assert result.hourly("buy_exec")[14] == 0.7
+    assert result.hourly("sell_exec")[19] == 0.4
+    assert ctx.est_midnight == result.hourly("battery_level")[23] / config.battery_capacity
+
+
+@pytest.mark.parametrize("capacity", [0.5, 2.0, 7.3])
+def test_estimate_midnight_level_equals_the_reset_context(small_dataset, capacity):
+    """The retained method, on a fresh environment, gives the estimate of the
+    context ``reset`` returns for the next day, bit for bit."""
+    config = EnvConfig(battery_capacity=capacity, initial_charge=0.3)
+    for day in (1, 2, 29, 64, 117):
+        estimate = TradingEnv(small_dataset, config).estimate_midnight_level(day)
+        ctx = TradingEnv(small_dataset, config).reset(day + 1, rng=day, days=1)
+        assert estimate == ctx.est_midnight, day
+
+
+def test_reset_refuses_a_decision_day_without_forecast(small_dataset):
+    gap = {name: getattr(small_dataset, name).copy()
+           for name in ("forecast_cloudiness", "forecast_wind_speed", "forecast_temperature")}
+    for values in gap.values():
+        values[9] = np.nan
+    env = TradingEnv(replace(small_dataset, **gap), EnvConfig())
+    with pytest.raises(ValueError, match="no forecast available for day 9"):
+        env.reset(10, 0, 3)
+
+
 def test_battery_level_caps_and_floors():
     ds = flat_dataset(num_days=6)  # no production, no consumption
     env = make_env(ds, quiet_config(initial_charge=0.95))  # 1.9 of 2.0 MWh
@@ -603,8 +639,8 @@ bid_lists = st.lists(
        initial_charge=st.floats(0.0, 1.0))
 def test_battery_rule_properties(perfect_dataset, days, start, initial_charge):
     """Random bid lists keep the hourly identities, and with perfect forecasts
-    and no consumption noise the midnight estimate, netted by the charge-only
-    rule, equals the level the full rule realizes, bit for bit."""
+    and no consumption noise the midnight estimate, netted by the battery
+    loop's estimate lane, equals the level the real lane realizes, bit for bit."""
     config = EnvConfig(consumption_noise_std=0.0, initial_charge=initial_charge)
     env = TradingEnv(perfect_dataset, config)
     env.reset(start, rng=0, days=len(days))
