@@ -22,12 +22,18 @@ names from the parameter tables), ``--seed`` (master seed), and ``--out``.
 One table, :data:`CONFIG_KEYS`, maps each config key to the section that
 uses it (environment, CMA-ES, A2C, data split, test range or synthetic
 generator), the field it sets there, and the cast that reads it.  Every
-known key is cast when the config is loaded; a value its cast refuses (a
-fraction for a whole number, NaN or an infinity for a real number, a
-``test_days`` below 1, ``split_fractions`` that are not three numbers) exits
-2 with the key and value named, before the verb writes anything.  Keys the
-table does not know are ignored.  A ``--seeds`` list that is empty or names
-a seed twice exits 2 as well.
+known key is cast and checked when the config is loaded, by every verb,
+whether it uses the key or not: a value its cast refuses (a fraction for a
+whole number, NaN or an infinity for a real number, a ``test_days`` below 1,
+``split_fractions`` that are not three numbers) or that its section's
+dataclass refuses when built from that key alone (an ``action_scheduling_hour``
+of 24, a ``population_size`` of 2) exits 2 with the key and value named,
+before the verb writes anything.  Keys the table does not know are ignored.
+A ``--seeds`` list that is empty, names a seed twice or names a negative
+seed exits 2 as well, and so does a negative ``--seed`` when it sets the
+five default run seeds.  A test range with a day that has no forecast,
+from the day before its first delivery day to its last, exits 2 with the
+first such day and its date named, before anything is written.
 
 ``optimize``, ``train-rl`` and ``evaluate`` lay out ``--out`` as one run
 directory: per run seed, ``seed<N>/`` holds the scoring of the test range,
@@ -48,10 +54,11 @@ with ``battery_capacity: C`` (its strategy is named ``capacity <C>``), plus
 
 Exit codes: 0 success, 2 validation error, 3 missing artifact.  Training
 that diverges (a non-finite gradient) exits 2 as well, naming the seed and
-the update.  ``--out`` is made with the first file a verb writes, after all
-of its input checks and, for the four verbs above, after the first seed's
-strategy is fitted or loaded; so a verb that exits 2 or 3 on its inputs
-writes nothing.
+the update, and so does a CMA-ES search with a generation none of whose
+candidates scores a finite objective, naming the seed and the generation.
+``--out`` is made with the first file a verb writes, after all of its input
+checks and, for the four verbs above, after the first seed's strategy is
+fitted or loaded; so a verb that exits 2 or 3 on its inputs writes nothing.
 """
 from __future__ import annotations
 
@@ -179,16 +186,29 @@ CONFIG_KEYS = {
 }
 
 
+# The dataclass of each section that has one; it holds the section's ranges.
+SECTION_TYPES = {"env": EnvConfig, "cmaes": CmaesConfig, "a2c": A2cConfig,
+                 "synthetic": datamod.SyntheticConfig}
+
+
 def _cast(key: str, value):
+    """``value`` read by the cast of ``key`` and checked by building its
+    section's dataclass from this key alone, so that a value out of its
+    range is refused under the key the config names it by."""
+    section, field, cast = CONFIG_KEYS[key]
     try:
-        return CONFIG_KEYS[key][2](value)
+        result = cast(value)
+        if section in SECTION_TYPES:
+            SECTION_TYPES[section](**{field: result})
+        return result
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"config key {key!r} has value {value!r}: {exc}") from None
 
 
 def load_config(path) -> dict:
     """The flat JSON object at ``path`` ({} for None), every known key cast
-    once so that a bad value fails before a verb writes anything."""
+    and checked once, whichever verb reads it, so that a bad value fails
+    before a verb writes anything."""
     if path is None:
         return {}
     if not os.path.exists(path):
@@ -242,12 +262,21 @@ def _parse_list(flag: str, text: str, cast, kind: str, noun: str) -> list:
     return values
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError("negative seed")
+    return seed
+
+
 def parse_seeds(text: str | None, master: int) -> list[int]:
     """The run seeds of ``--seeds``, each once; five from ``master`` when the
-    flag is not given."""
+    flag is not given.  No run seed may be negative."""
     if text is None:
+        if master < 0:
+            raise ValueError(f"--seed {master} must be at least 0: it sets the run seeds")
         return [master + i for i in range(5)]
-    return _parse_list("--seeds", text, int, "whole numbers", "seed")
+    return _parse_list("--seeds", text, _seed, "non-negative whole numbers", "seed")
 
 
 def parse_capacities(text: str) -> list[float]:
@@ -301,7 +330,10 @@ def _run_seeds(run_dir, command: str, cfg: dict, env: TradingEnv, seeds: list[in
     Per seed, ``fit(seed, seed_file)`` fits or loads the strategy, writes the
     verb's own files to ``seed_file(name)``, and returns the strategy, the
     file name of its artifact (or None) and the text printed before the
-    income; the strategy is then scored on ``test_range`` and exported."""
+    income; the strategy is then scored on ``test_range`` and exported.
+    The test range is checked first, by the forecast coverage rule of
+    ``TradingEnv.reset``, so a gap in it fails before anything is written."""
+    env.check_episode(test_range[0], test_range[1] - test_range[0])
     incomes, artifacts = [], {}
     for seed in seeds:
         seed_file = functools.partial(_seed_file, run_dir, seed)
@@ -418,7 +450,7 @@ def _a2c_fit(env: TradingEnv, a2c_config: A2cConfig):
             fh.write("step,val_reward,is_best\n")
             for step, val, is_best in run.log_rows():
                 fh.write(f"{step},{val!r},{is_best}\n")
-        return (policy_strategy(run.best_policy, a2c_config.include_weather), "policy.npz",
+        return (policy_strategy(run.best_policy), "policy.npz",
                 f"best val {run.best_val_reward:.2f} at step {run.best_step}, test ")
 
     return fit
@@ -442,7 +474,6 @@ def cmd_evaluate(args) -> int:
         if not os.path.exists(args.policy):
             raise MissingArtifact(f"policy file {args.policy} not found")
         policy = load_policy(args.policy)
-        include_weather = bool(policy.meta.get("include_weather", True))
         # The policy must see forecasts normalized as in its training, and its battery.
         for key, value in (("max_wind_speed", env_config.max_wind_speed),
                            ("temperature_range", list(TEMPERATURE_RANGE)),
@@ -452,7 +483,7 @@ def cmd_evaluate(args) -> int:
                                  f"the config gives {value!r}")
         if "price_scale" in policy.meta:
             env_config = replace(env_config, price_scale=float(policy.meta["price_scale"]))
-        bids_fn = policy_strategy(policy, include_weather)
+        bids_fn = policy_strategy(policy)
         name = args.name or "policy"
     elif args.params:
         if not os.path.exists(args.params):

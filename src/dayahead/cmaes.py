@@ -60,7 +60,8 @@ def cmaes_optimize(objective, x0: np.ndarray, config: CmaesConfig | None = None
     Runs the configured number of generations and returns the final
     distribution mean (the point a trained strategy actually uses) together
     with a per-generation history.  Candidates with non-finite objective
-    values are ranked worst.
+    values are ranked worst; a generation without a finite one has no
+    ranking to follow, and raises a FloatingPointError.
     """
     config = config or CmaesConfig()
     mean = np.array(x0, dtype=float)
@@ -98,6 +99,10 @@ def cmaes_optimize(objective, x0: np.ndarray, config: CmaesConfig | None = None
         for k in range(lam):
             v = objective(candidates[k])
             values[k] = v if math.isfinite(v) else -math.inf
+        finite = values[np.isfinite(values)]
+        if not finite.size:
+            raise FloatingPointError(f"generation {gen + 1}: no candidate has a finite "
+                                     "objective; the search diverged")
         order = np.argsort(-values, kind="stable")
 
         selected = candidates[order[:mu]]
@@ -119,11 +124,10 @@ def cmaes_optimize(objective, x0: np.ndarray, config: CmaesConfig | None = None
         sigma *= math.exp((cs / damps) * (ps_norm / chi_n - 1))
         mean = new_mean
 
-        finite = values[np.isfinite(values)]
         history.records.append(GenerationRecord(
             generation=gen,
             best_objective=float(values.max()),
-            median_objective=float(np.median(finite)) if finite.size else -math.inf,
+            median_objective=float(np.median(finite)),
             sigma=sigma,
         ))
     return mean, history

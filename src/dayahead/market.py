@@ -32,7 +32,11 @@ Each simulator rule lives in one place:
   once per episode: the consumption tape built by ``TradingEnv.reset``;
 * the per-hour rolling median price: :func:`rolling_price_stats`;
 * volume rounding to the market step: :func:`round_volumes`;
-* the bids of a schedule, in ``bids.csv`` order: :func:`schedule_slots`;
+* the bids of a schedule, in ``bids.csv`` order: :func:`schedule_slots`,
+  and whether each was accepted, for ``bids.csv`` and the benchmark's bid
+  counter alike: :meth:`DayResult.bid_rows`;
+* the days an episode needs, a forecast on each from its decision day to
+  its last delivery day: :meth:`TradingEnv.check_episode`;
 * the name of each hourly quantity: :data:`DAY_RESULT_HEADER`, the
   columns of ``trace.csv``, whose names :data:`TRACE_FIELDS` reuses;
 * the per-hour trace layout of a collected day: :data:`TRACE_FIELDS`;
@@ -173,7 +177,8 @@ def delivery_window(day_range: tuple[int, int], days: int | None = None) -> tupl
 
 
 def observation_size(include_weather: bool) -> int:
-    """Length of :meth:`DecisionContext.observation`: 141, or 69 without weather."""
+    """Length of :meth:`DecisionContext.observation`, 141, or of its first
+    69 values, which leave out the weather forecast."""
     return 141 if include_weather else 69
 
 
@@ -246,10 +251,13 @@ class DecisionContext:
         """Largest producible volume per hour."""
         return self.env._vbar
 
-    def observation(self, include_weather: bool = True) -> np.ndarray:
-        """Normalized state vector: 141 values, or 69 without the forecast block."""
+    def observation(self) -> np.ndarray:
+        """Normalized state vector of 141 values; the first 69 leave out the
+        forecast block, and a policy without weather reads only those."""
         env = self.env
-        obs = np.zeros(observation_size(include_weather))
+        if not env._forecast_ok[self.day + 1]:
+            raise ValueError(f"no forecast for day {self.day + 1} to observe")
+        obs = np.zeros(observation_size(True))
         obs[0:24] = env._prices_norm[self.day]
         obs[24:48] = env._profile_norm
         obs[48] = self.rel_charge
@@ -257,10 +265,7 @@ class DecisionContext:
         month_index, weekday = env._calendar[self.day]
         obs[50 + month_index] = 1.0
         obs[62 + weekday] = 1.0
-        if include_weather:
-            if not env._forecast_ok[self.day + 1]:
-                raise ValueError("weather observation requested but no forecast block present")
-            obs[69:] = env._forecast_norm[self.day + 1]
+        obs[69:] = env._forecast_norm[self.day + 1]
         return obs
 
 
@@ -344,20 +349,13 @@ def export_day_results(results: list[DayResult], path) -> None:
         for res in results))
 
 
-def _bid_lines(res: DayResult):
-    """The ``bids.csv`` lines of one day, in :func:`schedule_slots` order; a
-    bid is accepted when its side traded in its hour."""
-    executed = {BUY: res.hourly("buy_exec"), SELL: res.hourly("sell_exec")}
-    for hour, side, volume, price in schedule_slots(res.schedule):
-        yield (f"{res.day},{hour},{side},{float(volume)!r},{float(price)!r},"
-               f"{int(executed[side][hour] != 0.0)}")
-
-
 def export_bid_outcomes(results: list[DayResult], path) -> None:
     """Write ``bids.csv``: one row per bid, day,hour,side,volume,price,accepted,
-    in :func:`schedule_slots` order.  Volumes and prices pass through
-    ``float`` so that a numpy scalar prints as a number."""
-    write_lines(path, BID_OUTCOME_HEADER, chain.from_iterable(map(_bid_lines, results)))
+    from each day's :meth:`DayResult.bid_rows`.  Volumes and prices pass
+    through ``float`` so that a numpy scalar prints as a number."""
+    write_lines(path, BID_OUTCOME_HEADER, (
+        f"{res.day},{hour},{side},{float(volume)!r},{float(price)!r},{int(accepted)}"
+        for res in results for hour, side, volume, price, accepted in res.bid_rows()))
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +369,16 @@ class TradingEnv:
     point on ``start_day - 1`` (with an empty inherited schedule), draws the
     consumption noise of ``days`` delivery days from ``rng``, plays out the
     decision day from the action hour, and returns the context for bidding
-    on ``start_day``.  Each ``step(schedule)`` clears a bid schedule against
-    the next delivery day, simulates its 24 hours, and returns the next
-    decision context, the day's profit, the day's :class:`DayResult` and
-    ``done``, signalled when the replay tape runs out of forecast data for
-    the next decision; stepping beyond ``days`` raises.  Both end with one
-    pass from the action hour to midnight that also carries the midnight
-    estimate of the context they return.
+    on ``start_day``.  It refuses an episode unless every day from
+    ``start_day - 1`` to ``start_day + days - 1`` has a forecast
+    (:meth:`check_episode`), so every context inside an episode exists.
+    Each ``step(schedule)`` clears a bid schedule against the next delivery
+    day, simulates its 24 hours, and returns the next decision context, the
+    day's profit and the day's :class:`DayResult`; after the last day the
+    context is None when the tape has no forecast for the day after it, and
+    stepping beyond ``days`` raises.  Both end with one pass from the action
+    hour to midnight that also carries the midnight estimate of the context
+    they return.
     A collected day keeps the hour trace the battery loop appends to and the
     frozen schedule.
     ``collect=False`` returns ``None`` for it and skips the trace, which
@@ -438,23 +439,16 @@ class TradingEnv:
 
     def reset(self, start_day: int, rng: np.random.Generator | int,
               days: int) -> DecisionContext:
-        """Start an episode of ``days`` delivery days from ``start_day``.
+        """Start an episode of ``days`` delivery days from ``start_day``,
+        which :meth:`check_episode` must accept.
 
-        Needs one prior day for the decision context and a forecast for that
-        prior day (forecasts exist from day 1), so ``start_day >= 2``; the
-        episode must end within the dataset.  Its consumption noise is drawn
-        here in one call from ``rng``, a generator (used as is, so its stream
-        continues as if drawn day by day) or an integer seed.  The tape of an
-        integer seed is kept: a reset with the same seed, start and length
-        reuses it, as every candidate of one optimization run does.
+        Its consumption noise is drawn here in one call from ``rng``, a
+        generator (used as is, so its stream continues as if drawn day by
+        day) or an integer seed.  The tape of an integer seed is kept: a reset
+        with the same seed, start and length reuses it, as every candidate of
+        one optimization run does.
         """
-        if start_day < FIRST_DELIVERY_DAY:
-            raise ValueError(f"start_day must be at least {FIRST_DELIVERY_DAY}")
-        if not 0 <= days <= self.dataset.num_days - start_day:
-            raise ValueError(f"an episode of {days} days from day {start_day} "
-                             f"does not fit the dataset's {self.dataset.num_days} days")
-        if not self.dataset.forecast_available(start_day):
-            raise ValueError(f"no forecast for day {start_day}; generate forecasts first")
+        self.check_episode(start_day, days)
         cfg = self.config
         decision_day = start_day - 1
         key = (rng, start_day, days) if isinstance(rng, int) else None
@@ -476,8 +470,25 @@ class TradingEnv:
         return self._finish_day(decision_day, self._production_rows[decision_day],
                                 self._consumption_rows[0], None)[1]
 
+    def check_episode(self, start_day: int, days: int) -> None:
+        """Raise a ValueError unless an episode of ``days`` delivery days from
+        ``start_day`` fits the dataset after :data:`FIRST_DELIVERY_DAY` and
+        every day from its decision day ``start_day - 1`` to its last
+        delivery day has a forecast; the first day without one is named,
+        with its date."""
+        if start_day < FIRST_DELIVERY_DAY:
+            raise ValueError(f"start_day must be at least {FIRST_DELIVERY_DAY}")
+        if not 0 <= days <= self.dataset.num_days - start_day:
+            raise ValueError(f"an episode of {days} days from day {start_day} "
+                             f"does not fit the dataset's {self.dataset.num_days} days")
+        if not all(self._forecast_ok[start_day - 1:start_day + days]):
+            gap = self._forecast_ok.index(False, start_day - 1)
+            raise ValueError(f"no forecast available for day {gap} ({self.dataset.date_of(gap)}); "
+                             f"{days} delivery days from day {start_day} need one on each day "
+                             f"from {start_day - 1} to {start_day + days - 1}")
+
     def step(self, schedule, collect: bool = True, trusted: bool = False
-             ) -> tuple[DecisionContext | None, float, DayResult | None, bool]:
+             ) -> tuple[DecisionContext | None, float, DayResult | None]:
         if self._next_day is None:
             raise RuntimeError("call reset() before step()")
         day = self._next_day
@@ -504,7 +515,7 @@ class TradingEnv:
             result = DayResult(day, trace, schedule, start_charge, reward,
                                self._price_rows[day], production)
         self._next_day = day + 1
-        return ctx, reward, result, ctx is None
+        return ctx, reward, result
 
     # -- internals ----------------------------------------------------------
 
@@ -591,11 +602,13 @@ class TradingEnv:
     def _finish_day(self, day: int, production: list[float], consumption: list[float],
                     trace: list | None) -> tuple[float, DecisionContext | None]:
         """Net ``day`` from the action hour to midnight, with the estimate lane
-        on the day's forecast.  Returns the cash and the context for bidding on
-        ``day + 1``, or None when the tape has no forecast for ``day + 1``."""
+        on the day's forecast, which the episode's coverage guarantees.
+        Returns the cash and the context for bidding on ``day + 1``, or None
+        when the tape has no forecast for ``day + 1``, which only the day
+        after an episode can lack."""
         cfg = self.config
         start = self.charge
-        forecast = self._forecast_row(day) if self._forecast_ok[day + 1] else None
+        forecast = self._forecast_production_rows[day] if self._forecast_ok[day + 1] else None
         self.charge, cash, estimate = self._net_hours(start, cfg.action_hour, HOURS_PER_DAY,
                                                       production, consumption, trace, forecast)
         if forecast is None:
@@ -604,12 +617,6 @@ class TradingEnv:
             self, day, start / cfg.battery_capacity, estimate / cfg.battery_capacity,
             rolling_price_stats(self.dataset, day, cfg.price_stat_window))
 
-    def _forecast_row(self, day: int) -> list[float]:
-        """The production implied by ``day``'s weather forecast, hour by hour."""
-        if not self._forecast_ok[day]:
-            raise ValueError(f"no forecast available for day {day}")
-        return self._forecast_production_rows[day]
-
     def estimate_midnight_level(self, decision_day: int) -> float:
         """Projected relative battery level at the upcoming midnight, from the
         current charge and schedule: the battery rule from the action hour on,
@@ -617,8 +624,9 @@ class TradingEnv:
         package does not call it: each context gets its estimate from the
         lane of :meth:`_net_hours`.  It stays because ``perfbench`` traces it
         by name."""
+        self.check_episode(decision_day + 1, 0)  # a forecast for the decision day
         charge, _, _ = self._net_hours(self.charge, self.config.action_hour, HOURS_PER_DAY,
-                                       self._forecast_row(decision_day),
+                                       self._forecast_production_rows[decision_day],
                                        self._zero_noise_consumption, None)
         return charge / self.config.battery_capacity
 

@@ -31,11 +31,16 @@ def parametric_strategy(kind: str, vector: np.ndarray):
     return params_class(kind).from_vector(vector).bids
 
 
-def policy_strategy(policy: PolicyParams, include_weather: bool = True):
-    """Deterministic mean-action wrapper around a trained policy."""
+def policy_strategy(policy: PolicyParams):
+    """Deterministic mean-action wrapper around a trained policy, which reads
+    the first ``policy.input_size`` values of each observation: 141, or the
+    69 without weather; any other input size is refused."""
+    size = policy.input_size
+    if size not in (observation_size(True), observation_size(False)):
+        raise ValueError(f"a policy reads 141 or 69 observation values, this one {size}")
 
     def bids(ctx):
-        action = mean_action(policy, ctx.observation(include_weather))
+        action = mean_action(policy, ctx.observation()[:size])
         return blackbox_bids(action, ctx.vbar, ctx.pbar)
 
     return bids
@@ -60,11 +65,11 @@ def evaluate_strategy(bids_fn, env: TradingEnv, day_range: tuple[int, int],
     Deterministic per seed: an episode of ``hi - lo`` days restarts with
     consumption noise seeded from ``seed`` (one tape, reused while the seed
     repeats), so one environment serves any number of evaluations; the
-    strategy itself must be a pure function of the context.  It ends early
-    where the forecasts do.  With ``collect_results`` the list of
-    :class:`~dayahead.market.DayResult` records is returned as well; each
-    builds its arrays and bid records only when read, so collecting costs
-    about half as much again as not.
+    strategy itself must be a pure function of the context.  Every day of
+    the range is scored: ``reset`` refuses a range unless each day from
+    ``lo - 1`` to ``hi - 1`` has a forecast, naming the first that has none.
+    With ``collect_results`` the list of :class:`~dayahead.market.DayResult`
+    records is returned as well.
     Schedules are trusted (not checked):
     strategies built from this package emit compliant volumes by construction.
     """
@@ -73,12 +78,10 @@ def evaluate_strategy(bids_fn, env: TradingEnv, day_range: tuple[int, int],
     total = 0.0
     results: list[DayResult] = []
     for _ in range(lo, hi):
-        ctx, reward, result, done = env.step(bids_fn(ctx), collect_results, True)
+        ctx, reward, result = env.step(bids_fn(ctx), collect_results, True)
         total += reward
         if collect_results:
             results.append(result)
-        if done:
-            break
     if collect_results:
         return total, results
     return total
@@ -112,7 +115,10 @@ def optimize_parametric(kind: str, env: TradingEnv, cma_config: CmaesConfig, see
                                  objective_seed)
 
     x0 = initial_parameter_mean(kind, init_rng)
-    return cmaes_optimize(objective, x0, replace(cma_config, seed=seed))
+    try:
+        return cmaes_optimize(objective, x0, replace(cma_config, seed=seed))
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"seed {seed}, {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +181,8 @@ class A2cConfig:
             raise ValueError("gamma must lie in [0, 1]")
         if not 0 <= self.gae_lambda <= 1:
             raise ValueError("gae_lambda must lie in [0, 1]")
+        if not self.rms_eps > 0:  # 0 divides a zero gradient by zero
+            raise ValueError(f"rms_eps must be positive, got {self.rms_eps}")
         for name in ("total_days", "n_steps", "eval_frequency", "eval_days", "hidden_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -266,23 +274,22 @@ class A2cUpdater:
 
 def _rollout(env: TradingEnv, policy: PolicyParams, start_day: int,
              n_steps: int, env_rng: np.random.Generator,
-             noise_rng: np.random.Generator, include_weather: bool):
+             noise_rng: np.random.Generator):
     """Roll the stochastic policy for ``n_steps`` days from ``start_day``,
     with consumption noise from ``env_rng`` and exploration noise from
-    ``noise_rng``."""
+    ``noise_rng``; the policy sees the first ``policy.input_size``
+    observation values."""
     ctx = env.reset(start_day, env_rng, n_steps)
     obs = np.empty((n_steps, policy.input_size))
     noise = noise_rng.standard_normal((n_steps, policy.action_size))  # the stream of a draw per day
     rewards = np.empty(n_steps)
     for t in range(n_steps):
-        s = ctx.observation(include_weather)
+        s = ctx.observation()[:policy.input_size]
         action = sample_action(policy, s, noise[t])
-        ctx, reward, _, done = env.step(blackbox_bids(action, ctx.vbar, ctx.pbar),
-                                        collect=False, trusted=True)
+        ctx, reward, _ = env.step(blackbox_bids(action, ctx.vbar, ctx.pbar),
+                                  collect=False, trusted=True)
         obs[t] = s
         rewards[t] = reward
-        if done and t != n_steps - 1:
-            raise RuntimeError("training window ran off the replay tape")
     return obs, noise, rewards
 
 
@@ -321,6 +328,7 @@ def a2c_train(env: TradingEnv, config: A2cConfig, seed: int) -> TrainingRun:
     last_start = train_hi - config.n_steps
     if last_start < first_start:
         raise ValueError("training split shorter than one episode")
+    env.check_episode(first_start, train_hi - first_start)  # every window a rollout may draw
     val_range = delivery_window(split.validation, config.eval_days)
 
     eval_log: list[EvalPoint] = []
@@ -333,8 +341,7 @@ def a2c_train(env: TradingEnv, config: A2cConfig, seed: int) -> TrainingRun:
     while steps < config.total_days:
         start = int(window_rng.integers(first_start, last_start + 1))
         # Rollouts continue one noise stream; scoring seeds its own.
-        obs, noise, rewards = _rollout(env, policy, start, config.n_steps, env_rng,
-                                       noise_rng, config.include_weather)
+        obs, noise, rewards = _rollout(env, policy, start, config.n_steps, env_rng, noise_rng)
         # Fixed-length episodes end at the rollout boundary: no bootstrap.
         try:
             updater.update(obs, noise, rewards, bootstrap=0.0)
@@ -344,8 +351,8 @@ def a2c_train(env: TradingEnv, config: A2cConfig, seed: int) -> TrainingRun:
         steps += config.n_steps
 
         if steps >= next_eval or steps >= config.total_days:
-            val_reward = evaluate_strategy(policy_strategy(policy, config.include_weather),
-                                           env, val_range, val_eval_seed)
+            val_reward = evaluate_strategy(policy_strategy(policy), env, val_range,
+                                           val_eval_seed)
             is_best = val_reward > best_val
             if is_best:
                 best_val = val_reward

@@ -79,6 +79,16 @@ def with_perfect_forecasts(dataset):
     return damod.make_forecasts(dataset, damod.ForecastSigmas(0.0, 0.0, 0.0), seed=0)
 
 
+def with_forecast_gap(dataset, day):
+    """``dataset`` without the weather forecast for ``day``."""
+    from dataclasses import replace
+
+    gap = {name: getattr(dataset, name).copy() for name in damod.FORECAST_FIELDS}
+    for values in gap.values():
+        values[day] = np.nan
+    return replace(dataset, **gap)
+
+
 def bid_schedule(*bids):
     """A day's bid schedule holding ``bids``, ``(hour, side, volume, price)``
     tuples, at most one per side and hour; every other slot is no bid."""

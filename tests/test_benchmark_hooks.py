@@ -70,6 +70,32 @@ def test_collected_step_exposes_accepted_bid_outcomes(small_dataset):
     assert env.step(schedule, collect=False)[2] is None
 
 
+def test_benchmark_bid_counter_counts_a_collected_step(small_dataset, monkeypatch):
+    """perfbench's ``BidCounter``, loaded from its file, fed one real
+    collected step as its ``TradingEnv.step`` hook sees it, stays unbroken
+    and counts that day's ``bid_rows()`` and their acceptances: it reads the
+    ``DayResult`` at index 2 of ``step``'s return value."""
+    import importlib.util
+
+    from dayahead.market import EnvConfig, TradingEnv
+
+    monkeypatch.syspath_prepend(str(RUN_PY.parent))  # run.py imports its tracing module
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PY)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    env = TradingEnv(small_dataset, EnvConfig())
+    env.reset(10, 0, 1)
+    schedule = [[0.1] * 24, [1e9, 0.0] * 12, [0.2] * 24, [1e9, 0.0] * 12]  # half of each clear
+    result = env.step(schedule)
+    counter = run.BidCounter()
+    counter.observe((env, schedule), {}, result)
+    rows = result[2].bid_rows()
+    assert not counter.broken
+    assert (counter.steps, counter.collected, counter.accepted) == (
+        1, len(rows), sum(accepted for *_, accepted in rows))
+    assert (counter.collected, counter.accepted) == (48, 24)
+
+
 # The other package names perfbench/run.py calls, with the parameters it
 # passes them; it reads ``n_steps`` and ``eval_days`` of the A2C config.
 BENCHMARK_CALLS = [

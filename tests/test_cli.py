@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shutil
 from dataclasses import fields
 from datetime import date
 
@@ -222,6 +223,8 @@ def test_train_rl_writes_policy_and_logs(data_dir, config_path, tmp_path, capsys
 
 
 def test_train_rl_no_weather_flag(data_dir, config_path, tmp_path):
+    """The policy reads 69 inputs, and ``evaluate``, which feeds a policy as
+    many observation values as it reads, reproduces its income."""
     from dayahead.nets import load_policy
 
     out = tmp_path / "rl69"
@@ -230,6 +233,25 @@ def test_train_rl_no_weather_flag(data_dir, config_path, tmp_path):
     assert code == 0
     policy = load_policy(out / "seed0" / "policy.npz")
     assert policy.input_size == 69
+    scored = tmp_path / "eval69"
+    assert main(["evaluate", "--policy", str(out / "seed0" / "policy.npz"),
+                 "--data", str(data_dir), "--config", config_path,
+                 "--seeds", "0", "--out", str(scored)]) == 0
+    assert (json.loads((scored / "result.json").read_text())["incomes"]
+            == json.loads((out / "result.json").read_text())["incomes"])
+
+
+def test_evaluate_policy_of_another_input_size_exits_2(data_dir, tmp_path, capsys):
+    from dayahead.nets import init_policy, save_policy
+
+    path = tmp_path / "policy.npz"
+    save_policy(path, init_policy(100, hidden_size=8, seed=0))
+    out = tmp_path / "o"
+    code = main(["evaluate", "--policy", str(path), "--data", str(data_dir),
+                 "--seeds", "0", "--out", str(out)])
+    assert code == 2
+    assert "141 or 69 observation values, this one 100" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_zero_action_baseline(data_dir, config_path, tmp_path, capsys):
@@ -370,6 +392,84 @@ def test_environment_value_the_kernel_cannot_honour_exits_2(data_dir, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("action_scheduling_hour", 24, "action_hour must lie in 0..23, got 24"),
+    ("solar_panel_efficiency", 2, "solar efficiency must lie in (0, 1]"),
+    ("population_size", 2, "population must be at least 4"),
+    ("timesteps", 0, "total_days must be at least 1, got 0"),
+])
+@pytest.mark.parametrize("verb", [["evaluate", "--zero-action"],
+                                  ["optimize", "--strategy", "timing"],
+                                  ["train-rl"], ["report", "--runs", "r"]])
+def test_every_verb_refuses_a_config_value_by_its_key(data_dir, tmp_path, capsys, verb,
+                                                      key, value, message):
+    """The message named only the dataclass field (``action_hour``, ``solar
+    efficiency``), and a verb that does not read a key's section exited 0 on
+    a value the verbs that do read it refuse."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**TINY_CONFIG, key: value}))
+    out = tmp_path / "o"
+    code = main([*verb, "--data", str(data_dir), "--config", str(config), "--seeds", "0",
+                 "--out", str(out)])
+    assert code == 2
+    assert f"config key {key!r} has value {value!r}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_data_refuses_a_config_value_by_its_key(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"population_size": 2}))
+    out = tmp_path / "d"
+    assert main(["generate-data", "--seed", "3", "--days", "60", "--config", str(config),
+                 "--out", str(out)]) == 2
+    assert "config key 'population_size' has value 2: population must be at least 4" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_optimize_that_diverges_exits_2_and_writes_nothing(data_dir, tmp_path, capsys):
+    """With an initial sigma of 1e5 no opportunistic candidate scores a finite
+    income, and the run exited 0 on a test income of NaN."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "initial_sigma": 1e5, "generations": 2}))
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):  # the candidates' volumes overflow
+        code = main(["optimize", "--strategy", "opportunistic", "--data", str(data_dir),
+                     "--config", str(config), "--seeds", "0", "--out", str(out)])
+    assert code == 2
+    assert "seed 0, generation 1: no candidate has a finite objective" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def gap_data_dir(data_dir, tmp_path_factory):
+    """The 120-day set without the 24 forecast rows of day 105, 2016-04-15,
+    a day of the tiny config's test range, days 96 to 115."""
+    path = tmp_path_factory.mktemp("gap")
+    for name in os.listdir(data_dir):
+        shutil.copy(data_dir / name, path / name)
+    lines = (data_dir / "forecasts.csv").read_bytes().splitlines(keepends=True)
+    kept = [line for line in lines if line.split(b",")[1] != b"2016-04-15"]
+    assert len(lines) - len(kept) == 24
+    (path / "forecasts.csv").write_bytes(b"".join(kept))
+    return path
+
+
+@pytest.mark.parametrize("verb", [["evaluate", "--zero-action"],
+                                  ["optimize", "--strategy", "timing"],
+                                  ["train-rl"]])
+def test_forecast_gap_in_the_test_range_exits_2_and_writes_nothing(gap_data_dir, config_path,
+                                                                   tmp_path, capsys, verb):
+    """Each exited 0 after scoring the 9 days before the gap, 216 trace rows,
+    with the full ``test_range`` [96, 116] in ``result.json``."""
+    out = tmp_path / "o"
+    code = main([*verb, "--data", str(gap_data_dir), "--config", config_path, "--seeds", "0",
+                 "--out", str(out)])
+    assert code == 2
+    assert "no forecast available for day 105 (2016-04-15)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_refuses_a_non_finite_capacity_before_training(data_dir, config_path,
                                                              tmp_path, capsys):
     """It trained capacity 1.0 fully, then failed on NaN with no result file."""
@@ -392,6 +492,23 @@ def test_empty_or_repeated_seed_list_exits_2(data_dir, config_path, tmp_path, ca
                  "--seeds", seeds, "--out", str(out)])
     assert code == 2
     assert f"--seeds {seeds!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", [["evaluate", "--zero-action"],
+                                  ["optimize", "--strategy", "timing"]])
+@pytest.mark.parametrize("flags,named", [(["--seeds", "0,-1"], "--seeds '0,-1'"),
+                                         (["--seed", "-2"], "--seed -2")])
+def test_negative_run_seed_exits_2_before_anything_runs(data_dir, config_path, tmp_path,
+                                                        capsys, verb, flags, named):
+    """``--seeds 0,-1`` scored seed 0 and wrote its files (``optimize`` its
+    params and log too), then stopped on seed -1 with an error that named no
+    flag and left no ``result.json``; ``--seed -2`` sets the run seeds -2..2."""
+    out = tmp_path / "o"
+    code = main([*verb, "--data", str(data_dir), "--config", config_path, *flags,
+                 "--out", str(out)])
+    assert code == 2
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -93,7 +93,7 @@ def test_lean_record_matches_the_eager_record(env, start, seed, schedules):
     for schedule in schedules:
         start_charge = env.charge
         copy = [list(row) for row in schedule]
-        _, reward, record, _ = env.step(schedule)
+        _, reward, record = env.step(schedule)
         for row in schedule:  # the strategy reuses its lists
             row[:] = [1.5] * HOURS_PER_DAY
         records.append(record)
@@ -124,7 +124,7 @@ def test_run_tables_write_numpy_scalars_as_numbers(env, tmp_path):
     schedule[0, 3], schedule[1, 3] = 0.3, 1e9  # a buy that clears
     schedule[2, 5], schedule[3, 5] = 0.2, 1e9  # a sell that does not
     env.reset(10, 0, 1)
-    _, reward, record, _ = env.step(schedule)
+    _, reward, record = env.step(schedule)
     assert any(isinstance(value, np.floating) for value in record.trace)
     eager = eager_record(env.dataset, env.config, record.day, record.start_charge, reward,
                          schedule.tolist(), record.trace)

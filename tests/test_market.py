@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from dayahead.cli import CONFIG_KEYS, env_config_from, load_config
 from dayahead.market import (BUY, SELL, DecisionContext, EnvConfig, TradingEnv,
-                             hourly_production, reference_balance,
+                             hourly_production, observation_size, reference_balance,
                              rolling_price_stats, round_volumes)
 from dayahead.strategies import TimingParams
 from dayahead.training import evaluate_strategy
 
-from conftest import bid_schedule, day_array, flat_dataset, with_perfect_forecasts
+from conftest import (bid_schedule, day_array, flat_dataset, with_forecast_gap,
+                      with_perfect_forecasts)
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +51,7 @@ def executed(bid, market_price):
     # a fixed price scale: the default, the mean price, would be 0 at price 0
     env = make_env(flat_dataset(num_days=4, price=market_price), quiet_config(price_scale=1.0))
     env.reset(2, rng=0, days=1)
-    _, _, result, _ = env.step(bid_schedule(bid))
+    _, _, result = env.step(bid_schedule(bid))
     hour, side, volume, _ = bid
     done = bool(result.hourly("buy_exec" if side == BUY else "sell_exec")[hour])
     assert [row[-1] for row in result.bid_rows()] == ([done] if volume else [])
@@ -90,7 +91,7 @@ def test_clearing_matches_brute_force_grid():
         env.reset(2, rng=0, days=5)
         for day in range(2, 7):
             schedule = [[0.1] * 24, [bid_price] * 24, [0.1] * 24, [bid_price] * 24]
-            _, _, result, _ = env.step(schedule)
+            _, _, result = env.step(schedule)
             accepted = [row[-1] for row in result.bid_rows()]
             assert accepted[0::2] == (day_array(result, "buy_exec") != 0).tolist()
             assert accepted[1::2] == (day_array(result, "sell_exec") != 0).tolist()
@@ -204,7 +205,7 @@ def test_zero_mean_training_price_needs_an_explicit_price_scale():
     ds.prices[3:] = 100.0  # only the split's own days count
     with pytest.raises(ValueError, match=r"training split, days 0\.\.2,"):
         TradingEnv(replace(ds, split=SplitBoundaries((0, 3), (3, 4), (4, 6))), EnvConfig())
-    obs = TradingEnv(ds, EnvConfig(price_scale=1.0)).reset(2, 0, 1).observation(True)
+    obs = TradingEnv(ds, EnvConfig(price_scale=1.0)).reset(2, 0, 1).observation()
     assert np.isfinite(obs).all() and not obs[:24].any()
 
 
@@ -267,7 +268,7 @@ def test_step_balanced_flows_no_bids():
     ds = flat_dataset(num_days=6, cloudiness=4, wind=0.0, profile=profile)
     env = make_env(ds, quiet_config())  # solar at c=4 is exactly 0.04
     env.reset(2, rng=0, days=1)
-    ctx, reward, result, done = env.step(bid_schedule())
+    ctx, reward, result = env.step(bid_schedule())
     assert reward == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(day_array(result, "battery_level"), 0.0, atol=1e-12)
 
@@ -278,7 +279,7 @@ def test_step_single_buy_charges_battery_with_losses():
     env = make_env(ds, quiet_config())
     env.reset(2, rng=0, days=1)
     bids = bid_schedule((9, BUY, 0.5, math.inf))
-    ctx, reward, result, done = env.step(bids)
+    ctx, reward, result = env.step(bids)
     assert reward == pytest.approx(-100.0, abs=1e-9)
     levels = day_array(result, "battery_level")
     assert levels[9] == pytest.approx(0.0, abs=1e-12)
@@ -295,7 +296,7 @@ def test_step_full_battery_overflow_sells_at_half_price():
     env = make_env(ds, quiet_config(initial_charge=1.0))
     env.reset(2, rng=0, days=1)
     bids = bid_schedule((5, BUY, 0.2, math.inf))
-    ctx, reward, result, done = env.step(bids)
+    ctx, reward, result = env.step(bids)
     uns_sell, cash = day_array(result, "uns_sell"), day_array(result, "cash_delta")
     # every hour also overflows its 0.04 MWh of production
     assert uns_sell[5] == pytest.approx(0.24, abs=1e-12)
@@ -310,7 +311,7 @@ def test_step_empty_battery_deficit_buys_at_double_price():
     ds = flat_dataset(num_days=6, price=100.0, profile=profile)
     env = make_env(ds, quiet_config())
     env.reset(2, rng=0, days=1)
-    ctx, reward, result, done = env.step(bid_schedule())
+    ctx, reward, result = env.step(bid_schedule())
     np.testing.assert_allclose(day_array(result, "uns_buy"), 0.05, atol=1e-12)
     assert reward == pytest.approx(-24 * 0.05 * 200.0, abs=1e-9)
 
@@ -320,7 +321,7 @@ def test_bids_execute_at_market_price_not_bid_price():
     env = make_env(ds, quiet_config())
     env.reset(2, rng=0, days=1)
     # buy limit far above market still pays market price
-    ctx, reward, result, done = env.step(bid_schedule((0, BUY, 0.5, 9_999.0),
+    ctx, reward, result = env.step(bid_schedule((0, BUY, 0.5, 9_999.0),
                                                       (1, SELL, 0.4, 10.0)))
     cash = day_array(result, "cash_delta")
     assert cash[0] == pytest.approx(-0.5 * 180.0, abs=1e-9)
@@ -333,7 +334,7 @@ def test_rejected_bids_do_not_trade():
     ds = flat_dataset(num_days=6, price=180.0)
     env = make_env(ds, quiet_config())
     env.reset(2, rng=0, days=1)
-    ctx, reward, result, done = env.step(bid_schedule(
+    ctx, reward, result = env.step(bid_schedule(
         (0, BUY, 0.5, 100.0),     # below market
         (1, SELL, 0.4, 300.0)))   # above market
     assert reward == pytest.approx(0.0, abs=1e-12)
@@ -368,14 +369,14 @@ def test_step_rejects_non_finite_volume(volume):
         env.step(bid_schedule((0, BUY, volume, 100.0)))
 
 
-def test_done_at_replay_end():
+def test_no_context_after_the_replay_ends():
     ds = flat_dataset(num_days=6)
     env = make_env(ds, quiet_config())
     env.reset(4, rng=0, days=2)
-    ctx, _, _, done = env.step(bid_schedule())  # delivery day 4, next ctx for day 5
-    assert not done and ctx is not None
-    ctx, _, _, done = env.step(bid_schedule())  # delivery day 5, day 6 does not exist
-    assert done and ctx is None
+    ctx, _, _ = env.step(bid_schedule())  # delivery day 4, next ctx for day 5
+    assert ctx is not None
+    ctx, _, _ = env.step(bid_schedule())  # delivery day 5, day 6 does not exist
+    assert ctx is None
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +402,8 @@ def run_randomized_days(dataset, config, num_days, seed):
     env.reset(2, rng=seed, days=num_days)
     results = []
     for _ in range(num_days):
-        ctx, reward, result, done = env.step(random_bids(rng))
+        ctx, reward, result = env.step(random_bids(rng))
         results.append(result)
-        if done:
-            break
     return results
 
 
@@ -514,8 +513,8 @@ def test_strategies_cannot_write_the_replay_tape(small_dataset):
                 view = ctx.pbar
                 with pytest.raises(ValueError, match="read-only"):
                     view *= 0.0
-                ctx.observation(True)[:] = 0.0
-            ctx, reward, _, _ = env.step(random_bids(rng))
+                ctx.observation()[:] = 0.0
+            ctx, reward, _ = env.step(random_bids(rng))
             total += reward
         return total
 
@@ -540,7 +539,7 @@ def test_estimate_single_sell_empties_battery():
     ds = flat_dataset(num_days=6, price=250.0)
     env = make_env(ds, quiet_config(initial_charge=0.4))  # 0.8 MWh stored
     env.reset(2, rng=0, days=1)
-    ctx, _, result, _ = env.step(bid_schedule((23, SELL, 0.8, 0.0)))
+    ctx, _, result = env.step(bid_schedule((23, SELL, 0.8, 0.0)))
     assert ctx.est_midnight == pytest.approx(0.0, abs=1e-12)
     assert day_array(result, "battery_level")[24] == pytest.approx(0.0, abs=1e-12)
 
@@ -554,11 +553,9 @@ def test_estimate_matches_realized_level_without_noise(small_dataset):
     ctx = env.reset(40, rng=0, days=30)
     for _ in range(30):
         est = ctx.est_midnight
-        ctx, _, result, done = env.step(random_bids(rng))
+        ctx, _, result = env.step(random_bids(rng))
         realized = day_array(result, "battery_level")[0] / config.battery_capacity
         assert est == pytest.approx(realized, abs=1e-12)
-        if done:
-            break
 
 
 def test_estimate_reflects_scheduled_bids_mid_day(small_dataset):
@@ -567,7 +564,7 @@ def test_estimate_reflects_scheduled_bids_mid_day(small_dataset):
     config = EnvConfig(consumption_noise_std=0.0)
     env = TradingEnv(ds, config)
     env.reset(40, rng=0, days=1)
-    ctx, _, result, _ = env.step(bid_schedule((15, BUY, 1.0, math.inf)))
+    ctx, _, result = env.step(bid_schedule((15, BUY, 1.0, math.inf)))
     assert ctx.est_midnight * config.battery_capacity == pytest.approx(
         day_array(result, "battery_level")[24], abs=1e-12)
 
@@ -580,7 +577,7 @@ def test_estimate_clears_bids_whose_limit_equals_the_price(small_dataset):
     env = TradingEnv(ds, config)
     env.reset(40, rng=0, days=1)
     prices = ds.prices[40]
-    ctx, _, result, _ = env.step(bid_schedule((14, BUY, 0.7, float(prices[14])),
+    ctx, _, result = env.step(bid_schedule((14, BUY, 0.7, float(prices[14])),
                                               (19, SELL, 0.4, float(prices[19]))))
     assert result.hourly("buy_exec")[14] == 0.7
     assert result.hourly("sell_exec")[19] == 0.4
@@ -599,24 +596,36 @@ def test_estimate_midnight_level_equals_the_reset_context(small_dataset, capacit
 
 
 def test_reset_refuses_a_decision_day_without_forecast(small_dataset):
-    gap = {name: getattr(small_dataset, name).copy()
-           for name in ("forecast_cloudiness", "forecast_wind_speed", "forecast_temperature")}
-    for values in gap.values():
-        values[9] = np.nan
-    env = TradingEnv(replace(small_dataset, **gap), EnvConfig())
+    env = TradingEnv(with_forecast_gap(small_dataset, 9), EnvConfig())
     with pytest.raises(ValueError, match="no forecast available for day 9"):
         env.reset(10, 0, 3)
+
+
+def test_reset_needs_a_forecast_for_every_day_of_the_episode(small_dataset):
+    """Days 9 to 12 for 3 delivery days from day 10: a gap on a delivery day
+    is refused before the episode starts, with the day and its date named,
+    where scoring used to stop at the gap.  The day after the episode may lack
+    one: its last step then returns no context."""
+    for day in (10, 11, 12):
+        env = TradingEnv(with_forecast_gap(small_dataset, day), EnvConfig())
+        with pytest.raises(ValueError, match=rf"no forecast available for day {day} "
+                                             rf"\({small_dataset.date_of(day)}\)"):
+            env.reset(10, 0, 3)
+    env = TradingEnv(with_forecast_gap(small_dataset, 13), EnvConfig())
+    env.reset(10, 0, 3)
+    contexts = [env.step(bid_schedule())[0] for _ in range(3)]
+    assert [ctx is None for ctx in contexts] == [False, False, True]
 
 
 def test_battery_level_caps_and_floors():
     ds = flat_dataset(num_days=6)  # no production, no consumption
     env = make_env(ds, quiet_config(initial_charge=0.95))  # 1.9 of 2.0 MWh
     env.reset(2, rng=0, days=1)
-    _, _, result, _ = env.step(bid_schedule((0, BUY, 1.0, math.inf)))
+    _, _, result = env.step(bid_schedule((0, BUY, 1.0, math.inf)))
     assert day_array(result, "battery_level")[1] == 2.0
     env = make_env(ds, quiet_config(initial_charge=0.05))  # 0.1 MWh
     env.reset(2, rng=0, days=1)
-    _, _, result, _ = env.step(bid_schedule((0, SELL, 1.0, 0.0)))
+    _, _, result = env.step(bid_schedule((0, SELL, 1.0, 0.0)))
     assert day_array(result, "battery_level")[1] == 0.0
 
 
@@ -645,10 +654,8 @@ def test_battery_rule_properties(perfect_dataset, days, start, initial_charge):
     env = TradingEnv(perfect_dataset, config)
     env.reset(start, rng=0, days=len(days))
     for bids in days:
-        ctx, _, result, done = env.step(bid_schedule(*bids))
+        ctx, _, result = env.step(bid_schedule(*bids))
         assert_hourly_identities([result], config)
-        if done:
-            break
         assert ctx.est_midnight * config.battery_capacity == result.hourly("battery_level")[23]
 
 
@@ -657,17 +664,19 @@ def test_battery_rule_properties(perfect_dataset, days, start, initial_charge):
 # ---------------------------------------------------------------------------
 
 def test_observation_lengths(small_dataset):
+    """141 values; a policy without weather reads the first 69, which leave
+    out the forecast block that starts there (see the layout test)."""
     env = TradingEnv(small_dataset, EnvConfig())
     ctx = env.reset(30, rng=0, days=1)
-    assert ctx.observation(include_weather=True).shape == (141,)
-    assert ctx.observation(include_weather=False).shape == (69,)
+    assert ctx.observation().shape == (observation_size(True),) == (141,)
+    assert observation_size(False) == 69
 
 
 def test_observation_layout(small_dataset):
     config = EnvConfig(price_scale=200.0)
     env = TradingEnv(small_dataset, config)
     ctx = env.reset(30, rng=0, days=1)
-    obs = ctx.observation(True)
+    obs = ctx.observation()
     np.testing.assert_allclose(obs[0:24], small_dataset.prices[29] / 200.0)
     profile = small_dataset.profile.avg_per_household
     np.testing.assert_allclose(obs[24:48], profile / profile.max())
@@ -691,24 +700,25 @@ def test_observation_one_hot_positions():
     ds = flat_dataset(num_days=60, start=dt.date(2021, 3, 1))  # a Monday
     env = make_env(ds, quiet_config())
     ctx = env.reset(2, rng=0, days=1)  # decision day 1 = Tuesday March 2nd
-    obs = ctx.observation(False)
+    obs = ctx.observation()
     assert obs[50 + 2] == 1.0          # March
     assert obs[62 + 1] == 1.0          # Tuesday
     ctx2 = env.reset(8, rng=0, days=1)  # decision day 7 = Monday March 8th
-    obs2 = ctx2.observation(False)
+    obs2 = ctx2.observation()
     assert obs2[62 + 0] == 1.0
 
 
 def test_weather_observation_requires_forecasts():
+    """An observation reads the next day's forecast block; every context the
+    environment builds has one, and a context without one refuses."""
     ds = flat_dataset(num_days=60)
     with_fc = with_perfect_forecasts(ds)
     # a context on the last day, whose next day has no forecast block
     env = TradingEnv(with_fc, quiet_config())
     ctx = env.reset(2, rng=0, days=1)
     last = DecisionContext(env, ds.num_days - 1, ctx.rel_charge, ctx.est_midnight, ctx.pbar)
-    assert last.observation(include_weather=False).shape == (69,)
-    with pytest.raises(ValueError, match="forecast"):
-        last.observation(include_weather=True)
+    with pytest.raises(ValueError, match="no forecast for day 60"):
+        last.observation()
 
 
 # ---------------------------------------------------------------------------

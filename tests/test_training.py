@@ -14,7 +14,7 @@ from dayahead.training import (A2cConfig, A2cUpdater, a2c_train, evaluate_strate
                                fixed_action_strategy, gae_advantages, initial_parameter_mean,
                                optimize_parametric, parametric_strategy, policy_strategy)
 
-from conftest import bid_schedule, flat_dataset, with_perfect_forecasts
+from conftest import bid_schedule, flat_dataset, with_forecast_gap, with_perfect_forecasts
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +171,18 @@ def test_non_finite_objective_ranked_worst():
     assert math.isfinite(history.best_objective)
 
 
+def test_generation_without_a_finite_objective_raises():
+    """Its ranking was the candidates' order; an optimize run with such
+    generations exited 0 on a test income of NaN."""
+    def objective(x):
+        return float("nan") if x[0] > 5.0 else -float(np.sum(x ** 2))
+
+    cfg = CmaesConfig(population=6, generations=3, seed=0)
+    assert cmaes_optimize(objective, np.zeros(2), cfg)[1].best_objective <= 0.0
+    with pytest.raises(FloatingPointError, match="generation 1: no candidate has a finite"):
+        cmaes_optimize(objective, np.full(2, 10.0), cfg)
+
+
 def test_rosenbrock_progress():
     """Harder curved valley: large improvement within the default budget."""
     def neg_rosenbrock(x):
@@ -284,6 +296,33 @@ def test_evaluate_total_is_the_sum_of_collected_rewards(small_dataset):
         assert total == collected == sum(r.reward for r in results)
 
 
+def test_evaluation_over_a_forecast_gap_is_refused(small_dataset):
+    """It scored the days before the gap, days 30 to 44 here, and returned
+    their income as the range's."""
+    env = TradingEnv(with_forecast_gap(small_dataset, 45), EnvConfig())
+    with pytest.raises(ValueError, match="no forecast available for day 45"):
+        evaluate_strategy(TimingParams(1.2, 0.6).bids, env, (30, 60), 1)
+
+
+def test_a2c_train_refuses_a_training_split_with_a_forecast_gap(small_dataset, monkeypatch):
+    """Before the first rollout, whichever windows the seed would draw."""
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("rolled out before refusing the training split")
+
+    monkeypatch.setattr(training, "_rollout", no_rollout)
+    env = TradingEnv(with_forecast_gap(small_dataset, 50), EnvConfig())
+    with pytest.raises(ValueError, match="no forecast available for day 50"):
+        a2c_train(env, tiny_a2c_config(), seed=0)
+
+
+@pytest.mark.parametrize("size", [observation_size(False) - 1, 100, observation_size(True) + 1])
+def test_policy_strategy_refuses_another_input_size(size):
+    """A policy reads a prefix of the 141 observation values: the 69 without
+    weather or all of them; any other length would read a cut block."""
+    with pytest.raises(ValueError, match=f"141 or 69 observation values, this one {size}"):
+        policy_strategy(init_policy(size, hidden_size=4, seed=0))
+
+
 def test_seed_tapes_do_not_leak_between_evaluations(small_dataset):
     """Seeds 1, 2, 1, 1 on one environment, with a generator-driven rollout
     before the second 1, score as on fresh environments."""
@@ -295,7 +334,7 @@ def test_seed_tapes_do_not_leak_between_evaluations(small_dataset):
            evaluate_strategy(strategy, env, (30, 60), 2)]
     policy = init_policy(observation_size(True), hidden_size=8, seed=0)
     training._rollout(env, policy, 30, 30, np.random.default_rng(1),
-                      np.random.default_rng(2), True)
+                      np.random.default_rng(2))
     got += [evaluate_strategy(strategy, env, (30, 60), 1) for _ in range(2)]
     assert got == [fresh[1], fresh[2], fresh[1], fresh[1]]
 
@@ -385,6 +424,14 @@ def test_a2c_config_rejects_non_finite_reals(name, value):
     caller of a2c_train failed only mid-run."""
     with pytest.raises(ValueError, match=f"{name} must be a finite number"):
         A2cConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", [0.0, -1e-5])
+def test_a2c_config_rejects_an_rms_eps_that_is_not_positive(value):
+    """0 divided a zero gradient by zero: NaN parameters, then a failure to
+    round a NaN volume."""
+    with pytest.raises(ValueError, match=f"rms_eps must be positive, got {value}"):
+        A2cConfig(rms_eps=value)
 
 
 def test_a2c_config_names_the_first_non_finite_field():
@@ -481,7 +528,7 @@ def sixth_child_test_income(env, run):
     next to the five that a2c_train spawns; GOLDEN_A2C_TEST_INCOME was
     recorded so."""
     test_range = delivery_window(env.dataset.split.test, TINY_TEST_DAYS)
-    bids = policy_strategy(run.best_policy, run.best_policy.meta["include_weather"])
+    bids = policy_strategy(run.best_policy)
     seed = int(np.random.SeedSequence(run.seed, spawn_key=(5,)).generate_state(1)[0])
     return evaluate_strategy(bids, env, test_range, seed)
 
