@@ -39,9 +39,9 @@ first such day and its date named, before anything is written.
 directory: per run seed, ``seed<N>/`` holds the scoring of the test range,
 ``trace.csv`` (the simulated hours) and ``bids.csv`` (each bid and whether
 it cleared), next to the verb's own files (``params.json`` and
-``optimization_log.csv`` from ``optimize``; ``policy.npz``, ``params.json``
-and ``training_log.csv`` from ``train-rl``).  ``result.json`` (strategy,
-seeds, incomes, test range and each seed's artifact) and ``manifest.json``
+``optimization_log.csv`` from ``optimize``; ``policy.npz`` and
+``training_log.csv`` from ``train-rl``).  ``result.json`` (strategy, seeds,
+incomes, test range and each seed's artifact) and ``manifest.json``
 (command, config, seeds, data hash) close the run; ``report`` reads it back,
 checking each ``result.json`` first, and refuses two runs of one basename,
 which names its trace files.
@@ -51,6 +51,10 @@ capacity, in ascending order, each the run directory ``train-rl`` writes
 with ``battery_capacity: C`` (its strategy is named ``capacity <C>``), plus
 ``battery_sweep.csv`` (per capacity the mean, spread and seed incomes) and
 ``manifest.json``.  Every capacity is checked before the first one trains.
+
+Every CSV file a verb writes has rows ended by CR LF and floats written by
+``repr``, so they read back bit for bit; every JSON file has its keys
+sorted, an indent of 1 and LF line ends.
 
 Exit codes: 0 success, 2 validation error, 3 missing artifact.  Training
 that diverges (a non-finite gradient) exits 2 as well, naming the seed and
@@ -76,10 +80,10 @@ import numpy as np
 from . import data as datamod
 from . import reports as reportsmod
 from .cmaes import CmaesConfig
-from .market import (TEMPERATURE_RANGE, EnvConfig, TradingEnv, delivery_window,
-                     export_bid_outcomes, export_day_results, reference_balance)
+from .market import (EnvConfig, TradingEnv, delivery_window, export_bid_outcomes,
+                     export_day_results, reference_balance)
 from .nets import load_policy, save_policy
-from .strategies import (BLACKBOX, PARAMETRIC_KINDS, load_strategy_params, params_class,
+from .strategies import (PARAMETRIC_KINDS, load_strategy_params, params_class,
                          save_strategy_params)
 from .training import (A2cConfig, a2c_train, evaluate_strategy, fixed_action_strategy,
                        optimize_parametric, policy_strategy)
@@ -93,6 +97,11 @@ class MissingArtifact(FileNotFoundError):
     pass
 
 
+OPTIMIZATION_LOG_HEADER = ("generation", "best_objective", "median_objective", "sigma")
+TRAINING_LOG_HEADER = ("step", "val_reward", "is_best")
+BATTERY_SWEEP_HEADER = ("capacity", "mean_income", "std", "incomes")
+
+
 # ---------------------------------------------------------------------------
 # Config handling: one flat JSON document whose keys are all optional.  One
 # table maps each key to the section that uses it, the field it sets there,
@@ -101,10 +110,13 @@ class MissingArtifact(FileNotFoundError):
 
 def _whole(value) -> int:
     """``int(value)``, refusing a number with a fractional part rather than
-    truncating it; ``2.0`` and ``"2"`` are accepted."""
+    truncating it, and one outside the 64-bit integers; ``2.0`` and ``"2"``
+    are accepted."""
     whole = int(value)
     if not isinstance(value, str) and whole != value:
         raise ValueError("not a whole number")
+    if not -2**63 <= whole < 2**63:
+        raise ValueError("outside the 64-bit integer range")
     return whole
 
 
@@ -295,9 +307,7 @@ def write_manifest(out_dir, command: str, cfg: dict, seeds: list[int],
         manifest["data_hash"] = dataset.content_hash()
     if extra:
         manifest.update(extra)
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    datamod.write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def test_range_of(dataset: datamod.Dataset, cfg: dict) -> tuple[int, int]:
@@ -347,11 +357,9 @@ def _run_seeds(run_dir, command: str, cfg: dict, env: TradingEnv, seeds: list[in
         if artifact is not None:
             artifacts[seed_dir(seed)] = os.path.join(seed_dir(seed), artifact)
         print(f"seed {seed}: {text}income {income:.2f}")
-    with open(os.path.join(run_dir, "result.json"), "w") as fh:
-        json.dump({"strategy": name, "seeds": seeds, "incomes": incomes,
-                   "test_range": list(test_range), "artifacts": artifacts},
-                  fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    datamod.write_json(os.path.join(run_dir, "result.json"),
+                       {"strategy": name, "seeds": seeds, "incomes": incomes,
+                        "test_range": list(test_range), "artifacts": artifacts})
     write_manifest(run_dir, command, cfg, seeds, env.dataset, extra)
     return incomes
 
@@ -425,11 +433,10 @@ def cmd_optimize(args) -> int:
         params_vec, history = optimize_parametric(kind, env, cma_config, seed)
         params = params_class(kind).from_vector(params_vec)
         save_strategy_params(seed_file("params.json"), kind, params)
-        with open(seed_file("optimization_log.csv"), "w") as fh:
-            fh.write("generation,best_objective,median_objective,sigma\n")
-            for rec in history.records:
-                fh.write(f"{rec.generation},{rec.best_objective!r},"
-                         f"{rec.median_objective!r},{rec.sigma!r}\n")
+        datamod.write_lines(seed_file("optimization_log.csv"), OPTIMIZATION_LOG_HEADER,
+                            (f"{rec.generation},{rec.best_objective!r},"
+                             f"{rec.median_objective!r},{rec.sigma!r}"
+                             for rec in history.records))
         return params.bids, "params.json", "test "
 
     name = f"{kind} (CMA-ES)"
@@ -445,11 +452,8 @@ def _a2c_fit(env: TradingEnv, a2c_config: A2cConfig):
     def fit(seed, seed_file):
         run = a2c_train(env, a2c_config, seed)
         save_policy(seed_file("policy.npz"), run.best_policy)
-        save_strategy_params(seed_file("params.json"), BLACKBOX, "policy.npz")
-        with open(seed_file("training_log.csv"), "w") as fh:
-            fh.write("step,val_reward,is_best\n")
-            for step, val, is_best in run.log_rows():
-                fh.write(f"{step},{val!r},{is_best}\n")
+        datamod.write_lines(seed_file("training_log.csv"), TRAINING_LOG_HEADER,
+                            (f"{step},{val!r},{is_best}" for step, val, is_best in run.log_rows()))
         return (policy_strategy(run.best_policy), "policy.npz",
                 f"best val {run.best_val_reward:.2f} at step {run.best_step}, test ")
 
@@ -474,10 +478,7 @@ def cmd_evaluate(args) -> int:
         if not os.path.exists(args.policy):
             raise MissingArtifact(f"policy file {args.policy} not found")
         policy = load_policy(args.policy)
-        # The policy must see forecasts normalized as in its training, and its battery.
-        for key, value in (("max_wind_speed", env_config.max_wind_speed),
-                           ("temperature_range", list(TEMPERATURE_RANGE)),
-                           ("battery_capacity", env_config.battery_capacity)):
+        for key, value in env_config.policy_binding().items():
             if key in policy.meta and policy.meta[key] != value:
                 raise ValueError(f"policy was trained with {key} {policy.meta[key]!r}, "
                                  f"the config gives {value!r}")
@@ -489,8 +490,6 @@ def cmd_evaluate(args) -> int:
         if not os.path.exists(args.params):
             raise MissingArtifact(f"params file {args.params} not found")
         kind, params = load_strategy_params(args.params)
-        if kind == BLACKBOX:
-            raise ValueError("black-box params reference a policy file; pass it via --policy")
         bids_fn = params.bids
         name = args.name or kind
     elif args.zero_action:
@@ -522,11 +521,9 @@ def cmd_sweep_battery(args) -> int:
                              name, {"include_weather": True}, _a2c_fit(env, a2c_config))
         rows.append((capacity, reportsmod.BalanceRow(name, incomes)))
         _print_summary(name, incomes)
-    with open(os.path.join(args.out, "battery_sweep.csv"), "w") as fh:
-        fh.write("capacity,mean_income,std,incomes\n")
-        for capacity, row in rows:
-            joined = " ".join(repr(v) for v in row.incomes)
-            fh.write(f"{capacity!r},{row.mean!r},{row.std!r},{joined}\n")
+    datamod.write_lines(os.path.join(args.out, "battery_sweep.csv"), BATTERY_SWEEP_HEADER,
+                        (f"{capacity!r},{row.mean!r},{row.std!r},"
+                         f"{' '.join(map(repr, row.incomes))}" for capacity, row in rows))
     write_manifest(args.out, "sweep-battery", cfg, seeds, dataset,
                    {"capacities": capacities})
     return EXIT_OK

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import json
 import math
 import re
 import warnings
@@ -191,13 +192,15 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
-# CSV I/O: every table is written by write_lines, from lines the caller has
-# formatted (trace.csv and bids.csv, day by day) or through write_columns,
-# and read by read_columns; each file has one header tuple that its writer
-# and its reader share.  The bytes are those the csv module's default writer
-# writes for a table of two or more columns: rows ended by CR LF, floats by
-# repr, so they read back bit for bit, and a text quoted only when it holds a
-# comma, a quote, CR or LF.  read_columns parses a table in one np.loadtxt
+# File I/O: every table is written by write_lines, from lines the caller has
+# formatted (trace.csv, bids.csv and the logs) or through write_columns, and
+# every JSON document by write_json; tables are read by read_columns, and
+# each file has one header tuple that its writer and its reader share.  A
+# table's bytes are those the csv module's default writer writes for a table
+# of two or more columns: rows ended by CR LF, floats by repr, so they read
+# back bit for bit, and a text quoted only when it holds a comma, a quote, CR
+# or LF.  A JSON document has its keys sorted, an indent of 1 and LF line
+# ends, on every platform.  read_columns parses a table in one np.loadtxt
 # pass, numpy's C tokenizer and float parser; only when that pass or a check
 # of its texts fails does _raise_bad_row scan the rows with csv.reader, to
 # name the file and line of the first bad field.  The scan never returns data.
@@ -246,6 +249,13 @@ def write_lines(path, header: tuple[str, ...], lines) -> None:
         fh.write(",".join(map(_cell, header)) + "\r\n")
         while batch := list(islice(lines, _LINES_PER_WRITE)):
             fh.write("\r\n".join(batch) + "\r\n")
+
+
+def write_json(path, document) -> None:
+    """Write ``document`` as JSON, keys sorted, indented by 1 and ended by LF."""
+    with open(path, "w", newline="") as fh:
+        json.dump(document, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def write_columns(path, header: tuple[str, ...], columns) -> None:

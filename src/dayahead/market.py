@@ -167,6 +167,13 @@ class EnvConfig:
         """Largest producible volume in one hour (clear sky, cutoff wind)."""
         return self.max_solar_generation * self.solar_efficiency + self.max_wind_generation
 
+    def policy_binding(self) -> dict:
+        """The values a policy trained here is bound to, by its meta key: its
+        battery and the scales of the forecasts it sees."""
+        return {"battery_capacity": self.battery_capacity,
+                "max_wind_speed": self.max_wind_speed,
+                "temperature_range": list(TEMPERATURE_RANGE)}
+
 
 def delivery_window(day_range: tuple[int, int], days: int | None = None) -> tuple[int, int]:
     """The deliverable days of ``day_range``: none before

@@ -11,13 +11,12 @@ per ``trace.csv`` column and the window's bid rows.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, read_columns, write_columns
+from .data import DataError, read_columns, write_columns, write_json
 from .market import BID_OUTCOME_HEADER, BUY, DAY_RESULT_HEADER, HOURS_PER_DAY, SELL
 
 
@@ -60,9 +59,7 @@ class BalanceReport:
         return payload
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     def write_csv(self, path) -> None:
         columns = [[row.name for row in self.rows], [row.mean for row in self.rows],

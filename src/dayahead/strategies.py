@@ -26,6 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .data import write_json
 from .market import DecisionContext, round_volumes
 from .nets import PolicyParams, forward
 
@@ -212,7 +213,6 @@ def _clip_action(raw: np.ndarray) -> np.ndarray:
 
 TIMING = "timing"
 OPPORTUNISTIC = "opportunistic"
-BLACKBOX = "blackbox"
 
 # The one table of parametric kinds.  Each params class knows its vector
 # size, its CMA-ES starting mean and how it bids from a decision context.
@@ -228,26 +228,15 @@ def params_class(kind: str):
 
 
 def save_strategy_params(path, kind: str, params) -> None:
-    """JSON document with a ``strategy_kind`` discriminator.
-
-    Parametric coefficients are stored inline; a black-box entry records
-    the path of the policy weight file instead.
-    """
-    if kind == BLACKBOX:
-        payload = {"strategy_kind": kind, "policy_path": str(params)}
-    else:
-        params_class(kind)  # rejects unknown kinds
-        payload = {"strategy_kind": kind, "alpha": list(map(float, params.as_vector()))}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    """JSON document of the coefficients ``alpha`` under a ``strategy_kind``
+    discriminator."""
+    params_class(kind)  # rejects unknown kinds
+    write_json(path, {"strategy_kind": kind, "alpha": list(map(float, params.as_vector()))})
 
 
 def load_strategy_params(path):
-    """Returns (kind, params); black-box entries yield the policy path."""
+    """Returns (kind, params); an unknown kind raises a ValueError."""
     with open(path) as fh:
         payload = json.load(fh)
     kind = payload["strategy_kind"]
-    if kind == BLACKBOX:
-        return kind, payload["policy_path"]
     return kind, params_class(kind).from_vector(payload["alpha"])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cmaes import CmaesConfig, CmaesHistory, cmaes_optimize
-from .market import TEMPERATURE_RANGE, DayResult, TradingEnv, delivery_window, observation_size
+from .market import DayResult, TradingEnv, delivery_window, observation_size
 from .nets import (PolicyParams, backward, clip_gradient_norm, forward_cached,
                    init_policy, rmsprop_step)
 from .strategies import (LOG2PI, blackbox_bids, log_density, mean_action,
@@ -314,13 +314,8 @@ def a2c_train(env: TradingEnv, config: A2cConfig, seed: int) -> TrainingRun:
     policy = init_policy(
         observation_size(config.include_weather), hidden_size=config.hidden_size,
         seed=np.random.default_rng(init_seed), log_std_init=config.log_std_init,
-        meta={
-            "include_weather": config.include_weather,
-            "price_scale": env.price_scale,
-            "temperature_range": list(TEMPERATURE_RANGE),
-            "max_wind_speed": env.config.max_wind_speed,
-            "battery_capacity": env.config.battery_capacity,
-        },
+        meta={"include_weather": config.include_weather, "price_scale": env.price_scale,
+              **env.config.policy_binding()},
     )
     updater = A2cUpdater(policy, config)
 

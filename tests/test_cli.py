@@ -15,7 +15,7 @@ from dayahead import cli
 from dayahead.cli import (CONFIG_KEYS, a2c_config_from, config_section, env_config_from,
                           load_config, load_data_dir, main)
 from dayahead.cmaes import CmaesConfig
-from dayahead.data import SyntheticConfig
+from dayahead.data import SyntheticConfig, read_columns
 from dayahead.market import EnvConfig, TradingEnv
 from dayahead.reports import BalanceRow
 from dayahead.training import A2cConfig, evaluate_strategy
@@ -160,6 +160,21 @@ def test_config_accepts_integral_floats_and_automatic_population(tmp_path):
     assert config_section(cfg, "cmaes") == {"generations": 3, "population": None}
 
 
+@pytest.mark.parametrize("key", ["generations", "timesteps", "population_size", "net_arch",
+                                 "households"])
+def test_config_refuses_a_whole_number_beyond_int64(tmp_path, key):
+    """At 1e300 the first two ran without end, and the next two failed inside
+    numpy with a message that named neither key nor value."""
+    path = tmp_path / "cfg.json"
+    for value in (1e300, 2**63, -2**63 - 1):
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ValueError, match=f"config key '{key}' has value .*: "
+                                             "outside the 64-bit integer range"):
+            load_config(str(path))
+    path.write_text(json.dumps({key: 2**63 - 1}))
+    assert load_config(str(path)) == {key: 2**63 - 1}
+
+
 # ---------------------------------------------------------------------------
 # optimize / train-rl / evaluate
 # ---------------------------------------------------------------------------
@@ -200,6 +215,12 @@ def test_optimize_timing_writes_params_and_result(data_dir, config_path, tmp_pat
     params = json.loads((out / "seed0" / "params.json").read_text())
     assert params["strategy_kind"] == "timing"
     assert len(params["alpha"]) == 2
+    log = out / "seed0" / "optimization_log.csv"
+    assert log.read_text().splitlines()[0] == "generation,best_objective,median_objective,sigma"
+    generation, best, median, sigma = read_columns(log, cli.OPTIMIZATION_LOG_HEADER,
+                                                   (int, float, float, float))
+    assert generation.tolist() == list(range(TINY_CONFIG["generations"]))
+    assert (best >= median).all() and (sigma > 0).all()
 
 
 def test_train_rl_writes_policy_and_logs(data_dir, config_path, tmp_path, capsys):
@@ -207,17 +228,16 @@ def test_train_rl_writes_policy_and_logs(data_dir, config_path, tmp_path, capsys
     code = main(["train-rl", "--data", str(data_dir), "--config", config_path,
                  "--seeds", "0", "--out", str(out)])
     assert code == 0
-    result = assert_run_directory(out, [0], {"policy.npz", "params.json", "training_log.csv",
+    result = assert_run_directory(out, [0], {"policy.npz", "training_log.csv",
                                              "trace.csv", "bids.csv"}, "policy.npz")
     assert result["strategy"] == "neural (A2C)"
-    assert json.loads((out / "seed0" / "params.json").read_text()) == {
-        "strategy_kind": "blackbox", "policy_path": "policy.npz"}
-    log = (out / "seed0" / "training_log.csv").read_text().strip().splitlines()
-    assert log[0] == "step,val_reward,is_best"
-    assert len(log) >= 2
-    step, val, _ = [row.split(",") for row in log[1:] if row.endswith(",1")][-1]
+    log = out / "seed0" / "training_log.csv"
+    assert log.read_text().splitlines()[0] == "step,val_reward,is_best"
+    steps, vals, is_best = read_columns(log, cli.TRAINING_LOG_HEADER, (int, float, int))
+    assert len(steps) >= 1
+    best = np.flatnonzero(is_best == 1)[-1]
     assert capsys.readouterr().out.splitlines() == [
-        f"seed 0: best val {float(val):.2f} at step {step}, "
+        f"seed 0: best val {vals[best]:.2f} at step {steps[best]}, "
         f"test income {result['incomes'][0]:.2f}",
         summary_line("neural (A2C)", result["incomes"])]
 
@@ -542,9 +562,8 @@ def test_sweep_writes_one_train_rl_run_directory_per_capacity(data_dir, config_p
     lines = capsys.readouterr().out.splitlines()
     for capacity in (1.0, 2.0):
         run = out / f"capacity{capacity!r}"
-        result = assert_run_directory(run, [0, 1], {"policy.npz", "params.json",
-                                                   "training_log.csv", "trace.csv",
-                                                   "bids.csv"}, "policy.npz")
+        result = assert_run_directory(run, [0, 1], {"policy.npz", "training_log.csv",
+                                                   "trace.csv", "bids.csv"}, "policy.npz")
         assert result["strategy"] == f"capacity {capacity!r}"
         assert summary_line(result["strategy"], result["incomes"]) in lines
         config = tmp_path / f"cap{capacity}.json"
@@ -615,14 +634,15 @@ def test_evaluate_missing_policy_exits_3(data_dir, tmp_path):
 
 @pytest.mark.parametrize("flags,message", [
     ([], "pass one of --policy, --params or --zero-action"),
-    (["--params", "blackbox.json"], "black-box params reference a policy file"),
+    pytest.param(["--params", "blackbox.json"], "unknown parametric strategy kind 'blackbox'",
+                 id="flags1-black-box params reference a policy file"),
 ])
 def test_evaluate_without_a_scorable_strategy_exits_2_and_writes_nothing(
         data_dir, tmp_path, capsys, flags, message):
-    """Each left an empty output directory."""
-    from dayahead.strategies import BLACKBOX, save_strategy_params
-
-    save_strategy_params(tmp_path / "blackbox.json", BLACKBOX, "policy.npz")
+    """Each left an empty output directory.  A black-box params file, which
+    only pointed to a policy file, is a kind ``--params`` does not know."""
+    (tmp_path / "blackbox.json").write_text(
+        json.dumps({"strategy_kind": "blackbox", "policy_path": "policy.npz"}))
     flags = [str(tmp_path / flag) if flag.endswith(".json") else flag for flag in flags]
     out = tmp_path / "o"
     code = main(["evaluate", *flags, "--data", str(data_dir), "--seeds", "0",

@@ -8,8 +8,8 @@ empty entries, or a negative ``--seed``; up to three known config keys set
 to an awkward value (or none, so that the checks after loading are reached
 too); and ``report`` over a ``result.json`` with one key dropped or
 retyped.  Sizes stay small (population 8, 2 generations, 60 training days,
-8 hidden units) unless a drawn key changes them; a budget key is not drawn
-at 1e300, which asks for a run that does not end.
+8 hidden units) unless a drawn key changes them; a whole-number key at
+1e300 is refused when the config is loaded.
 
 Whatever is drawn, the verb exits 0, 2 or 3 and prints no traceback; numpy's
 overflow warnings, which a diverging candidate may print, are recorded
@@ -39,7 +39,6 @@ from conftest import TINY_CONFIG
 BASE_CONFIG = {**TINY_CONFIG, "population_size": 8, "generations": 2, "timesteps": 60,
                "net_arch": 8}
 VALUES = [0, -1, 0.5, 1e300, math.nan, "x", [], None, True]
-BUDGET_KEYS = {"population_size", "generations", "timesteps", "net_arch"}
 RESULT_KEYS = ["strategy", "seeds", "incomes", "test_range", "artifacts"]
 
 
@@ -58,9 +57,7 @@ def workspace(data_dir, config_path, tmp_path_factory):
     return root
 
 
-config_items = st.sampled_from(sorted(CONFIG_KEYS)).flatmap(
-    lambda key: st.tuples(st.just(key), st.sampled_from(
-        [v for v in VALUES if not (key in BUDGET_KEYS and v == 1e300)])))
+config_items = st.tuples(st.sampled_from(sorted(CONFIG_KEYS)), st.sampled_from(VALUES))
 configs = st.lists(config_items, max_size=3, unique_by=lambda item: item[0])
 seed_flags = st.one_of(
     st.lists(st.sampled_from(["0", "1", "-1", "0", ""]), min_size=1, max_size=3)

@@ -374,6 +374,13 @@ def test_write_columns_writes_the_bytes_of_csv_writer(table):
             assert fh_got.read() == fh_want.read()
 
 
+def test_write_json_sorts_keys_and_ends_lines_with_lf(tmp_path):
+    path = tmp_path / "doc.json"
+    damod.write_json(path, {"b": [1, 0.1], "a": {"d": "x\ny", "c": None}})
+    assert path.read_bytes() == (b'{\n "a": {\n  "c": null,\n  "d": "x\\ny"\n },\n'
+                                 b' "b": [\n  1,\n  0.1\n ]\n}\n')
+
+
 def test_column_codec_reads_dates_and_choices(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("date,side\n2020-01-01,buy\n2020-01-01,sell\n20200103,buy\n2020-01-01,buy\n")

@@ -262,8 +262,3 @@ def test_strategy_params_round_trip(tmp_path):
     kind, loaded = load_strategy_params(path)
     assert kind == "opportunistic"
     np.testing.assert_array_equal(loaded.as_vector(), opp.as_vector())
-
-    path = tmp_path / "bb.json"
-    save_strategy_params(path, "blackbox", "policy.npz")
-    kind, loaded = load_strategy_params(path)
-    assert kind == "blackbox" and loaded == "policy.npz"

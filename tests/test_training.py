@@ -7,6 +7,7 @@ import pytest
 
 from dayahead import cli, training
 from dayahead.cmaes import CmaesConfig, cmaes_optimize, default_population
+from dayahead.data import read_columns
 from dayahead.market import EnvConfig, TradingEnv, delivery_window, observation_size
 from dayahead.nets import forward, init_policy
 from dayahead.strategies import OpportunisticParams, TimingParams, params_class
@@ -624,6 +625,16 @@ def test_a2c_no_weather_uses_69_inputs(small_dataset):
     assert run.best_policy.meta["include_weather"] is False
 
 
+def test_a2c_policy_records_the_environment_it_is_bound_to(small_dataset):
+    """The meta that ``evaluate --policy`` checks a config against."""
+    env = TradingEnv(small_dataset, EnvConfig(battery_capacity=1.5, max_wind_speed=9.0))
+    run = a2c_train(env, tiny_a2c_config(total_days=60), seed=0)
+    assert env.config.policy_binding() == {"battery_capacity": 1.5, "max_wind_speed": 9.0,
+                                           "temperature_range": [-20.0, 40.0]}
+    assert run.best_policy.meta == {"include_weather": True, "price_scale": env.price_scale,
+                                    **env.config.policy_binding()}
+
+
 # ---------------------------------------------------------------------------
 # Battery sweep, run through the command line
 # ---------------------------------------------------------------------------
@@ -636,14 +647,12 @@ def sweep(data_dir, config_path, out, capacities, seeds):
 
 def sweep_rows(out):
     """``battery_sweep.csv`` as (capacity, mean, std, incomes) rows."""
-    lines = (out / "battery_sweep.csv").read_text().splitlines()
+    path = out / "battery_sweep.csv"
+    lines = path.read_text().splitlines()
     assert lines[0] == "capacity,mean_income,std,incomes"
-    rows = []
-    for line in lines[1:]:
-        capacity, mean, std, incomes = line.split(",")
-        rows.append((float(capacity), float(mean), float(std),
-                     [float(v) for v in incomes.split()]))
-    return rows
+    numeric = read_columns(path, cli.BATTERY_SWEEP_HEADER[:3], (float, float, float))
+    incomes = [[float(v) for v in line.split(",")[3].split()] for line in lines[1:]]
+    return list(zip(*(column.tolist() for column in numeric), incomes, strict=True))
 
 
 def test_battery_sweep_shapes(data_dir, config_path, tmp_path):
