@@ -9,7 +9,7 @@ neural bidding policy.
 from .data import (ConsumptionProfile, DataError, Dataset, ForecastSigmas,
                    SyntheticConfig, generate_synthetic_dataset, load_dataset,
                    make_forecasts, split_dataset, write_dataset)
-from .market import (BUY, SELL, DayResult, DecisionContext, EnvConfig, TradingEnv,
+from .market import (BUY, SELL, DayResult, DecisionContext, EnvConfig, Schedule, TradingEnv,
                      hourly_production, reference_balance, rolling_price_stats,
                      round_volumes)
 from .cmaes import CmaesConfig, cmaes_optimize, default_population

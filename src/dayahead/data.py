@@ -113,7 +113,9 @@ class Dataset:
     All per-hour arrays have shape ``(num_days, 24)``.  Forecast arrays hold
     NaN for days that have no forecast (at least day 0, whose forecast would
     have been issued before the data starts); a day with a forecast has all
-    24 hours of all three arrays.
+    24 hours of all three arrays.  The dataset keeps read-only views of the
+    seven arrays, so what it checked and cached stays true: build a changed
+    dataset from new arrays instead.
     """
 
     start_date: dt.date
@@ -140,6 +142,11 @@ class Dataset:
                 raise DataError(f"{name} array shape differs from prices")
             _check_hourly(getattr(self, name), name, self.start_date)
         self._check_forecasts()
+        for name in ("prices", "cloudiness", "wind_speed", "temperature", *FORECAST_FIELDS):
+            if getattr(self, name) is not None:  # read-only views: no edit skips the checks
+                view = getattr(self, name).view()
+                view.flags.writeable = False
+                setattr(self, name, view)
         self._pbar_cache: dict[int, list] = {}
 
     def _check_forecasts(self) -> None:

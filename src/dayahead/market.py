@@ -15,8 +15,8 @@ price, sell volume, sell limit price); a volume of 0 means no bid.
 Because the prosumer is assumed too small to move market prices, replaying
 the price/weather tape while simulating only the battery gives an unbiased
 evaluation of any bidding strategy.  The inner loops run on plain floats;
-production tables, normalized observation blocks, the decision calendar and
-rolling price medians are cached per dataset, and the consumption tape per
+production tables, the observation table and rolling price medians are
+cached per environment or dataset, and the consumption tape per
 episode, which keeps a simulated day in the tens of microseconds.  Build one
 :class:`TradingEnv` per dataset and configuration and reuse it: ``reset``
 restarts an episode.
@@ -41,10 +41,15 @@ Each simulator rule lives in one place:
   columns of ``trace.csv``, whose names :data:`TRACE_FIELDS` reuses;
 * the per-hour trace layout of a collected day: :data:`TRACE_FIELDS`;
 * the deliverable days of a day range: :func:`delivery_window`;
-* the observation layout and size: :func:`observation_size`.
+* the observation layout and size: the table of ``TradingEnv.__init__``;
+* what a strategy sees: a :class:`DecisionContext` of values, whose arrays
+  are read-only, as are a :class:`~dayahead.data.Dataset`'s, so that no
+  strategy can change the replay tape;
+* which schedules are checked: each that is not a :class:`Schedule`, by
+  :meth:`TradingEnv.step`.
 
-Strategies see the replay tape only through read-only views.  An episode's
-only randomness is the consumption noise generator given to ``reset``.
+An episode's only randomness is the consumption noise generator given to
+``reset``.
 """
 from __future__ import annotations
 
@@ -82,7 +87,16 @@ def round_volumes(values, scale: float = 1.0) -> list[float]:
                 for x in values]
 
 
-NO_BIDS = ((0.0,) * HOURS_PER_DAY,) * 4  # the empty schedule
+class Schedule(tuple):
+    """A decoded day of bids: a tuple of four tuple rows of 24 floats, so it
+    cannot be edited.  The package's decoders build one from volumes rounded
+    to the market step, and :meth:`TradingEnv.step` takes it as it is where
+    it checks any other schedule."""
+
+    __slots__ = ()
+
+
+NO_BIDS = Schedule(((0.0,) * HOURS_PER_DAY,) * 4)  # the empty schedule
 
 
 def schedule_slots(schedule):
@@ -243,36 +257,27 @@ class DecisionContext:
     """Everything a strategy may look at when bidding for the next day.
 
     Snapshotted at the scheduling time of ``day``; the bids produced from it
-    are for delivery day ``day + 1``.  It holds only what changes per day:
-    :attr:`vbar` and :meth:`observation` read the environment's tables.
+    are for delivery day ``day + 1``.  It holds values, not the environment:
+    its arrays are read-only, and row ``d`` of the environment's observation
+    ``table`` holds all of day ``d``'s observation but the battery levels.
     """
 
-    env: TradingEnv
     day: int
     rel_charge: float                 # battery level at the decision snapshot / capacity
     est_midnight: float               # projected relative level at midnight
     pbar: np.ndarray                  # (24,) rolling per-hour median price, read-only
-
-    @property
-    def vbar(self) -> float:
-        """Largest producible volume per hour."""
-        return self.env._vbar
+    vbar: float                       # largest producible volume per hour [MWh]
+    table: np.ndarray                 # (num_days, 141) observation rows, read-only
 
     def observation(self) -> np.ndarray:
-        """Normalized state vector of 141 values; the first 69 leave out the
-        forecast block, and a policy without weather reads only those."""
-        env = self.env
-        if not env._forecast_ok[self.day + 1]:
+        """Normalized state vector of 141 values, the table's row with the
+        two battery levels filled in; the first 69 leave out the forecast
+        block, and a policy without weather reads only those."""
+        obs = self.table[self.day].copy()
+        if math.isnan(obs[69]):
             raise ValueError(f"no forecast for day {self.day + 1} to observe")
-        obs = np.zeros(observation_size(True))
-        obs[0:24] = env._prices_norm[self.day]
-        obs[24:48] = env._profile_norm
         obs[48] = self.rel_charge
         obs[49] = self.est_midnight
-        month_index, weekday = env._calendar[self.day]
-        obs[50 + month_index] = 1.0
-        obs[62 + weekday] = 1.0
-        obs[69:] = env._forecast_norm[self.day + 1]
         return obs
 
 
@@ -300,15 +305,15 @@ class DayResult:
 
     The record keeps what the simulator already holds: the flat per-hour
     ``trace`` that ``TradingEnv._net_hours`` appends to (nine values an hour,
-    in :data:`TRACE_FIELDS` order), the day's bid ``schedule`` frozen to
-    tuples, the charge at the start of the day, the reward, and the day's
-    price and production rows, which it shares with the environment.
+    in :data:`TRACE_FIELDS` order), the day's :class:`Schedule`, the charge
+    at the start of the day, the reward, and the day's price and production
+    rows, which it shares with the environment.
     :meth:`hourly` reads one quantity by name and :meth:`bid_rows` the bids.
     """
 
     day: int
     trace: list[float]
-    schedule: tuple[tuple, ...]
+    schedule: Schedule
     start_charge: float
     reward: float                   # sum of cash deltas
     price_row: tuple[float, ...] = field(repr=False)
@@ -386,11 +391,6 @@ class TradingEnv:
     stepping beyond ``days`` raises.  Both end with one pass from the action
     hour to midnight that also carries the midnight estimate of the context
     they return.
-    A collected day keeps the hour trace the battery loop appends to and the
-    frozen schedule.
-    ``collect=False`` returns ``None`` for it and skips the trace, which
-    saves about a third of a collected day's cost; ``trusted=True`` skips
-    the check.
     The default price scale, the training split's mean price, must be
     positive: a split whose mean is 0 needs an explicit ``price_scale``.
     """
@@ -399,48 +399,51 @@ class TradingEnv:
         self.dataset = dataset
         self.config = config or EnvConfig()
         cfg = self.config
-        self._production = hourly_production(dataset.cloudiness, dataset.wind_speed, cfg)
         # Tuples: collected day records share these rows with the environment.
-        self._production_rows = list(map(tuple, self._production.tolist()))
+        self._production_rows = list(map(tuple, hourly_production(
+            dataset.cloudiness, dataset.wind_speed, cfg).tolist()))
         self._price_rows = list(map(tuple, dataset.prices.tolist()))
         self._zero_noise_consumption = (cfg.households
                                         * dataset.profile.avg_per_household).tolist()
         self._vbar = cfg.max_hourly_production
-        self._price_scale = cfg.price_scale
+        self.price_scale = cfg.price_scale
         if cfg.price_scale is None:  # the mean price of the training split
             lo, hi = dataset.split.train if dataset.split is not None else (0, dataset.num_days)
             train_prices = dataset.prices[lo:hi]
-            self._price_scale = float(train_prices.mean()) if train_prices.size else 0.0
-            if not self._price_scale > 0:
+            self.price_scale = float(train_prices.mean()) if train_prices.size else 0.0
+            if not self.price_scale > 0:
                 raise ValueError(f"the training split, days {lo}..{hi - 1}, has mean price "
-                                 f"{self._price_scale}, which cannot normalize observations; "
+                                 f"{self.price_scale}, which cannot normalize observations; "
                                  "set price_scale explicitly")
-        # The tables DecisionContext.observation reads.
-        profile_max = dataset.profile.avg_per_household.max()
-        self._profile_norm = (dataset.profile.avg_per_household / profile_max
-                              if profile_max > 0 else np.zeros(HOURS_PER_DAY))
-        self._calendar = [(date.month - 1, date.weekday())
-                          for date in map(dataset.date_of, range(dataset.num_days))]
-        self._prices_norm = dataset.prices / self._price_scale
-        self._forecast_ok = [dataset.forecast_available(d) for d in range(dataset.num_days)]
-        self._forecast_ok.append(False)  # sentinel for day num_days
+        # The observation table: row d holds day d's prices, the profile, 0
+        # for the battery levels, day d's month and weekday, and day d + 1's
+        # forecast block, or NaN where there is none.
+        days = range(dataset.num_days)
+        dates = list(map(dataset.date_of, days))
+        table = np.zeros((dataset.num_days, observation_size(True)))
+        table[:, 0:24] = dataset.prices / self.price_scale
+        profile = dataset.profile.avg_per_household
+        table[:, 24:48] = profile / (profile.max() or 1.0)  # an all-zero profile stays 0
+        table[days, [50 + date.month - 1 for date in dates]] = 1.0
+        table[days, [62 + date.weekday() for date in dates]] = 1.0
+        table[:, 69:] = np.nan
         if dataset.has_forecasts:
             t_lo, t_hi = TEMPERATURE_RANGE
-            self._forecast_norm = np.concatenate(
+            table[:-1, 69:] = np.concatenate(
                 [dataset.forecast_cloudiness / 8.0,
                  dataset.forecast_wind_speed / cfg.max_wind_speed,
-                 (dataset.forecast_temperature - t_lo) / (t_hi - t_lo)], axis=1)
+                 (dataset.forecast_temperature - t_lo) / (t_hi - t_lo)], axis=1)[1:]
             self._forecast_production_rows = hourly_production(
                 dataset.forecast_cloudiness, dataset.forecast_wind_speed, cfg).tolist()
+        table.flags.writeable = False  # shared by every context
+        self._observations = table
+        # Whether day d has a forecast, from row d - 1; no episode reads day 0.
+        self._forecast_ok = [False, *(~np.isnan(table[:, 69])).tolist()]
         self.charge = cfg.initial_charge * cfg.battery_capacity
         self._next_day: int | None = None
         self._tape_key = None  # (seed, start_day, days) of a tape drawn from an integer seed
         self._schedule = NO_BIDS  # the schedule being delivered ...
         self._schedule_prices = self._price_rows[0]  # ... and its day's clearing prices
-
-    @property
-    def price_scale(self) -> float:
-        return self._price_scale
 
     # -- episode control ----------------------------------------------------
 
@@ -494,20 +497,22 @@ class TradingEnv:
                              f"{days} delivery days from day {start_day} need one on each day "
                              f"from {start_day - 1} to {start_day + days - 1}")
 
-    def step(self, schedule, collect: bool = True, trusted: bool = False
+    def step(self, schedule, collect: bool = True
              ) -> tuple[DecisionContext | None, float, DayResult | None]:
+        """Deliver ``schedule`` on the next day: a :class:`Schedule` as it is,
+        any other checked by :func:`_check_schedule` and frozen to one.  With
+        ``collect=False`` it keeps no trace and returns no :class:`DayResult`,
+        which saves about a third of a collected day's cost."""
         if self._next_day is None:
             raise RuntimeError("call reset() before step()")
         day = self._next_day
         if day >= self._end_day:
             raise RuntimeError(f"the episode ended with day {self._end_day - 1}; "
                                "reset() the environment")
-        if not trusted:
+        if type(schedule) is not Schedule:  # not decoded by the package: check, then freeze
             _check_schedule(schedule)
-        trace = None
-        if collect:  # the record keeps the schedule: freeze it against later edits
-            schedule = tuple(map(tuple, schedule))
-            trace = []
+            schedule = Schedule(map(tuple, schedule))
+        trace = [] if collect else None
         self._schedule = schedule
         self._schedule_prices = self._price_rows[day]
         start_charge = self.charge
@@ -517,10 +522,8 @@ class TradingEnv:
                                                  production, consumption, trace)
         cash, ctx = self._finish_day(day, production, consumption, trace)
         reward += cash
-        result = None
-        if collect:
-            result = DayResult(day, trace, schedule, start_charge, reward,
-                               self._price_rows[day], production)
+        result = DayResult(day, trace, schedule, start_charge, reward, self._price_rows[day],
+                           production) if collect else None
         self._next_day = day + 1
         return ctx, reward, result
 
@@ -621,16 +624,16 @@ class TradingEnv:
         if forecast is None:
             return cash, None
         return cash, DecisionContext(
-            self, day, start / cfg.battery_capacity, estimate / cfg.battery_capacity,
-            rolling_price_stats(self.dataset, day, cfg.price_stat_window))
+            day, start / cfg.battery_capacity, estimate / cfg.battery_capacity,
+            rolling_price_stats(self.dataset, day, cfg.price_stat_window), self._vbar,
+            self._observations)
 
     def estimate_midnight_level(self, decision_day: int) -> float:
         """Projected relative battery level at the upcoming midnight, from the
         current charge and schedule: the battery rule from the action hour on,
-        with the day's forecast production and the mean consumption.  The
-        package does not call it: each context gets its estimate from the
-        lane of :meth:`_net_hours`.  It stays because ``perfbench`` traces it
-        by name."""
+        with the day's forecast production and the mean consumption.  Each
+        context gets its estimate from the lane of :meth:`_net_hours`; this
+        stays because ``perfbench`` traces it by name."""
         self.check_episode(decision_day + 1, 0)  # a forecast for the decision day
         charge, _, _ = self._net_hours(self.charge, self.config.action_hour, HOURS_PER_DAY,
                                        self._forecast_production_rows[decision_day],

@@ -12,9 +12,11 @@ Three families are implemented:
   strategy builds the same matrix from its coefficients and shares the
   decoder.
 
-Each returns a day's bids as a schedule laid out like the action matrix
-(see :mod:`dayahead.market`).  All of them are pure functions of their
-inputs; exploration noise for the neural policy is passed in explicitly.
+Each maps the values of a decision context to a day's bids, laid out like
+the action matrix, as a :class:`~dayahead.market.Schedule`: the decoders
+round every volume to the market step, so ``step`` does not check it again.
+All of them are pure functions of their inputs; exploration noise for the
+neural policy is passed in explicitly.
 """
 from __future__ import annotations
 
@@ -26,8 +28,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data import write_json
-from .market import DecisionContext, round_volumes
+from .data import DataError, write_json
+from .market import DecisionContext, Schedule, round_volumes
 from .nets import PolicyParams, forward
 
 ACTION_ROWS = 4           # buy volume, buy price, sell volume, sell price
@@ -69,7 +71,7 @@ class TimingParams:
     def initial_mean(cls, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(0.0, 1.0, cls.size)  # standard-normal CMA-ES starting mean
 
-    def bids(self, ctx: DecisionContext) -> list:
+    def bids(self, ctx: DecisionContext) -> Schedule:
         return timing_bids(self, ctx.est_midnight)
 
 
@@ -106,7 +108,7 @@ class OpportunisticParams:
         mean[cls.volume_offset_indices()] -= 2.0
         return mean
 
-    def bids(self, ctx: DecisionContext) -> list:
+    def bids(self, ctx: DecisionContext) -> Schedule:
         return opportunistic_bids(self, ctx.est_midnight, ctx.vbar, ctx.pbar)
 
     @cached_property
@@ -126,7 +128,7 @@ class OpportunisticParams:
         return (4 * np.arange(ACTION_HOURS)[:, None] + [4, 5]).ravel()
 
 
-def timing_bids(params: TimingParams, est_level: float) -> list:
+def timing_bids(params: TimingParams, est_level: float) -> Schedule:
     """Night buys at +inf, evening sells at 0; volumes shifted by battery level.
 
     The fuller the storage is projected to be at midnight, the less is bought
@@ -141,11 +143,11 @@ def timing_bids(params: TimingParams, est_level: float) -> list:
         buys[hour] = buy_volume
     for hour in TIMING_SELL_HOURS:
         sells[hour] = sell_volume
-    return [buys, TIMING_BUY_PRICES, sells, TIMING_SELL_PRICES]
+    return Schedule((tuple(buys), TIMING_BUY_PRICES, tuple(sells), TIMING_SELL_PRICES))
 
 
 def opportunistic_bids(params: OpportunisticParams, est_level: float,
-                       vbar: float, pbar: np.ndarray) -> list:
+                       vbar: float, pbar: np.ndarray) -> Schedule:
     """Per-hour buy/sell pairs priced around the rolling median.
 
     The per-hour offsets plus the battery-level couplings form a (4, 24)
@@ -155,7 +157,7 @@ def opportunistic_bids(params: OpportunisticParams, est_level: float,
     return blackbox_bids(offsets + couplings * est_level, vbar, pbar)
 
 
-def blackbox_bids(action: np.ndarray, vbar: float, pbar: np.ndarray) -> list:
+def blackbox_bids(action: np.ndarray, vbar: float, pbar: np.ndarray) -> Schedule:
     """Decode a (4, 24) action matrix into a schedule of up to 48 bids.
 
     Rows are buy log-volume, buy log-price, sell log-volume, sell log-price;
@@ -169,8 +171,8 @@ def blackbox_bids(action: np.ndarray, vbar: float, pbar: np.ndarray) -> list:
     scaled = np.exp(action)
     scaled[1::2] *= pbar
     buy_volumes, buy_prices, sell_volumes, sell_prices = scaled.tolist()
-    return [round_volumes(buy_volumes, vbar), buy_prices,
-            round_volumes(sell_volumes, vbar), sell_prices]
+    return Schedule((tuple(round_volumes(buy_volumes, vbar)), tuple(buy_prices),
+                     tuple(round_volumes(sell_volumes, vbar)), tuple(sell_prices)))
 
 
 def sample_action(policy: PolicyParams, obs: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -235,8 +237,30 @@ def save_strategy_params(path, kind: str, params) -> None:
 
 
 def load_strategy_params(path):
-    """Returns (kind, params); an unknown kind raises a ValueError."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    kind = payload["strategy_kind"]
-    return kind, params_class(kind).from_vector(payload["alpha"])
+    """Returns (kind, params) from a :func:`save_strategy_params` document.
+    A file that is not JSON, or whose ``strategy_kind`` is missing or
+    unknown, or whose ``alpha`` is not a list of the kind's size of finite
+    numbers, raises a DataError that names the file and the key."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if not isinstance(payload, dict):
+        payload = {}
+    kind, alpha = payload.get("strategy_kind"), payload.get("alpha")
+    if not (isinstance(kind, str) and kind in PARAMETRIC_KINDS):
+        raise DataError(f"{path}: unknown parametric strategy kind {kind!r} in strategy_kind "
+                        f"(one of {', '.join(PARAMETRIC_KINDS)})")
+    size = PARAMETRIC_KINDS[kind].size
+    if not (isinstance(alpha, list) and len(alpha) == size and all(map(_finite, alpha))):
+        raise DataError(f"{path}: alpha must be a list of {size} finite numbers for {kind}")
+    return kind, PARAMETRIC_KINDS[kind].from_vector(alpha)
+
+
+def _finite(value) -> bool:
+    """Whether a JSON value is a finite number (not a bool)."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float
+        return False

@@ -61,7 +61,9 @@ def evaluate_strategy(bids_fn, env: TradingEnv, day_range: tuple[int, int],
                       seed: int, collect_results: bool = False):
     """Cumulative profit of ``bids_fn`` over the delivery days in ``day_range``.
 
-    ``bids_fn`` maps a decision context to the next day's bid schedule.
+    ``bids_fn`` maps a decision context, values without the environment,
+    to the next day's bid schedule, which ``step`` checks unless it is a
+    :class:`~dayahead.market.Schedule`, as package strategies return.
     Deterministic per seed: an episode of ``hi - lo`` days restarts with
     consumption noise seeded from ``seed`` (one tape, reused while the seed
     repeats), so one environment serves any number of evaluations; the
@@ -70,21 +72,16 @@ def evaluate_strategy(bids_fn, env: TradingEnv, day_range: tuple[int, int],
     ``lo - 1`` to ``hi - 1`` has a forecast, naming the first that has none.
     With ``collect_results`` the list of :class:`~dayahead.market.DayResult`
     records is returned as well.
-    Schedules are trusted (not checked):
-    strategies built from this package emit compliant volumes by construction.
     """
     lo, hi = day_range
     ctx = env.reset(lo, seed, hi - lo)
     total = 0.0
     results: list[DayResult] = []
     for _ in range(lo, hi):
-        ctx, reward, result = env.step(bids_fn(ctx), collect_results, True)
+        ctx, reward, result = env.step(bids_fn(ctx), collect_results)
         total += reward
-        if collect_results:
-            results.append(result)
-    if collect_results:
-        return total, results
-    return total
+        results.append(result)
+    return (total, results) if collect_results else total
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +108,9 @@ def optimize_parametric(kind: str, env: TradingEnv, cma_config: CmaesConfig, see
     objective_seed = int(seeds[1].generate_state(1)[0])
 
     def objective(vector: np.ndarray) -> float:
-        return evaluate_strategy(parametric_strategy(kind, vector), env, train_range,
-                                 objective_seed)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite income ranks worst
+            return evaluate_strategy(parametric_strategy(kind, vector), env, train_range,
+                                     objective_seed)
 
     x0 = initial_parameter_mean(kind, init_rng)
     try:
@@ -242,10 +240,7 @@ class A2cUpdater:
                                              cfg.gamma, cfg.gae_lambda)
 
         sigma = np.exp(policy.log_std)
-        policy_loss = float(-(log_density(policy.log_std, noise) * advantages).mean())
         value_errors = values - returns
-        value_loss = float((value_errors ** 2).mean())
-        entropy = float(np.sum(policy.log_std + 0.5 * (LOG2PI + 1.0)))
 
         # d policy_loss / d mean = -A * xi / sigma, averaged over steps
         actor_out_grad = (-advantages[:, None] * noise / sigma[None, :]) / t_steps
@@ -258,6 +253,8 @@ class A2cUpdater:
         backward(policy.actor, actor_cache, actor_out_grad, grad.actor)
         backward(policy.critic, critic_cache, critic_out_grad, grad.critic)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is refused next
+            policy_loss = float(-(log_density(policy.log_std, noise) * advantages).mean())
+            value_loss = float((value_errors ** 2).mean())
             grad_norm = clip_gradient_norm(grad, cfg.max_grad_norm)
         if not math.isfinite(grad_norm):
             raise FloatingPointError("non-finite gradient; training diverged")
@@ -266,7 +263,7 @@ class A2cUpdater:
         return {
             "policy_loss": policy_loss,
             "value_loss": value_loss,
-            "entropy": entropy,
+            "entropy": float(np.sum(policy.log_std + 0.5 * (LOG2PI + 1.0))),
             "grad_norm": grad_norm,
             "mean_advantage": float(advantages.mean()),
         }
@@ -284,12 +281,9 @@ def _rollout(env: TradingEnv, policy: PolicyParams, start_day: int,
     noise = noise_rng.standard_normal((n_steps, policy.action_size))  # the stream of a draw per day
     rewards = np.empty(n_steps)
     for t in range(n_steps):
-        s = ctx.observation()[:policy.input_size]
+        obs[t] = s = ctx.observation()[:policy.input_size]
         action = sample_action(policy, s, noise[t])
-        ctx, reward, _ = env.step(blackbox_bids(action, ctx.vbar, ctx.pbar),
-                                  collect=False, trusted=True)
-        obs[t] = s
-        rewards[t] = reward
+        ctx, rewards[t], _ = env.step(blackbox_bids(action, ctx.vbar, ctx.pbar), collect=False)
     return obs, noise, rewards
 
 

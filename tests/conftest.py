@@ -55,7 +55,8 @@ def config_path(tmp_path_factory):
 
 def flat_dataset(num_days=6, price=250.0, cloudiness=8, wind=0.0, temperature=10.0,
                  profile=None, start=None):
-    """Hand-buildable dataset: constant price/weather, optional custom profile.
+    """Hand-buildable dataset: constant price/weather, optional custom profile;
+    ``price`` may also be an array that broadcasts to ``(num_days, 24)``.
 
     cloudiness=8 and wind=0 silence production so fixtures can reason about
     bids and the battery alone.
@@ -66,7 +67,7 @@ def flat_dataset(num_days=6, price=250.0, cloudiness=8, wind=0.0, temperature=10
     profile_values = np.zeros(24) if profile is None else np.asarray(profile, dtype=float)
     return damod.Dataset(
         start_date=start or dt.date(2020, 1, 6),  # a Monday
-        prices=np.full(shape, float(price)),
+        prices=np.full(shape, price, dtype=float),
         cloudiness=np.full(shape, int(cloudiness)),
         wind_speed=np.full(shape, float(wind)),
         temperature=np.full(shape, float(temperature)),

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shutil
+import warnings
 from dataclasses import fields
 from datetime import date
 
@@ -650,6 +651,48 @@ def test_evaluate_without_a_scorable_strategy_exits_2_and_writes_nothing(
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("payload,message", [
+    ({"alpha": [1, 0.5]}, "unknown parametric strategy kind None in strategy_kind"),
+    ([1], "unknown parametric strategy kind None in strategy_kind"),
+    ({"strategy_kind": "timing", "alpha": [1]}, "alpha must be a list of 2 finite numbers"),
+])
+def test_evaluate_names_the_file_and_key_of_a_malformed_params_file(
+        data_dir, tmp_path, capsys, payload, message):
+    """The first two were a traceback and exit 1 (KeyError, TypeError); the
+    third exited 2 with ``not enough values to unpack``."""
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    code = main(["evaluate", "--params", str(params), "--data", str(data_dir), "--seeds", "0",
+                 "--out", str(out)])
+    assert code == 2
+    assert f"{params}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb,key,message", [
+    *(("train-rl", key, "seed 0, update 1: non-finite gradient; training diverged")
+      for key in ("max_solar_generation", "max_wind_generation", "consumption_noise_std",
+                  "penalty_buy_multiplier")),
+    ("optimize", "initial_sigma",
+     "seed 0, generation 1: no candidate has a finite objective; the search diverged"),
+])
+def test_a_diverging_run_exits_2_without_a_warning(data_dir, tmp_path, capsys, verb, key,
+                                                   message):
+    """Each printed a numpy overflow warning first: ``overflow encountered in
+    square`` in the A2C update's value loss, ``overflow encountered in exp``
+    in the opportunistic decode."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**TINY_CONFIG, key: 1e300}))
+    strategy = ["--strategy", "opportunistic"] if verb == "optimize" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([verb, *strategy, "--data", str(data_dir), "--config", str(config),
+                     "--seeds", "0", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--params", "timing.json", "--policy", "policy.npz"],

@@ -2,7 +2,9 @@
 
 A derandomized hypothesis test draws a verb, its flags and a config, and
 runs it through ``cli.main`` on one shared 120-day dataset: ``evaluate``
-with any subset of ``--params``, ``--policy`` and ``--zero-action``;
+with any subset of ``--params``, ``--policy`` and ``--zero-action``, or
+with only a ``--params`` file whose ``strategy_kind`` or ``alpha`` is
+dropped or retyped;
 ``optimize`` and ``train-rl``; ``--seeds`` lists with negative, repeated or
 empty entries, or a negative ``--seed``; up to three known config keys set
 to an awkward value (or none, so that the checks after loading are reached
@@ -40,6 +42,7 @@ BASE_CONFIG = {**TINY_CONFIG, "population_size": 8, "generations": 2, "timesteps
                "net_arch": 8}
 VALUES = [0, -1, 0.5, 1e300, math.nan, "x", [], None, True]
 RESULT_KEYS = ["strategy", "seeds", "incomes", "test_range", "artifacts"]
+PARAMS_KEYS = ["strategy_kind", "alpha"]
 
 
 @pytest.fixture(scope="module")
@@ -65,19 +68,40 @@ seed_flags = st.one_of(
     st.just(["--seed", "-1"]))
 sources = st.lists(st.sampled_from(["--params", "--policy141", "--policy69", "--zero-action"]),
                    max_size=3, unique=True)
-result_edits = st.tuples(st.sampled_from(RESULT_KEYS),
-                         st.one_of(st.just("drop"), st.sampled_from(VALUES)))
+edit_values = st.one_of(st.just("drop"), st.sampled_from(VALUES))
+result_edits = st.tuples(st.sampled_from(RESULT_KEYS), edit_values)
+evaluations = st.one_of(  # sources with the saved params, or the edited params alone
+    st.tuples(sources, st.none()),
+    st.tuples(st.just(["--params"]), st.tuples(st.sampled_from(PARAMS_KEYS), edit_values)))
 verbs = st.one_of(
-    st.tuples(st.just("evaluate"), sources),
+    st.tuples(st.just("evaluate"), evaluations),
     st.tuples(st.just("optimize"), st.sampled_from(["timing", "opportunistic"])),
     st.tuples(st.just("train-rl"), st.booleans()),
     st.tuples(st.just("report"), result_edits))
 
 
+def write_edited(source, target, key, value):
+    """``source``'s JSON document at ``target``, with ``key`` dropped or set
+    to ``value``."""
+    document = json.loads(source.read_text())
+    if value == "drop":
+        del document[key]
+    else:
+        document[key] = value
+    target.write_text(json.dumps(document))
+
+
 def verb_argv(verb, choice, root, run_dir):
-    """The verb's own arguments; for ``report``, the edited run directory."""
+    """The verb's own arguments; for ``evaluate``, the params file edited
+    next to ``run_dir`` if an edit was drawn; for ``report``, the edited run
+    directory."""
     if verb == "evaluate":
-        flags = {"--params": ["--params", str(root / "timing.json")],
+        choice, edit = choice
+        params = root / "timing.json"
+        if edit is not None:
+            params = run_dir.parent / "params.json"
+            write_edited(root / "timing.json", params, *edit)
+        flags = {"--params": ["--params", str(params)],
                  "--policy141": ["--policy", str(root / "policy141.npz")],
                  "--policy69": ["--policy", str(root / "policy69.npz")],
                  "--zero-action": ["--zero-action"]}
@@ -86,14 +110,8 @@ def verb_argv(verb, choice, root, run_dir):
         return ["optimize", "--strategy", choice]
     if verb == "train-rl":
         return ["train-rl", *(["--no-weather"] if choice else [])]
-    key, value = choice
     shutil.copytree(root / "run", run_dir)
-    result = json.loads((run_dir / "result.json").read_text())
-    if value == "drop":
-        del result[key]
-    else:
-        result[key] = value
-    (run_dir / "result.json").write_text(json.dumps(result))
+    write_edited(run_dir / "result.json", run_dir / "result.json", *choice)
     return ["report", "--runs", str(run_dir)]
 
 

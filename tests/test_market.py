@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dayahead.cli import CONFIG_KEYS, env_config_from, load_config
-from dayahead.market import (BUY, SELL, DecisionContext, EnvConfig, TradingEnv,
-                             hourly_production, observation_size, reference_balance,
-                             rolling_price_stats, round_volumes)
+from dayahead.market import (BUY, SELL, EnvConfig, TradingEnv, hourly_production,
+                             observation_size, reference_balance, rolling_price_stats,
+                             round_volumes)
 from dayahead.strategies import TimingParams
 from dayahead.training import evaluate_strategy
 
@@ -83,8 +83,9 @@ def test_clearing_matches_brute_force_grid():
     the hours of five delivery days, each met by a buy and a sell at each of
     100 bid prices."""
     prices = np.linspace(0.0, 495.0, 100)
-    ds = flat_dataset(num_days=8)
-    ds.prices[2:7].flat[:100] = prices
+    day_prices = np.full((8, 24), 250.0)
+    day_prices[2:7].flat[:100] = prices
+    ds = flat_dataset(num_days=8, price=day_prices)
     env = make_env(ds, quiet_config())
     mismatches = 0
     for bid_price in prices.tolist():
@@ -202,7 +203,9 @@ def test_zero_mean_training_price_needs_an_explicit_price_scale():
     with pytest.raises(ValueError, match=r"training split, days 0\.\.5, has mean price 0\.0.*"
                                          r"set price_scale"):
         TradingEnv(ds, EnvConfig())
-    ds.prices[3:] = 100.0  # only the split's own days count
+    prices = np.zeros((6, 24))
+    prices[3:] = 100.0  # only the split's own days count
+    ds = with_perfect_forecasts(flat_dataset(num_days=6, price=prices))
     with pytest.raises(ValueError, match=r"training split, days 0\.\.2,"):
         TradingEnv(replace(ds, split=SplitBoundaries((0, 3), (3, 4), (4, 6))), EnvConfig())
     obs = TradingEnv(ds, EnvConfig(price_scale=1.0)).reset(2, 0, 1).observation()
@@ -223,21 +226,24 @@ def test_rolling_median_constant_series():
 
 
 def test_rolling_median_odd_count():
-    ds = flat_dataset(num_days=4, price=0.0)
-    ds.prices[0:3, 7] = [100.0, 300.0, 200.0]
+    prices = np.zeros((4, 24))
+    prices[0:3, 7] = [100.0, 300.0, 200.0]
+    ds = flat_dataset(num_days=4, price=prices)
     assert rolling_price_stats(ds, 3, window=28)[7] == 200.0
 
 
 def test_rolling_median_even_count_mean_of_middle():
-    ds = flat_dataset(num_days=3, price=0.0)
-    ds.prices[0:2, 7] = [100.0, 200.0]
+    prices = np.zeros((3, 24))
+    prices[0:2, 7] = [100.0, 200.0]
+    ds = flat_dataset(num_days=3, price=prices)
     assert rolling_price_stats(ds, 2, window=28)[7] == 150.0
 
 
 def test_rolling_median_uses_window_only():
-    ds = flat_dataset(num_days=41, price=0.0)
-    ds.prices[:, 3] = 1000.0
-    ds.prices[12:40, 3] = 50.0  # the most recent 28 days; day 40 itself is excluded
+    prices = np.zeros((41, 24))
+    prices[:, 3] = 1000.0
+    prices[12:40, 3] = 50.0  # the most recent 28 days; day 40 itself is excluded
+    ds = flat_dataset(num_days=41, price=prices)
     assert rolling_price_stats(ds, 40, window=28)[3] == 50.0
 
 
@@ -716,7 +722,7 @@ def test_weather_observation_requires_forecasts():
     # a context on the last day, whose next day has no forecast block
     env = TradingEnv(with_fc, quiet_config())
     ctx = env.reset(2, rng=0, days=1)
-    last = DecisionContext(env, ds.num_days - 1, ctx.rel_charge, ctx.est_midnight, ctx.pbar)
+    last = replace(ctx, day=ds.num_days - 1)
     with pytest.raises(ValueError, match="no forecast for day 60"):
         last.observation()
 

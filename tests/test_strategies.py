@@ -186,7 +186,7 @@ def test_blackbox_schedule_matches_per_bid_decoding():
                 [float(p) * float(v) for p, v in zip(pbar, scaled[1])],
                 [reference_round_volume(0.13 * float(v)) for v in scaled[2]],
                 [float(p) * float(v) for p, v in zip(pbar, scaled[3])]]
-        assert rows == want
+        assert [list(row) for row in rows] == want
 
 
 def test_blackbox_rejects_bad_shape():
