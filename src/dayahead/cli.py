@@ -35,6 +35,13 @@ five default run seeds.  A test range with a day that has no forecast,
 from the day before its first delivery day to its last, exits 2 with the
 first such day and its date named, before anything is written.
 
+Every JSON file a verb reads (the config, a ``params.json``, the header of
+a ``policy.npz`` and each ``result.json``) goes through ``data.read_json``
+and is checked against its reader's schema; a file that is not JSON, or
+whose key is missing or of the wrong kind, exits 2 naming the file and the
+key, and so does a policy file that is not an ``.npz`` at all.  The config
+alone is read leniently: its values go through the casts of the table.
+
 ``optimize``, ``train-rl`` and ``evaluate`` lay out ``--out`` as one run
 directory: per run seed, ``seed<N>/`` holds the scoring of the test range,
 ``trace.csv`` (the simulated hours) and ``bids.csv`` (each bid and whether
@@ -59,7 +66,10 @@ sorted, an indent of 1 and LF line ends.
 Exit codes: 0 success, 2 validation error, 3 missing artifact.  Training
 that diverges (a non-finite gradient) exits 2 as well, naming the seed and
 the update, and so does a CMA-ES search with a generation none of whose
-candidates scores a finite objective, naming the seed and the generation.
+candidates scores a finite objective, naming the seed and the generation,
+and a strategy whose test income is not finite, naming the seed before its
+files are exported: no verb writes a ``result.json`` that ``report``
+refuses.
 ``--out`` is made with the first file a verb writes, after all of its input
 checks and, for the four verbs above, after the first seed's strategy is
 fitted or loaded; so a verb that exits 2 or 3 on its inputs writes nothing.
@@ -68,7 +78,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -128,7 +137,7 @@ def _at_least_one(value) -> int:
 
 
 def _finite(value) -> float:
-    """``float(value)``, refusing NaN and infinities, which ``json.load``
+    """``float(value)``, refusing NaN and infinities, which the JSON decoder
     reads from ``NaN`` and ``Infinity``."""
     number = float(value)
     if not math.isfinite(number):
@@ -223,12 +232,7 @@ def load_config(path) -> dict:
     before a verb writes anything."""
     if path is None:
         return {}
-    if not os.path.exists(path):
-        raise MissingArtifact(f"config file {path} does not exist")
-    with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a flat JSON object")
+    cfg = datamod.read_json(path, {})  # any keys: CONFIG_KEYS's casts check the values
     for key in cfg:
         if key in CONFIG_KEYS:
             _cast(key, cfg[key])
@@ -340,7 +344,8 @@ def _run_seeds(run_dir, command: str, cfg: dict, env: TradingEnv, seeds: list[in
     Per seed, ``fit(seed, seed_file)`` fits or loads the strategy, writes the
     verb's own files to ``seed_file(name)``, and returns the strategy, the
     file name of its artifact (or None) and the text printed before the
-    income; the strategy is then scored on ``test_range`` and exported.
+    income; the strategy is then scored on ``test_range`` and exported, and
+    a non-finite income raises a FloatingPointError naming the seed first.
     The test range is checked first, by the forecast coverage rule of
     ``TradingEnv.reset``, so a gap in it fails before anything is written."""
     env.check_episode(test_range[0], test_range[1] - test_range[0])
@@ -350,6 +355,9 @@ def _run_seeds(run_dir, command: str, cfg: dict, env: TradingEnv, seeds: list[in
         strategy, artifact, text = fit(seed, seed_file)
         income, results = evaluate_strategy(strategy, env, test_range, seed,
                                             collect_results=True)
+        if not math.isfinite(income):  # no verb writes a result.json its reader refuses
+            raise FloatingPointError(f"seed {seed}: {name} scores a non-finite test income "
+                                     f"{income}")
         export_day_results(results, seed_file("trace.csv"))
         export_bid_outcomes(results, seed_file("bids.csv"))
         del results  # the collected days; the next seed's fit must not hold them
@@ -364,33 +372,18 @@ def _run_seeds(run_dir, command: str, cfg: dict, env: TradingEnv, seeds: list[in
     return incomes
 
 
+# What report reads of a result.json; read_result also wants one income per seed.
+RESULT_SCHEMA = {"strategy": str, "seeds": [int], "incomes": [float], "test_range": [int, 2]}
+
+
 def read_result(path) -> dict:
-    """The ``result.json`` at ``path``: a strategy name, a non-empty list of
-    seeds, one income per seed and the test range.  A file that holds less
-    raises a DataError that names it."""
-    try:
-        with open(path) as fh:
-            result = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise datamod.DataError(f"{path}: {exc}") from None
-    if not isinstance(result, dict):
-        result = {}
-
-    def numbers(value, kind) -> bool:
-        return isinstance(value, list) and all(
-            isinstance(v, kind) and not isinstance(v, bool) for v in value)
-
-    seeds, incomes, test_range = (result.get(k) for k in ("seeds", "incomes", "test_range"))
-    for key, want, ok in (
-            ("strategy", "a string", isinstance(result.get("strategy"), str)),
-            ("seeds", "a non-empty list of whole numbers", numbers(seeds, int) and seeds),
-            ("incomes", "one number per seed",
-             numbers(incomes, (int, float)) and numbers(seeds, int)
-             and len(incomes) == len(seeds)),
-            ("test_range", "two whole numbers",
-             numbers(test_range, int) and len(test_range) == 2)):
-        if not ok:
-            raise datamod.DataError(f"{path} holds no {key} ({want})")
+    """The ``result.json`` at ``path``, checked against :data:`RESULT_SCHEMA`
+    and holding one income for each of at least one seed; a file that holds
+    less raises a DataError that names it and the key."""
+    result = datamod.read_json(path, RESULT_SCHEMA)
+    if not result["seeds"] or len(result["incomes"]) != len(result["seeds"]):
+        key = "incomes" if result["seeds"] else "seeds"
+        raise datamod.DataError(f"{path} holds no {key} (at least one seed, one income each)")
     return result
 
 
@@ -475,20 +468,16 @@ def cmd_train_rl(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg, dataset, env_config, seeds, test_range = _verb_inputs(args)
     if args.policy:
-        if not os.path.exists(args.policy):
-            raise MissingArtifact(f"policy file {args.policy} not found")
         policy = load_policy(args.policy)
         for key, value in env_config.policy_binding().items():
             if key in policy.meta and policy.meta[key] != value:
                 raise ValueError(f"policy was trained with {key} {policy.meta[key]!r}, "
                                  f"the config gives {value!r}")
         if "price_scale" in policy.meta:
-            env_config = replace(env_config, price_scale=float(policy.meta["price_scale"]))
+            env_config = replace(env_config, price_scale=policy.meta["price_scale"])
         bids_fn = policy_strategy(policy)
         name = args.name or "policy"
     elif args.params:
-        if not os.path.exists(args.params):
-            raise MissingArtifact(f"params file {args.params} not found")
         kind, params = load_strategy_params(args.params)
         bids_fn = params.bids
         name = args.name or kind

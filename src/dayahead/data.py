@@ -11,7 +11,9 @@ the ``load_dataset`` / ``write_dataset`` pair).  The dataset files, run traces
 and report tables are written through ``write_lines``, and every CSV table the
 package reads goes through ``read_columns``: one ``np.loadtxt`` pass per file,
 optionally restricted to a window of days, and a csv row scan that runs only
-to name the file and line of a bad field.
+to name the file and line of a bad field.  Every JSON document the package
+reads goes through ``read_json``, which names the file and the key of what
+a document lacks.
 
 When no real data is at hand, ``generate_synthetic_dataset`` produces a seeded artificial market with the
 qualitative structure trading strategies care about: a double-peaked daily
@@ -26,7 +28,9 @@ import datetime as dt
 import json
 import math
 import re
+import sys
 import warnings
+import zipfile
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 from itertools import chain, islice, repeat
@@ -80,12 +84,14 @@ def _check_hourly(values: np.ndarray, field: str, start_date: dt.date,
 
 @dataclass
 class ConsumptionProfile:
-    """Average consumption per household for each hour of the day [MWh]."""
+    """Average consumption per household for each hour of the day [MWh],
+    kept as a read-only view, as :class:`Dataset` keeps its arrays."""
 
     avg_per_household: np.ndarray
 
     def __post_init__(self) -> None:
-        self.avg_per_household = np.asarray(self.avg_per_household, dtype=float)
+        self.avg_per_household = np.asarray(self.avg_per_household, dtype=float).view()
+        self.avg_per_household.flags.writeable = False  # no edit skips the checks below
         if self.avg_per_household.shape != (HOURS_PER_DAY,):
             raise DataError("consumption profile must have exactly 24 hourly values")
         bad = np.flatnonzero(~np.isfinite(self.avg_per_household))
@@ -202,7 +208,11 @@ class Dataset:
 # File I/O: every table is written by write_lines, from lines the caller has
 # formatted (trace.csv, bids.csv and the logs) or through write_columns, and
 # every JSON document by write_json; tables are read by read_columns, and
-# each file has one header tuple that its writer and its reader share.  A
+# each file has one header tuple that its writer and its reader share.  Every
+# JSON document is read by read_json, which checks it against its reader's
+# schema (RESULT_SCHEMA, PARAMS_SCHEMA, POLICY_HEADER, and none for the
+# config, whose casts check it), and a policy's arrays by read_arrays; no
+# other module opens a file itself (np.savez writes policy.npz).  A
 # table's bytes are those the csv module's default writer writes for a table
 # of two or more columns: rows ended by CR LF, floats by repr, so they read
 # back bit for bit, and a text quoted only when it holds a comma, a quote, CR
@@ -263,6 +273,71 @@ def write_json(path, document) -> None:
     with open(path, "w", newline="") as fh:
         json.dump(document, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+# read_json's kinds, each with the words for what a value of it holds.
+_KINDS = {str: "a string", int: "a whole number", float: "a finite number",
+          bool: "true or false", dict: "an object"}
+
+
+def _holds(value, kind) -> bool:
+    """Whether the JSON value ``value`` is of the schema kind ``kind``."""
+    if isinstance(kind, list):  # [kind] or [kind, length]
+        return (isinstance(value, list) and kind[1:] in ([], [len(value)])
+                and all(_holds(item, kind[0]) for item in value))
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    if isinstance(kind, tuple):
+        return value in kind
+    if kind is float:  # an int too, unless float() cannot hold it
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, dict if isinstance(kind, dict) else kind)
+
+
+def _check_keys(path, document: dict, schema: dict, prefix: str = "") -> None:
+    for key, kind in schema.items():
+        name = key.rstrip("?")
+        if (name == key or name in document) and not _holds(document.get(name), kind):
+            want = (f"a list{f' of {kind[1]}' if kind[1:] else ''}, each {_KINDS[kind[0]]}"
+                    if isinstance(kind, list) else f"one of {', '.join(map(str, kind))}"
+                    if isinstance(kind, tuple) else _KINDS[dict if isinstance(kind, dict) else kind])
+            raise DataError(f"{path} holds no {prefix}{name} ({want})")
+        if isinstance(kind, dict) and name in document:
+            _check_keys(path, document[name], kind, f"{prefix}{name}.")
+
+
+def read_json(path, schema: dict, text: bytes | None = None) -> dict:
+    """The JSON object in the file at ``path`` (or in ``text``, read from
+    it), checked against ``schema``, which maps each key to its kind:
+    ``str``, ``int`` (a whole number), ``float`` (a finite number, whole
+    numbers included), ``bool``, ``dict`` (any object), ``[kind]`` (a list
+    of that kind), ``[kind, n]`` (a list of ``n`` of them), a tuple of the
+    values it may hold, or a schema (an object that holds it).  A key
+    ending in ``?`` may be absent.  A document that is not JSON or not an
+    object, or a key that is absent or of another kind, raises a DataError
+    naming the file, and the key as ``<file> holds no <key> (<what it must
+    hold>)``."""
+    try:
+        if text is None:
+            with open(path, "rb") as fh:
+                text = fh.read()
+        document = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # not UTF-8 text, not JSON, or nested too deep
+        raise DataError(f"{path} holds no JSON ({exc})") from None
+    if not isinstance(document, dict):
+        raise DataError(f"{path} holds no JSON object")
+    _check_keys(path, document, schema)
+    return document
+
+
+def read_arrays(path) -> dict[str, np.ndarray]:
+    """The arrays of the ``.npz`` file at ``path``, by name; a file that is
+    not one raises a DataError naming it."""
+    try:  # the file is opened here: np.load leaves a bad zip's file open
+        with open(path, "rb") as fh, np.load(fh) as npz:
+            return {key: npz[key] for key in npz.files}
+    except (ValueError, TypeError, EOFError, zipfile.BadZipFile):  # TypeError: a lone .npy
+        raise DataError(f"{path} holds no arrays (an .npz file of them)") from None
 
 
 def write_columns(path, header: tuple[str, ...], columns) -> None:

@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from .data import DataError, read_arrays, read_json
+
 
 def _shapes(sizes: list[int]) -> list[tuple[int, ...]]:
     """Weight shapes, then bias shapes, of a network with layer widths ``sizes``."""
@@ -157,6 +159,12 @@ def clip_gradient_norm(grad: PolicyParams, max_norm: float) -> float:
 # ---------------------------------------------------------------------------
 
 POLICY_FORMAT_VERSION = 1
+# What the JSON header of a policy file holds.  Its meta keys are those a
+# trainer records (include_weather, the price scale and policy_binding's).
+POLICY_HEADER = {"format_version": (POLICY_FORMAT_VERSION,), "actor_layers": int,
+                 "critic_layers": int, "meta": {
+                     "include_weather?": bool, "price_scale?": float, "battery_capacity?": float,
+                     "max_wind_speed?": float, "temperature_range?": [float, 2]}}
 
 
 class PolicyParams:
@@ -241,28 +249,26 @@ def save_policy(path, policy: PolicyParams) -> None:
 
 
 def load_policy(path) -> PolicyParams:
-    """Read a policy written by ``save_policy``.  A missing array, or one
-    whose shape differs from its place in the policy, raises a ValueError
-    naming the file and the key."""
-    with np.load(path) as data:
-        arrays = {key: data[key] for key in data.files}
+    """Read a policy written by ``save_policy``.  A file that is not an
+    ``.npz``, a header that does not hold :data:`POLICY_HEADER`, a missing
+    array, or one whose shape differs from its place in the policy, raises a
+    DataError naming the file and the key."""
+    arrays = read_arrays(path)
 
     def stored(key: str) -> np.ndarray:
         if key not in arrays:
-            raise ValueError(f"{path}: no array {key}")
+            raise DataError(f"{path}: no array {key}")
         return arrays[key]
 
-    header = json.loads(bytes(stored("header")).decode())
-    if header.get("format_version") != POLICY_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported policy format {header.get('format_version')}")
-    weights = [stored(f"actor_w{i}") for i in range(header.get("actor_layers", 0))]
+    header = read_json(f"{path} header", POLICY_HEADER, stored("header").tobytes())
+    weights = [stored(f"actor_w{i}") for i in range(header["actor_layers"])]
     if not weights or any(w.ndim != 2 for w in weights):
-        raise ValueError(f"{path}: actor weights must be matrices")
+        raise DataError(f"{path}: actor weights must be matrices")
     policy = PolicyParams([weights[0].shape[1], *(w.shape[0] for w in weights)],
-                          meta=header.get("meta", {}))
+                          meta=header["meta"])
     for key, view in _stored_arrays(policy):
         array = stored(key)
         if array.shape != view.shape:
-            raise ValueError(f"{path}: {key} has shape {array.shape}, expected {view.shape}")
+            raise DataError(f"{path}: {key} has shape {array.shape}, expected {view.shape}")
         view[...] = array
     return policy

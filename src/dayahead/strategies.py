@@ -20,7 +20,6 @@ neural policy is passed in explicitly.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,7 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data import DataError, write_json
+from .data import DataError, read_json, write_json
 from .market import DecisionContext, Schedule, round_volumes
 from .nets import PolicyParams, forward
 
@@ -219,6 +218,8 @@ OPPORTUNISTIC = "opportunistic"
 # The one table of parametric kinds.  Each params class knows its vector
 # size, its CMA-ES starting mean and how it bids from a decision context.
 PARAMETRIC_KINDS = {TIMING: TimingParams, OPPORTUNISTIC: OpportunisticParams}
+# What a params.json holds.
+PARAMS_SCHEMA = {"strategy_kind": tuple(PARAMETRIC_KINDS), "alpha": [float]}
 
 
 def params_class(kind: str):
@@ -237,30 +238,13 @@ def save_strategy_params(path, kind: str, params) -> None:
 
 
 def load_strategy_params(path):
-    """Returns (kind, params) from a :func:`save_strategy_params` document.
-    A file that is not JSON, or whose ``strategy_kind`` is missing or
-    unknown, or whose ``alpha`` is not a list of the kind's size of finite
-    numbers, raises a DataError that names the file and the key."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    if not isinstance(payload, dict):
-        payload = {}
-    kind, alpha = payload.get("strategy_kind"), payload.get("alpha")
-    if not (isinstance(kind, str) and kind in PARAMETRIC_KINDS):
-        raise DataError(f"{path}: unknown parametric strategy kind {kind!r} in strategy_kind "
-                        f"(one of {', '.join(PARAMETRIC_KINDS)})")
-    size = PARAMETRIC_KINDS[kind].size
-    if not (isinstance(alpha, list) and len(alpha) == size and all(map(_finite, alpha))):
-        raise DataError(f"{path}: alpha must be a list of {size} finite numbers for {kind}")
+    """Returns (kind, params) from a :func:`save_strategy_params` document;
+    a file that does not hold :data:`PARAMS_SCHEMA`, or whose ``alpha`` is
+    not as long as its kind's vector, raises a DataError naming the file and
+    the key."""
+    document = read_json(path, PARAMS_SCHEMA)
+    kind, alpha = document["strategy_kind"], document["alpha"]
+    if len(alpha) != PARAMETRIC_KINDS[kind].size:
+        raise DataError(f"{path} holds no alpha (a list of {PARAMETRIC_KINDS[kind].size} "
+                        f"finite numbers for {kind})")
     return kind, PARAMETRIC_KINDS[kind].from_vector(alpha)
-
-
-def _finite(value) -> bool:
-    """Whether a JSON value is a finite number (not a bool)."""
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number, or an int beyond float
-        return False

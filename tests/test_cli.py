@@ -161,6 +161,20 @@ def test_config_accepts_integral_floats_and_automatic_population(tmp_path):
     assert config_section(cfg, "cmaes") == {"generations": 3, "population": None}
 
 
+@pytest.mark.parametrize("text", ["{bad", "[1]"])
+def test_config_that_is_not_a_json_object_exits_2_naming_the_file(data_dir, tmp_path, capsys,
+                                                                   text):
+    """``{bad`` exited 2 with the decoder's message alone, which did not name
+    the file, and ``[1]`` said only that a config file must hold an object."""
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "o"
+    assert main(["evaluate", "--zero-action", "--data", str(data_dir), "--config", str(path),
+                 "--seeds", "0", "--out", str(out)]) == 2
+    assert f"{path} holds no JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["generations", "timesteps", "population_size", "net_arch",
                                  "households"])
 def test_config_refuses_a_whole_number_beyond_int64(tmp_path, key):
@@ -635,7 +649,8 @@ def test_evaluate_missing_policy_exits_3(data_dir, tmp_path):
 
 @pytest.mark.parametrize("flags,message", [
     ([], "pass one of --policy, --params or --zero-action"),
-    pytest.param(["--params", "blackbox.json"], "unknown parametric strategy kind 'blackbox'",
+    pytest.param(["--params", "blackbox.json"],
+                 "blackbox.json holds no strategy_kind (one of timing, opportunistic)",
                  id="flags1-black-box params reference a policy file"),
 ])
 def test_evaluate_without_a_scorable_strategy_exits_2_and_writes_nothing(
@@ -654,9 +669,13 @@ def test_evaluate_without_a_scorable_strategy_exits_2_and_writes_nothing(
 
 
 @pytest.mark.parametrize("payload,message", [
-    ({"alpha": [1, 0.5]}, "unknown parametric strategy kind None in strategy_kind"),
-    ([1], "unknown parametric strategy kind None in strategy_kind"),
-    ({"strategy_kind": "timing", "alpha": [1]}, "alpha must be a list of 2 finite numbers"),
+    pytest.param({"alpha": [1, 0.5]}, "holds no strategy_kind (one of timing, opportunistic)",
+                 id="no strategy_kind"),
+    pytest.param([1], "holds no JSON object", id="not an object"),
+    pytest.param({"strategy_kind": "timing", "alpha": [1]},
+                 "holds no alpha (a list of 2 finite numbers for timing)", id="short alpha"),
+    pytest.param({"strategy_kind": "timing", "alpha": [1, True]},
+                 "holds no alpha (a list, each a finite number)", id="bool in alpha"),
 ])
 def test_evaluate_names_the_file_and_key_of_a_malformed_params_file(
         data_dir, tmp_path, capsys, payload, message):
@@ -668,7 +687,20 @@ def test_evaluate_names_the_file_and_key_of_a_malformed_params_file(
     code = main(["evaluate", "--params", str(params), "--data", str(data_dir), "--seeds", "0",
                  "--out", str(out)])
     assert code == 2
-    assert f"{params}: {message}" in capsys.readouterr().err
+    assert f"{params} {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_refuses_a_non_finite_test_income(data_dir, config_path, tmp_path, capsys):
+    """Finite coefficients whose bids overflow scored ``income nan``, exited 0
+    and wrote ``"incomes": [NaN]``, which ``report`` then printed as nan."""
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"strategy_kind": "timing", "alpha": [1e307, 0]}))
+    out = tmp_path / "o"
+    code = main(["evaluate", "--params", str(params), "--data", str(data_dir),
+                 "--config", config_path, "--seeds", "0", "--out", str(out)])
+    assert code == 2
+    assert "seed 0: timing scores a non-finite test income nan" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1013,6 +1045,7 @@ def test_report_refuses_two_runs_of_one_name(data_dir, config_path, tmp_path, ca
     ("seeds", None), ("seeds", "0,1"), ("seeds", [0, "1"]), ("seeds", [0, True]),
     ("incomes", None), ("incomes", [1.0]), ("incomes", [1.0, "2"]), ("incomes", 3.0),
     ("test_range", None), ("test_range", [90]), ("test_range", [90.5, 110]),
+    ("incomes", [1.0, math.nan]), ("incomes", [math.inf, 1.0]),
 ])
 def test_report_refuses_a_malformed_result(data_dir, config_path, tmp_path, capsys, key, value):
     """A dropped (None) or retyped key is named with its file; a missing

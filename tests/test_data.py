@@ -1,6 +1,8 @@
 import csv
 import datetime as dt
+import json
 import math
+import re
 import tempfile
 import warnings
 from dataclasses import replace
@@ -268,6 +270,19 @@ def test_consumption_profile_rejects_negative_hour():
         ConsumptionProfile(values)
 
 
+def test_consumption_profile_is_read_only_and_leaves_the_callers_array_writeable(small_dataset):
+    """Writing -0.01 into a dataset's profile skipped the negative-value
+    check and changed the income of every environment built afterwards."""
+    with pytest.raises(ValueError, match="read-only"):
+        small_dataset.profile.avg_per_household[0] = -0.01
+    values = np.full(24, 0.0002)
+    profile = ConsumptionProfile(values)
+    values[0] = 1.0  # the caller's array is the caller's
+    assert profile.avg_per_household[0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        profile.avg_per_household[0] = 0.0
+
+
 @pytest.mark.parametrize("column,value,message", [
     (2, "x", r"forecasts\.csv:7: bad target hour 'x'"),
     (4, "abc", r"forecasts\.csv:7: bad wind_speed value 'abc'"),
@@ -379,6 +394,64 @@ def test_write_json_sorts_keys_and_ends_lines_with_lf(tmp_path):
     damod.write_json(path, {"b": [1, 0.1], "a": {"d": "x\ny", "c": None}})
     assert path.read_bytes() == (b'{\n "a": {\n  "c": null,\n  "d": "x\\ny"\n },\n'
                                  b' "b": [\n  1,\n  0.1\n ]\n}\n')
+
+
+SCHEMA = {"name": str, "count": int, "scale": float, "flag": bool, "extra": dict,
+          "seeds": [int], "pair": [float, 2], "kind": ("a", "b"),
+          "meta": {"size?": int, "range?": [float, 2]}}
+GOOD = {"name": "x", "count": 3, "scale": 2, "flag": False, "extra": {"any": None},
+        "seeds": [], "pair": [0.5, -1e308], "kind": "b", "meta": {"range": [1, 2.5]}}
+
+
+def test_read_json_returns_a_document_that_holds_its_schema(tmp_path):
+    path = tmp_path / "doc.json"
+    damod.write_json(path, {**GOOD, "unknown": [1]})
+    assert damod.read_json(path, SCHEMA) == {**GOOD, "unknown": [1]}
+    assert damod.read_json(path, {}) == {**GOOD, "unknown": [1]}
+    assert damod.read_json("named", SCHEMA, b'{"meta": {},' + path.read_bytes()[1:]) \
+        == {**GOOD, "unknown": [1]}  # the later of two meta keys
+
+
+@pytest.mark.parametrize("key,value,want", [
+    ("name", None, "a string"), ("name", 1, "a string"),
+    ("count", 1.0, "a whole number"), ("count", True, "a whole number"),
+    ("count", "3", "a whole number"),
+    ("scale", math.nan, "a finite number"), ("scale", math.inf, "a finite number"),
+    ("scale", 10**400, "a finite number"), ("scale", False, "a finite number"),
+    ("scale", "2", "a finite number"),
+    ("flag", 0, "true or false"), ("extra", [], "an object"),
+    ("seeds", [0, True], "a list, each a whole number"), ("seeds", 0, "a list, each a whole"),
+    ("pair", [1.0], "a list of 2, each a finite number"),
+    ("pair", [1.0, math.nan], "a list of 2, each a finite number"),
+    ("kind", "c", "one of a, b"), ("kind", ["a"], "one of a, b"),
+    ("meta", [], "an object"),
+    ("meta.size", 0.5, "a whole number"), ("meta.range", [1, "2"], "a list of 2, each a finite"),
+])
+def test_read_json_names_the_file_and_the_key_a_document_lacks(tmp_path, key, value, want):
+    document = {**GOOD, "meta": dict(GOOD["meta"])}
+    parent, _, name = key.rpartition(".")
+    target = document[parent] if parent else document
+    if value is None:
+        del target[name]
+    else:
+        target[name] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))  # NaN and Infinity as json.dumps writes them
+    with pytest.raises(DataError) as excinfo:
+        damod.read_json(path, SCHEMA)
+    assert str(excinfo.value).startswith(f"{path} holds no {key} ({want}")
+
+
+@pytest.mark.parametrize("text,message", [
+    (b"{bad", "holds no JSON (Expecting property name"), (b"", "holds no JSON (Expecting value"),
+    (b"\xff{}", "holds no JSON ("), (b"[1]", "holds no JSON object"),
+    (b"null", "holds no JSON object"), (b"[" * 100_000 + b"]" * 100_000, "holds no JSON (max"),
+], ids=["not JSON", "empty", "not UTF-8", "a list", "null", "nested too deep"])
+def test_read_json_names_a_file_that_holds_no_json_object(tmp_path, text, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(text)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))} {re.escape(message)}"):
+        damod.read_json(path, {})
 
 
 def test_column_codec_reads_dates_and_choices(tmp_path):

@@ -406,7 +406,8 @@ def test_policy_file_format_keeps_its_key_order(tmp_path):
     ("critic_b0", np.zeros(1), r"critic_b0 has shape \(1,\), expected \(4,\)"),
     ("log_std", np.zeros(4), r"log_std has shape \(4,\), expected \(3,\)"),
     ("actor_w0", np.zeros(24), "actor weights must be matrices"),
-    ("header", np.frombuffer(b'{"actor_layers": 2}', np.uint8), "unsupported policy format None"),
+    ("header", np.frombuffer(b'{"actor_layers": 2}', np.uint8),
+     r"header holds no format_version \(one of 1\)"),
 ])
 def test_load_policy_checks_every_array(tmp_path, key, value, message):
     """A missing array or one that does not fit its place names the file and
@@ -432,3 +433,58 @@ def test_policy_copy_is_independent():
     clone.log_std[0] += 1.0
     assert policy.actor.weights[0][0, 0] != clone.actor.weights[0][0, 0]
     assert policy.log_std[0] != clone.log_std[0]
+
+
+@pytest.mark.parametrize("edit,message", [
+    ({"format_version": 2}, r"format_version \(one of 1\)"),
+    ({"actor_layers": "x"}, r"actor_layers \(a whole number\)"),
+    ({"critic_layers": None}, r"critic_layers \(a whole number\)"),
+    ({"meta": [1]}, r"meta \(an object\)"),
+    ({"meta": {"price_scale": None}}, r"meta.price_scale \(a finite number\)"),
+    ({"meta": {"price_scale": "abc"}}, r"meta.price_scale \(a finite number\)"),
+    ({"meta": {"include_weather": 1}}, r"meta.include_weather \(true or false\)"),
+    ({"meta": {"temperature_range": [0.0]}}, r"meta.temperature_range \(a list of 2, each a"),
+])
+def test_load_policy_checks_the_header_and_its_meta(tmp_path, edit, message):
+    """A retyped header key or meta key names the file and the key; the
+    retyped ``actor_layers`` and ``price_scale`` were a TypeError traceback,
+    one in ``range`` and one in ``float``."""
+    arrays = hand_written_policy_arrays()
+    header = {**json.loads(arrays["header"].tobytes()), **edit}
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+    path = tmp_path / "bad.npz"
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=f"bad.npz header holds no {message}"):
+        load_policy(path)
+
+
+def test_load_policy_keeps_meta_keys_optional(tmp_path):
+    arrays = hand_written_policy_arrays()
+    arrays["header"] = np.frombuffer(json.dumps(
+        {"actor_layers": 2, "critic_layers": 2, "format_version": 1, "meta": {}}).encode(),
+        np.uint8)
+    np.savez(tmp_path / "bare.npz", **arrays)
+    assert load_policy(tmp_path / "bare.npz").meta == {}
+
+
+@pytest.mark.parametrize("content", ["truncated", "text", "npy", "header text"])
+def test_load_policy_names_a_file_that_is_not_a_policy(tmp_path, content):
+    """A truncated file was a ``zipfile.BadZipFile`` traceback, a text file
+    numpy's ``allow_pickle`` message, a lone ``.npy`` a TypeError traceback
+    and a header that is not JSON a JSONDecodeError without the file."""
+    path = tmp_path / "bad.npz"
+    save_policy(path, init_policy(6, hidden_size=4, action_size=3, seed=0))
+    if content == "truncated":
+        path.write_bytes(path.read_bytes()[:-40])
+    elif content == "text":
+        path.write_text("not a policy\n")
+    elif content == "npy":
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
+    else:
+        arrays = hand_written_policy_arrays()
+        arrays["header"] = np.frombuffer(b"{not json", np.uint8)
+        np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="holds no") as excinfo:
+        load_policy(path)
+    assert str(path) in str(excinfo.value)
