@@ -19,16 +19,21 @@ Verbs:
 
 Every verb accepts ``--config`` (flat JSON of parameter overrides using the
 names from the parameter tables), ``--seed`` (master seed), and ``--out``.
-One table, :data:`CONFIG_KEYS`, maps each config key to the section that
-uses it (environment, CMA-ES, A2C, data split, test range or synthetic
-generator), the field it sets there, and the cast that reads it.  Every
-known key is cast and checked when the config is loaded, by every verb,
-whether it uses the key or not: a value its cast refuses (a fraction for a
-whole number, NaN or an infinity for a real number, a ``test_days`` below 1,
-``split_fractions`` that are not three numbers) or that its section's
-dataclass refuses when built from that key alone (an ``action_scheduling_hour``
-of 24, a ``population_size`` of 2) exits 2 with the key and value named,
-before the verb writes anything.  Keys the table does not know are ignored.
+Each section of the config (environment, CMA-ES, A2C, data split, test range
+and synthetic generator) is a dataclass whose fields declare its keys: a
+field is the key of its own name or of the one its metadata gives.
+:data:`CONFIG_KEYS`, computed from those fields, maps each key to its
+section, field and cast, and the cast follows from the field's type: a whole
+number, a finite number, ISO date text, a list of so many finite numbers,
+or ``"automatic"`` for a field that may be None.  Every known key is cast and
+checked when the config is loaded, by every verb, whether it uses the key or
+not: a value its cast refuses (a fraction for a whole number, NaN or an
+infinity for a real number, ``split_fractions`` that are not three numbers)
+or that its section's dataclass refuses when built from that key alone (an
+``action_scheduling_hour`` of 24, a ``population_size`` of 2, a
+``test_days`` below 1, ``split_fractions`` that do not sum to 1) exits 2
+with the key and value named, before the verb writes anything.  Keys that no
+dataclass declares are still ignored.
 A ``--seeds`` list that is empty, names a seed twice or names a negative
 seed exits 2 as well, and so does a negative ``--seed`` when it sets the
 five default run seeds.  A test range with a day that has no forecast,
@@ -63,13 +68,13 @@ Every CSV file a verb writes has rows ended by CR LF and floats written by
 ``repr``, so they read back bit for bit; every JSON file has its keys
 sorted, an indent of 1 and LF line ends.
 
-Exit codes: 0 success, 2 validation error, 3 missing artifact.  Training
-that diverges (a non-finite gradient) exits 2 as well, naming the seed and
-the update, and so does a CMA-ES search with a generation none of whose
-candidates scores a finite objective, naming the seed and the generation,
-and a strategy whose test income is not finite, naming the seed before its
-files are exported: no verb writes a ``result.json`` that ``report``
-refuses.
+Exit codes: 0 success, 2 validation error, 3 missing artifact (a file that
+is absent, or a directory in its place, named).  Training that diverges (a
+non-finite gradient) exits 2 as well, naming the seed and the update, and so
+does a CMA-ES search with a generation none of whose candidates scores a
+finite objective, naming the seed and the generation, and a strategy whose
+test income is not finite, naming the seed before its files are exported:
+no verb writes a ``result.json`` that ``report`` refuses.
 ``--out`` is made with the first file a verb writes, after all of its input
 checks and, for the four verbs above, after the first seed's strategy is
 fitted or loaded; so a verb that exits 2 or 3 on its inputs writes nothing.
@@ -81,8 +86,9 @@ import functools
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import date
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -112,9 +118,13 @@ BATTERY_SWEEP_HEADER = ("capacity", "mean_income", "std", "incomes")
 
 
 # ---------------------------------------------------------------------------
-# Config handling: one flat JSON document whose keys are all optional.  One
-# table maps each key to the section that uses it, the field it sets there,
-# and the cast that reads it; nothing else reads the document.
+# Config handling: one flat JSON document whose keys are all optional.  The
+# dataclass of each section declares its keys: a field is a key under its own
+# name, or under ``metadata["key"]``, and a key of None marks a field that a
+# flag sets.  Each key's cast follows from its field's type, and nothing but
+# the table computed from them reads the document.  Keys that no field
+# declares are still ignored, since perfbench's toy A2C budget passes one
+# (refusing them is ROADMAP item 6, after item 1a).
 # ---------------------------------------------------------------------------
 
 def _whole(value) -> int:
@@ -129,13 +139,6 @@ def _whole(value) -> int:
     return whole
 
 
-def _at_least_one(value) -> int:
-    whole = _whole(value)
-    if whole < 1:
-        raise ValueError("must be at least 1")
-    return whole
-
-
 def _finite(value) -> float:
     """``float(value)``, refusing NaN and infinities, which the JSON decoder
     reads from ``NaN`` and ``Infinity``."""
@@ -145,82 +148,62 @@ def _finite(value) -> float:
     return number
 
 
-def _population(value) -> int | None:
-    return None if value == "automatic" else _whole(value)
-
-
-def _reals(count: int):
-    def cast(value) -> tuple[float, ...]:
-        if not isinstance(value, list) or len(value) != count:
-            raise ValueError(f"not a list of {count} numbers")
-        return tuple(map(_finite, value))
-
-    return cast
-
-
-def _synthetic_cast(default):
-    if isinstance(default, date):
+def _cast_of(hint, default):
+    """The cast of a config value for a field of type ``hint``: a whole
+    number for ``int``, a finite number for ``float``, ISO text for a date,
+    a list of as many finite numbers as ``default`` holds for a tuple, and
+    ``"automatic"`` (None) or the cast of ``X`` for ``X | None``."""
+    if hint is int:
+        return _whole
+    if hint is float:
+        return _finite
+    if hint is date:
         return date.fromisoformat
-    if isinstance(default, tuple):
-        return _reals(len(default))
-    return _finite
+    if tuple in (hint, get_origin(hint)):
+        def reals(value) -> tuple[float, ...]:
+            if not isinstance(value, list) or len(value) != len(default):
+                raise ValueError(f"not a list of {len(default)} numbers")
+            return tuple(map(_finite, value))
+
+        return reals
+    if get_args(hint)[1:] != (type(None),):
+        raise TypeError(f"no config cast for a field of type {hint}")
+    cast = _cast_of(get_args(hint)[0], default)
+    return lambda value: None if value == "automatic" else cast(value)
 
 
-# key -> (section, field, cast).  Sections: "env" EnvConfig, "cmaes"
-# CmaesConfig, "a2c" A2cConfig, "split" data.split_dataset, "test" the test
-# range (test_range_of), "synthetic" data.SyntheticConfig (generate-data).
-CONFIG_KEYS = {
-    "action_scheduling_hour": ("env", "action_hour", _whole),
-    "battery_capacity": ("env", "battery_capacity", _finite),
-    "battery_efficiency": ("env", "battery_efficiency", _finite),
-    "max_solar_generation": ("env", "max_solar_generation", _finite),
-    "solar_panel_efficiency": ("env", "solar_efficiency", _finite),
-    "max_wind_generation": ("env", "max_wind_generation", _finite),
-    "max_wind_speed": ("env", "max_wind_speed", _finite),
-    "households": ("env", "households", _whole),
-    "consumption_noise_std": ("env", "consumption_noise_std", _finite),
-    "price_stat_window": ("env", "price_stat_window", _whole),
-    "penalty_buy_multiplier": ("env", "penalty_buy_multiplier", _finite),
-    "penalty_sell_multiplier": ("env", "penalty_sell_multiplier", _finite),
-    "initial_charge": ("env", "initial_charge", _finite),
-    "price_scale": ("env", "price_scale", _finite),
-    "initial_sigma": ("cmaes", "sigma0", _finite),
-    "population_size": ("cmaes", "population", _population),  # "automatic" or a whole number
-    "generations": ("cmaes", "generations", _whole),
-    "timesteps": ("a2c", "total_days", _whole),
-    "evaluation_frequency": ("a2c", "eval_frequency", _whole),
-    "n_steps": ("a2c", "n_steps", _whole),
-    "learning_rate": ("a2c", "learning_rate", _finite),
-    "gamma": ("a2c", "gamma", _finite),
-    "gae_lambda": ("a2c", "gae_lambda", _finite),
-    "ent_coef": ("a2c", "ent_coef", _finite),
-    "vf_coef": ("a2c", "vf_coef", _finite),
-    "rms_prop_eps": ("a2c", "rms_eps", _finite),
-    "max_grad_norm": ("a2c", "max_grad_norm", _finite),
-    "net_arch": ("a2c", "hidden_size", _whole),
-    "log_std_init": ("a2c", "log_std_init", _finite),
-    "eval_days": ("a2c", "eval_days", _whole),
-    "split_fractions": ("split", "fractions", _reals(3)),
-    "test_days": ("test", "days", _at_least_one),
-    **{f.name: ("synthetic", f.name, _synthetic_cast(f.default))
-       for f in fields(datamod.SyntheticConfig)},
-}
+@dataclass(frozen=True)
+class ScoringConfig:
+    """The test range: at most ``days`` delivery days from the start of the
+    test split."""
+
+    days: int = field(default=365, metadata={"key": "test_days"})
+
+    def __post_init__(self) -> None:
+        if self.days < 1:
+            raise ValueError(f"days must be at least 1, got {self.days}")
 
 
-# The dataclass of each section that has one; it holds the section's ranges.
-SECTION_TYPES = {"env": EnvConfig, "cmaes": CmaesConfig, "a2c": A2cConfig,
-                 "synthetic": datamod.SyntheticConfig}
+# The dataclass of each config section.
+SECTIONS = {"env": EnvConfig, "cmaes": CmaesConfig, "a2c": A2cConfig,
+            "split": datamod.SplitConfig, "test": ScoringConfig,
+            "synthetic": datamod.SyntheticConfig}
+
+# key -> (section, field, cast), from the fields of each section's dataclass.
+CONFIG_KEYS = {key: (section, f.name, _cast_of(hints[f.name], f.default))
+               for section, config in SECTIONS.items()
+               for hints in [get_type_hints(config)] for f in fields(config)
+               if (key := f.metadata.get("key", f.name)) is not None}
 
 
 def _cast(key: str, value):
     """``value`` read by the cast of ``key`` and checked by building its
     section's dataclass from this key alone, so that a value out of its
     range is refused under the key the config names it by."""
-    section, field, cast = CONFIG_KEYS[key]
+    section, name, cast = CONFIG_KEYS[key]
     try:
         result = cast(value)
-        if section in SECTION_TYPES:
-            SECTION_TYPES[section](**{field: result})
+        SECTIONS[section](**{name: result})
         return result
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"config key {key!r} has value {value!r}: {exc}") from None
@@ -242,16 +225,22 @@ def load_config(path) -> dict:
 def config_section(cfg: dict, section: str) -> dict:
     """Keyword arguments for ``section``: each key of ``cfg`` that the table
     maps there, cast, under its field name."""
-    return {field: _cast(key, cfg[key]) for key, (owner, field, _) in CONFIG_KEYS.items()
+    return {name: _cast(key, cfg[key]) for key, (owner, name, _) in CONFIG_KEYS.items()
             if owner == section and key in cfg}
 
 
+def build_section(cfg: dict, section: str, **flags):
+    """The dataclass of ``section`` built from its keys in ``cfg`` and from
+    ``flags``, the fields a flag sets."""
+    return SECTIONS[section](**config_section(cfg, section), **flags)
+
+
 def env_config_from(cfg: dict) -> EnvConfig:
-    return EnvConfig(**config_section(cfg, "env"))
+    return build_section(cfg, "env")
 
 
 def a2c_config_from(cfg: dict, include_weather: bool) -> A2cConfig:
-    return A2cConfig(include_weather=include_weather, **config_section(cfg, "a2c"))
+    return build_section(cfg, "a2c", include_weather=include_weather)
 
 
 def load_data_dir(data_dir, cfg: dict) -> datamod.Dataset:
@@ -315,7 +304,7 @@ def write_manifest(out_dir, command: str, cfg: dict, seeds: list[int],
 
 
 def test_range_of(dataset: datamod.Dataset, cfg: dict) -> tuple[int, int]:
-    return delivery_window(dataset.split.test, config_section(cfg, "test").get("days", 365))
+    return delivery_window(dataset.split.test, build_section(cfg, "test").days)
 
 
 def _verb_inputs(args):
@@ -400,7 +389,7 @@ def cmd_generate_data(args) -> int:
     cfg = load_config(args.config)
     if args.days < datamod.MIN_SYNTHETIC_DAYS:
         raise ValueError(f"--days must be at least {datamod.MIN_SYNTHETIC_DAYS}")
-    gen_config = datamod.SyntheticConfig(**config_section(cfg, "synthetic"))
+    gen_config = build_section(cfg, "synthetic")
     dataset = datamod.generate_synthetic_dataset(args.seed, args.days, gen_config)
     dataset = datamod.make_forecasts(dataset, seed=args.seed + 1)
     os.makedirs(args.out, exist_ok=True)
@@ -418,7 +407,7 @@ def cmd_generate_data(args) -> int:
 
 def cmd_optimize(args) -> int:
     cfg, dataset, env_config, seeds, test_range = _verb_inputs(args)
-    cma_config = CmaesConfig(**config_section(cfg, "cmaes"))
+    cma_config = build_section(cfg, "cmaes")
     kind = args.strategy
     env = TradingEnv(dataset, env_config)
 
@@ -646,7 +635,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:  # MissingArtifact included
+    except (FileNotFoundError, IsADirectoryError) as exc:  # MissingArtifact included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except (ValueError, FloatingPointError) as exc:  # DataError included

@@ -22,10 +22,11 @@ def default_population(dimension: int) -> int:
 
 @dataclass
 class CmaesConfig:
-    population: int | None = None   # None -> automatic
-    sigma0: float = 1.0
+    population: int | None = field(default=None,  # None -> automatic
+                                   metadata={"key": "population_size"})
+    sigma0: float = field(default=1.0, metadata={"key": "initial_sigma"})
     generations: int = 100
-    seed: int = 0
+    seed: int = field(default=0, metadata={"key": None})  # the run seed
 
     def __post_init__(self) -> None:
         if not 0 < self.sigma0 < math.inf:  # rejects NaN

@@ -32,7 +32,7 @@ import sys
 import warnings
 import zipfile
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import chain, islice, repeat
 from typing import NoReturn
 
@@ -859,22 +859,28 @@ def make_forecasts(dataset: Dataset, sigmas: ForecastSigmas | None = None,
 # Splits
 # ---------------------------------------------------------------------------
 
-DEFAULT_SPLIT_FRACTIONS = (11 / 16, 1 / 16, 4 / 16)
+@dataclass(frozen=True)
+class SplitConfig:
+    """The train, validation and test fractions of a split: three positive
+    finite numbers summing to 1.  The default mirrors an 11:1:4 quarter
+    layout: about 2.75 years of training, one validation quarter, one test
+    year."""
+
+    fractions: tuple[float, float, float] = field(default=(11 / 16, 1 / 16, 4 / 16),
+                                                  metadata={"key": "split_fractions"})
+
+    def __post_init__(self) -> None:
+        if len(self.fractions) != 3 or not all(0 < f < math.inf for f in self.fractions) \
+                or abs(sum(self.fractions) - 1.0) > 1e-9:  # NaN fails 0 < f
+            raise DataError("fractions must be three positive values summing to 1")
 
 
 def split_dataset(dataset: Dataset,
-                  fractions: tuple[float, float, float] = DEFAULT_SPLIT_FRACTIONS) -> Dataset:
+                  fractions: tuple[float, float, float] = SplitConfig.fractions) -> Dataset:
     """Record train/validation/test day ranges on the dataset: consecutive
-    half-open ranges covering the whole span, sized by ``fractions``.
-
-    The fractions must be three positive finite numbers summing to 1, and
-    each range must hold at least one day.  The default split mirrors an
-    11:1:4 quarter layout: about 2.75 years of training, one validation
-    quarter, one test year.
-    """
-    if len(fractions) != 3 or not all(0 < f < math.inf for f in fractions) \
-            or abs(sum(fractions) - 1.0) > 1e-9:  # NaN fails 0 < f
-        raise DataError("fractions must be three positive values summing to 1")
+    half-open ranges covering the whole span, sized by ``fractions``, which
+    :class:`SplitConfig` checks; each range must hold at least one day."""
+    SplitConfig(fractions)  # refuses fractions that break the rule
     n = dataset.num_days
     b1 = round(n * fractions[0])
     b2 = round(n * (fractions[0] + fractions[1]))

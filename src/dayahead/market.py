@@ -135,12 +135,13 @@ class EnvConfig:
     battery_capacity: float = 2.0        # MWh
     battery_efficiency: float = 0.85     # applied once, on charging
     max_solar_generation: float = 0.4    # MWh per hour at clear sky, before panel losses
-    solar_efficiency: float = 0.2
+    solar_efficiency: float = field(default=0.2, metadata={"key": "solar_panel_efficiency"})
     max_wind_generation: float = 0.05    # MWh per hour at cutoff wind speed
     max_wind_speed: float = 11.0         # m/s; turbines stop above this
     households: int = 100
     consumption_noise_std: float = 0.03
-    action_hour: int = 10                # bids scheduled at 10:30 -> hour block 10
+    action_hour: int = field(default=10,  # bids scheduled at 10:30 -> hour block 10
+                             metadata={"key": "action_scheduling_hour"})
     price_stat_window: int = 28          # days for the per-hour rolling median
     penalty_buy_multiplier: float = 2.0
     penalty_sell_multiplier: float = 0.5

@@ -11,7 +11,7 @@ the final ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -153,7 +153,8 @@ def gae_advantages(rewards: np.ndarray, values: np.ndarray, bootstrap: float,
 
 @dataclass
 class A2cConfig:
-    total_days: int = 200_000        # training budget in simulated days
+    total_days: int = field(default=200_000,  # training budget in simulated days
+                            metadata={"key": "timesteps"})
     n_steps: int = 90                # days per rollout and update; one episode,
                                      # whose window lies inside the training split
     gamma: float = 0.9
@@ -161,18 +162,18 @@ class A2cConfig:
     learning_rate: float = 1e-4
     vf_coef: float = 0.5
     ent_coef: float = 0.0
-    rms_decay: float = 0.99
-    rms_eps: float = 1e-5
+    rms_eps: float = field(default=1e-5, metadata={"key": "rms_prop_eps"})
     max_grad_norm: float = 0.5
-    eval_frequency: int = 2_250      # days between validation evaluations
+    eval_frequency: int = field(default=2_250,  # days between validation evaluations
+                                metadata={"key": "evaluation_frequency"})
     eval_days: int = 90
-    hidden_size: int = 200
+    hidden_size: int = field(default=200, metadata={"key": "net_arch"})
     log_std_init: float = -1.0
-    include_weather: bool = True
+    include_weather: bool = field(default=True, metadata={"key": None})  # --no-weather
 
     def __post_init__(self) -> None:
-        for name in ("learning_rate", "vf_coef", "ent_coef", "rms_decay", "rms_eps",
-                     "max_grad_norm", "log_std_init"):
+        for name in ("learning_rate", "vf_coef", "ent_coef", "rms_eps", "max_grad_norm",
+                     "log_std_init"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
         if not 0 <= self.gamma <= 1:
@@ -258,8 +259,9 @@ class A2cUpdater:
             grad_norm = clip_gradient_norm(grad, cfg.max_grad_norm)
         if not math.isfinite(grad_norm):
             raise FloatingPointError("non-finite gradient; training diverged")
+        # the squared-gradient decay is rmsprop_step's default, Stable-Baselines3's alpha
         rmsprop_step(policy.vector, grad.vector, self._square_avg, lr=cfg.learning_rate,
-                     decay=cfg.rms_decay, eps=cfg.rms_eps)
+                     eps=cfg.rms_eps)
         return {
             "policy_loss": policy_loss,
             "value_loss": value_loss,

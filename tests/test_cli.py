@@ -432,6 +432,7 @@ def test_environment_value_the_kernel_cannot_honour_exits_2(data_dir, tmp_path, 
     ("solar_panel_efficiency", 2, "solar efficiency must lie in (0, 1]"),
     ("population_size", 2, "population must be at least 4"),
     ("timesteps", 0, "total_days must be at least 1, got 0"),
+    ("split_fractions", [0.5, 0.5, 0.5], "fractions must be three positive values summing to 1"),
 ])
 @pytest.mark.parametrize("verb", [["evaluate", "--zero-action"],
                                   ["optimize", "--strategy", "timing"],
@@ -452,14 +453,18 @@ def test_every_verb_refuses_a_config_value_by_its_key(data_dir, tmp_path, capsys
 
 
 def test_generate_data_refuses_a_config_value_by_its_key(tmp_path, capsys):
+    """A split that breaks the rule was recorded with exit 0, and every verb
+    that read the dataset then refused it without naming the key."""
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"population_size": 2}))
     out = tmp_path / "d"
-    assert main(["generate-data", "--seed", "3", "--days", "60", "--config", str(config),
-                 "--out", str(out)]) == 2
-    assert "config key 'population_size' has value 2: population must be at least 4" \
-        in capsys.readouterr().err
-    assert not out.exists()
+    for key, value, message in [("population_size", 2, "population must be at least 4"),
+                                ("split_fractions", [0.5, 0.5, 0.5],
+                                 "fractions must be three positive values summing to 1")]:
+        config.write_text(json.dumps({key: value}))
+        assert main(["generate-data", "--seed", "3", "--days", "60", "--config", str(config),
+                     "--out", str(out)]) == 2
+        assert f"config key {key!r} has value {value!r}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_optimize_that_diverges_exits_2_and_writes_nothing(data_dir, tmp_path, capsys):
@@ -1070,6 +1075,29 @@ def test_report_missing_run_exits_3(data_dir, tmp_path):
     code = main(["report", "--runs", str(tmp_path / "absent"),
                  "--data", str(data_dir), "--out", str(tmp_path / "r")])
     assert code == 3
+
+
+@pytest.mark.parametrize("case", ["config", "policy", "params", "runs", "data"])
+def test_a_directory_where_a_file_is_read_exits_3_naming_it(data_dir, tmp_path, capsys, case):
+    """Each ended in an ``IsADirectoryError`` traceback and exit 1."""
+    data = data_dir
+    if case == "data":
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        (data / "prices.csv").unlink()
+    directory = {"config": tmp_path / "cfg", "policy": tmp_path / "policy.npz",
+                 "params": tmp_path / "params.json", "runs": tmp_path / "run" / "result.json",
+                 "data": data / "prices.csv"}[case]
+    directory.mkdir(parents=True)
+    verb = {"config": ["evaluate", "--zero-action", "--config", str(directory)],
+            "policy": ["evaluate", "--policy", str(directory)],
+            "params": ["evaluate", "--params", str(directory)],
+            "runs": ["report", "--runs", str(directory.parent)],
+            "data": ["evaluate", "--zero-action"]}[case]
+    out = tmp_path / "o"
+    assert main([*verb, "--data", str(data), "--seeds", "0", "--out", str(out)]) == 3
+    assert str(directory) in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("days", ["0", "-2"])

@@ -6,7 +6,8 @@ with any subset of ``--params``, ``--policy`` and ``--zero-action``, or
 with only a ``--params`` file whose ``strategy_kind`` or ``alpha`` is
 dropped or retyped or whose ``alpha`` overflows the simulator, or with only
 a ``--policy`` file whose header key or meta key is dropped or retyped, or
-that is truncated or not a zip file at all;
+that is truncated or not a zip file at all, or with a directory in place of
+the ``--params``, ``--policy`` or ``--config`` file;
 ``optimize`` and ``train-rl``; ``--seeds`` lists with negative, repeated or
 empty entries, or a negative ``--seed``; up to three known config keys set
 to an awkward value (or none, so that the checks after loading are reached
@@ -89,6 +90,9 @@ params_edits = st.one_of(st.tuples(st.sampled_from(PARAMS_KEYS), edit_values),
 artifact_edits = st.one_of(  # one edited file alone
     st.tuples(st.just("evaluate"), st.tuples(st.just(["--params"]), params_edits)),
     st.tuples(st.just("evaluate"), st.tuples(st.just(["--policy141"]), policy_edits)),
+    st.tuples(st.just("evaluate"), st.tuples(st.sampled_from([["--params"], ["--policy141"],
+                                                              ["--config"]]),
+                                             st.just("directory"))),
     st.tuples(st.just("report"), result_edits))
 verbs = st.one_of(
     st.tuples(st.just("evaluate"), st.tuples(sources, st.none())),  # with the saved files
@@ -132,12 +136,20 @@ def write_edited_policy(source, target, edit):
 
 def verb_argv(verb, choice, root, run_dir):
     """The verb's own arguments; for ``evaluate``, the params or policy file
-    edited next to ``run_dir`` if an edit was drawn; for ``report``, the
-    edited run directory."""
+    edited next to ``run_dir`` if an edit was drawn, or a directory in place
+    of it or of the config; for ``report``, the edited run directory."""
     if verb == "evaluate":
         choice, edit = choice
         params, policy = root / "timing.json", root / "policy141.npz"
-        if edit is not None and choice == ["--params"]:
+        if choice == ["--config"]:
+            config = run_dir.parent / "config.json"
+            config.unlink()
+            config.mkdir()
+            return ["evaluate", "--zero-action"]
+        if edit == "directory":
+            params = policy = run_dir.parent / "directory"
+            params.mkdir()
+        elif edit is not None and choice == ["--params"]:
             params = run_dir.parent / "params.json"
             write_edited(root / "timing.json", params, *edit)
         elif edit is not None:

@@ -9,8 +9,9 @@ from dayahead import cli, training
 from dayahead.cmaes import CmaesConfig, cmaes_optimize, default_population
 from dayahead.data import read_columns
 from dayahead.market import EnvConfig, TradingEnv, delivery_window, observation_size
-from dayahead.nets import forward, init_policy
-from dayahead.strategies import OpportunisticParams, TimingParams, params_class
+from dayahead.nets import PolicyParams, forward, init_policy
+from dayahead.strategies import (LOG2PI, OpportunisticParams, TimingParams, log_density,
+                                 params_class)
 from dayahead.training import (A2cConfig, A2cUpdater, a2c_train, evaluate_strategy,
                                fixed_action_strategy, gae_advantages, initial_parameter_mean,
                                optimize_parametric, parametric_strategy, policy_strategy)
@@ -417,8 +418,8 @@ def test_a2c_config_rejects_sizes_below_one(name, value):
         A2cConfig(**{name: value})
 
 
-@pytest.mark.parametrize("name", ["learning_rate", "vf_coef", "ent_coef", "rms_decay",
-                                  "rms_eps", "max_grad_norm", "log_std_init"])
+@pytest.mark.parametrize("name", ["learning_rate", "vf_coef", "ent_coef", "rms_eps",
+                                  "max_grad_norm", "log_std_init"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_a2c_config_rejects_non_finite_reals(name, value):
     """A NaN or infinite rate or coefficient was accepted, and a direct
@@ -445,6 +446,37 @@ def make_updater(action_size=4, seed=0, **cfg_kwargs):
     cfg = A2cConfig(**cfg_kwargs)
     policy = init_policy(3, hidden_size=8, action_size=action_size, seed=seed)
     return policy, A2cUpdater(policy, cfg)
+
+
+def test_update_gradient_matches_finite_differences_of_the_a2c_loss(monkeypatch):
+    """The vector the update hands to RMSprop is the gradient of
+    ``-mean(A log pi) + vf_coef MSE - ent_coef entropy``, with the
+    advantages, returns and actions of the rollout held fixed."""
+    policy, updater = make_updater(ent_coef=0.01, gae_lambda=0.8, max_grad_norm=1e9)
+    rng = np.random.default_rng(3)
+    obs, noise, rewards = rng.normal(0, 1, (6, 3)), rng.normal(0, 1, (6, 4)), rng.normal(0, 1, 6)
+    actions = forward(policy.actor, obs) + np.exp(policy.log_std) * noise
+    advantages, returns = gae_advantages(rewards, forward(policy.critic, obs)[:, 0], 0.5,
+                                         gamma=0.9, lam=0.8)
+
+    def loss(vector):
+        p = PolicyParams(policy.sizes, vector)
+        log_pi = log_density(p.log_std, (actions - forward(p.actor, obs)) / np.exp(p.log_std))
+        value_loss = ((forward(p.critic, obs)[:, 0] - returns) ** 2).mean()
+        entropy = np.sum(p.log_std + 0.5 * (LOG2PI + 1.0))
+        return -(advantages * log_pi).mean() + 0.5 * value_loss - 0.01 * entropy
+
+    step, numeric = 1e-6, np.empty_like(policy.vector)
+    for i in range(policy.vector.size):
+        up, down = policy.vector.copy(), policy.vector.copy()
+        up[i] += step
+        down[i] -= step
+        numeric[i] = (loss(up) - loss(down)) / (2 * step)
+    handed = []
+    monkeypatch.setattr(training, "rmsprop_step",
+                        lambda params, grad, *args, **kwargs: handed.append(grad.copy()))
+    updater.update(obs, noise, rewards, bootstrap=0.5)
+    assert np.max(np.abs(handed[0] - numeric)) <= 1e-6 * np.max(np.abs(numeric))
 
 
 def test_update_moves_parameters_and_reports_losses():
