@@ -28,7 +28,8 @@ number, a finite number, ISO date text, a list of so many finite numbers,
 or ``"automatic"`` for a field that may be None.  Every known key is cast and
 checked when the config is loaded, by every verb, whether it uses the key or
 not: a value its cast refuses (a fraction for a whole number, NaN or an
-infinity for a real number, ``split_fractions`` that are not three numbers)
+infinity for a real number, ``true`` or ``false`` for either, or
+``split_fractions`` that are not three numbers)
 or that its section's dataclass refuses when built from that key alone (an
 ``action_scheduling_hour`` of 24, a ``population_size`` of 2, a
 ``test_days`` below 1, ``split_fractions`` that do not sum to 1) exits 2
@@ -56,7 +57,9 @@ it cleared), next to the verb's own files (``params.json`` and
 incomes, test range and each seed's artifact) and ``manifest.json``
 (command, config, seeds, data hash) close the run; ``report`` reads it back,
 checking each ``result.json`` first, and refuses two runs of one basename,
-which names its trace files.
+which names its trace files.  ``report`` also refuses a seed's ``trace.csv``
+that lacks a day of the trace window, naming the file and the days, before
+it writes anything.
 
 ``sweep-battery`` lays out ``--out`` as one ``capacity<C>/`` directory per
 capacity, in ascending order, each the run directory ``train-rl`` writes
@@ -95,7 +98,7 @@ import numpy as np
 from . import data as datamod
 from . import reports as reportsmod
 from .cmaes import CmaesConfig
-from .market import (EnvConfig, TradingEnv, delivery_window, export_bid_outcomes,
+from .market import (EnvConfig, Episode, TradingEnv, delivery_window, export_bid_outcomes,
                      export_day_results, reference_balance)
 from .nets import load_policy, save_policy
 from .strategies import (PARAMETRIC_KINDS, load_strategy_params, params_class,
@@ -129,8 +132,10 @@ BATTERY_SWEEP_HEADER = ("capacity", "mean_income", "std", "incomes")
 
 def _whole(value) -> int:
     """``int(value)``, refusing a number with a fractional part rather than
-    truncating it, and one outside the 64-bit integers; ``2.0`` and ``"2"``
-    are accepted."""
+    truncating it, one outside the 64-bit integers and a JSON ``true`` or
+    ``false``; ``2.0`` and ``"2"`` are accepted."""
+    if isinstance(value, bool):
+        raise ValueError("true and false are not numbers")
     whole = int(value)
     if not isinstance(value, str) and whole != value:
         raise ValueError("not a whole number")
@@ -141,7 +146,9 @@ def _whole(value) -> int:
 
 def _finite(value) -> float:
     """``float(value)``, refusing NaN and infinities, which the JSON decoder
-    reads from ``NaN`` and ``Infinity``."""
+    reads from ``NaN`` and ``Infinity``, and a JSON ``true`` or ``false``."""
+    if isinstance(value, bool):
+        raise ValueError("true and false are not numbers")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError("not a finite number")
@@ -347,9 +354,10 @@ def _run_seeds(run_dir, command: str, cfg: dict, env: TradingEnv, seeds: list[in
         if not math.isfinite(income):  # no verb writes a result.json its reader refuses
             raise FloatingPointError(f"seed {seed}: {name} scores a non-finite test income "
                                      f"{income}")
-        export_day_results(results, seed_file("trace.csv"))
-        export_bid_outcomes(results, seed_file("bids.csv"))
-        del results  # the collected days; the next seed's fit must not hold them
+        episode = Episode.collect(results)
+        export_day_results(episode, seed_file("trace.csv"))
+        export_bid_outcomes(episode, seed_file("bids.csv"))
+        del results, episode  # the collected days; the next seed's fit must not hold them
         incomes.append(float(income))
         if artifact is not None:
             artifacts[seed_dir(seed)] = os.path.join(seed_dir(seed), artifact)
@@ -533,7 +541,7 @@ def cmd_report(args) -> int:
         report.add(result["strategy"], result["incomes"])
     report.reference = reference_balance(dataset, env_config, test_range)
     window = reportsmod.middle_window(test_range, args.window_days)
-    run_days = []  # per run, the (tables, bids) of each seed's window
+    run_days = []  # per run, the Episode of each seed's window
     for run_dir, result in zip(run_dirs, results):
         run_days.append([])
         for seed in result["seeds"]:
@@ -544,18 +552,15 @@ def cmd_report(args) -> int:
             run_days[-1].append(reportsmod.read_day_results(trace, bids, window))
 
     os.makedirs(args.out, exist_ok=True)
-    report.write_csv(os.path.join(args.out, "balance_report.csv"))
-    report.write_json(os.path.join(args.out, "balance_report.json"))
-    for name, result, seed_days in zip(names, results, run_days):
-        reportsmod.write_battery_trace([tables for tables, _ in seed_days], window,
-                                       os.path.join(args.out, f"trace_battery_{name}.csv"))
-        tables, bids = seed_days[int(np.argmax(result["incomes"]))]
-        reportsmod.write_bid_price_trace(tables, bids, window,
-                                         os.path.join(args.out, f"trace_bid_prices_{name}.csv"))
-        reportsmod.write_bid_volume_trace(tables, bids, window,
-                                          os.path.join(args.out, f"trace_bid_volumes_{name}.csv"))
-        reportsmod.write_unscheduled_trace(tables, window,
-                                           os.path.join(args.out, f"trace_unscheduled_{name}.csv"))
+    out = functools.partial(os.path.join, args.out)
+    report.write_csv(out("balance_report.csv"))
+    report.write_json(out("balance_report.json"))
+    for name, result, episodes in zip(names, results, run_days):
+        reportsmod.write_battery_trace(episodes, out(f"trace_battery_{name}.csv"))
+        best = episodes[int(np.argmax(result["incomes"]))]
+        reportsmod.write_bid_price_trace(best, out(f"trace_bid_prices_{name}.csv"))
+        reportsmod.write_bid_volume_trace(best, out(f"trace_bid_volumes_{name}.csv"))
+        reportsmod.write_unscheduled_trace(best, out(f"trace_unscheduled_{name}.csv"))
 
     print(f"report written to {args.out}")
     if report.reference is not None:

@@ -40,6 +40,10 @@ Each simulator rule lives in one place:
 * the name of each hourly quantity: :data:`DAY_RESULT_HEADER`, the
   columns of ``trace.csv``, whose names :data:`TRACE_FIELDS` reuses;
 * the per-hour trace layout of a collected day: :data:`TRACE_FIELDS`;
+* a scored episode as whole-episode ``(days, 24)`` arrays, whether
+  collected or read back from ``trace.csv`` and ``bids.csv``: an
+  :class:`Episode`, which :meth:`Episode.collect` alone builds from the
+  collected days' traces;
 * the deliverable days of a day range: :func:`delivery_window`;
 * the observation layout and size: the table of ``TradingEnv.__init__``;
 * what a strategy sees: a :class:`DecisionContext` of values, whose arrays
@@ -62,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, HOURS_PER_DAY, OKTA_MAX, write_lines
+from .data import Dataset, HOURS_PER_DAY, OKTA_MAX, hour_by_hour, write_lines
 
 BUY = "buy"
 SELL = "sell"
@@ -287,7 +291,6 @@ class DecisionContext:
 # ``battery_level`` is the level at the end of the hour.
 TRACE_FIELDS = ("buy_exec", "sell_exec", "consumption", "charge_input", "discharge",
                 "uns_buy", "uns_sell", "battery_level", "cash_delta")
-_TRACE_INDEX = {name: k for k, name in enumerate(TRACE_FIELDS)}
 
 
 class BidRow(NamedTuple):
@@ -308,8 +311,8 @@ class DayResult:
     ``trace`` that ``TradingEnv._net_hours`` appends to (nine values an hour,
     in :data:`TRACE_FIELDS` order), the day's :class:`Schedule`, the charge
     at the start of the day, the reward, and the day's price and production
-    rows, which it shares with the environment.
-    :meth:`hourly` reads one quantity by name and :meth:`bid_rows` the bids.
+    rows, which it shares with the environment.  :meth:`bid_rows` reads the
+    bids; :meth:`Episode.collect` turns a list of days into arrays.
     """
 
     day: int
@@ -320,17 +323,11 @@ class DayResult:
     price_row: tuple[float, ...] = field(repr=False)
     production_row: tuple[float, ...] = field(repr=False)
 
-    def hourly(self, name: str):
-        """The 24 values of ``"price"`` or of a :data:`TRACE_FIELDS` quantity,
-        as Python floats."""
-        if name == "price":
-            return self.price_row
-        return self.trace[_TRACE_INDEX[name]::len(TRACE_FIELDS)]
-
     def bid_rows(self) -> list[tuple]:
         """``(hour, side, volume, price, accepted)`` of each bid, in
         ``bids.csv`` order; a bid is accepted when its side traded in its hour."""
-        executed = {BUY: self.hourly("buy_exec"), SELL: self.hourly("sell_exec")}
+        # buy_exec and sell_exec lead each hour's values
+        executed = {BUY: self.trace[0::len(TRACE_FIELDS)], SELL: self.trace[1::len(TRACE_FIELDS)]}
         return [(hour, side, volume, price, executed[side][hour] != 0.0)
                 for hour, side, volume, price in schedule_slots(self.schedule)]
 
@@ -341,6 +338,33 @@ class DayResult:
         return list(map(BidRow._make, self.bid_rows()))
 
 
+@dataclass
+class Episode:
+    """A scored episode as whole-episode arrays: its delivery ``days``
+    ascending, a ``(days, 24)`` float table per hourly quantity in
+    ``tables``, and the ``bids.csv`` rows ``(day, hour, side, volume, price,
+    accepted)`` in file order.  A collected episode (:meth:`collect`) holds
+    every :data:`TRACE_FIELDS` quantity and ``price``; one read back by
+    :func:`~dayahead.reports.read_day_results` the quantities of
+    ``trace.csv``."""
+
+    days: np.ndarray
+    tables: dict[str, np.ndarray]
+    bids: list[tuple]
+
+    @classmethod
+    def collect(cls, results: list[DayResult]) -> Episode:
+        """The episode of the collected days ``results``: the one place a
+        day's ``trace`` becomes arrays."""
+        shape = (len(results), HOURS_PER_DAY, len(TRACE_FIELDS))
+        values = np.fromiter(chain.from_iterable(res.trace for res in results), float,
+                             math.prod(shape)).reshape(shape)
+        tables = dict(zip(TRACE_FIELDS, np.moveaxis(values, -1, 0)))
+        tables["price"] = np.array([res.price_row for res in results]).reshape(shape[:2])
+        return cls(np.array([res.day for res in results], dtype=np.int64), tables,
+                   [(res.day, *row) for res in results for row in res.bid_rows()])
+
+
 DAY_RESULT_HEADER = ("day", "hour", "price", "buy_exec", "sell_exec",
                      "uns_buy", "uns_sell", "battery_level", "cash_delta")
 BID_OUTCOME_HEADER = ("day", "hour", "side", "volume", "price", "accepted")
@@ -349,26 +373,26 @@ BID_OUTCOME_HEADER = ("day", "hour", "side", "volume", "price", "accepted")
 _HOUR_TEXTS = tuple(map(str, range(HOURS_PER_DAY)))
 
 
-def export_day_results(results: list[DayResult], path) -> None:
+def export_day_results(episode: Episode, path) -> None:
     """Write ``trace.csv``: one row per hour of each day, with the columns of
     :data:`DAY_RESULT_HEADER`; battery_level is the level at the end of the
-    hour.  Each day's 24 lines are formatted from its record, every value by
-    ``str``, which writes a float as the csv module does and a numpy scalar
-    as the same number."""
-    names = DAY_RESULT_HEADER[2:]
-    write_lines(path, DAY_RESULT_HEADER, chain.from_iterable(
-        map(",".join, zip(repeat(str(res.day)), _HOUR_TEXTS,
-                          *[map(str, res.hourly(name)) for name in names]))
-        for res in results))
+    hour.  Each column is formatted day by day, its Python floats by
+    ``str``, which writes a float as the csv module does, so that no whole
+    column of floats is held at once."""
+    days = episode.days.tolist()
+    write_lines(path, DAY_RESULT_HEADER, map(",".join, zip(
+        chain.from_iterable(repeat(str(day), HOURS_PER_DAY) for day in days),
+        _HOUR_TEXTS * len(days),
+        *[map(str, hour_by_hour(episode.tables[name])) for name in DAY_RESULT_HEADER[2:]])))
 
 
-def export_bid_outcomes(results: list[DayResult], path) -> None:
+def export_bid_outcomes(episode: Episode, path) -> None:
     """Write ``bids.csv``: one row per bid, day,hour,side,volume,price,accepted,
-    from each day's :meth:`DayResult.bid_rows`.  Volumes and prices pass
-    through ``float`` so that a numpy scalar prints as a number."""
+    from the episode's bid rows.  Volumes and prices pass through ``float``
+    so that a numpy scalar prints as a number."""
     write_lines(path, BID_OUTCOME_HEADER, (
-        f"{res.day},{hour},{side},{float(volume)!r},{float(price)!r},{int(accepted)}"
-        for res in results for hour, side, volume, price, accepted in res.bid_rows()))
+        f"{day},{hour},{side},{float(volume)!r},{float(price)!r},{int(accepted)}"
+        for day, hour, side, volume, price, accepted in episode.bids))
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ per-seed incomes it was computed from) plus the no-skill reference balance.
 Trace files cover a short day window -- by default five days from the middle
 of the test range -- with per-hour battery levels aggregated across seeds and
 the bid prices/volumes of the best run, the raw material for the usual
-diagnostic figures.  The trace writers read a run's exported ``trace.csv``
-and ``bids.csv`` through :func:`read_day_results`: one ``(days, 24)`` table
-per ``trace.csv`` column and the window's bid rows.
+diagnostic figures.  :func:`read_day_results` reads a seed's exported
+``trace.csv`` and ``bids.csv`` back as an :class:`~dayahead.market.Episode`
+of the window's days, and refuses a window day the trace lacks, so that
+``report`` fails before it writes anything; the trace writers take those
+episodes.
 """
 from __future__ import annotations
 
@@ -16,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, read_columns, write_columns, write_json
-from .market import BID_OUTCOME_HEADER, BUY, DAY_RESULT_HEADER, HOURS_PER_DAY, SELL
+from .data import DataError, day_hour_columns, read_columns, write_columns, write_json
+from .market import BID_OUTCOME_HEADER, BUY, DAY_RESULT_HEADER, HOURS_PER_DAY, SELL, Episode
 
 
 @dataclass
@@ -80,62 +82,47 @@ def middle_window(day_range: tuple[int, int], window_days: int = 5) -> tuple[int
     return start, start + window_days
 
 
-def _check_window(tables: dict, window: tuple[int, int]) -> None:
-    """Raise a ValueError naming the days of ``window`` that the trace
-    ``tables`` of :func:`read_day_results` lack."""
-    lo, hi = window
-    days = tables["day"][:, 0].tolist()
-    if days != list(range(lo, hi)):
-        raise ValueError(f"trace window misses days {sorted(set(range(lo, hi)) - set(days))}")
-
-
-def _columns(tables: dict, *names: str) -> list[list]:
-    """The named ``(days, 24)`` tables as columns, hour by hour."""
-    return [tables[name].ravel().tolist() for name in names]
-
-
-def write_battery_trace(tables_by_seed: list[dict], window: tuple[int, int], path) -> None:
-    """Per-hour battery level: mean with min/max streaks across seeds."""
-    for tables in tables_by_seed:
-        _check_window(tables, window)
+def write_battery_trace(episodes: list[Episode], path) -> None:
+    """Per-hour battery level: mean with min/max streaks across the seeds'
+    episodes of one window."""
     # (days, 24, seeds), seeds innermost and contiguous, so that each mean
     # sums its seeds in the same order as a mean over one hour's levels
-    levels = np.stack([tables["battery_level"] for tables in tables_by_seed], axis=-1)
+    levels = np.stack([episode.tables["battery_level"] for episode in episodes], axis=-1)
     write_columns(path, ("day", "hour", "mean", "min", "max"), [
-        *_columns(tables_by_seed[0], "day", "hour"), levels.mean(axis=-1).ravel().tolist(),
+        *day_hour_columns(episodes[0].days.tolist()), levels.mean(axis=-1).ravel().tolist(),
         levels.min(axis=-1).ravel().tolist(), levels.max(axis=-1).ravel().tolist()])
 
 
-def _write_bid_trace(tables: dict, bids: list[tuple], window: tuple[int, int], path,
-                     attribute: str) -> None:
-    """Per hour, the market price and the ``attribute`` of the first buy and
-    the first sell bid with their acceptance; empty where there is none."""
-    _check_window(tables, window)
-    lo, hi = window
-    columns = {f"{side}_{name}": [""] * ((hi - lo) * HOURS_PER_DAY)
+def _write_bid_trace(episode: Episode, path, attribute: str) -> None:
+    """Per hour of the episode's consecutive days, the market price and the
+    ``attribute`` of the first buy and the first sell bid with their
+    acceptance; empty where there is none."""
+    days = episode.days.tolist()
+    columns = {f"{side}_{name}": [""] * (len(days) * HOURS_PER_DAY)
                for side in (BUY, SELL) for name in (attribute, "accepted")}
-    for day, hour, side, volume, price, accepted in reversed(bids):  # the first bid wins
-        slot = (day - lo) * HOURS_PER_DAY + hour
+    for day, hour, side, volume, price, accepted in reversed(episode.bids):  # the first bid wins
+        slot = (day - days[0]) * HOURS_PER_DAY + hour
         columns[f"{side}_{attribute}"][slot] = volume if attribute == "volume" else price
         columns[f"{side}_accepted"][slot] = int(accepted)
     write_columns(path, ("day", "hour", "market_price", *columns),
-                  [*_columns(tables, "day", "hour", "price"), *columns.values()])
+                  [*day_hour_columns(days), episode.tables["price"].ravel().tolist(),
+                   *columns.values()])
 
 
-def write_bid_price_trace(tables: dict, bids: list[tuple], window: tuple[int, int], path) -> None:
+def write_bid_price_trace(episode: Episode, path) -> None:
     """Bid prices of one run; positive values only, so a log scale plots cleanly."""
-    _write_bid_trace(tables, bids, window, path, "price")
+    _write_bid_trace(episode, path, "price")
 
 
-def write_bid_volume_trace(tables: dict, bids: list[tuple], window: tuple[int, int], path) -> None:
+def write_bid_volume_trace(episode: Episode, path) -> None:
     """Bid volumes of one run with the unscaled market price alongside."""
-    _write_bid_trace(tables, bids, window, path, "volume")
+    _write_bid_trace(episode, path, "volume")
 
 
-def write_unscheduled_trace(tables: dict, window: tuple[int, int], path) -> None:
-    header = ("day", "hour", "uns_buy", "uns_sell")
-    _check_window(tables, window)
-    write_columns(path, header, _columns(tables, *header))
+def write_unscheduled_trace(episode: Episode, path) -> None:
+    write_columns(path, ("day", "hour", "uns_buy", "uns_sell"), [
+        *day_hour_columns(episode.days.tolist()),
+        *(episode.tables[name].ravel().tolist() for name in ("uns_buy", "uns_sell"))])
 
 
 def _check_hours(path, days: np.ndarray, hours: np.ndarray) -> None:
@@ -158,19 +145,18 @@ def _check_each_hour_once(path, days: np.ndarray, inverse: np.ndarray,
         raise DataError(f"{path}: day {days[k]} {problem} hour {hour}")
 
 
-def read_day_results(trace_path, bids_path, window: tuple[int, int]
-                     ) -> tuple[dict[str, np.ndarray], list[tuple]]:
-    """The days of ``window`` in an exported ``trace.csv`` and ``bids.csv``,
-    for report assembly; ``bids_path`` may be None or missing.
+def read_day_results(trace_path, bids_path, window: tuple[int, int]) -> Episode:
+    """The :class:`~dayahead.market.Episode` of the days of ``window`` in an
+    exported ``trace.csv`` and ``bids.csv``, for report assembly;
+    ``bids_path`` may be None or missing.
 
-    Returns one ``(days, 24)`` table per ``trace.csv`` column, keyed by
-    column name and with the days ascending, and the window's
-    ``(day, hour, side, volume, price, accepted)`` bid rows in file order,
-    several per hour included.  Only the lines of the window's days are
-    parsed (see :func:`~dayahead.data.read_columns`), in whatever order the
-    files hold them.  Each day in the trace must have each hour once.  A day
-    of the window that the trace lacks is left out, for the trace writers
-    to report.
+    It holds one ``(days, 24)`` table per ``trace.csv`` quantity, with the
+    days ascending, and the window's bid rows in file order, several per
+    hour included.  Only the lines of the window's days are parsed (see
+    :func:`~dayahead.data.read_columns`), in whatever order the files hold
+    them.  Each day in the trace must have each hour once, and each day of
+    the window must be in the trace: a DataError names the file and the
+    day and hour, or the days the window misses.
     """
     row_days, hours, *values = read_columns(
         trace_path, DAY_RESULT_HEADER, (int, int) + (float,) * (len(DAY_RESULT_HEADER) - 2),
@@ -178,11 +164,11 @@ def read_day_results(trace_path, bids_path, window: tuple[int, int]
     _check_hours(trace_path, row_days, hours)
     days, inverse = np.unique(row_days, return_inverse=True)
     _check_each_hour_once(trace_path, days, inverse, hours)
+    missing = sorted(set(range(*window)) - set(days.tolist()))
+    if missing:
+        raise DataError(f"{trace_path}: trace window misses days {missing}")
     tables = np.zeros((len(values), days.size, HOURS_PER_DAY))
     tables[:, inverse, hours] = values
-    by_column = {"day": np.repeat(days[:, None], HOURS_PER_DAY, axis=1),
-                 "hour": np.tile(np.arange(HOURS_PER_DAY), (days.size, 1)),
-                 **dict(zip(DAY_RESULT_HEADER[2:], tables))}
     bids = []
     if bids_path and os.path.exists(bids_path):
         columns = read_columns(bids_path, BID_OUTCOME_HEADER,
@@ -190,4 +176,4 @@ def read_day_results(trace_path, bids_path, window: tuple[int, int]
         _check_hours(bids_path, *columns[:2])
         bids = [(day, hour, side.decode(), volume, price, bool(accepted)) for
                 day, hour, side, volume, price, accepted in zip(*map(np.ndarray.tolist, columns))]
-    return by_column, bids
+    return Episode(days, dict(zip(DAY_RESULT_HEADER[2:], tables)), bids)

@@ -71,7 +71,8 @@ def evaluate_strategy(bids_fn, env: TradingEnv, day_range: tuple[int, int],
     the range is scored: ``reset`` refuses a range unless each day from
     ``lo - 1`` to ``hi - 1`` has a forecast, naming the first that has none.
     With ``collect_results`` the list of :class:`~dayahead.market.DayResult`
-    records is returned as well.
+    records is returned as well, for :meth:`~dayahead.market.Episode.collect`
+    to turn into arrays outside the scoring.
     """
     lo, hi = day_range
     ctx = env.reset(lo, seed, hi - lo)

@@ -5,7 +5,7 @@ import pytest
 
 from dayahead import data as damod
 from dayahead.cli import main
-from dayahead.market import BUY
+from dayahead.market import BUY, Episode
 
 TINY_CONFIG = {
     # small synthetic market and desk-tiny budgets so the pipeline runs in seconds
@@ -103,9 +103,11 @@ def bid_schedule(*bids):
 
 
 def day_array(result, name):
-    """``result.hourly(name)`` as an array; for ``"battery_level"`` the 25
-    levels at the hour boundaries, from the start charge on."""
-    values = result.hourly(name)
+    """The 24 values of ``"price"`` or of a ``TRACE_FIELDS`` quantity of one
+    collected day, from its :meth:`Episode.collect` row; for
+    ``"battery_level"`` the 25 levels at the hour boundaries, from the start
+    charge on."""
+    values = Episode.collect([result]).tables[name][0]
     if name == "battery_level":
-        values = [result.start_charge, *values]
-    return np.array(values, dtype=float)
+        values = np.concatenate(([result.start_charge], values))
+    return values

@@ -190,6 +190,19 @@ def test_config_refuses_a_whole_number_beyond_int64(tmp_path, key):
     assert load_config(str(path)) == {key: 2**63 - 1}
 
 
+def test_config_refuses_true_and_false_for_every_key(tmp_path, capsys):
+    """A JSON ``true`` read as 1 for 55 of the keys: ``{"battery_capacity":
+    true}`` ran a 1 MWh battery with exit 0."""
+    config, out = tmp_path / "cfg.json", tmp_path / "d"
+    items = [(key, value) for key in sorted(CONFIG_KEYS) for value in (True, False)]
+    for key, value in [*items, ("split_fractions", [True, 0.5, 0.5])]:
+        config.write_text(json.dumps({key: value}))
+        assert main(["generate-data", "--seed", "3", "--days", "60", "--config", str(config),
+                     "--out", str(out)]) == 2, key
+        assert f"config key {key!r} has value {value!r}: " in capsys.readouterr().err, key
+        assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # optimize / train-rl / evaluate
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ the ``--params``, ``--policy`` or ``--config`` file;
 empty entries, or a negative ``--seed``; up to three known config keys set
 to an awkward value (or none, so that the checks after loading are reached
 too); and ``report`` over a ``result.json`` with one key dropped or
-retyped, or with an income of NaN or Infinity.  Sizes stay small
+retyped, or with an income of NaN or Infinity, or over a run whose
+``seed0/trace.csv`` lacks one day of the trace window.  Sizes stay small
 (population 8, 2 generations, 60 training days, 8 hidden units) unless a
 drawn key changes them; a whole-number key at 1e300 is refused when the
 config is loaded.  A second test draws only the edited files, with the
@@ -40,6 +41,7 @@ from dayahead import strategies as strat
 from dayahead.cli import CONFIG_KEYS, main
 from dayahead.market import EnvConfig
 from dayahead.nets import init_policy, save_policy
+from dayahead.reports import middle_window
 from dayahead.training import initial_parameter_mean
 
 from conftest import TINY_CONFIG
@@ -85,6 +87,7 @@ result_edits = st.one_of(st.tuples(st.sampled_from(RESULT_KEYS), edit_values),
                         st.tuples(st.just("incomes"), st.sampled_from([[math.nan], [math.inf]])))
 policy_edits = st.one_of(st.tuples(st.sampled_from(HEADER_KEYS), edit_values),
                          st.sampled_from(["truncated", "not a zip"]))
+report_edits = st.one_of(result_edits, st.tuples(st.just("trace day"), st.integers(0, 4)))
 params_edits = st.one_of(st.tuples(st.sampled_from(PARAMS_KEYS), edit_values),
                         st.just(("alpha", [1e307, 0])))  # finite, but its bids overflow
 artifact_edits = st.one_of(  # one edited file alone
@@ -93,7 +96,7 @@ artifact_edits = st.one_of(  # one edited file alone
     st.tuples(st.just("evaluate"), st.tuples(st.sampled_from([["--params"], ["--policy141"],
                                                               ["--config"]]),
                                              st.just("directory"))),
-    st.tuples(st.just("report"), result_edits))
+    st.tuples(st.just("report"), report_edits))
 verbs = st.one_of(
     st.tuples(st.just("evaluate"), st.tuples(sources, st.none())),  # with the saved files
     artifact_edits,
@@ -137,7 +140,9 @@ def write_edited_policy(source, target, edit):
 def verb_argv(verb, choice, root, run_dir):
     """The verb's own arguments; for ``evaluate``, the params or policy file
     edited next to ``run_dir`` if an edit was drawn, or a directory in place
-    of it or of the config; for ``report``, the edited run directory."""
+    of it or of the config; for ``report``, the edited run directory: its
+    ``result.json``, or its ``seed0/trace.csv`` without the drawn day of the
+    trace window."""
     if verb == "evaluate":
         choice, edit = choice
         params, policy = root / "timing.json", root / "policy141.npz"
@@ -165,7 +170,14 @@ def verb_argv(verb, choice, root, run_dir):
     if verb == "train-rl":
         return ["train-rl", *(["--no-weather"] if choice else [])]
     shutil.copytree(root / "run", run_dir)
-    write_edited(run_dir / "result.json", run_dir / "result.json", *choice)
+    if choice[0] == "trace day":
+        test_range = json.loads((run_dir / "result.json").read_text())["test_range"]
+        day = f"{range(*middle_window(test_range))[choice[1]]},".encode()
+        trace = run_dir / "seed0" / "trace.csv"
+        trace.write_bytes(b"".join(line for line in trace.read_bytes().splitlines(True)
+                                   if not line.startswith(day)))
+    else:
+        write_edited(run_dir / "result.json", run_dir / "result.json", *choice)
     return ["report", "--runs", str(run_dir)]
 
 

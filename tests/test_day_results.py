@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from dayahead.data import day_hour_columns, hour_by_hour
 from dayahead.market import (BID_OUTCOME_HEADER, BUY, DAY_RESULT_HEADER, FIRST_DELIVERY_DAY,
-                             HOURS_PER_DAY, SELL, EnvConfig, TradingEnv, export_bid_outcomes,
-                             export_day_results, hourly_production, schedule_slots)
+                             HOURS_PER_DAY, SELL, TRACE_FIELDS, EnvConfig, Episode, TradingEnv,
+                             export_bid_outcomes, export_day_results, hourly_production,
+                             schedule_slots)
 from dayahead.reports import read_day_results
 
 from conftest import day_array
@@ -108,8 +109,9 @@ def test_lean_record_matches_the_eager_record(env, start, seed, schedules):
         assert got.bid_rows() == want.bid_outcomes
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        export_day_results(records, out / "trace.csv")
-        export_bid_outcomes(records, out / "bids.csv")
+        episode = Episode.collect(records)
+        export_day_results(episode, out / "trace.csv")
+        export_bid_outcomes(episode, out / "bids.csv")
         eager_export_day_results(eager, out / "eager_trace.csv")
         eager_export_bid_outcomes(eager, out / "eager_bids.csv")
         for name in ("trace.csv", "bids.csv"):
@@ -128,15 +130,16 @@ def test_run_tables_write_numpy_scalars_as_numbers(env, tmp_path):
     assert any(isinstance(value, np.floating) for value in record.trace)
     eager = eager_record(env.dataset, env.config, record.day, record.start_charge, reward,
                          schedule.tolist(), record.trace)
-    export_day_results([record], tmp_path / "trace.csv")
-    export_bid_outcomes([record], tmp_path / "bids.csv")
+    export_day_results(Episode.collect([record]), tmp_path / "trace.csv")
+    export_bid_outcomes(Episode.collect([record]), tmp_path / "bids.csv")
     eager_export_day_results([eager], tmp_path / "eager_trace.csv")
     eager_export_bid_outcomes([eager], tmp_path / "eager_bids.csv")
     for name in ("trace.csv", "bids.csv"):
         assert (tmp_path / name).read_bytes() == (tmp_path / f"eager_{name}").read_bytes(), name
     assert (tmp_path / "bids.csv").read_bytes().splitlines()[1:] == [
         b"10,3,buy,0.3,1000000000.0,1", b"10,5,sell,0.2,1000000000.0,0"]
-    tables, bids = read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (10, 11))
-    assert tables["buy_exec"][0].tolist() == record.hourly("buy_exec")
-    assert tables["battery_level"][0].tolist() == record.hourly("battery_level")
-    assert bids == [(10, 3, BUY, 0.3, 1e9, True), (10, 5, SELL, 0.2, 1e9, False)]
+    read = read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (10, 11))
+    for name in ("buy_exec", "battery_level"):  # the day's trace slice of each
+        want = record.trace[TRACE_FIELDS.index(name)::len(TRACE_FIELDS)]
+        assert read.tables[name][0].tolist() == want, name
+    assert read.bids == [(10, 3, BUY, 0.3, 1e9, True), (10, 5, SELL, 0.2, 1e9, False)]

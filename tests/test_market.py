@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dayahead.cli import CONFIG_KEYS, env_config_from, load_config
-from dayahead.market import (BUY, SELL, EnvConfig, TradingEnv, hourly_production,
+from dayahead.market import (BUY, SELL, EnvConfig, Episode, TradingEnv, hourly_production,
                              observation_size, reference_balance, rolling_price_stats,
                              round_volumes)
 from dayahead.strategies import TimingParams
@@ -53,7 +53,7 @@ def executed(bid, market_price):
     env.reset(2, rng=0, days=1)
     _, _, result = env.step(bid_schedule(bid))
     hour, side, volume, _ = bid
-    done = bool(result.hourly("buy_exec" if side == BUY else "sell_exec")[hour])
+    done = bool(day_array(result, "buy_exec" if side == BUY else "sell_exec")[hour])
     assert [row[-1] for row in result.bid_rows()] == ([done] if volume else [])
     return done
 
@@ -419,17 +419,17 @@ def assert_hourly_identities(results, config, atol=1e-9):
     for res in results:
         trace = day_array(res, "battery_level")
         assert np.all(trace >= -atol) and np.all(trace <= capacity + atol)
-        buy, sell, consumption, charge_in, discharge, uns_buy, uns_sell, cash_delta = (
+        buy, sell, consumption, charge_in, discharge, uns_buy, uns_sell, cash_delta, prices = (
             day_array(res, name) for name in ("buy_exec", "sell_exec", "consumption",
                                               "charge_input", "discharge", "uns_buy",
-                                              "uns_sell", "cash_delta"))
+                                              "uns_sell", "cash_delta", "price"))
         for h in range(24):
             lhs = res.production_row[h] + buy[h] + discharge[h] + uns_buy[h]
             rhs = consumption[h] + sell[h] + charge_in[h] + uns_sell[h]
             assert abs(lhs - rhs) < atol
             stored = trace[h + 1] - trace[h]
             assert abs(stored - (eta * charge_in[h] - discharge[h])) < atol
-            price = res.hourly("price")[h]
+            price = prices[h]
             cash = (sell[h] - buy[h]) * price \
                 + uns_sell[h] * config.penalty_sell_multiplier * price \
                 - uns_buy[h] * config.penalty_buy_multiplier * price
@@ -470,7 +470,7 @@ def test_consumption_tape_matches_per_day_draws(small_dataset):
                                    collect_results=True)
     want = reference_consumption(np.random.default_rng(5), config,
                                  small_dataset.profile.avg_per_household, 30)
-    assert [res.hourly("consumption") for res in results] == want
+    assert Episode.collect(results).tables["consumption"].tolist() == want
 
 
 def test_episode_leaves_generator_where_per_day_draws_did(small_dataset):
@@ -481,7 +481,8 @@ def test_episode_leaves_generator_where_per_day_draws_did(small_dataset):
     profile = small_dataset.profile.avg_per_household
     for start, days in ((30, 10), (50, 4)):
         env.reset(start, stream, days)
-        got = [env.step(bid_schedule())[2].hourly("consumption") for _ in range(days)]
+        got = [day_array(env.step(bid_schedule())[2], "consumption").tolist()
+               for _ in range(days)]
         assert got == reference_consumption(ref, config, profile, days)
     assert stream.normal() == ref.normal()
 
@@ -585,9 +586,9 @@ def test_estimate_clears_bids_whose_limit_equals_the_price(small_dataset):
     prices = ds.prices[40]
     ctx, _, result = env.step(bid_schedule((14, BUY, 0.7, float(prices[14])),
                                               (19, SELL, 0.4, float(prices[19]))))
-    assert result.hourly("buy_exec")[14] == 0.7
-    assert result.hourly("sell_exec")[19] == 0.4
-    assert ctx.est_midnight == result.hourly("battery_level")[23] / config.battery_capacity
+    assert day_array(result, "buy_exec")[14] == 0.7
+    assert day_array(result, "sell_exec")[19] == 0.4
+    assert ctx.est_midnight == day_array(result, "battery_level")[24] / config.battery_capacity
 
 
 @pytest.mark.parametrize("capacity", [0.5, 2.0, 7.3])
@@ -662,7 +663,7 @@ def test_battery_rule_properties(perfect_dataset, days, start, initial_charge):
     for bids in days:
         ctx, _, result = env.step(bid_schedule(*bids))
         assert_hourly_identities([result], config)
-        assert ctx.est_midnight * config.battery_capacity == result.hourly("battery_level")[23]
+        assert ctx.est_midnight * config.battery_capacity == day_array(result, "battery_level")[24]
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from dayahead.data import DataError
-from dayahead.market import (DAY_RESULT_HEADER, EnvConfig, TradingEnv, export_bid_outcomes,
-                             export_day_results)
-from dayahead.reports import read_day_results, write_battery_trace
+from dayahead.market import (DAY_RESULT_HEADER, EnvConfig, Episode, TradingEnv,
+                             export_bid_outcomes, export_day_results)
+from dayahead.reports import read_day_results
 from dayahead.strategies import TimingParams
 from dayahead.training import evaluate_strategy, fixed_action_strategy
 
@@ -22,33 +22,29 @@ def test_exported_day_results_read_back_exactly(tmp_path, small_dataset):
     results = timing + blackbox
     assert any(price == math.inf for r in timing for _, _, _, price, _ in r.bid_rows())
 
-    export_day_results(results, tmp_path / "trace.csv")
-    export_bid_outcomes(results, tmp_path / "bids.csv")
+    collected = Episode.collect(results)
+    export_day_results(collected, tmp_path / "trace.csv")
+    export_bid_outcomes(collected, tmp_path / "bids.csv")
     loaded = read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (90, 102))
-    assert_same_days(loaded, results)
+    assert_same_days(loaded, collected)
     # a window converts only its own days
     inner = read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (93, 99))
-    assert_same_days(inner, results[3:9])
-    # a window the files do not cover yields what they have, and the trace
-    # writers name the missing days
-    partial = read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (99, 104))
-    assert_same_days(partial, results[9:])
-    with pytest.raises(ValueError, match=r"trace window misses days \[102, 103\]"):
-        write_battery_trace([partial[0]], (99, 104), tmp_path / "battery.csv")
-    assert_same_days(read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (110, 115)),
-                     [])
+    assert_same_days(inner, Episode.collect(results[3:9]))
+    # a window the files do not cover is refused, its missing days named
+    with pytest.raises(DataError, match=r"trace\.csv: trace window misses days \[102, 103\]$"):
+        read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (99, 104))
+    with pytest.raises(DataError, match=r"trace window misses days \[110, 111, 112, 113, 114\]$"):
+        read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (110, 115))
 
 
-def assert_same_days(loaded, results):
-    """The tables and bid rows read back hold exactly the days of ``results``."""
-    tables, bids = loaded
-    assert set(tables) == set(DAY_RESULT_HEADER)
-    days = [r.day for r in results]
-    assert tables["day"].tolist() == [[day] * 24 for day in days]
-    assert tables["hour"].tolist() == [list(range(24))] * len(days)
+def assert_same_days(loaded, collected):
+    """The episode read back holds the collected one's days, each
+    ``trace.csv`` column bit for bit, and its bid rows exactly."""
+    assert loaded.days.tolist() == collected.days.tolist()
+    assert set(loaded.tables) == set(DAY_RESULT_HEADER[2:])
     for name in DAY_RESULT_HEADER[2:]:
-        assert tables[name].tolist() == [list(r.hourly(name)) for r in results], name
-    assert bids == [(r.day, *row) for r in results for row in r.bid_rows()]
+        assert loaded.tables[name].tobytes() == collected.tables[name].tobytes(), name
+    assert loaded.bids == collected.bids
 
 
 @pytest.mark.parametrize("file", ["trace.csv", "bids.csv"])
@@ -58,8 +54,9 @@ def test_hour_outside_the_day_names_file_day_and_hour(tmp_path, small_dataset, f
     env = TradingEnv(small_dataset, EnvConfig())
     _, results = evaluate_strategy(TimingParams(1.2, 0.8).bids, env, (90, 93), 0,
                                    collect_results=True)
-    export_day_results(results, tmp_path / "trace.csv")
-    export_bid_outcomes(results, tmp_path / "bids.csv")
+    episode = Episode.collect(results)
+    export_day_results(episode, tmp_path / "trace.csv")
+    export_bid_outcomes(episode, tmp_path / "bids.csv")
     path = tmp_path / file
     lines = path.read_text().splitlines(keepends=True)
     row = next(i for i, line in enumerate(lines) if line.startswith("91,"))
@@ -77,8 +74,9 @@ def scored_files(tmp_path, dataset):
     env = TradingEnv(dataset, EnvConfig())
     _, results = evaluate_strategy(TimingParams(1.2, 0.8).bids, env, (90, 93), 0,
                                    collect_results=True)
-    export_day_results(results, tmp_path / "trace.csv")
-    export_bid_outcomes(results, tmp_path / "bids.csv")
+    episode = Episode.collect(results)
+    export_day_results(episode, tmp_path / "trace.csv")
+    export_bid_outcomes(episode, tmp_path / "bids.csv")
     return (tmp_path / "trace.csv").read_text().splitlines(keepends=True)
 
 

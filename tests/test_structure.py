@@ -41,6 +41,22 @@ def test_only_data_opens_files_or_decodes_json():
     assert {name: found for name, found in reads.items() if found and name != "data.py"} == {}
 
 
+def trace_reads(path) -> int:
+    """How many times ``path`` reads an attribute named ``trace``, as in
+    ``result.trace``; a local variable of that name is not counted."""
+    return sum(isinstance(node, ast.Attribute) and node.attr == "trace"
+               for node in ast.walk(ast.parse(path.read_text())))
+
+
+def test_only_market_reads_a_collected_days_trace():
+    """``Episode.collect`` is the one conversion of a ``DayResult``'s flat
+    trace into arrays; every other module reads a scored episode as an
+    ``Episode``."""
+    reads = {path.name: trace_reads(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert reads["market.py"]  # the scan sees what it looks for
+    assert {name: count for name, count in reads.items() if count and name != "market.py"} == {}
+
+
 def test_every_section_field_is_a_config_key_or_set_by_a_flag():
     """The section dataclasses are the one config surface: each field is the
     ``CONFIG_KEYS`` entry of its key, or carries ``metadata={"key": None}``,
