@@ -12,7 +12,7 @@ from .data import (ConsumptionProfile, DataError, Dataset, ForecastSigmas,
 from .market import (BUY, SELL, DayResult, DecisionContext, EnvConfig, Episode, Schedule,
                      TradingEnv, hourly_production, reference_balance, rolling_price_stats,
                      round_volumes)
-from .cmaes import CmaesConfig, cmaes_optimize, default_population
+from .cmaes import CmaesConfig, CmaesSearch, cmaes_optimize, default_population
 from .nets import (MLP, PolicyParams, backward, forward, init_policy,
                    load_policy, orthogonal_init, rmsprop_step, save_policy)
 from .strategies import (OpportunisticParams, TimingParams, blackbox_bids,

@@ -242,10 +242,6 @@ def build_section(cfg: dict, section: str, **flags):
     return SECTIONS[section](**config_section(cfg, section), **flags)
 
 
-def env_config_from(cfg: dict) -> EnvConfig:
-    return build_section(cfg, "env")
-
-
 def a2c_config_from(cfg: dict, include_weather: bool) -> A2cConfig:
     return build_section(cfg, "a2c", include_weather=include_weather)
 
@@ -310,17 +306,13 @@ def write_manifest(out_dir, command: str, cfg: dict, seeds: list[int],
     datamod.write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
-def test_range_of(dataset: datamod.Dataset, cfg: dict) -> tuple[int, int]:
-    return delivery_window(dataset.split.test, build_section(cfg, "test").days)
-
-
 def _verb_inputs(args):
     """What each verb over a dataset reads first: the config, the split
     dataset, the environment config, the run seeds and the test range."""
     cfg = load_config(args.config)
     dataset = load_data_dir(args.data, cfg)
-    return (cfg, dataset, env_config_from(cfg), parse_seeds(args.seeds, args.seed),
-            test_range_of(dataset, cfg))
+    return (cfg, dataset, build_section(cfg, "env"), parse_seeds(args.seeds, args.seed),
+            delivery_window(dataset.split.test, build_section(cfg, "test").days))
 
 
 def seed_dir(seed: int) -> str:
@@ -420,13 +412,13 @@ def cmd_optimize(args) -> int:
     env = TradingEnv(dataset, env_config)
 
     def fit(seed, seed_file):
-        params_vec, history = optimize_parametric(kind, env, cma_config, seed)
+        params_vec, records = optimize_parametric(kind, env, cma_config, seed)
         params = params_class(kind).from_vector(params_vec)
         save_strategy_params(seed_file("params.json"), kind, params)
         datamod.write_lines(seed_file("optimization_log.csv"), OPTIMIZATION_LOG_HEADER,
                             (f"{rec.generation},{rec.best_objective!r},"
                              f"{rec.median_objective!r},{rec.sigma!r}"
-                             for rec in history.records))
+                             for rec in records))
         return params.bids, "params.json", "test "
 
     name = f"{kind} (CMA-ES)"

@@ -294,8 +294,10 @@ TRACE_FIELDS = ("buy_exec", "sell_exec", "consumption", "charge_input", "dischar
 
 
 class BidRow(NamedTuple):
-    """One bid of a collected day and whether its side traded in its hour."""
+    """One ``bids.csv`` row: a bid of a collected day, and whether its side
+    traded in its hour."""
 
+    day: int
     hour: int
     side: str
     volume: float
@@ -324,11 +326,12 @@ class DayResult:
     production_row: tuple[float, ...] = field(repr=False)
 
     def bid_rows(self) -> list[tuple]:
-        """``(hour, side, volume, price, accepted)`` of each bid, in
-        ``bids.csv`` order; a bid is accepted when its side traded in its hour."""
+        """The ``bids.csv`` row ``(day, hour, side, volume, price, accepted)``
+        of each bid, in file order; a bid is accepted when its side traded in
+        its hour."""
         # buy_exec and sell_exec lead each hour's values
         executed = {BUY: self.trace[0::len(TRACE_FIELDS)], SELL: self.trace[1::len(TRACE_FIELDS)]}
-        return [(hour, side, volume, price, executed[side][hour] != 0.0)
+        return [(self.day, hour, side, volume, price, executed[side][hour] != 0.0)
                 for hour, side, volume, price in schedule_slots(self.schedule)]
 
     @cached_property
@@ -362,7 +365,7 @@ class Episode:
         tables = dict(zip(TRACE_FIELDS, np.moveaxis(values, -1, 0)))
         tables["price"] = np.array([res.price_row for res in results]).reshape(shape[:2])
         return cls(np.array([res.day for res in results], dtype=np.int64), tables,
-                   [(res.day, *row) for res in results for row in res.bid_rows()])
+                   list(chain.from_iterable(res.bid_rows() for res in results)))
 
 
 DAY_RESULT_HEADER = ("day", "hour", "price", "buy_exec", "sell_exec",

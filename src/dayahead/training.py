@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cmaes import CmaesConfig, CmaesHistory, cmaes_optimize
+from .cmaes import CmaesConfig, GenerationRecord, cmaes_optimize
 from .market import DayResult, TradingEnv, delivery_window, observation_size
 from .nets import (PolicyParams, backward, clip_gradient_norm, forward_cached,
                    init_policy, rmsprop_step)
@@ -26,10 +26,6 @@ from .strategies import (LOG2PI, blackbox_bids, log_density, mean_action,
 # ---------------------------------------------------------------------------
 # Strategy adapters: anything mapping a DecisionContext to a bid schedule
 # ---------------------------------------------------------------------------
-
-def parametric_strategy(kind: str, vector: np.ndarray):
-    return params_class(kind).from_vector(vector).bids
-
 
 def policy_strategy(policy: PolicyParams):
     """Deterministic mean-action wrapper around a trained policy, which reads
@@ -95,8 +91,9 @@ def initial_parameter_mean(kind: str, rng: np.random.Generator) -> np.ndarray:
 
 
 def optimize_parametric(kind: str, env: TradingEnv, cma_config: CmaesConfig, seed: int
-                        ) -> tuple[np.ndarray, CmaesHistory]:
-    """CMA-ES over the training split; returns the final mean parameters.
+                        ) -> tuple[np.ndarray, list[GenerationRecord]]:
+    """CMA-ES over the training split; returns the final mean parameters and
+    each generation's record, as :func:`~dayahead.cmaes.cmaes_optimize` does.
 
     Every objective evaluation replays ``env``.
     """
@@ -110,7 +107,7 @@ def optimize_parametric(kind: str, env: TradingEnv, cma_config: CmaesConfig, see
 
     def objective(vector: np.ndarray) -> float:
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite income ranks worst
-            return evaluate_strategy(parametric_strategy(kind, vector), env, train_range,
+            return evaluate_strategy(params_class(kind).from_vector(vector).bids, env, train_range,
                                      objective_seed)
 
     x0 = initial_parameter_mean(kind, init_rng)

@@ -64,9 +64,9 @@ def test_collected_step_exposes_accepted_bid_outcomes(small_dataset):
     day = env.step(mixed)[2]
     outcomes, rows = day.bid_outcomes, day.bid_rows()
     assert [o.accepted for o in outcomes] == [True, False, False, True] * 12
-    assert [(o.hour, o.side, o.volume, o.price, o.accepted) for o in outcomes] == rows
+    assert [(o.day, o.hour, o.side, o.volume, o.price, o.accepted) for o in outcomes] == rows
     assert [tuple(o) for o in outcomes] == rows
-    assert rows[:2] == [(0, BUY, 0.1, 1e9, True), (0, SELL, 0.2, 1e9, False)]
+    assert rows[:2] == [(day.day, 0, BUY, 0.1, 1e9, True), (day.day, 0, SELL, 0.2, 1e9, False)]
     assert env.step(schedule, collect=False)[2] is None
 
 
@@ -103,6 +103,8 @@ BENCHMARK_CALLS = [
     ("cli", "load_data_dir", ["data_dir", "cfg"]),
     ("cli", "a2c_config_from", ["cfg", "include_weather"]),
     ("training", "initial_parameter_mean", ["kind", "rng"]),
+    # the step clock wraps the objective, the first argument, of each call
+    ("cmaes", "cmaes_optimize", ["objective", "x0", "config"]),
 ]
 
 

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from dayahead import cli
-from dayahead.cli import (CONFIG_KEYS, a2c_config_from, config_section, env_config_from,
+from dayahead.cli import (CONFIG_KEYS, a2c_config_from, build_section, config_section,
                           load_config, load_data_dir, main)
 from dayahead.cmaes import CmaesConfig
 from dayahead.data import SyntheticConfig, read_columns
-from dayahead.market import EnvConfig, TradingEnv
+from dayahead.market import EnvConfig, TradingEnv, delivery_window
 from dayahead.reports import BalanceRow
 from dayahead.training import A2cConfig, evaluate_strategy
 
@@ -135,7 +135,7 @@ def test_config_table_sets_every_key_on_its_field(data_dir, tmp_path):
     path.write_text(json.dumps(NON_DEFAULT_CONFIG))
     cfg = load_config(str(path))
     built = {
-        "env": (env_config_from(cfg), EnvConfig()),
+        "env": (build_section(cfg, "env"), EnvConfig()),
         "cmaes": (CmaesConfig(**config_section(cfg, "cmaes")), CmaesConfig()),
         "a2c": (a2c_config_from(cfg, True), A2cConfig()),
         "synthetic": (SyntheticConfig(**config_section(cfg, "synthetic")), SyntheticConfig()),
@@ -149,7 +149,7 @@ def test_config_table_sets_every_key_on_its_field(data_dir, tmp_path):
             assert getattr(config, field) == want != getattr(default, field), key
     dataset = load_data_dir(data_dir, cfg)  # 120 days
     assert dataset.split.train == (0, 72) and dataset.split.test == (90, 120)
-    assert cli.test_range_of(dataset, cfg) == (90, 100)
+    assert delivery_window(dataset.split.test, build_section(cfg, "test").days) == (90, 100)
 
 
 def test_config_accepts_integral_floats_and_automatic_population(tmp_path):
@@ -157,7 +157,7 @@ def test_config_accepts_integral_floats_and_automatic_population(tmp_path):
     path.write_text(json.dumps({"households": 2.0, "generations": "3",
                                 "population_size": "automatic"}))
     cfg = load_config(str(path))
-    assert env_config_from(cfg).households == 2
+    assert build_section(cfg, "env").households == 2
     assert config_section(cfg, "cmaes") == {"generations": 3, "population": None}
 
 
@@ -908,8 +908,8 @@ def simulated_days(data_dir, config_path, bids_fn, seeds, window):
     """The collected days of ``window`` as ``evaluate`` simulated them, per seed."""
     cfg = load_config(config_path)
     dataset = load_data_dir(data_dir, cfg)
-    env = TradingEnv(dataset, env_config_from(cfg))
-    test_range = cli.test_range_of(dataset, cfg)
+    env = TradingEnv(dataset, build_section(cfg, "env"))
+    test_range = delivery_window(dataset.split.test, build_section(cfg, "test").days)
     per_seed = []
     for seed in seeds:
         _, results = evaluate_strategy(bids_fn, env, test_range, seed, collect_results=True)
@@ -921,7 +921,7 @@ def first_bids(result):
     """``{(side, hour): (volume, price, accepted)}`` of the first bid of each
     side and hour in ``bid_rows()``."""
     first = {}
-    for hour, side, volume, price, accepted in result.bid_rows():
+    for _, hour, side, volume, price, accepted in result.bid_rows():
         first.setdefault((side, hour), (volume, price, accepted))
     return first
 

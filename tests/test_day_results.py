@@ -37,7 +37,7 @@ def eager_record(dataset, config, day, start_charge, reward, schedule, trace):
     production = hourly_production(dataset.cloudiness, dataset.wind_speed, config)
     return SimpleNamespace(
         day=day, prices=dataset.prices[day].copy(),
-        bid_outcomes=[(hour, side, volume, price, executed[side][hour] != 0.0)
+        bid_outcomes=[(day, hour, side, volume, price, executed[side][hour] != 0.0)
                       for hour, side, volume, price in schedule_slots(schedule)],
         buy_volumes=buys, sell_volumes=sells, production=production[day].copy(),
         consumption=cons, charge_input=charge_in, discharge=discharge,
@@ -66,8 +66,8 @@ def eager_export_day_results(records, path):
 def eager_export_bid_outcomes(records, path):
     """The bid writer that read one outcome record per bid."""
     write_csv(path, BID_OUTCOME_HEADER, (
-        (r.day, hour, side, float(volume), float(price), int(accepted))
-        for r in records for hour, side, volume, price, accepted in r.bid_outcomes))
+        (day, hour, side, float(volume), float(price), int(accepted))
+        for r in records for day, hour, side, volume, price, accepted in r.bid_outcomes))
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dayahead.cli import CONFIG_KEYS, env_config_from, load_config
+from dayahead.cli import CONFIG_KEYS, build_section, load_config
 from dayahead.market import (BUY, SELL, EnvConfig, Episode, TradingEnv, hourly_production,
                              observation_size, reference_balance, rolling_price_stats,
                              round_volumes)
@@ -766,5 +766,5 @@ def test_env_config_round_trip(tmp_path):
     path.write_text(json.dumps({key: getattr(config, field)
                                 for key, (section, field, _) in CONFIG_KEYS.items()
                                 if section == "env"}))
-    loaded = env_config_from(load_config(str(path)))
+    loaded = build_section(load_config(str(path)), "env")
     assert loaded == config

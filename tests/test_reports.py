@@ -20,7 +20,7 @@ def test_exported_day_results_read_back_exactly(tmp_path, small_dataset):
     _, blackbox = evaluate_strategy(fixed_action_strategy(action), env, (96, 102), 1,
                                     collect_results=True)
     results = timing + blackbox
-    assert any(price == math.inf for r in timing for _, _, _, price, _ in r.bid_rows())
+    assert any(price == math.inf for r in timing for *_, price, _ in r.bid_rows())
 
     collected = Episode.collect(results)
     export_day_results(collected, tmp_path / "trace.csv")

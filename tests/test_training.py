@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dayahead import cli, training
-from dayahead.cmaes import CmaesConfig, cmaes_optimize, default_population
+from dayahead.cmaes import CmaesConfig, CmaesSearch, cmaes_optimize, default_population
 from dayahead.data import read_columns
 from dayahead.market import EnvConfig, TradingEnv, delivery_window, observation_size
 from dayahead.nets import PolicyParams, forward, init_policy
@@ -14,7 +14,7 @@ from dayahead.strategies import (LOG2PI, OpportunisticParams, TimingParams, log_
                                  params_class)
 from dayahead.training import (A2cConfig, A2cUpdater, a2c_train, evaluate_strategy,
                                fixed_action_strategy, gae_advantages, initial_parameter_mean,
-                               optimize_parametric, parametric_strategy, policy_strategy)
+                               optimize_parametric, policy_strategy)
 
 from conftest import bid_schedule, flat_dataset, with_forecast_gap, with_perfect_forecasts
 
@@ -88,6 +88,35 @@ def test_gae_rejects_mismatched_lengths():
 # CMA-ES
 # ---------------------------------------------------------------------------
 
+def best_of(records):
+    """The best objective value a run saw, over all its generations."""
+    return max(r.best_objective for r in records)
+
+
+def neg_sphere_at_1_5(x):
+    return -float(np.sum((x - 1.5) ** 2))
+
+
+def drive_by_hand(objective, x0, config):
+    """``config.generations`` rounds of ask, evaluate each row in order, and
+    tell: every asked candidate, the final mean and the records."""
+    search = CmaesSearch(x0, config)
+    candidates, records = [], []
+    for _ in range(config.generations):
+        asked = search.ask()
+        candidates.append(asked.copy())
+        records.append(search.tell([objective(x) for x in asked]))
+    return np.concatenate(candidates), search.mean, records
+
+
+def seeing(objective, seen):
+    """``objective``, keeping a copy of each point it is called with in ``seen``."""
+    def wrapped(x):
+        seen.append(x.copy())
+        return objective(x)
+    return wrapped
+
+
 @pytest.mark.parametrize("sigma0", [0.0, -1.0, math.nan, math.inf])
 def test_cmaes_config_refuses_a_sigma_that_is_not_positive_and_finite(sigma0):
     """A NaN sigma ran every generation and returned a NaN mean."""
@@ -115,23 +144,20 @@ def test_sphere_benchmark():
 
     for seed in range(5):
         cfg = CmaesConfig(population=20, sigma0=0.3, generations=100, seed=seed)
-        mean, history = cmaes_optimize(neg_sphere, np.full(10, 0.3), cfg)
-        assert history.best_objective > -1e-8, f"seed {seed}"
+        mean, records = cmaes_optimize(neg_sphere, np.full(10, 0.3), cfg)
+        assert best_of(records) > -1e-8, f"seed {seed}"
         assert float(np.sum(mean * mean)) < 1e-7
 
 
 def test_objective_shift_invariance():
     """Adding a constant changes neither the sampled candidates nor the ranks."""
-    def f(x):
-        return -float(np.sum((x - 1.5) ** 2))
-
     def run(shift):
         """Every candidate in evaluation order, and each generation's ranks."""
         candidates, values = [], []
 
         def objective(x):
             candidates.append(x.copy())
-            values.append(f(x) + shift)
+            values.append(neg_sphere_at_1_5(x) + shift)
             return values[-1]
 
         cmaes_optimize(objective, np.zeros(5), CmaesConfig(population=12, generations=25, seed=3))
@@ -153,7 +179,7 @@ def test_constant_objective_no_systematic_drift():
     for seed in (0, 2, 4, 6):
         generations = 20
         cfg = CmaesConfig(population=64, sigma0=1.0, generations=generations, seed=seed)
-        mean, history = cmaes_optimize(lambda x: 1.0, np.zeros(10), cfg)
+        mean, _ = cmaes_optimize(lambda x: 1.0, np.zeros(10), cfg)
         mu = 32
         weights = np.log(64 / 2 + 0.5) - np.log(np.arange(1, mu + 1))
         weights /= weights.sum()
@@ -169,8 +195,8 @@ def test_non_finite_objective_ranked_worst():
         return float(x[0])  # maximized at the boundary from below
 
     cfg = CmaesConfig(population=12, generations=40, seed=1)
-    mean, history = cmaes_optimize(objective, np.full(3, -2.0), cfg)
-    assert math.isfinite(history.best_objective)
+    mean, records = cmaes_optimize(objective, np.full(3, -2.0), cfg)
+    assert math.isfinite(best_of(records))
 
 
 def test_generation_without_a_finite_objective_raises():
@@ -180,9 +206,67 @@ def test_generation_without_a_finite_objective_raises():
         return float("nan") if x[0] > 5.0 else -float(np.sum(x ** 2))
 
     cfg = CmaesConfig(population=6, generations=3, seed=0)
-    assert cmaes_optimize(objective, np.zeros(2), cfg)[1].best_objective <= 0.0
+    assert best_of(cmaes_optimize(objective, np.zeros(2), cfg)[1]) <= 0.0
     with pytest.raises(FloatingPointError, match="generation 1: no candidate has a finite"):
         cmaes_optimize(objective, np.full(2, 10.0), cfg)
+
+
+def test_a_search_driven_by_hand_is_cmaes_optimize():
+    """ask, evaluate, tell: the same candidates, final mean and records, bit
+    for bit, and ``cmaes_optimize``'s objective sees exactly ask's rows."""
+    config = CmaesConfig(population=12, generations=25, seed=3)
+    seen = []
+    mean, records = cmaes_optimize(seeing(neg_sphere_at_1_5, seen), np.zeros(5), config)
+    candidates, hand_mean, hand_records = drive_by_hand(neg_sphere_at_1_5, np.zeros(5), config)
+    assert candidates.shape == (25 * 12, 5)
+    assert np.array(seen).tobytes() == candidates.tobytes()
+    assert hand_mean.tobytes() == mean.tobytes()
+    assert hand_records == records
+
+
+def search_state(search):
+    """Every attribute of ``search``, arrays as bytes and the sampler as its state."""
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return value.tobytes()
+        if isinstance(value, np.random.Generator):
+            return value.bit_generator.state
+        return tuple(map(plain, value)) if isinstance(value, tuple) else value
+    return {name: plain(value) for name, value in vars(search).items()}
+
+
+@pytest.mark.parametrize("values, error, match", [
+    ([0.0] * 5, ValueError, r"tell takes lambda = 6 values, got shape \(5,\)"),
+    ([0.0] * 7, ValueError, r"tell takes lambda = 6 values, got shape \(7,\)"),
+    ([math.nan] * 6, FloatingPointError, "generation 2: no candidate has a finite"),
+])
+def test_a_refused_tell_leaves_the_search_as_it_was(values, error, match):
+    """Without the count check a short list would rank only as many rows as
+    it holds, and a long one could select a row that ask never drew."""
+    search = CmaesSearch(np.zeros(3), CmaesConfig(population=6, seed=0))
+    search.tell([neg_sphere_at_1_5(x) for x in search.ask()])
+    asked = search.ask()
+    before = search_state(search)
+    with pytest.raises(error, match=match):
+        search.tell(values)
+    assert search_state(search) == before
+    twin = CmaesSearch(np.zeros(3), CmaesConfig(population=6, seed=0))
+    twin.tell([neg_sphere_at_1_5(x) for x in twin.ask()])
+    assert twin.ask().tobytes() == asked.tobytes()
+    scores = [neg_sphere_at_1_5(x) for x in asked]
+    assert search.tell(scores) == twin.tell(scores)
+
+
+def test_tell_ranks_the_candidates_of_one_ask():
+    """Before any ask, and a second time after one, there is nothing to rank."""
+    search = CmaesSearch(np.zeros(2), CmaesConfig(population=6, seed=0))
+    with pytest.raises(RuntimeError, match="ranks the candidates of an ask"):
+        search.tell([0.0] * 6)
+    scores = [neg_sphere_at_1_5(x) for x in search.ask()]
+    assert search.tell(scores).generation == 0
+    with pytest.raises(RuntimeError, match="ranks the candidates of an ask"):
+        search.tell(scores)
+    assert search.generation == 1
 
 
 def test_rosenbrock_progress():
@@ -191,8 +275,8 @@ def test_rosenbrock_progress():
         return -float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2))
 
     cfg = CmaesConfig(generations=300, seed=0)
-    mean, history = cmaes_optimize(neg_rosenbrock, np.zeros(5), cfg)
-    assert history.best_objective > -1e-3
+    mean, records = cmaes_optimize(neg_rosenbrock, np.zeros(5), cfg)
+    assert best_of(records) > -1e-3
 
 
 def test_initial_parameter_means():
@@ -272,21 +356,41 @@ PINNED_OPPORTUNISTIC_MEAN_HEAD = [0.8875742503452063, -0.373723279072246,
 PINNED_OPPORTUNISTIC_RECORDS = [(0, 3765.3400222317055, -13483.414883948451, 0.9625277333727228)]
 
 
-def records_of(history):
-    return [(r.generation, r.best_objective, r.median_objective, r.sigma)
-            for r in history.records]
+def records_of(records):
+    return [(r.generation, r.best_objective, r.median_objective, r.sigma) for r in records]
 
 
 def test_optimize_parametric_matches_pinned_runs(small_dataset):
     env = TradingEnv(small_dataset, EnvConfig())
-    mean, history = optimize_parametric("timing", env, CmaesConfig(generations=3), seed=0)
+    mean, records = optimize_parametric("timing", env, CmaesConfig(generations=3), seed=0)
     assert mean.tolist() == PINNED_TIMING_MEAN
-    assert records_of(history) == PINNED_TIMING_RECORDS
-    mean, history = optimize_parametric("opportunistic", env, CmaesConfig(generations=1), seed=0)
+    assert records_of(records) == PINNED_TIMING_RECORDS
+    mean, records = optimize_parametric("opportunistic", env, CmaesConfig(generations=1), seed=0)
     assert mean[:4].tolist() == PINNED_OPPORTUNISTIC_MEAN_HEAD
     assert hashlib.sha256(mean.astype("<f8").tobytes()).hexdigest() == \
         PINNED_OPPORTUNISTIC_MEAN_SHA256
-    assert records_of(history) == PINNED_OPPORTUNISTIC_RECORDS
+    assert records_of(records) == PINNED_OPPORTUNISTIC_RECORDS
+
+
+def test_a_search_driven_by_hand_is_the_pinned_timing_run(small_dataset, monkeypatch):
+    """The objective, start and config ``optimize_parametric`` hands to
+    ``cmaes_optimize``, driven by ask and tell instead: the pinned mean and
+    records, and the objective saw exactly ask's rows, in order."""
+    calls = []
+
+    def recording(objective, x0, config):
+        seen = []
+        calls.append((objective, x0, config, seen))
+        return cmaes_optimize(seeing(objective, seen), x0, config)
+
+    monkeypatch.setattr(training, "cmaes_optimize", recording)
+    env = TradingEnv(small_dataset, EnvConfig())
+    mean, records = optimize_parametric("timing", env, CmaesConfig(generations=3), seed=0)
+    [(objective, x0, config, seen)] = calls
+    candidates, hand_mean, hand_records = drive_by_hand(objective, x0, config)
+    assert np.array(seen).tobytes() == candidates.tobytes()
+    assert hand_mean.tolist() == mean.tolist() == PINNED_TIMING_MEAN
+    assert records_of(hand_records) == records_of(records) == PINNED_TIMING_RECORDS
 
 
 def test_evaluate_total_is_the_sum_of_collected_rewards(small_dataset):
@@ -345,10 +449,9 @@ def test_optimize_parametric_improves_timing(small_dataset):
     """A short CMA-ES run must beat the raw initial mean on its own objective."""
     env_config = EnvConfig()
     cma = CmaesConfig(generations=15, seed=0)
-    best, history = optimize_parametric("timing", TradingEnv(small_dataset, env_config), cma,
+    best, records = optimize_parametric("timing", TradingEnv(small_dataset, env_config), cma,
                                         seed=0)
-    first_gen = history.records[0]
-    assert history.best_objective >= first_gen.best_objective
+    assert best_of(records) >= records[0].best_objective
     assert best.shape == (2,)
 
 
@@ -365,9 +468,9 @@ GOLDEN_A2C_TEST_INCOME = -825.1248385093685  # tiny_a2c_config(total_days=120), 
 
 def test_golden_incomes(year_dataset):
     strategies = {
-        "timing": parametric_strategy("timing", np.array([1.2, 0.6])),
-        "opportunistic": parametric_strategy(
-            "opportunistic", initial_parameter_mean("opportunistic", np.random.default_rng(0))),
+        "timing": params_class("timing").from_vector(np.array([1.2, 0.6])).bids,
+        "opportunistic": params_class("opportunistic").from_vector(
+            initial_parameter_mean("opportunistic", np.random.default_rng(0))).bids,
         "zero": fixed_action_strategy(np.zeros((4, 24))),
     }
     env = TradingEnv(year_dataset, EnvConfig())
@@ -392,7 +495,7 @@ def test_overflowing_opportunistic_candidate_scores_non_finite(small_dataset):
     vector[OpportunisticParams.volume_offset_indices()[0]] = 1000.0
     env = TradingEnv(small_dataset, EnvConfig())
     with np.errstate(over="ignore"):
-        income = evaluate_strategy(parametric_strategy("opportunistic", vector), env,
+        income = evaluate_strategy(params_class("opportunistic").from_vector(vector).bids, env,
                                    (30, 60), seed=0)
     assert not math.isfinite(income)
 
