@@ -57,9 +57,12 @@ it cleared), next to the verb's own files (``params.json`` and
 incomes, test range and each seed's artifact) and ``manifest.json``
 (command, config, seeds, data hash) close the run; ``report`` reads it back,
 checking each ``result.json`` first, and refuses two runs of one basename,
-which names its trace files.  ``report`` also refuses a seed's ``trace.csv``
-that lacks a day of the trace window, naming the file and the days, before
-it writes anything.
+which names its trace files.  ``report`` also refuses, before it writes
+anything, a seed's ``trace.csv`` that lacks a day of the trace window
+(naming the file and the days), and a trace or bid value that its writer
+never writes: a ``trace.csv`` value that is not finite, a bid volume that is
+not finite and positive, or a bid price that is negative or NaN (naming the
+file, day, hour and column).
 
 ``sweep-battery`` lays out ``--out`` as one ``capacity<C>/`` directory per
 capacity, in ascending order, each the run directory ``train-rl`` writes

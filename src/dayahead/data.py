@@ -221,6 +221,10 @@ class Dataset:
 # pass, numpy's C tokenizer and float parser; only when that pass or a check
 # of its texts fails does _raise_bad_row scan the rows with csv.reader, to
 # name the file and line of the first bad field.  The scan never returns data.
+# Every table keyed by day and hour puts its rows on the day x hour grid
+# through place_rows, in whatever order the file holds them: an hour outside
+# 0..23 or a second row for one slot is refused there, naming the row, and
+# each reader applies its own completeness rule to the slots filled.
 # ---------------------------------------------------------------------------
 
 PRICES_HEADER = ("date", "hour", "price")
@@ -482,20 +486,61 @@ def _line_of(path, item: int) -> int:
         return [n for n, line in enumerate(fh, 2) if line != "\n"][item]
 
 
-def _check_hours(path, hours: np.ndarray, what: str = "hour") -> None:
-    outside = (hours < 0) | (hours >= HOURS_PER_DAY)
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise DataError(f"{path}:{_line_of(path, i)}: {what} {hours[i]} outside 0..23")
+def _refuse_first(path, bad: np.ndarray, words, days=None, first_day: int | None = None) -> None:
+    """Raise a DataError for the first row that ``bad`` marks, ``words(i)``
+    saying what is wrong with row ``i``.  The row is named by its line of
+    ``path``, where the reader parsed the whole file, or with ``first_day``,
+    where it parsed a window of days from that day on, by its day
+    ``first_day + days[i]``."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = (f"{path}:{_line_of(path, i)}:" if first_day is None
+                 else f"{path}: day {first_day + days[i]}")
+        raise DataError(f"{where} {words(i)}")
+
+
+def check_hours(path, days: np.ndarray, hours: np.ndarray, what: str = "hour",
+                first_day: int | None = None) -> None:
+    """Raise a DataError naming the first row whose hour (``what``) lies
+    outside 0..23 and that hour, the row named as :func:`_refuse_first` does."""
+    _refuse_first(path, (hours < 0) | (hours >= HOURS_PER_DAY), lambda i: (
+        f"{'' if first_day is None else 'has '}{what} {hours[i]} outside 0..23"), days, first_day)
+
+
+def place_rows(path, days: np.ndarray, hours: np.ndarray, values, num_days: int,
+               what: str = "hour", first_day: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Put row ``i`` of a table at day ``days[i]``, hour ``hours[i]`` of a
+    grid of ``num_days`` days: the one way a table's rows land on days and
+    hours.
+
+    ``values`` holds one array per quantity, and each day lies in
+    ``0..num_days-1``.  Returns the ``(quantities, num_days, 24)`` float
+    array of the values, NaN where no row is, and the ``(num_days, 24)``
+    mask of the slots a row fills, to which each reader applies its own
+    completeness rule.  The first row whose hour (``what``) lies outside
+    0..23 (see :func:`check_hours`), or whose slot an earlier row fills,
+    raises a DataError naming the file, the row and its hour; ``first_day``
+    names rows by their day, as in :func:`_refuse_first`.
+    """
+    check_hours(path, days, hours, what, first_day)
+    slots = days * HOURS_PER_DAY + hours
+    counts = np.bincount(slots, minlength=num_days * HOURS_PER_DAY)
+    if (counts > 1).any():  # the slow path: find the rows whose slot an earlier row fills
+        repeated = ~np.isin(np.arange(slots.size), np.unique(slots, return_index=True)[1])
+        _refuse_first(path, repeated, lambda i: f"repeats {what} {hours[i]}", days, first_day)
+    tables = np.full((len(values), num_days, HOURS_PER_DAY), np.nan)
+    for table, column in zip(tables, values):  # 4x faster than one 2-D fancy-index scatter
+        table.reshape(-1)[slots] = column  # a view: each table is contiguous
+    return tables, counts.reshape(num_days, HOURS_PER_DAY) > 0
 
 
 def _read_hourly_csv(path, header: tuple[str, ...], fields: tuple[str, ...]):
     """Read a date/hour keyed CSV into (start_date, [(days, 24) array per value column]).
 
-    Rows must be sorted by (date, hour) and form a gap-free hourly grid; the
-    first missing slot is reported by date, day index, and hour.  The value
-    columns fill the Dataset arrays ``fields``, and each is checked against
-    its domain.
+    The rows, in any order, must fill each hour of a grid from the earliest
+    date to the latest once: a repeated row is named by its line, and the
+    first missing slot by date, day index, and hour.  The value columns fill
+    the Dataset arrays ``fields``, and each is checked against its domain.
     """
     days, hours, *values = read_columns(
         path, header, (DATE, int) + (float,) * (len(header) - 2),
@@ -503,16 +548,17 @@ def _read_hourly_csv(path, header: tuple[str, ...], fields: tuple[str, ...]):
                   for name in header[2:]})
     if not days.size:
         raise DataError(f"{path}: no data rows")
-    _check_hours(path, hours)
-    start_date = dt.date.fromordinal(int(days[0]))
-    days -= days[0]
-    slots = days * HOURS_PER_DAY + hours
-    wrong = np.flatnonzero(slots != np.arange(slots.size))
-    if wrong.size or slots.size != (days[-1] + 1) * HOURS_PER_DAY:
-        exp_day, exp_hour = divmod(int(wrong[0]) if wrong.size else slots.size, HOURS_PER_DAY)
+    start_date = dt.date.fromordinal(int(days.min()))
+    days -= days.min()
+    num_days = int(days.max()) + 1
+    if num_days > days.size:  # a grid that long would cost a far-off date's memory
+        raise DataError(f"{path}: dates from {start_date} span {num_days} days, more than its rows")
+    arrays, filled = place_rows(path, days, hours, values, num_days)
+    gaps = np.argwhere(~filled)
+    if gaps.size:
+        day, hour = (int(i) for i in gaps[0])
         raise DataError(f"{path}: gap in hourly sequence, missing "
-                        f"{start_date + dt.timedelta(days=exp_day)} (day {exp_day}) hour {exp_hour}")
-    arrays = [column.reshape(-1, HOURS_PER_DAY) for column in values]
+                        f"{start_date + dt.timedelta(days=day)} (day {day}) hour {hour}")
     for name, field, column in zip(header[2:], fields, arrays):
         _check_hourly(column, field, start_date, f"{path}: {name}")
     return start_date, arrays
@@ -521,18 +567,13 @@ def _read_hourly_csv(path, header: tuple[str, ...], fields: tuple[str, ...]):
 def _read_profile_csv(path) -> ConsumptionProfile:
     hours, values = read_columns(path, PROFILE_HEADER, (int, float), messages={
         "avg_consumption_mwh": "{path}:{line}: bad value {text!r}"})
-    _check_hours(path, hours)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        i = int(bad[0])
-        raise DataError(f"{path}:{_line_of(path, i)}: non-finite value '{values[i]}' "
-                        f"for hour {hours[i]}")
-    profile = np.full(HOURS_PER_DAY, np.nan)
-    profile[hours] = values
-    if np.any(np.isnan(profile)):
+    (profile,), filled = place_rows(path, np.zeros_like(hours), hours, [values], 1)
+    _refuse_first(path, ~np.isfinite(values),
+                  lambda i: f"non-finite value '{values[i]}' for hour {hours[i]}")
+    if not filled.all():
         raise DataError(f"{path}: profile must define all 24 hours")
     try:  # the profile rules live in ConsumptionProfile; name the file
-        return ConsumptionProfile(profile)
+        return ConsumptionProfile(profile[0])
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -544,25 +585,13 @@ def _read_forecasts_csv(path, dataset: Dataset) -> np.ndarray:
             "target_hour": "{path}:{line}: bad target hour {text!r}",
             **{name: "{path}:{line}: bad " + name + " value {text!r}"
                for name in FORECASTS_HEADER[3:]}})
-    _check_hours(path, hours, "target hour")
-    table = np.array(values)
     days = targets - dataset.start_date.toordinal()
-    late = targets - issued != 1
-    if late.any():
-        raise DataError(f"{path}:{_line_of(path, np.argmax(late))}: "
-                        "forecasts must be issued one day ahead")
-    outside = (days < 0) | (days >= dataset.num_days)
-    if outside.any():
-        target = dt.date.fromordinal(int(targets[np.argmax(outside)]))
-        raise DataError(f"{path}:{_line_of(path, np.argmax(outside))}: "
-                        f"target date {target} outside the dataset")
-    non_finite = ~np.isfinite(table).all(axis=0)
-    if non_finite.any():
-        raise DataError(f"{path}:{_line_of(path, np.argmax(non_finite))}: "
-                        "non-finite forecast value")
-    forecasts = np.full((len(FORECAST_FIELDS), *dataset.prices.shape), np.nan)
-    forecasts[:, days, hours] = table
-    return forecasts
+    _refuse_first(path, targets - issued != 1, lambda i: "forecasts must be issued one day ahead")
+    _refuse_first(path, (days < 0) | (days >= dataset.num_days), lambda i: (
+        f"target date {dt.date.fromordinal(int(targets[i]))} outside the dataset"))
+    _refuse_first(path, ~np.isfinite(values).all(axis=0), lambda i: "non-finite forecast value")
+    forecasts, _ = place_rows(path, days, hours, values, dataset.num_days, "target hour")
+    return forecasts  # a day with only some hours is Dataset's to refuse
 
 
 def load_dataset(price_path, weather_path, profile_path, forecast_path=None) -> Dataset:

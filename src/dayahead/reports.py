@@ -7,9 +7,9 @@ of the test range -- with per-hour battery levels aggregated across seeds and
 the bid prices/volumes of the best run, the raw material for the usual
 diagnostic figures.  :func:`read_day_results` reads a seed's exported
 ``trace.csv`` and ``bids.csv`` back as an :class:`~dayahead.market.Episode`
-of the window's days, and refuses a window day the trace lacks, so that
-``report`` fails before it writes anything; the trace writers take those
-episodes.
+of the window's days, and refuses a window day the trace lacks or a value
+that the exporters never write, so that ``report`` fails before it writes
+anything; the trace writers take those episodes.
 """
 from __future__ import annotations
 
@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, day_hour_columns, read_columns, write_columns, write_json
+from .data import (DataError, check_hours, day_hour_columns, place_rows, read_columns,
+                   write_columns, write_json)
 from .market import BID_OUTCOME_HEADER, BUY, DAY_RESULT_HEADER, HOURS_PER_DAY, SELL, Episode
 
 
@@ -125,24 +126,14 @@ def write_unscheduled_trace(episode: Episode, path) -> None:
         *(episode.tables[name].ravel().tolist() for name in ("uns_buy", "uns_sell"))])
 
 
-def _check_hours(path, days: np.ndarray, hours: np.ndarray) -> None:
-    """Raise a DataError naming the first row whose hour is outside 0..23."""
-    outside = np.flatnonzero((hours < 0) | (hours >= HOURS_PER_DAY))
-    if outside.size:
-        i = outside[0]
-        raise DataError(f"{path}: day {days[i]} has hour {hours[i]} outside 0..23")
-
-
-def _check_each_hour_once(path, days: np.ndarray, inverse: np.ndarray,
-                          hours: np.ndarray) -> None:
-    """Raise a DataError naming the first day and hour of ``days`` that the
-    rows (day ``days[inverse[i]]``, hour ``hours[i]``) lack or repeat."""
-    counts = np.bincount(inverse * HOURS_PER_DAY + hours, minlength=days.size * HOURS_PER_DAY)
-    wrong = np.flatnonzero(counts != 1)
-    if wrong.size:
-        k, hour = divmod(int(wrong[0]), HOURS_PER_DAY)
-        problem = "lacks" if counts[wrong[0]] == 0 else "repeats"
-        raise DataError(f"{path}: day {days[k]} {problem} hour {hour}")
+def _check_values(path, days: np.ndarray, hours: np.ndarray, names, values, valid) -> None:
+    """Raise a DataError naming the file, day, hour and column of the first
+    row whose value its writer never writes: ``valid`` holds, per column of
+    ``names`` and ``values``, whether each row's value is one."""
+    bad = np.argwhere(~np.asarray(valid).T)
+    if bad.size:
+        i, k = bad[0]
+        raise DataError(f"{path}: day {days[i]} hour {hours[i]}: bad {names[k]} {values[k][i]}")
 
 
 def read_day_results(trace_path, bids_path, window: tuple[int, int]) -> Episode:
@@ -150,30 +141,39 @@ def read_day_results(trace_path, bids_path, window: tuple[int, int]) -> Episode:
     exported ``trace.csv`` and ``bids.csv``, for report assembly;
     ``bids_path`` may be None or missing.
 
-    It holds one ``(days, 24)`` table per ``trace.csv`` quantity, with the
-    days ascending, and the window's bid rows in file order, several per
+    It holds one ``(days, 24)`` table per ``trace.csv`` quantity, for each
+    day of the window, and the window's bid rows in file order, several per
     hour included.  Only the lines of the window's days are parsed (see
     :func:`~dayahead.data.read_columns`), in whatever order the files hold
-    them.  Each day in the trace must have each hour once, and each day of
-    the window must be in the trace: a DataError names the file and the
-    day and hour, or the days the window misses.
+    them, and :func:`~dayahead.data.place_rows` puts the trace's rows on the
+    window's days and hours.  A DataError names the file when the trace
+    misses a day of the window (naming the days), or a row of either file
+    has an hour outside 0..23, or a trace day repeats or lacks an hour, or
+    a trace value is not finite, or a bid volume is not finite and positive
+    or a bid price is negative or NaN (naming the day and hour, and the
+    column of a value).  A bid price of +inf stays: timing buys at any price.
     """
+    lo, hi = window
     row_days, hours, *values = read_columns(
         trace_path, DAY_RESULT_HEADER, (int, int) + (float,) * (len(DAY_RESULT_HEADER) - 2),
         days=window)
-    _check_hours(trace_path, row_days, hours)
-    days, inverse = np.unique(row_days, return_inverse=True)
-    _check_each_hour_once(trace_path, days, inverse, hours)
-    missing = sorted(set(range(*window)) - set(days.tolist()))
-    if missing:
-        raise DataError(f"{trace_path}: trace window misses days {missing}")
-    tables = np.zeros((len(values), days.size, HOURS_PER_DAY))
-    tables[:, inverse, hours] = values
+    tables, filled = place_rows(trace_path, row_days - lo, hours, values, hi - lo, first_day=lo)
+    missing = np.flatnonzero(~filled.any(axis=1))
+    if missing.size:
+        raise DataError(f"{trace_path}: trace window misses days {(missing + lo).tolist()}")
+    lacking = np.argwhere(~filled)
+    if lacking.size:
+        day, hour = lacking[0]
+        raise DataError(f"{trace_path}: day {day + lo} lacks hour {hour}")
+    _check_values(trace_path, row_days, hours, DAY_RESULT_HEADER[2:], values, np.isfinite(values))
     bids = []
     if bids_path and os.path.exists(bids_path):
         columns = read_columns(bids_path, BID_OUTCOME_HEADER,
                                (int, int, (BUY, SELL), float, float, int), days=window)
-        _check_hours(bids_path, *columns[:2])
+        days, hours, _, volumes, prices, _ = columns
+        check_hours(bids_path, days, hours, first_day=0)
+        _check_values(bids_path, days, hours, ("volume", "price"), (volumes, prices),
+                      (np.isfinite(volumes) & (volumes > 0), prices >= 0))
         bids = [(day, hour, side.decode(), volume, price, bool(accepted)) for
                 day, hour, side, volume, price, accepted in zip(*map(np.ndarray.tolist, columns))]
-    return Episode(days, dict(zip(DAY_RESULT_HEADER[2:], tables)), bids)
+    return Episode(np.arange(lo, hi), dict(zip(DAY_RESULT_HEADER[2:], tables)), bids)

@@ -1162,6 +1162,29 @@ def test_report_names_line_of_unknown_bid_side(data_dir, config_path, tmp_path, 
     assert f"bids.csv:{line_no}: bad side 'SELL'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("file,column,name,text", [
+    ("trace.csv", 7, "battery_level", "nan"), ("trace.csv", 2, "price", "inf"),
+    ("bids.csv", 3, "volume", "nan")])
+def test_report_refuses_a_value_its_writer_never_writes(data_dir, config_path, tmp_path,
+                                                         capsys, file, column, name, text):
+    """It exited 0 and wrote ``nan`` into the battery and bid volume traces."""
+    result, (lo, hi) = evaluated_run(data_dir, config_path, tmp_path / "zero")
+    best = result["seeds"][int(np.argmax(result["incomes"]))]
+    path = tmp_path / "zero" / f"seed{best}" / file
+    lines = path.read_text().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines[1:], 1) if int(line.split(",")[0]) == lo + 2)
+    fields = lines[row].split(",")
+    fields[column] = text
+    lines[row] = ",".join(fields)
+    path.write_text("".join(lines))
+    code = main(["report", "--runs", str(tmp_path / "zero"), "--data", str(data_dir),
+                 "--config", config_path, "--out", str(tmp_path / "report")])
+    assert code == 2
+    day, hour = lines[row].split(",")[:2]
+    assert f"{file}: day {day} hour {hour}: bad {name} {text}" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
 def test_full_pipeline_reproducible(data_dir, config_path, tmp_path):
     """Identical seeds and configs must give byte-identical artifacts."""
     outs = []

@@ -13,7 +13,8 @@ empty entries, or a negative ``--seed``; up to three known config keys set
 to an awkward value (or none, so that the checks after loading are reached
 too); and ``report`` over a ``result.json`` with one key dropped or
 retyped, or with an income of NaN or Infinity, or over a run whose
-``seed0/trace.csv`` lacks one day of the trace window.  Sizes stay small
+``seed0/trace.csv`` lacks one day of the trace window or holds ``nan`` or
+``inf`` in one value of a window row.  Sizes stay small
 (population 8, 2 generations, 60 training days, 8 hidden units) unless a
 drawn key changes them; a whole-number key at 1e300 is refused when the
 config is loaded.  A second test draws only the edited files, with the
@@ -39,7 +40,7 @@ from hypothesis import given, settings, strategies as st
 
 from dayahead import strategies as strat
 from dayahead.cli import CONFIG_KEYS, main
-from dayahead.market import EnvConfig
+from dayahead.market import DAY_RESULT_HEADER, EnvConfig
 from dayahead.nets import init_policy, save_policy
 from dayahead.reports import middle_window
 from dayahead.training import initial_parameter_mean
@@ -87,7 +88,10 @@ result_edits = st.one_of(st.tuples(st.sampled_from(RESULT_KEYS), edit_values),
                         st.tuples(st.just("incomes"), st.sampled_from([[math.nan], [math.inf]])))
 policy_edits = st.one_of(st.tuples(st.sampled_from(HEADER_KEYS), edit_values),
                          st.sampled_from(["truncated", "not a zip"]))
-report_edits = st.one_of(result_edits, st.tuples(st.just("trace day"), st.integers(0, 4)))
+trace_values = st.tuples(st.integers(0, 4), st.integers(0, 23),
+                         st.sampled_from(DAY_RESULT_HEADER[2:]), st.sampled_from(["nan", "inf"]))
+report_edits = st.one_of(result_edits, st.tuples(st.just("trace day"), st.integers(0, 4)),
+                         st.tuples(st.just("trace value"), trace_values))
 params_edits = st.one_of(st.tuples(st.sampled_from(PARAMS_KEYS), edit_values),
                         st.just(("alpha", [1e307, 0])))  # finite, but its bids overflow
 artifact_edits = st.one_of(  # one edited file alone
@@ -142,7 +146,7 @@ def verb_argv(verb, choice, root, run_dir):
     edited next to ``run_dir`` if an edit was drawn, or a directory in place
     of it or of the config; for ``report``, the edited run directory: its
     ``result.json``, or its ``seed0/trace.csv`` without the drawn day of the
-    trace window."""
+    trace window or with the drawn value of a window row set."""
     if verb == "evaluate":
         choice, edit = choice
         params, policy = root / "timing.json", root / "policy141.npz"
@@ -170,12 +174,22 @@ def verb_argv(verb, choice, root, run_dir):
     if verb == "train-rl":
         return ["train-rl", *(["--no-weather"] if choice else [])]
     shutil.copytree(root / "run", run_dir)
+    trace = run_dir / "seed0" / "trace.csv"
+    test_range = json.loads((run_dir / "result.json").read_text())["test_range"]
+    window = range(*middle_window(test_range))
     if choice[0] == "trace day":
-        test_range = json.loads((run_dir / "result.json").read_text())["test_range"]
-        day = f"{range(*middle_window(test_range))[choice[1]]},".encode()
-        trace = run_dir / "seed0" / "trace.csv"
+        day = f"{window[choice[1]]},".encode()
         trace.write_bytes(b"".join(line for line in trace.read_bytes().splitlines(True)
                                    if not line.startswith(day)))
+    elif choice[0] == "trace value":
+        day, hour, column, text = choice[1]
+        lines = trace.read_bytes().splitlines(True)
+        prefix = f"{window[day]},{hour},".encode()
+        row = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        fields = lines[row].rstrip(b"\r\n").split(b",")
+        fields[DAY_RESULT_HEADER.index(column)] = text.encode()
+        lines[row] = b",".join(fields) + b"\r\n"
+        trace.write_bytes(b"".join(lines))
     else:
         write_edited(run_dir / "result.json", run_dir / "result.json", *choice)
     return ["report", "--runs", str(run_dir)]

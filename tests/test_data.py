@@ -544,6 +544,111 @@ def test_csv_round_trip_preserves_content(tmp_path, small_dataset):
                                           getattr(small_dataset, name)[day])
 
 
+def test_shuffled_rows_load_the_arrays_of_sorted_ones(tmp_path, small_dataset):
+    """Rows are placed by their date and hour, so their order does not
+    matter: each file with its rows shuffled loads bit for bit."""
+    paths = [tmp_path / name for name in write_dataset(small_dataset, tmp_path)]
+    want = load_dataset(*paths)
+    rng = np.random.default_rng(5)
+    for path in paths:
+        header, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "".join(rows[i] for i in rng.permutation(len(rows))))
+    loaded = load_dataset(*paths)
+    assert loaded.start_date == want.start_date
+    for name in ("prices", "cloudiness", "wind_speed", "temperature", *damod.FORECAST_FIELDS):
+        assert getattr(loaded, name).tobytes() == getattr(want, name).tobytes(), name
+    assert loaded.profile.avg_per_household.tobytes() == \
+        want.profile.avg_per_household.tobytes()
+    assert loaded.content_hash() == want.content_hash() == small_dataset.content_hash()
+
+
+@pytest.mark.parametrize("file,line,edit,message", [
+    # a second cloudiness for day 1 hour 3 replaced the first one
+    (3, 5, set_field(3, "5"), r"forecasts\.csv:74: repeats target hour 3$"),
+    # a second hour 0 replaced the first one, and moved the income
+    (2, 2, set_field(1, "0.0003"), r"profile\.csv:26: repeats hour 0$"),
+], ids=["forecasts", "profile"])
+def test_repeated_row_names_file_row_and_hour(tmp_path, file, line, edit, message):
+    paths = write_forecast_fixture(tmp_path)
+    lines = paths[file].read_text().splitlines(keepends=True)
+    paths[file].write_text("".join(lines) + edit(lines[line - 1]))
+    with pytest.raises(DataError, match=message):
+        load_dataset(*paths)
+
+
+def test_duplicated_first_price_row_names_its_line(tmp_path):
+    """It read as a gap at the wrong hour: 'missing 2020-01-01 (day 0) hour 1'."""
+    paths = write_fixture_csvs(tmp_path, num_days=3)
+    edit_line(paths[0], 2, lambda line: line + line)
+    with pytest.raises(DataError, match=r"prices\.csv:3: repeats hour 0$"):
+        load_dataset(*paths)
+
+
+def test_far_off_date_is_refused_without_a_grid_that_long(tmp_path):
+    """Year 16 typed for 2020 would ask for a grid of 17 million hours."""
+    paths = write_fixture_csvs(tmp_path, num_days=3)
+    edit_line(paths[0], 40, set_field(0, "0016-01-02"))
+    with pytest.raises(DataError, match=r"prices\.csv: dates from 0016-01-02 span "
+                                        r"731948 days, more than its rows$"):
+        load_dataset(*paths)
+
+
+@st.composite
+def placed_rows(draw):
+    """The rows of a grid of 1..3 days, shuffled, with some dropped, some
+    repeated and some given an hour of -1 or 24, and how rows are named."""
+    num_days = draw(st.integers(1, 3))
+    rows = [(day, hour) for day in range(num_days) for hour in range(24)]
+    rows = draw(st.permutations(rows))[:draw(st.integers(0, len(rows)))]
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+    for _ in range(draw(st.integers(0, 1))):
+        if rows:
+            i = draw(st.integers(0, len(rows) - 1))
+            rows[i] = (rows[i][0], draw(st.sampled_from([-1, 24])))
+    return num_days, rows, draw(st.sampled_from([None, 0, 90]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=placed_rows())
+def test_place_rows_matches_a_dict_of_slots(drawn):
+    num_days, rows, first_day = drawn
+    days = np.array([day for day, _ in rows], dtype=np.int64)
+    hours = np.array([hour for _, hour in rows], dtype=np.int64)
+    values = [np.arange(len(rows)) + 0.5, -np.arange(len(rows)) * 2.0]
+    slots, error = {}, None
+    for i, (day, hour) in enumerate(rows):  # the oracle: an hour outside 0..23 is found first
+        if not 0 <= hour < 24:
+            name = f"t.csv:{i + 2}:" if first_day is None else f"t.csv: day {first_day + day} has"
+            error = f"{name} hour {hour} outside 0..23"
+            break
+    for i, (day, hour) in enumerate(rows if error is None else []):
+        if (day, hour) in slots:
+            name = f"t.csv:{i + 2}:" if first_day is None else f"t.csv: day {first_day + day}"
+            error = f"{name} repeats hour {hour}"
+            break
+        slots[day, hour] = i
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/t.csv"
+        with open(path, "w") as fh:
+            fh.write("day,hour\n" + "x\n" * len(rows))
+        if error is not None:
+            with pytest.raises(DataError) as refused:
+                damod.place_rows(path, days, hours, values, num_days, first_day=first_day)
+            assert str(refused.value) == error.replace("t.csv", path, 1)
+            return
+        tables, filled = damod.place_rows(path, days, hours, values, num_days,
+                                          first_day=first_day)
+    assert tables.shape == (2, num_days, 24) and filled.shape == (num_days, 24)
+    for day in range(num_days):
+        for hour in range(24):
+            i = slots.get((day, hour))
+            assert filled[day, hour] == (i is not None)
+            want = [math.nan] * 2 if i is None else [values[0][i], values[1][i]]
+            assert tables[:, day, hour].tobytes() == np.array(want).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Synthetic generator
 # ---------------------------------------------------------------------------

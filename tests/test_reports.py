@@ -97,3 +97,47 @@ def test_trace_day_repeating_an_hour_names_file_day_and_hour(tmp_path, small_dat
     (tmp_path / "trace.csv").write_text("".join(lines))
     with pytest.raises(DataError, match=r"trace\.csv: day 91 repeats hour 4$"):
         read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (90, 93))
+
+
+def edit_window_row(path, day, hour, column, text):
+    """Set one field of the row of ``day`` and ``hour`` in ``path`` (the
+    first one, for bids.csv); ``column`` is a header name."""
+    header, *lines = path.read_text().splitlines(keepends=True)
+    k = header.rstrip().split(",").index(column)
+    row = next(i for i, line in enumerate(lines) if line.startswith(f"{day},{hour},"))
+    fields = lines[row].rstrip("\r\n").split(",")
+    fields[k] = text
+    lines[row] = ",".join(fields) + "\r\n"
+    path.write_text(header + "".join(lines))
+
+
+@pytest.mark.parametrize("column,text", [
+    ("battery_level", "nan"), ("price", "inf"), ("cash_delta", "-inf"), ("uns_buy", "nan")])
+def test_non_finite_trace_value_names_file_day_hour_and_column(tmp_path, small_dataset,
+                                                               column, text):
+    """A ``nan`` battery level was written into the report's battery trace."""
+    scored_files(tmp_path, small_dataset)
+    edit_window_row(tmp_path / "trace.csv", 91, 3, column, text)
+    with pytest.raises(DataError, match=rf"trace\.csv: day 91 hour 3: bad {column} {text}$"):
+        read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (90, 93))
+
+
+@pytest.mark.parametrize("column,text", [
+    ("volume", "nan"), ("volume", "inf"), ("volume", "0.0"), ("volume", "-0.5"),
+    ("price", "nan"), ("price", "-1.0")])
+def test_bid_value_its_writer_never_writes_names_file_day_hour_and_column(
+        tmp_path, small_dataset, column, text):
+    """A ``nan`` volume landed in the report's bid volume trace."""
+    scored_files(tmp_path, small_dataset)
+    bids = tmp_path / "bids.csv"
+    day, hour = bids.read_text().splitlines()[1].split(",")[:2]
+    edit_window_row(bids, day, hour, column, text)
+    with pytest.raises(DataError, match=rf"bids\.csv: day {day} hour {hour}: bad {column} "):
+        read_day_results(tmp_path / "trace.csv", bids, (90, 93))
+
+
+def test_bid_priced_at_infinity_is_read_back(tmp_path, small_dataset):
+    """Timing buys at any price: its buy bids are priced at +inf."""
+    scored_files(tmp_path, small_dataset)
+    episode = read_day_results(tmp_path / "trace.csv", tmp_path / "bids.csv", (90, 93))
+    assert any(price == math.inf for _, _, side, _, price, _ in episode.bids)
